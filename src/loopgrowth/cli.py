@@ -184,8 +184,13 @@ def _load_presentation(args, fields):
     """Merge a presentation file with command-line flags; flags win."""
     data = {}
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as e:
+            raise ValueError(
+                f"cannot read presentation file {args.file!r}: {e.strerror or e}"
+            ) from None
         if not isinstance(data, dict):
             raise ValueError("presentation file must hold a JSON object")
         if "kind" in data and data["kind"] != args.command:

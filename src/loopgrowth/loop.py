@@ -272,7 +272,7 @@ def _radius_at_least_one(rho: Radius) -> bool:
         return False
     sf = rho._sqfree
     inside = count_roots_halfopen(sf, Fraction(0), Fraction(1))
-    if sf.eval_at(Fraction(1)) == 0:
+    if sf.sign_at(Fraction(1)) == 0:
         inside -= 1
     return inside == 0
 

@@ -1,9 +1,11 @@
 """Dense integer polynomials with exact root counting.
 
-Coefficients are arbitrary-precision ints stored low degree first. Everything
-here is exact: evaluation at Fraction points, gcd over the rationals (returned
-as a primitive integer polynomial), Sturm sequences, and root counting on
-half-open intervals (a, b]. No floating point enters any certificate.
+Coefficients are arbitrary-precision ints stored low degree first, and every
+operation stays in integers: gcd by a primitive pseudo-remainder sequence over
+Z, exact division, Sturm sequences whose rows are primitive integer
+polynomials, and signs at a rational point p/q read off the homogeneous value
+q^n f(p/q). Root counting on half-open intervals (a, b] is therefore exact,
+and no floating point enters any certificate.
 """
 
 from __future__ import annotations
@@ -56,10 +58,14 @@ class IntPolynomial:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def eval_at(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x = Fraction(x)
+        return Fraction(_scaled_value(self.coeffs, x.numerator, x.denominator),
+                        x.denominator ** max(self.degree(), 0))
+
+    def sign_at(self, x: Fraction) -> int:
+        """Sign (-1, 0 or 1) of the value at the rational (or integer) point x."""
+        v = _scaled_value(self.coeffs, x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -100,10 +106,7 @@ class IntPolynomial:
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = int_gcd(g, abs(c))
-        return g
+        return int_gcd(*self.coeffs)
 
     def primitive(self) -> "IntPolynomial":
         """Divide out the content; the sign of the leading coefficient is kept."""
@@ -124,62 +127,84 @@ ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
 
 
-def poly_from_fractions(coeffs) -> IntPolynomial:
-    """Clear denominators of a rational coefficient list; primitive result."""
-    coeffs = [Fraction(c) for c in coeffs]
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    return IntPolynomial(tuple(int(c * lcm) for c in coeffs)).primitive()
+def _scaled_value(coeffs, p: int, q: int) -> int:
+    """q^n f(p/q) for the coefficients of f (n = len - 1), by homogeneous Horner.
+
+    With q > 0 it has the sign of f(p/q), and it is zero exactly at a root.
+    """
+    acc = 0
+    qk = 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
 
 
-def _frac_divmod(num, den):
-    """divmod of Fraction coefficient lists (low degree first)."""
-    num = list(num)
-    dd = len(den) - 1
-    while den and den[-1] == 0:
-        den = den[:-1]
-        dd -= 1
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = den[-1]
-    q = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
+def _primitive(coeffs: list) -> list:
+    g = int_gcd(*coeffs)
+    return coeffs if g in (0, 1) else [c // g for c in coeffs]
+
+
+def _prem(a, b) -> list:
+    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) a by b, over Z.
+
+    Coefficient lists are low degree first; b must be nonzero and stripped.
+    When deg a < deg b no step runs and the result is a itself.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        if lb != 1:
+            r = [x * lb for x in r]
         if c:
-            q[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
+            k = top - db
+            r[k:] = [x - c * y for x, y in zip(r[k:], b)]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact division a / b; raises if b does not divide a."""
-    q, r = _frac_divmod([Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs])
-    if r:
-        raise ValueError("polynomial division is not exact")
-    for c in q:
-        if c.denominator != 1:
+    """Exact division a / b over Z; raises if b does not divide a in Z[z]."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a.coeffs)
+    den = b.coeffs
+    db = len(den) - 1
+    lb = den[-1]
+    q = [0] * max(len(r) - db, 0)
+    for top in range(len(r) - 1, db - 1, -1):
+        c, rem = divmod(r.pop(), lb)
+        if rem:
             raise ValueError("polynomial division is not exact over the integers")
-    return IntPolynomial(tuple(int(c) for c in q))
+        if c:
+            k = top - db
+            q[k] = c
+            r[k:] = [x - c * y for x, y in zip(r[k:], den)]
+    if any(r):
+        raise ValueError("polynomial division is not exact")
+    return IntPolynomial(tuple(q))
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Gcd over Q[z], returned primitive over Z with positive leading coefficient.
 
+    Computed by the primitive pseudo-remainder sequence over Z: dividing the
+    content out of each pseudo-remainder keeps coefficient growth in check
+    without rational arithmetic.
+
     >>> poly_gcd(IntPolynomial((-1, 0, 1)), IntPolynomial((1, 1))).coeffs
     (1, 1)
     """
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
+    fa = _primitive(list(a.coeffs))
+    fb = _primitive(list(b.coeffs))
     while fb:
-        _, r = _frac_divmod(fa, fb)
-        fa, fb = fb, r
+        fa, fb = fb, _primitive(_prem(fa, fb))
     if not fa:
         return ZERO
-    g = poly_from_fractions(fa)
+    g = IntPolynomial(tuple(fa))
     if g.leading() < 0:
         g = -g
     return g
@@ -199,31 +224,35 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
 
 
 def sturm_chain(f: IntPolynomial):
-    """Sturm chain of a squarefree polynomial, as Fraction coefficient lists."""
-    chain = [[Fraction(c) for c in f.coeffs]]
+    """Sturm chain of a squarefree polynomial, as integer coefficient lists.
+
+    Each row after f and f' is -prem of the two rows before it made
+    primitive, with the sign of lc^(delta+1) of the divisor applied, so it is
+    a positive multiple of the negated Euclidean remainder over Q and every
+    sign variation count is the same as for the classical chain.
+    """
+    chain = [list(f.coeffs)]
     if f.degree() >= 1:
-        chain.append([Fraction(c) for c in f.derivative().coeffs])
+        chain.append(list(f.derivative().coeffs))
         while True:
-            _, r = _frac_divmod(chain[-2], chain[-1])
+            a, b = chain[-2], chain[-1]
+            r = _prem(a, b)
             if not r:
                 break
-            chain.append([-c for c in r])
+            row = _primitive(r)
+            if b[-1] > 0 or (len(a) - len(b)) % 2 == 1:
+                row = [-c for c in row]
+            chain.append(row)
     return chain
 
 
-def _eval_list(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def sign_variations(chain, x: Fraction) -> int:
+    p, q = x.numerator, x.denominator
     signs = []
     for coeffs in chain:
-        v = _eval_list(coeffs, x)
+        v = _scaled_value(coeffs, p, q)
         if v != 0:
-            signs.append(1 if v > 0 else -1)
+            signs.append(v > 0)
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -244,7 +273,7 @@ def count_roots_halfopen(f: IntPolynomial, a: Fraction, b: Fraction, chain=None)
         chain = sturm_chain(f)
     elif f.degree() <= 0:
         return 0
-    if f.eval_at(a) == 0:
+    if f.sign_at(a) == 0:
         raise ValueError("left endpoint must not be a root")
     return sign_variations(chain, a) - sign_variations(chain, b)
 

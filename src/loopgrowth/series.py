@@ -11,6 +11,10 @@ every Radius comes with an exact rational interval that provably contains
 exactly one denominator root. Strict comparisons between radii refine both
 intervals until they are disjoint, or certify equality through a common factor
 of the two denominators.
+
+All polynomial work (gcd, Sturm chains, signs at the bisection points) and the
+series recurrence run in integer arithmetic; Fractions appear only in the
+interval endpoints and the expanded coefficients handed back to callers.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import mul
 
 from .polynomial import (
     IntPolynomial,
@@ -172,18 +177,29 @@ def gf_shift(a: RationalGF, k: int) -> RationalGF:
 
 
 def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
-    """Power series coefficients through z^trunc_degree, by linear recurrence."""
+    """Power series coefficients through z^trunc_degree, by linear recurrence.
+
+    The recurrence runs on the integers e_k = d0^(k+1) c_k, where d0 is the
+    denominator's constant term:
+    e_k = d0^k n_k - sum_{j>=1} d_j d0^(j-1) e_(k-j),
+    and c_k = e_k / d0^(k+1) is the only Fraction made per term.
+    """
     if trunc_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
     den = gf.den.coeffs
     num = gf.num
-    d0 = Fraction(den[0])
+    d0 = den[0]
+    m = len(den) - 1
+    # weights d_j d0^(j-1) for j = m..1, against the window e_(k-m) .. e_(k-1)
+    weights = [den[j] * d0 ** (j - 1) for j in range(m, 0, -1)]
+    e = [0] * m  # zeros stand in for e_(-m) .. e_(-1)
     out = []
+    d0k = 1
     for k in range(trunc_degree + 1):
-        acc = Fraction(num[k])
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc / d0)
+        ek = d0k * num[k] - sum(map(mul, weights, e[k:k + m]))
+        e.append(ek)
+        d0k *= d0
+        out.append(Fraction(ek, d0k))
     return TruncatedSeries(tuple(out), trunc_degree)
 
 
@@ -246,16 +262,16 @@ class Radius:
             # the pinned point is a root and is the first one past zero
             return (
                 self.lo > 0
-                and f.eval_at(self.lo) == 0
+                and f.sign_at(self.lo) == 0
                 and count_roots_halfopen(f, Fraction(0), self.lo) == 1
             )
         if not (0 < self.lo < self.hi):
             return False
-        if f.eval_at(self.lo) == 0:
+        if f.sign_at(self.lo) == 0:
             return False
         one_inside = count_roots_halfopen(f, self.lo, self.hi) == 1
         none_before = count_roots_halfopen(f, Fraction(0), self.lo) == 0
-        sign_change = f.eval_at(self.lo) * f.eval_at(self.hi) < 0
+        sign_change = f.sign_at(self.lo) * f.sign_at(self.hi) < 0
         return none_before and (one_inside or sign_change)
 
 
@@ -271,7 +287,7 @@ def _bisect(sf, chain, lo, hi, tol):
         if narrow and count_roots_halfopen(sf, lo, hi, chain) == 1:
             return lo, hi
         mid = (lo + hi) / 2
-        if sf.eval_at(mid) == 0:
+        if sf.sign_at(mid) == 0:
             return mid, mid
         if count_roots_halfopen(sf, lo, mid, chain) == 0:
             lo = mid
@@ -302,7 +318,7 @@ def _smallest_positive_rational_root(sf: IntPolynomial) -> Fraction | None:
     for p in _divisors(a0):
         for q in _divisors(an):
             cand = Fraction(p, q)
-            if (best is None or cand < best) and sf.eval_at(cand) == 0:
+            if (best is None or cand < best) and sf.sign_at(cand) == 0:
                 best = cand
     return best
 
@@ -366,15 +382,15 @@ def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
         # overlapping intervals: either the radii share a denominator root
         # (equality, certified below) or refinement will separate them
         if ra.is_exact and rb._sqfree is not None:
-            if rb._sqfree.eval_at(ra.lo) == 0:
+            if rb._sqfree.sign_at(ra.lo) == 0:
                 return 0, ra, rb
         elif rb.is_exact and ra._sqfree is not None:
-            if ra._sqfree.eval_at(rb.lo) == 0:
+            if ra._sqfree.sign_at(rb.lo) == 0:
                 return 0, ra, rb
         elif common is not None:
             lo = max(ra.lo, rb.lo)
             hi = min(ra.hi, rb.hi)
-            if lo < hi and common.eval_at(lo) != 0:
+            if lo < hi and common.sign_at(lo) != 0:
                 if count_roots_halfopen(common, lo, hi) >= 1:
                     return 0, ra, rb
         cur = cur / 2**8

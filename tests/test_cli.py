@@ -286,6 +286,14 @@ class TestPresentationFiles:
         assert code == 1
         assert "does not match command" in json.loads(text)["error"]["message"]
 
+    @pytest.mark.parametrize("name", ["absent.json", "."], ids=["missing", "directory"])
+    def test_unreadable_file_is_a_validation_error(self, tmp_path, name):
+        path = str(tmp_path / name)
+        code, report = run_json(["cofiber", "--file", path, "--inert", JUST])
+        assert code == 1
+        assert report["error"]["kind"] == "validation-error"
+        assert "cannot read presentation file" in report["error"]["message"]
+
     def test_missing_fields_reported(self):
         code, text = run_cli(["connsum", "--A", "S3", "--inert", JUST])
         assert code == 1

@@ -1,0 +1,210 @@
+"""The integer polynomial kernel against sympy: gcd, squarefree part, exact
+division, Sturm chains and root counts, series expansion, and the certified
+radii of the large denominators the kernel is built for."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from loopgrowth.loop import loop_gf  # noqa: E402
+from loopgrowth.polynomial import (  # noqa: E402
+    IntPolynomial,
+    count_roots_halfopen,
+    poly_divexact,
+    poly_gcd,
+    squarefree_part,
+    sturm_chain,
+)
+from loopgrowth.series import RationalGF, expand, smallest_positive_pole  # noqa: E402
+from loopgrowth.space import parse  # noqa: E402
+
+import oracles  # noqa: E402
+
+Z = sympy.Symbol("z")
+
+
+def to_sympy(p: IntPolynomial, domain="ZZ"):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], Z, domain=domain)
+
+
+def from_sympy(p) -> IntPolynomial:
+    return IntPolynomial(tuple(int(c) for c in reversed(p.all_coeffs())))
+
+
+def normalized(p: IntPolynomial) -> IntPolynomial:
+    """Primitive, with positive leading coefficient."""
+    p = p.primitive()
+    return -p if p.leading() < 0 else p
+
+
+def cyclotomic(n: int) -> IntPolynomial:
+    return from_sympy(sympy.Poly(sympy.cyclotomic_poly(n, Z), Z))
+
+
+def power(p: IntPolynomial, e: int) -> IntPolynomial:
+    out = IntPolynomial((1,))
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+def nonzero(max_degree: int, bound: int = 9):
+    coeffs = st.lists(st.integers(-bound, bound), min_size=1, max_size=max_degree + 1)
+    return coeffs.map(lambda c: IntPolynomial(tuple(c))).filter(lambda p: not p.is_zero())
+
+
+def rational(denominators):
+    return st.builds(Fraction, st.integers(-40, 40), st.sampled_from(denominators))
+
+
+DYADIC = (1, 2, 4, 8, 16)
+NON_DYADIC = (3, 5, 6, 7, 9, 12)
+
+
+class TestGcd:
+    @given(nonzero(5), nonzero(5), nonzero(4))
+    @settings(max_examples=150, deadline=None)
+    def test_planted_common_factor(self, p, q, g):
+        a, b = p * g, q * g
+        got = poly_gcd(a, b)
+        want = from_sympy(to_sympy(a).gcd(to_sympy(b)))
+        assert got == normalized(want)
+        assert got.leading() > 0 and got.content() == 1
+        poly_divexact(got, normalized(g))  # the planted factor divides the gcd
+
+    @given(nonzero(6))
+    @settings(max_examples=50, deadline=None)
+    def test_gcd_with_zero_is_the_primitive_part(self, a):
+        assert poly_gcd(a, IntPolynomial(())) == normalized(a)
+        assert poly_gcd(IntPolynomial(()), a) == normalized(a)
+
+    @given(
+        nonzero(4),
+        st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)), min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_squarefree_part_of_repeated_cyclotomic_factors(self, p, factors):
+        f = p
+        for n, e in factors:
+            f = f * power(cyclotomic(n), e)
+        got = squarefree_part(f)
+        want = from_sympy(to_sympy(f).sqf_part())
+        assert normalized(got) == normalized(want)
+        assert got.content() == f.content()
+
+
+class TestDivexact:
+    @given(nonzero(5), nonzero(4))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_quotient(self, g, h):
+        assert poly_divexact(g * h, g) == h
+
+    @given(nonzero(4), nonzero(4), st.integers(2, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_over_q_but_not_over_z_raises(self, g, h, k):
+        h = h.primitive()
+        with pytest.raises(ValueError):
+            poly_divexact(g * h, g.scale(k))
+
+    @given(nonzero(4), nonzero(3), nonzero(3))
+    @settings(max_examples=100, deadline=None)
+    def test_remainder_left_raises(self, g, h, r):
+        assume(g.degree() >= 1 and r.degree() < g.degree())
+        with pytest.raises(ValueError):
+            poly_divexact(g * h + r, g)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_divexact(IntPolynomial((1, 1)), IntPolynomial(()))
+
+
+class TestSturm:
+    @given(nonzero(7))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_integer_positive_multiples_of_the_rational_chain(self, f):
+        sf = squarefree_part(f)
+        assume(sf.degree() >= 1)
+        chain = sturm_chain(sf)
+        assert all(type(c) is int for row in chain for c in row)
+        reference = sympy.sturm(to_sympy(sf, "QQ"))
+        assert len(chain) == len(reference)
+        ratios = set()
+        for row, ref in zip(chain, reference):
+            ours = to_sympy(IntPolynomial(tuple(row)), "QQ")
+            quotient, remainder = ours.div(ref)
+            assert remainder.is_zero and quotient.degree() <= 0
+            ratios.add(quotient.LC() > 0)
+        # sympy makes the first row monic, which may flip every row at once
+        assert len(ratios) == 1
+
+    @pytest.mark.parametrize("denominators", [DYADIC, NON_DYADIC], ids=["dyadic", "non-dyadic"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_counts_on_halfopen_intervals(self, denominators, data):
+        f = data.draw(nonzero(6))
+        a = data.draw(rational(denominators))
+        b = a + data.draw(rational(denominators).filter(lambda w: w > 0))
+        assume(f.degree() >= 1 and f.sign_at(a) != 0)
+        want = to_sympy(f).sqf_part().count_roots(sympy.Rational(a.numerator, a.denominator),
+                                                  sympy.Rational(b.numerator, b.denominator))
+        assert count_roots_halfopen(f, a, b) == want
+
+    def test_root_at_the_right_endpoint_counts(self):
+        f = IntPolynomial((-1, 3))  # root 1/3
+        assert count_roots_halfopen(f, Fraction(0), Fraction(1, 3)) == 1
+        assert count_roots_halfopen(f, Fraction(1, 3) - Fraction(1, 10**9), Fraction(1, 2)) == 1
+
+    @given(nonzero(6), rational(DYADIC + NON_DYADIC))
+    @settings(max_examples=100, deadline=None)
+    def test_eval_and_sign_agree_with_fraction_horner(self, f, x):
+        value = Fraction(0)
+        for c in reversed(f.coeffs):
+            value = value * x + c
+        assert f.eval_at(x) == value
+        assert f.sign_at(x) == (value > 0) - (value < 0)
+
+
+class TestExpand:
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+        st.sampled_from([2, 3, -4, 6, 9]),
+        st.lists(st.integers(-6, 6), max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_constant_term_not_one(self, num, d0, rest):
+        gf = RationalGF.from_coeffs(num, [d0] + rest)
+        assume(gf.den.constant_term() != 1)
+        got = expand(gf, 25).coeffs
+        assert got == tuple(oracles.texpand(num, [d0] + rest, 25))
+
+    def test_geometric_series_in_thirds(self):
+        got = expand(RationalGF.from_coeffs([1], [3, -1]), 6).coeffs
+        assert got == tuple(Fraction(1, 3 ** (k + 1)) for k in range(7))
+
+
+class TestGateCertificates:
+    """The large denominators that motivated the integer kernel."""
+
+    def test_product_of_twenty_spheres(self):
+        expr = " x ".join(f"S{k}" for k in range(2, 22))
+        gf = loop_gf(parse(expr))
+        assert gf.den.degree() == 210
+        rho = smallest_positive_pole(gf)
+        assert rho.is_exact and rho.lo == 1
+        assert rho.certificate_holds()
+
+    def test_suspended_product_wedge(self):
+        expr = "Susp(" + " x ".join(f"S{k}" for k in range(2, 12)) + ") v S3 x S5"
+        rho = smallest_positive_pole(loop_gf(parse(expr)))
+        assert not rho.is_exact
+        assert rho.width() <= Fraction(1, 10**12)
+        assert rho.certificate_holds()
+        sf = to_sympy(rho._sqfree)
+        lo = sympy.Rational(rho.lo.numerator, rho.lo.denominator)
+        hi = sympy.Rational(rho.hi.numerator, rho.hi.denominator)
+        assert sf.count_roots(0, lo) == 0
+        assert sf.count_roots(lo, hi) == 1
