@@ -1,0 +1,49 @@
+"""Elementary number theory shared by the series, necklace and census code."""
+
+from __future__ import annotations
+
+
+def divisors(n: int) -> list:
+    """Positive divisors of a positive integer, ascending.
+
+    >>> divisors(12)
+    [1, 2, 3, 4, 6, 12]
+    """
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def mobius(n: int) -> int:
+    """The Moebius function of a positive integer.
+
+    >>> [mobius(k) for k in range(1, 11)]
+    [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    """
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    if n > 1:
+        out = -out
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Trial division.
+
+    >>> [q for q in range(20) if is_prime(q)]
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    """
+    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))

@@ -7,9 +7,16 @@ numerator/denominator strings plus a decimal rendering so no JSON number
 ever carries the precision. Errors print a report with a machine-readable
 `error.kind`; exit code 2 flags expression parse errors, 1 everything else.
 
-Output is byte-identical across repeated runs and across thread counts: the
-thread flag never appears in the request echo, and parallel sections
-assemble their results by index.
+Each subcommand is declared once, in `_COMMANDS`: its help, its arguments
+and its handler. A flag is attached only to the commands whose handler reads
+it, so a flag a command would ignore is a usage error. The parser is built
+once per process. Usage errors (unknown or malformed flags, a missing
+subcommand) print a `usage-error` report and exit 2; `--help` and
+`--version` print to stdout and exit 0.
+
+Output is byte-identical across repeated runs. Handlers look library
+functions up as module globals at call time, so a wrapper installed on this
+module's attributes sees every call.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import json
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .freeloop import GradedAlphabet, free_loop_good_growth
@@ -72,6 +81,7 @@ KIND_PARSE = "parse-error"
 KIND_HYPOTHESIS = "hypothesis-error"
 KIND_VALIDATION = "validation-error"
 KIND_NOT_EXPRESSIBLE = "not-expressible"
+KIND_USAGE = "usage-error"
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -214,12 +224,6 @@ def _load_presentation(args, fields):
     return out
 
 
-def _parse_space(text) -> SpaceExpr:
-    if isinstance(text, SpaceExpr):
-        return text
-    return parse(str(text))
-
-
 # -- command handlers ----------------------------------------------------------
 
 
@@ -254,17 +258,12 @@ def _cmd_homology(args):
     )
 
 
-def _loop_series_core(gf, n):
-    coeffs = gf.expand(n).coeffs
-    rho = smallest_positive_pole(gf)
-    return coeffs, rho
-
-
 def _cmd_loop_series(args):
     n = _check_degree(args.max_degree)
     x = parse(args.expr)
     gf = loop_gf(x)
-    coeffs, rho = _loop_series_core(gf, n)
+    coeffs = gf.expand(n).coeffs
+    rho = smallest_positive_pole(gf)
     result = {
         "series": _gf_json(gf),
         "coefficients": [_coeff_json(c) for c in coeffs],
@@ -364,76 +363,31 @@ def _verdict_payload(pres, n, justification):
     return result, _series_table(coeffs), prov
 
 
-def _cmd_cofiber(args):
+_INT_FIELDS = ("m", "n")
+
+
+def _cmd_presentation(cls, fields, args):
+    """Growth verdict for a presentation of type `cls` with these fields."""
     n = _check_degree(args.max_degree)
-    p = _load_presentation(args, ("A", "Z"))
-    pres = CofiberPresentation(
-        _parse_space(p["A"]),
-        _parse_space(p["Z"]),
-        inert_asserted=True,
-        justification=p["inert_justification"],
-    )
-    result, table, prov = _verdict_payload(pres, n, p["inert_justification"])
-    req = {
-        "A": to_text(pres.A),
-        "Z": to_text(pres.Z),
-        "inert_justification": p["inert_justification"],
-        "max_degree": n,
-    }
-    return req, result, table, prov
-
-
-def _cmd_connsum(args):
-    n = _check_degree(args.max_degree)
-    p = _load_presentation(args, ("A", "M", "N"))
-    pres = ConnSumPresentation(
-        _parse_space(p["A"]),
-        _parse_space(p["M"]),
-        _parse_space(p["N"]),
-        inert_asserted=True,
-        justification=p["inert_justification"],
-    )
-    result, table, prov = _verdict_payload(
-        pres.as_cofiber(), n, p["inert_justification"]
-    )
-    prov.insert(
-        1,
-        _cited(
-            "connected sum analyzed through its collar cofibration onto the wedge",
-            "collar cofibration of a connected sum",
-        ),
-    )
-    req = {
-        "A": to_text(pres.A),
-        "M": to_text(pres.M),
-        "N": to_text(pres.N),
-        "inert_justification": p["inert_justification"],
-        "max_degree": n,
-    }
-    return req, result, table, prov
-
-
-def _cmd_yclass(args):
-    n = _check_degree(args.max_degree)
-    p = _load_presentation(args, ("m", "n", "J"))
-    pres = YClassPresentation(
-        int(p["m"]),
-        int(p["n"]),
-        _parse_space(p["J"]),
-        inert_asserted=True,
-        justification=p["inert_justification"],
-    )
-    result, table, prov = _verdict_payload(
-        pres.as_cofiber(), n, p["inert_justification"]
-    )
-    result["cofiber_space"] = to_text(pres.cofiber_space())
-    req = {
-        "m": pres.m,
-        "n": pres.n,
-        "J": to_text(pres.J),
-        "inert_justification": p["inert_justification"],
-        "max_degree": n,
-    }
+    p = _load_presentation(args, fields)
+    just = p["inert_justification"]
+    values = [int(p[f]) if f in _INT_FIELDS else parse(str(p[f])) for f in fields]
+    pres = cls(*values, inert_asserted=True, justification=just)
+    cofiber = pres if cls is CofiberPresentation else pres.as_cofiber()
+    result, table, prov = _verdict_payload(cofiber, n, just)
+    if cls is ConnSumPresentation:
+        prov.insert(
+            1,
+            _cited(
+                "connected sum analyzed through its collar cofibration onto the wedge",
+                "collar cofibration of a connected sum",
+            ),
+        )
+    elif cls is YClassPresentation:
+        result["cofiber_space"] = to_text(pres.cofiber_space())
+    req = {f: v if f in _INT_FIELDS else to_text(v) for f, v in zip(fields, values)}
+    req["inert_justification"] = just
+    req["max_degree"] = n
     return req, result, table, prov
 
 
@@ -451,7 +405,6 @@ def _cmd_free_loop(args):
         k_min=args.k_min,
         match_tol=args.match_tol,
         method=args.method,
-        threads=args.threads,
     )
     result = {
         "degrees": list(a.degrees),
@@ -618,106 +571,156 @@ def _cmd_retraction(args):
     return {"A": args.A, "Z": args.Z}, result, table, prov
 
 
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "homology": _cmd_homology,
-    "loop-series": _cmd_loop_series,
-    "rho": _cmd_rho,
-    "log-index": _cmd_log_index,
-    "cofiber": _cmd_cofiber,
-    "connsum": _cmd_connsum,
-    "yclass": _cmd_yclass,
-    "free-loop": _cmd_free_loop,
-    "hm-census": _cmd_hm_census,
-    "torsion": _cmd_torsion,
-    "primes": _cmd_primes,
-    "retraction": _cmd_retraction,
+# -- command table -------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable
+    arguments: tuple  # (flags, add_argument keywords) pairs
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+EXPR = _arg("expr")
+MAX_DEGREE = _arg("--max-degree", type=int, default=40, metavar="N")
+K_MIN = _arg("--k-min", type=int, default=10)
+FILE = _arg("--file", help="presentation file (JSON)")
+INERT = _arg("--inert", help="why the attaching map is inert (recorded)")
+FORMAT = _arg("--format", choices=("json", "csv"), default="json")
+
+_COMMANDS = {
+    "parse": Command("echo the canonical form and syntax tree", _cmd_parse, (EXPR,)),
+    "homology": Command(
+        "rational homology polynomial and profile", _cmd_homology, (EXPR, MAX_DEGREE)
+    ),
+    "loop-series": Command(
+        "loop-space homology series and radius", _cmd_loop_series, (EXPR, MAX_DEGREE)
+    ),
+    "rho": Command("certified radius of convergence of the loop series", _cmd_rho, (EXPR,)),
+    "log-index": Command(
+        "exact and empirical log index of the loop series",
+        _cmd_log_index,
+        (EXPR, MAX_DEGREE, K_MIN),
+    ),
+    "cofiber": Command(
+        "growth verdict for an asserted-inert cofibration",
+        partial(_cmd_presentation, CofiberPresentation, ("A", "Z")),
+        (
+            _arg("--A", help="cofiber attachment source (suspended)"),
+            _arg("--Z", help="cofiber of the attachment"),
+            INERT,
+            FILE,
+            MAX_DEGREE,
+        ),
+    ),
+    "connsum": Command(
+        "growth verdict for a connected sum",
+        partial(_cmd_presentation, ConnSumPresentation, ("A", "M", "N")),
+        (
+            _arg("--A", help="collar attachment source"),
+            _arg("--M", help="first summand"),
+            _arg("--N", help="second summand"),
+            _arg("--inert", help="why the collar attachment is inert (recorded)"),
+            FILE,
+            MAX_DEGREE,
+        ),
+    ),
+    "yclass": Command(
+        "growth verdict for a two-cone sphere-product class",
+        partial(_cmd_presentation, YClassPresentation, ("m", "n", "J")),
+        (
+            _arg("--m", type=int, help="lower sphere dimension"),
+            _arg("--n", type=int, help="total dimension"),
+            _arg("--J", help="suspended attachment source"),
+            INERT,
+            FILE,
+            MAX_DEGREE,
+        ),
+    ),
+    "free-loop": Command(
+        "free-loop growth check for a wedge of spheres",
+        _cmd_free_loop,
+        (
+            _arg("--degrees", required=True, help="generator degrees, e.g. 2,2"),
+            _arg("--method", choices=("necklace", "brute"), default="necklace"),
+            _arg(
+                "--match-tol",
+                type=float,
+                default=None,
+                help="log-index agreement tolerance (default 3.2/N, i.e. 0.08 at N=40)",
+            ),
+            MAX_DEGREE,
+            K_MIN,
+            _arg("--lambda", dest="lam", type=float, default=1.5),
+            _arg("--epsilon", type=float, default=0.1),
+        ),
+    ),
+    "hm-census": Command(
+        "sphere-factor census of loops on S^m v S^n",
+        _cmd_hm_census,
+        (
+            _arg("--m", type=int, required=True),
+            _arg("--n", type=int, required=True),
+            MAX_DEGREE,
+            K_MIN,
+        ),
+    ),
+    "torsion": Command(
+        "exponent witness and modeled torsion lower bounds",
+        _cmd_torsion,
+        (
+            _arg("--m", type=int, required=True),
+            _arg("--n", type=int, required=True),
+            _arg("--p", type=int, required=True),
+            _arg("--r", type=int, required=True),
+            _arg("--excluded", help="comma-separated excluded primes"),
+            MAX_DEGREE,
+            K_MIN,
+        ),
+    ),
+    "primes": Command(
+        "excluded primes for a (dimension, connectivity) profile",
+        _cmd_primes,
+        (_arg("--d", type=int, required=True), _arg("--s", type=int, required=True)),
+    ),
+    "retraction": Command(
+        "sphere pair retracting off loops of a cofiber",
+        _cmd_retraction,
+        (_arg("--A", required=True), _arg("--Z", required=True)),
+    ),
 }
 
 
 # -- argument parsing ----------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-degree", type=int, default=40, metavar="N")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--lambda", dest="lam", type=float, default=1.5)
-    common.add_argument("--epsilon", type=float, default=0.1)
-    common.add_argument("--k-min", type=int, default=10)
-    common.add_argument("--threads", type=int, default=1)
+class UsageError(Exception):
+    """An argv the parser rejects; run() reports it as a usage error."""
 
-    top = argparse.ArgumentParser(
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = _ArgumentParser(
         prog="loopgrowth",
         description="growth invariants of loop spaces and free loop spaces",
     )
     top.add_argument("--version", action="version", version=f"loopgrowth {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add("parse", help="echo the canonical form and syntax tree")
-    p.add_argument("expr")
-    p = add("homology", help="rational homology polynomial and profile")
-    p.add_argument("expr")
-    p = add("loop-series", help="loop-space homology series and radius")
-    p.add_argument("expr")
-    p = add("rho", help="certified radius of convergence of the loop series")
-    p.add_argument("expr")
-    p = add("log-index", help="exact and empirical log index of the loop series")
-    p.add_argument("expr")
-
-    p = add("cofiber", help="growth verdict for an asserted-inert cofibration")
-    p.add_argument("--A", help="cofiber attachment source (suspended)")
-    p.add_argument("--Z", help="cofiber of the attachment")
-    p.add_argument("--inert", help="why the attaching map is inert (recorded)")
-    p.add_argument("--file", help="presentation file (JSON)")
-
-    p = add("connsum", help="growth verdict for a connected sum")
-    p.add_argument("--A", help="collar attachment source")
-    p.add_argument("--M", help="first summand")
-    p.add_argument("--N", help="second summand")
-    p.add_argument("--inert", help="why the collar attachment is inert (recorded)")
-    p.add_argument("--file", help="presentation file (JSON)")
-
-    p = add("yclass", help="growth verdict for a two-cone sphere-product class")
-    p.add_argument("--m", type=int, help="lower sphere dimension")
-    p.add_argument("--n", type=int, help="total dimension")
-    p.add_argument("--J", help="suspended attachment source")
-    p.add_argument("--inert", help="why the attaching map is inert (recorded)")
-    p.add_argument("--file", help="presentation file (JSON)")
-
-    p = add("free-loop", help="free-loop growth check for a wedge of spheres")
-    p.add_argument("--degrees", required=True, help="generator degrees, e.g. 2,2")
-    p.add_argument("--method", choices=("necklace", "brute"), default="necklace")
-    p.add_argument(
-        "--match-tol",
-        type=float,
-        default=None,
-        help="log-index agreement tolerance (default 3.2/N, i.e. 0.08 at N=40)",
-    )
-
-    p = add("hm-census", help="sphere-factor census of loops on S^m v S^n")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("torsion", help="exponent witness and modeled torsion lower bounds")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--excluded", help="comma-separated excluded primes")
-
-    p = add("primes", help="excluded primes for a (dimension, connectivity) profile")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-
-    p = add("retraction", help="sphere pair retracting off loops of a cofiber")
-    p.add_argument("--A", required=True)
-    p.add_argument("--Z", required=True)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flags, kwargs in command.arguments + (FORMAT,):
+            p.add_argument(*flags, **kwargs)
     return top
+
+
+_PARSER = _build_parser()
 
 
 # -- report assembly -----------------------------------------------------------
@@ -747,11 +750,14 @@ def _error_report(command, kind, message, **extra) -> dict:
 
 
 def run(argv, out) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    fmt = getattr(args, "format", "json")
     try:
-        request, result, table, provenance = _HANDLERS[args.command](args)
+        args = _PARSER.parse_args(argv)
+    except UsageError as e:
+        command = argv[0] if argv and argv[0] in _COMMANDS else ""
+        _emit(_error_report(command, KIND_USAGE, str(e)), "json", out)
+        return 2
+    try:
+        request, result, table, provenance = _COMMANDS[args.command].handler(args)
     except ParseError as e:
         report = _error_report(
             args.command,
@@ -780,7 +786,7 @@ def run(argv, out) -> int:
         "table": table,
         "provenance": provenance,
     }
-    _emit(report, fmt, out)
+    _emit(report, args.format, out)
     return 0
 
 

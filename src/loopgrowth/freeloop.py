@@ -23,10 +23,10 @@ parity). hh1 then follows from rank-nullity.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
+from .arith import divisors, mobius
 from .series import (
     RationalGF,
     TruncatedSeries,
@@ -161,7 +161,7 @@ def exact_rank(rows) -> int:
     return rank
 
 
-def hh_bruteforce(a: GradedAlphabet, trunc_degree: int, threads: int = 1) -> HHDimTable:
+def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
     """HH table by materializing theta and taking exact ranks.
 
     >>> hh_bruteforce(GradedAlphabet((1,)), 6).lx
@@ -195,11 +195,7 @@ def hh_bruteforce(a: GradedAlphabet, trunc_degree: int, threads: int = 1) -> HHD
                 rows.append(row)
         return exact_rank(rows)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            ranks = list(ex.map(rank_at, range(n + 1)))
-    else:
-        ranks = [rank_at(k) for k in range(n + 1)]
+    ranks = [rank_at(k) for k in range(n + 1)]
     hh0, hh1 = [], []
     for k in range(n + 1):
         av = sum(dims[k - d] for d in degrees if k >= d)
@@ -209,21 +205,6 @@ def hh_bruteforce(a: GradedAlphabet, trunc_degree: int, threads: int = 1) -> HHD
 
 
 # -- necklace path: signed cyclic coinvariants --------------------------------
-
-
-def _mobius(n: int) -> int:
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
 
 
 def _lyndon_class_counts(degrees, trunc_degree):
@@ -243,26 +224,14 @@ def _lyndon_class_counts(degrees, trunc_degree):
             if words[w][l] == 0:
                 continue
             aperiodic = 0
-            for e in _divisors(gcd(w, l)):
-                aperiodic += _mobius(e) * words[w // e][l // e]
+            for e in divisors(gcd(w, l)):
+                aperiodic += mobius(e) * words[w // e][l // e]
             total += aperiodic // l
         counts[w] = total
     return counts
 
 
-def _divisors(n: int):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def hh_necklace(a: GradedAlphabet, trunc_degree: int, threads: int = 1) -> HHDimTable:
+def hh_necklace(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
     """HH table from signed necklace counts; hh1 via rank-nullity.
 
     A degree-k class with minimal period weight w0 survives the signed cyclic
@@ -280,16 +249,12 @@ def hh_necklace(a: GradedAlphabet, trunc_degree: int, threads: int = 1) -> HHDim
         if k == 0:
             return 1
         total = 0
-        for w in _divisors(k):
+        for w in divisors(k):
             if w <= n and counts[w] and (k % 2 == 1 or w % 2 == 0):
                 total += counts[w]
         return total
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            hh0 = list(ex.map(hh0_at, range(n + 1)))
-    else:
-        hh0 = [hh0_at(k) for k in range(n + 1)]
+    hh0 = [hh0_at(k) for k in range(n + 1)]
     hh1 = []
     for k in range(n + 1):
         av = sum(dims[k - d] for d in degrees if k >= d)
@@ -325,7 +290,6 @@ def free_loop_good_growth(
     k_min: int = 10,
     match_tol: float | None = None,
     method: str = "necklace",
-    threads: int = 1,
 ) -> FreeLoopGrowthResult:
     """Check good exponential growth of the free-loop table of a sphere wedge.
 
@@ -346,9 +310,9 @@ def free_loop_good_growth(
     gf = a.loop_gf()
     target = log_index_exact(smallest_positive_pole(gf)).value
     if method == "necklace":
-        table = hh_necklace(a, trunc_degree, threads=threads)
+        table = hh_necklace(a, trunc_degree)
     elif method == "brute":
-        table = hh_bruteforce(a, trunc_degree, threads=threads)
+        table = hh_bruteforce(a, trunc_degree)
     else:
         raise ValueError(f"unknown method {method!r}; use 'necklace' or 'brute'")
     if match_tol is None:

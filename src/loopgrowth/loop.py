@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .polynomial import IntPolynomial, count_roots_halfopen
@@ -343,13 +344,6 @@ class PiRankTable:
         return TruncatedSeries(tuple(cur), n)
 
 
-def _binom(a: int, b: int) -> int:
-    out = 1
-    for j in range(b):
-        out = out * (a - j) // (j + 1)
-    return out
-
-
 def _mul_binomial_power(cur, i, sign, exponent, n):
     """Multiply coefficient list by (1 + sign*z^i)^exponent, truncated at n.
 
@@ -361,9 +355,9 @@ def _mul_binomial_power(cur, i, sign, exponent, n):
     j = 0
     while i * j <= n:
         if exponent >= 0:
-            w = _binom(exponent, j)
+            w = comb(exponent, j)
         else:
-            w = (-1) ** j * _binom(-exponent + j - 1, j)
+            w = (-1) ** j * comb(-exponent + j - 1, j)
         if sign == -1 and j % 2 == 1:
             w = -w
         if w:

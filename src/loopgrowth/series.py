@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from operator import mul
 
+from .arith import divisors
 from .polynomial import (
     IntPolynomial,
     ONE,
@@ -295,19 +296,6 @@ def _bisect(sf, chain, lo, hi, tol):
             hi = mid
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _smallest_positive_rational_root(sf: IntPolynomial) -> Fraction | None:
     """Rational-root-theorem scan; None when none exists or coefficients are huge."""
     sf = sf.primitive()
@@ -315,8 +303,8 @@ def _smallest_positive_rational_root(sf: IntPolynomial) -> Fraction | None:
     if a0 > 10**7 or an > 10**7:
         return None
     best = None
-    for p in _divisors(a0):
-        for q in _divisors(an):
+    for p in divisors(a0):
+        for q in divisors(an):
             cand = Fraction(p, q)
             if (best is None or cand < best) and sf.sign_at(cand) == 0:
                 best = cand

@@ -227,7 +227,7 @@ def homology_gf(x: SpaceExpr) -> RationalGF:
     >>> homology_gf(parse("S2 ^ S3")).num.coeffs
     (1, 0, 0, 0, 0, 1)
     """
-    return RationalGF(IntPolynomial(_homology_poly(x)), ONE)
+    return RationalGF(_homology_poly(x), ONE)
 
 
 def reduced_gf(x: SpaceExpr) -> RationalGF:
@@ -235,47 +235,17 @@ def reduced_gf(x: SpaceExpr) -> RationalGF:
     return homology_gf(x) - RationalGF.constant(1)
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return out
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def _reduced(coeffs):
-    out = list(coeffs)
-    out[0] -= 1
-    return out
-
-
-def _homology_poly(x: SpaceExpr):
+def _homology_poly(x: SpaceExpr) -> IntPolynomial:
     if isinstance(x, Sphere):
-        return [1] + [0] * (x.n - 1) + [1]
+        return ONE + ONE.shift(x.n)
     if isinstance(x, Wedge):
-        left = _reduced(_homology_poly(x.left))
-        right = _reduced(_homology_poly(x.right))
-        out = _poly_add(left, right)
-        out[0] += 1
-        return out
+        return _homology_poly(x.left) + _homology_poly(x.right) - ONE
     if isinstance(x, Product):
-        return _poly_mul(_homology_poly(x.left), _homology_poly(x.right))
+        return _homology_poly(x.left) * _homology_poly(x.right)
     if isinstance(x, Smash):
-        out = _poly_mul(
-            _reduced(_homology_poly(x.left)), _reduced(_homology_poly(x.right))
-        )
-        out[0] += 1
-        return out
+        return (_homology_poly(x.left) - ONE) * (_homology_poly(x.right) - ONE) + ONE
     if isinstance(x, Susp):
-        out = [0] + _reduced(_homology_poly(x.inner))
-        out[0] = 1
-        return out
+        return (_homology_poly(x.inner) - ONE).shift(1) + ONE
     raise TypeError(f"not a space expression: {x!r}")
 
 
@@ -298,8 +268,8 @@ def profile(x: SpaceExpr) -> Profile:
     Profile(connectivity=4, dimension=5, rationally_nontrivial=True)
     """
     s, d = _profile_bounds(x)
-    red = _reduced(_homology_poly(x))
-    return Profile(s, d, any(c != 0 for c in red))
+    red = _homology_poly(x) - ONE
+    return Profile(s, d, not red.is_zero())
 
 
 def _profile_bounds(x: SpaceExpr):
@@ -367,6 +337,6 @@ def wedge_decomposition(x: SpaceExpr) -> SphereList:
     """
     if not is_rational_sphere_wedge(x):
         raise ValueError("not rationally a wedge of spheres: product detected")
-    red = _reduced(_homology_poly(x))
-    spheres = tuple((dim, mult) for dim, mult in enumerate(red) if mult)
+    red = _homology_poly(x) - ONE
+    spheres = tuple((dim, mult) for dim, mult in enumerate(red.coeffs) if mult)
     return SphereList(spheres)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb, gcd
 
-from .freeloop import _divisors, _mobius
+from .arith import divisors, is_prime, mobius
 from .series import TruncatedSeries, log_index_empirical
 from .space import SpaceExpr, Susp, profile, reduced_gf, wedge_decomposition
 
@@ -31,7 +31,7 @@ WORD_LENGTH_GUARD = 20
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
 
@@ -66,11 +66,7 @@ def primes_set(d: int, s: int) -> PrimeSet:
     if s < 1 or d <= s:
         raise ValueError("dimension must exceed connectivity")
     bound = d - s + 1
-    return PrimeSet(tuple(q for q in range(2, bound // 2 + 1) if 2 * q <= bound and _is_prime(q)))
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+    return PrimeSet(tuple(q for q in range(2, bound // 2 + 1) if 2 * q <= bound and is_prime(q)))
 
 
 def primes_set_of(x: SpaceExpr) -> PrimeSet:
@@ -158,8 +154,8 @@ def _witt_bivariate(i: int, j: int) -> int:
     if i == 0 and j == 0:
         return 0
     total = 0
-    for e in _divisors(gcd(i, j) if i and j else max(i, j)):
-        total += _mobius(e) * comb((i + j) // e, i // e)
+    for e in divisors(gcd(i, j) if i and j else max(i, j)):
+        total += mobius(e) * comb((i + j) // e, i // e)
     return total // (i + j)
 
 
@@ -297,24 +293,16 @@ def torsion_report(
     )
 
 
+@dataclass(frozen=True)
 class RetractionReport:
     """Sphere pair (m, n) with a wedge retraction off the cofiber's loops."""
 
-    __slots__ = ("m", "n", "excluded")
-
-    def __init__(self, m: int, n: int, excluded: PrimeSet):
-        self.m = m
-        self.n = n
-        self.excluded = excluded
+    m: int
+    n: int
+    excluded: PrimeSet
 
     def __repr__(self):
         return f"RetractionReport(m={self.m}, n={self.n}, excluded={self.excluded.primes})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RetractionReport)
-            and (self.m, self.n, self.excluded) == (other.m, other.n, other.excluded)
-        )
 
 
 def retraction_report(A: SpaceExpr, Z: SpaceExpr) -> RetractionReport:

@@ -337,9 +337,53 @@ class TestDeterminism:
     def test_repeated_runs_identical(self, argv):
         assert run_cli(argv) == run_cli(argv)
 
-    def test_thread_count_never_changes_bytes(self):
-        base = ["free-loop", "--degrees", "1,2", "--max-degree", "16",
-                "--method", "brute"]
-        single = run_cli(base + ["--threads", "1"])
-        many = run_cli(base + ["--threads", "8"])
-        assert single == many
+
+USAGE_ERRORS = [
+    (["free-loop", "--degrees", "1,2", "--method", "brute", "--threads", "8"],
+     "free-loop", "unrecognized arguments: --threads 8"),
+    (["rho", "S2 v S3", "--lambda", "2"], "rho", "unrecognized arguments: --lambda 2"),
+    (["loop-series", "S2 v S3", "--max-degree", "abc"], "loop-series",
+     "argument --max-degree: invalid int value: 'abc'"),
+    (["parse", "S2", "--no-such-flag"], "parse", "unrecognized arguments: --no-such-flag"),
+    ([], "", "the following arguments are required: command"),
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,command,message", USAGE_ERRORS,
+        ids=["threads", "lambda-on-rho", "max-degree-abc", "unknown-flag", "empty"],
+    )
+    def test_usage_error_is_a_report(self, argv, command, message):
+        code, report = run_json(argv)
+        assert code == 2
+        assert report["command"] == command
+        assert report["error"] == {"kind": "usage-error", "message": message}
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_flags_attach_only_where_read(self, argv):
+        free_loop = argv[0] == "free-loop"
+        code, report = run_json(argv + ["--epsilon", "0.2"])
+        assert code == (0 if free_loop else 2)
+        assert ("error" in report) != free_loop
+        reads_degree = argv[0] not in ("parse", "rho", "primes", "retraction")
+        code, _ = run_json(argv + ["--max-degree", "12"])
+        assert code == (0 if reads_degree else 2)
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            run([flag], out)
+        assert exc.value.code == 0
+        assert out.getvalue() == ""
+        assert "loopgrowth" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, monkeypatch):
+        import loopgrowth.cli as cli
+
+        def fail():
+            raise AssertionError("parser rebuilt inside run()")
+
+        monkeypatch.setattr(cli, "_build_parser", fail)
+        assert run_cli(["primes", "--d", "7", "--s", "1"])[0] == 0

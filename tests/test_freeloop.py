@@ -178,11 +178,6 @@ class TestTableValidation:
             BRUTE_FORCE_WORD_LIMIT
         )
 
-    def test_threads_do_not_change_tables(self):
-        a = GradedAlphabet((1, 2))
-        assert hh_bruteforce(a, 12, threads=4) == hh_bruteforce(a, 12, threads=1)
-        assert hh_necklace(a, 40, threads=4) == hh_necklace(a, 40, threads=1)
-
 
 class TestSandwichBounds:
     @pytest.mark.parametrize("degs", [(1, 1), (2, 2), (1, 2), (2, 2, 2)])

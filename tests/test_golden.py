@@ -1,0 +1,70 @@
+"""Golden bytes: every case prints exactly the stdout and exit code frozen in
+golden_cli.json.
+
+The cases cover every command of test_cli.COMMANDS in both formats, the
+brute-force free-loop path, a presentation read from a file, and one argv
+per error kind. A case whose argv holds "{file}" runs with the presentation
+file written to a temporary directory; the path is never echoed.
+
+After an intentional output change, refreeze with
+`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from loopgrowth.cli import run
+from test_cli import COMMANDS, JUST
+
+DATA = Path(__file__).with_name("golden_cli.json")
+PRESENTATION = {"kind": "cofiber", "A": "S2", "Z": "S2 x S3", "inert_justification": JUST}
+
+
+def cases():
+    out = []
+    for argv in COMMANDS:
+        for fmt in ("json", "csv"):
+            out.append((f"{argv[0]}-{fmt}", argv + ["--format", fmt]))
+    brute = ["free-loop", "--degrees", "1,2", "--max-degree", "12", "--method", "brute"]
+    out += [("free-loop-brute-json", brute), ("free-loop-brute-csv", brute + ["--format", "csv"])]
+    out += [
+        ("cofiber-file", ["cofiber", "--file", "{file}", "--max-degree", "12"]),
+        ("parse-error", ["rho", "S2 v (S3"]),
+        ("parse-error-csv", ["parse", "S2 v", "--format", "csv"]),
+        ("hypothesis-error", ["yclass", "--m", "2", "--n", "3", "--J", "S2", "--inert", JUST]),
+        ("validation-error", ["loop-series", "S2", "--max-degree", "300"]),
+        ("not-expressible", ["log-index", "(S2 x S2) ^ (S2 x S3)"]),
+    ]
+    return out
+
+
+def run_case(argv, directory):
+    path = Path(directory) / "pres.json"
+    path.write_text(json.dumps(PRESENTATION))
+    out = io.StringIO()
+    code = run([a.replace("{file}", str(path)) for a in argv], out)
+    return code, out.getvalue()
+
+
+GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else {}
+
+
+@pytest.mark.parametrize("name,argv", cases(), ids=[name for name, _ in cases()])
+def test_golden_bytes(name, argv, tmp_path):
+    want = GOLDEN[name]
+    assert want["argv"] == argv
+    assert run_case(argv, tmp_path) == (want["exit"], want["stdout"])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    frozen = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in cases():
+            code, stdout = run_case(argv, tmp)
+            frozen[name] = {"argv": argv, "exit": code, "stdout": stdout}
+    DATA.write_text(json.dumps(frozen, indent=1) + "\n")
