@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import isqrt
+
 
 def divisors(n: int) -> list:
     """Positive divisors of a positive integer, ascending.
@@ -46,4 +48,4 @@ def is_prime(n: int) -> bool:
     >>> [q for q in range(20) if is_prime(q)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))

@@ -11,20 +11,25 @@ of the graded-commutator map
 The free-loop dimension table is lx[k] = hh0[k] + hh1[k-1] (internal degree
 bookkeeping: HH_1 in internal degree k-1 lands in total degree k).
 
-Two independent paths compute the table. The brute-force path materializes
-theta on the word basis and takes exact integer ranks. The necklace path
-counts coinvariants of the signed cyclic rotation action on degree-k words:
-a cyclic class survives unless some rotation carries the word to minus
-itself, which happens exactly when w0 * (k-1) is odd for w0 the weight of the
-word's minimal period (rotating a letter of degree d past the rest
-contributes (-1)^(d*(k-d)), and summing over one period collapses to that
-parity). hh1 then follows from rank-nullity.
+Two independent paths compute the table. The brute-force path numbers the
+words of each degree by arithmetic and materializes theta from its
+definition. Every row e_{wv} - sign e_{vw} has at most two nonzero entries, so
+theta is the incidence matrix of a signed graph on words, and its rank over Q
+is the number of words minus the number of balanced components (Zaslavsky,
+"Signed graphs", 1982), found by a union-find with parity. The necklace path
+builds no words: it counts coinvariants of the signed cyclic rotation action
+on degree-k words. A cyclic class survives unless some rotation carries the
+word to minus itself, which happens exactly when w0 * (k-1) is odd for w0 the
+weight of the word's minimal period (rotating a letter of degree d past the
+rest contributes (-1)^(d*(k-d)), and summing over one period collapses to that
+parity). The aperiodic classes of each weight come from the weighted Witt
+formula, and hh1 follows from rank-nullity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import repeat
 
 from .arith import divisors, mobius
 from .series import (
@@ -117,52 +122,81 @@ def _assemble(alphabet, hh0, hh1, n) -> HHDimTable:
     return HHDimTable(alphabet, tuple(hh0), tuple(hh1), lx, n)
 
 
-# -- brute force: theta on the word basis, exact integer ranks ---------------
+# -- brute force: theta as a signed graph on numbered words ------------------
 
 
-def _words_by_degree(degrees, trunc_degree):
-    """words[k] lists all tuples of generator indices with total degree k."""
-    words = [[] for _ in range(trunc_degree + 1)]
-    words[0].append(())
-    for k in range(1, trunc_degree + 1):
-        for j, d in enumerate(degrees):
-            if k >= d:
-                words[k].extend(w + (j,) for w in words[k - d])
-    return words
+def exact_rank(rows, n_words: int) -> int:
+    """Rank over Q of theta's rows, read as a signed graph on n_words words.
 
+    A row (u, v, s) is the vector e_u - s e_v: an edge of sign s between the
+    words u and v. A loop u == v is the zero row when s = +1 and 2 e_u when
+    s = -1. Such an incidence matrix has rank n_words minus the number of
+    balanced components, those whose vertices admit signs x with
+    x_u = s x_v on every edge (Zaslavsky 1982). A union-find with parity
+    (union by size, path halving) tracks the relative signs, so the rank is
+    the number of unions plus the number of unbalanced components.
 
-def exact_rank(rows) -> int:
-    """Rank over Q of sparse integer rows (dicts col -> coeff), fraction free.
-
-    Incremental echelon: each incoming row is cross-multiplied against the
-    stored pivot rows until it either vanishes or lands a new pivot column.
+    >>> exact_rank([(0, 1, 1), (1, 2, -1), (2, 0, 1)], 4)
+    3
+    >>> exact_rank([(0, 1, 1), (1, 0, 1), (2, 2, 1)], 3)
+    1
     """
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        while row:
-            c = min(row)
-            if c not in pivots:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    row = {col: v // g for col, v in row.items()}
-                pivots[c] = row
-                rank += 1
+    parent = list(range(n_words))
+    flip = [0] * n_words  # sign parity of a word relative to its parent
+    size = [1] * n_words
+    unbalanced = [False] * n_words  # read at roots only
+    unions = bad = 0
+    for u, v, s in rows:
+        # both finds are inlined: a call per find costs a third more time
+        par = s < 0
+        while True:
+            p = parent[u]
+            if p == u:
                 break
-            p = pivots[c]
-            a, b = p[c], row[c]
-            new = {col: a * v for col, v in row.items()}
-            for col, v in p.items():
-                new[col] = new.get(col, 0) - b * v
-            row = {col: v for col, v in new.items() if v}
-    return rank
+            g = parent[p]
+            f = flip[u] ^ flip[p]
+            parent[u] = g
+            flip[u] = f
+            par ^= f
+            u = g
+        while True:
+            p = parent[v]
+            if p == v:
+                break
+            g = parent[p]
+            f = flip[v] ^ flip[p]
+            parent[v] = g
+            flip[v] = f
+            par ^= f
+            v = g
+        if u == v:
+            if par and not unbalanced[u]:
+                unbalanced[u] = True
+                bad += 1
+            continue
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v] = u
+        flip[v] = par
+        size[u] += size[v]
+        if unbalanced[v]:
+            if unbalanced[u]:
+                bad -= 1
+            else:
+                unbalanced[u] = True
+        unions += 1
+    return unions + bad
 
 
 def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
-    """HH table by materializing theta and taking exact ranks.
+    """HH table by materializing theta on numbered words and ranking it.
+
+    The words of degree k are numbered in blocks by last letter: word w
+    followed by letter j has number off[k][j] + number(w). The number of
+    j followed by w comes from the prepend table pre[k][j], listed in the
+    order of words[k - d_j]; splitting off the last letter l of w gives
+    pre[k][j] = concat over l of (off[k][l] + pre[k - d_l][j]), with
+    pre[d_j][j] = [off[d_j][j]] for the empty w.
 
     >>> hh_bruteforce(GradedAlphabet((1,)), 6).lx
     (1, 1, 1, 1, 1, 1, 1)
@@ -175,32 +209,30 @@ def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
             "truncation too large for brute force: "
             f"{sum(dims)} basis words exceeds the {BRUTE_FORCE_WORD_LIMIT} limit"
         )
-    words = _words_by_degree(degrees, n)
-    index = [{w: i for i, w in enumerate(ws)} for ws in words]
-
-    def rank_at(k):
-        idx = index[k]
+    top = degrees[-1]
+    pre = [[[] for _ in degrees] for _ in range(n + 1)]
+    hh0, hh1 = [], []
+    for k in range(n + 1):
+        off, start = [], 0
+        for d in degrees:
+            off.append(start)
+            start += dims[k - d] if k >= d else 0
         rows = []
         for j, d in enumerate(degrees):
             if k < d:
                 continue
+            table = [off[j]] if k == d else []
+            for l, dl in enumerate(degrees):
+                if k - dl >= d:
+                    table += map(off[l].__add__, pre[k - dl][j])
+            pre[k][j] = table
             sign = -1 if ((k - d) * d) % 2 else 1
-            for w in words[k - d]:
-                wv = idx[w + (j,)]
-                vw = idx[(j,) + w]
-                if wv == vw:
-                    row = {wv: 1 - sign}
-                else:
-                    row = {wv: 1, vw: -sign}
-                rows.append(row)
-        return exact_rank(rows)
-
-    ranks = [rank_at(k) for k in range(n + 1)]
-    hh0, hh1 = [], []
-    for k in range(n + 1):
-        av = sum(dims[k - d] for d in degrees if k >= d)
-        hh0.append(dims[k] - ranks[k])
-        hh1.append(av - ranks[k])
+            rows += zip(range(off[j], off[j] + len(table)), table, repeat(sign))
+        if k >= top:
+            pre[k - top] = None  # later degrees read from k + 1 - top on
+        rank = exact_rank(rows, dims[k])
+        hh0.append(dims[k] - rank)
+        hh1.append(len(rows) - rank)
     return _assemble(a, hh0, hh1, n)
 
 
@@ -208,26 +240,22 @@ def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
 
 
 def _lyndon_class_counts(degrees, trunc_degree):
-    """counts[w] = aperiodic cyclic classes of words of total degree w."""
+    """counts[w] = aperiodic cyclic classes of words of total degree w.
+
+    Unique factorization into Lyndon words gives prod_w (1 - z^w)^-counts[w]
+    = A(z) = 1/(1 - sum_j z^d_j). Comparing logarithmic derivatives, with
+    t_e = sum_j d_j A_{e - d_j} the coefficients of z A'(z)/A(z), gives the
+    weighted Witt formula w counts[w] = sum_{e | w} mu(w/e) t_e.
+
+    >>> _lyndon_class_counts((1, 1), 6)
+    [0, 2, 1, 2, 3, 6, 9]
+    """
     n = trunc_degree
-    maxlen = n // min(degrees)
-    words = [[0] * (maxlen + 1) for _ in range(n + 1)]
-    words[0][0] = 1
-    for w in range(1, n + 1):
-        row = words[w]
-        for l in range(1, maxlen + 1):
-            row[l] = sum(words[w - d][l - 1] for d in degrees if w >= d)
+    dims = tensor_algebra_dims(GradedAlphabet(degrees), n)
+    t = [sum(d * dims[e - d] for d in degrees if e >= d) for e in range(n + 1)]
     counts = [0] * (n + 1)
     for w in range(1, n + 1):
-        total = 0
-        for l in range(1, maxlen + 1):
-            if words[w][l] == 0:
-                continue
-            aperiodic = 0
-            for e in divisors(gcd(w, l)):
-                aperiodic += mobius(e) * words[w // e][l // e]
-            total += aperiodic // l
-        counts[w] = total
+        counts[w] = sum(mobius(w // e) * t[e] for e in divisors(w)) // w
     return counts
 
 

@@ -29,8 +29,12 @@ from .space import SpaceExpr, Susp, profile, reduced_gf, wedge_decomposition
 
 WORD_LENGTH_GUARD = 20
 
+PRIME_LIMIT = 10**10  # bounds the trial division at about 1e5 steps
+
 
 def _require_prime(p: int) -> None:
+    if p > PRIME_LIMIT:
+        raise ValueError(f"{p} exceeds the {PRIME_LIMIT} prime limit")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
@@ -184,16 +188,21 @@ class HiltonMilnorCensus:
 
         Unique factorization of words into nonincreasing Lyndon products
         makes this equal the word-counting series 1/(1 - z^{m-1} - z^{n-1}).
+        The c factors of one dimension multiply in at once, as
+        (1 - z^t)^-c = sum_r C(c+r-1, r) z^(rt).
+
+        >>> hilton_milnor_census(2, 2, 6).reconstruct().as_dims()
+        (1, 2, 4, 8, 16, 32, 64)
         """
         n = self.trunc_degree
-        cur = [0] * (n + 1)
-        cur[0] = 1
-        for dim in sorted(self.factors):
+        cur = [1] + [0] * n
+        for dim, c in sorted(self.factors.items()):
             t = dim - 1
-            for _ in range(self.factors[dim]):
-                # multiply by 1/(1 - z^t): prefix-sum with stride t
-                for k in range(t, n + 1):
-                    cur[k] += cur[k - t]
+            binom = [comb(c + r - 1, r) for r in range(n // t + 1)]
+            cur = [
+                sum(binom[r] * cur[k - r * t] for r in range(k // t + 1))
+                for k in range(n + 1)
+            ]
         return TruncatedSeries.from_dims(cur)
 
 

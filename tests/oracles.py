@@ -3,10 +3,12 @@
 Everything here works on plain truncated coefficient lists with Fraction
 arithmetic, with no shared code with the package: rational-function results
 are checked against direct series manipulation, census counts against brute
-word enumeration, and sparse ranks against dense elimination.
+word enumeration, Hochschild tables against theta on tuple words with a
+fraction-free eliminator, and sparse ranks against dense elimination.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def tadd(a, b, n):
@@ -115,6 +117,109 @@ def dense_rank(rows, ncols):
         rank += 1
         col += 1
     return rank
+
+
+def exact_rank(rows):
+    """Rank over Q of sparse integer rows (dicts col -> coeff), fraction free.
+
+    Incremental echelon: each incoming row is cross-multiplied against the
+    stored pivot rows until it either vanishes or lands a new pivot column.
+    """
+    pivots = {}
+    rank = 0
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                g = 0
+                for v in row.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    row = {col: v // g for col, v in row.items()}
+                pivots[c] = row
+                rank += 1
+                break
+            p = pivots[c]
+            a, b = p[c], row[c]
+            new = {col: a * v for col, v in row.items()}
+            for col, v in p.items():
+                new[col] = new.get(col, 0) - b * v
+            row = {col: v for col, v in new.items() if v}
+    return rank
+
+
+def words_by_degree(degrees, n):
+    """words[k] lists all tuples of generator indices with total degree k."""
+    words = [[] for _ in range(n + 1)]
+    words[0].append(())
+    for k in range(1, n + 1):
+        for j, d in enumerate(degrees):
+            if k >= d:
+                words[k].extend(w + (j,) for w in words[k - d])
+    return words
+
+
+def hh_by_words(degrees, n):
+    """(hh0, hh1) of T(V) from theta on tuple words and the eliminator above.
+
+    theta(w (x) v_j) = w v_j - (-1)^(|w| d_j) v_j w, a row of integer
+    coefficients indexed by the positions of the words in their degree.
+    """
+    words = words_by_degree(degrees, n)
+    hh0, hh1 = [], []
+    for k in range(n + 1):
+        index = {w: i for i, w in enumerate(words[k])}
+        rows = []
+        for j, d in enumerate(degrees):
+            if k < d:
+                continue
+            sign = -1 if ((k - d) * d) % 2 else 1
+            for w in words[k - d]:
+                row = {}
+                for col, v in ((index[w + (j,)], 1), (index[(j,) + w], -sign)):
+                    row[col] = row.get(col, 0) + v
+                rows.append(row)
+        rank = exact_rank(rows)
+        hh0.append(len(words[k]) - rank)
+        hh1.append(len(rows) - rank)
+    return hh0, hh1
+
+
+def mobius(n):
+    """Moebius function by factoring out every divisor in turn."""
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def lyndon_counts_by_length(degrees, n):
+    """Aperiodic cyclic classes by total degree, from a length-by-degree table.
+
+    words[w][l] counts words of degree w and length l; the classes of length
+    l and degree w are sum_{e | gcd(w, l)} mu(e) words[w/e][l/e] / l.
+    """
+    maxlen = n // min(degrees)
+    words = [[0] * (maxlen + 1) for _ in range(n + 1)]
+    words[0][0] = 1
+    for w in range(1, n + 1):
+        for l in range(1, maxlen + 1):
+            words[w][l] = sum(words[w - d][l - 1] for d in degrees if w >= d)
+    counts = [0] * (n + 1)
+    for w in range(1, n + 1):
+        for l in range(1, maxlen + 1):
+            g = gcd(w, l)
+            aperiodic = sum(
+                mobius(e) * words[w // e][l // e] for e in range(1, g + 1) if g % e == 0
+            )
+            counts[w] += aperiodic // l
+    return counts
 
 
 def signed_necklace_hh0(degrees, k):

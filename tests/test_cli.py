@@ -249,6 +249,19 @@ class TestErrors:
         assert code == 1
         assert json.loads(text)["error"]["kind"] == "hypothesis-error"
 
+    @pytest.mark.parametrize("flag", ["--p", "--excluded"])
+    def test_huge_prime_is_a_validation_error(self, flag):
+        argv = ["torsion", "--m", "3", "--n", "3", "--p", "5", "--r", "1"]
+        huge = "1" + "0" * 400
+        if flag == "--p":
+            argv[6] = huge
+        else:
+            argv += ["--excluded", huge]
+        code, report = run_json(argv)
+        assert code == 1
+        assert report["error"]["kind"] == "validation-error"
+        assert "prime limit" in report["error"]["message"]
+
 
 class TestPresentationFiles:
     def test_file_supplies_fields(self, tmp_path):

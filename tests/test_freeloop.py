@@ -12,6 +12,7 @@ from loopgrowth.freeloop import (
     FreeLoopGrowthResult,
     GradedAlphabet,
     HHDimTable,
+    _lyndon_class_counts,
     exact_rank,
     free_loop_good_growth,
     hh_bruteforce,
@@ -83,17 +84,74 @@ sparse_rows = st.lists(
 
 
 class TestExactRank:
+    """The generic fraction-free eliminator of the word-tuple oracle."""
+
     def test_empty(self):
-        assert exact_rank([]) == 0
+        assert oracles.exact_rank([]) == 0
 
     def test_dependent_rows(self):
         rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 1}]
-        assert exact_rank(rows) == 2
+        assert oracles.exact_rank(rows) == 2
 
     @given(sparse_rows)
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_gaussian_elimination(self, rows):
-        assert exact_rank(rows) == oracles.dense_rank(rows, 10)
+        assert oracles.exact_rank(rows) == oracles.dense_rank(rows, 10)
+
+
+signed_edges = st.integers(1, 10).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((1, -1))),
+            max_size=16,
+        ),
+    )
+)
+
+
+def _incidence_rows(edges):
+    rows = []
+    for u, v, s in edges:
+        row = {u: 1}
+        row[v] = row.get(v, 0) - s
+        rows.append(row)
+    return rows
+
+
+class TestSignedGraphRank:
+    def test_empty_graph(self):
+        assert exact_rank([], 0) == 0
+        assert exact_rank([], 5) == 0
+
+    def test_balanced_cycle_loses_one(self):
+        # x0 = x1 = -x2 = x0 is consistent, so the three rows span a plane
+        assert exact_rank([(0, 1, 1), (1, 2, -1), (2, 0, -1)], 3) == 2
+
+    def test_unbalanced_cycle_has_full_rank(self):
+        assert exact_rank([(0, 1, 1), (1, 2, 1), (2, 0, -1)], 3) == 3
+
+    def test_loops(self):
+        # the -1 loop is the row 2 e_0, the +1 loop the zero row
+        assert exact_rank([(0, 0, -1)], 2) == 1
+        assert exact_rank([(1, 1, 1)], 2) == 0
+        assert exact_rank([(0, 0, -1), (0, 0, -1), (0, 1, 1)], 2) == 2
+
+    def test_merging_two_unbalanced_components(self):
+        rows = [(0, 0, -1), (1, 1, -1), (0, 1, 1), (2, 3, 1)]
+        assert exact_rank(rows, 5) == 3
+
+    @given(signed_edges)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_gaussian_elimination(self, graph):
+        n, edges = graph
+        assert exact_rank(edges, n) == oracles.dense_rank(_incidence_rows(edges), n)
+
+    @given(signed_edges)
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_edges_change_nothing(self, graph):
+        n, edges = graph
+        assert exact_rank(edges + edges[::-1], n) == exact_rank(edges, n)
 
 
 # -- Hochschild tables -------------------------------------------------------------
@@ -117,6 +175,29 @@ class TestEllipticTables:
 
 
 class TestOracleEquivalence:
+    @pytest.mark.parametrize(
+        "degs,n", [((1,), 8), ((2,), 10), ((1, 1), 8), ((1, 2, 3), 9), ((2, 2, 3), 10)]
+    )
+    def test_bruteforce_equals_word_tuple_oracle(self, degs, n):
+        hh0, hh1 = oracles.hh_by_words(degs, n)
+        table = hh_bruteforce(GradedAlphabet(degs), n)
+        assert table.hh0 == tuple(hh0)
+        assert table.hh1 == tuple(hh1)
+
+    @pytest.mark.parametrize("degs,n", [((1, 1), 12), ((1, 2), 14), ((1, 1, 3), 9), ((2, 3), 16)])
+    def test_witt_counts_equal_lyndon_enumeration(self, degs, n):
+        by_degree = [0] * (n + 1)
+        for w in oracles.brute_lyndon(len(degs), n // min(degs)):
+            weight = sum(degs[i] for i in w)
+            if weight <= n:
+                by_degree[weight] += 1
+        assert _lyndon_class_counts(degs, n) == by_degree
+
+    @pytest.mark.parametrize("n", [1, 5, 37, 200])
+    @pytest.mark.parametrize("degs", [(1,), (1, 1), (1, 2, 3), (2, 2, 3), (1, 1, 2)])
+    def test_witt_counts_equal_length_by_degree_table(self, degs, n):
+        assert _lyndon_class_counts(degs, n) == oracles.lyndon_counts_by_length(degs, n)
+
     @pytest.mark.parametrize(
         "degs,n",
         [((1, 1), 12), ((1, 2), 14), ((2, 2), 14), ((1, 1, 2), 9), ((2, 3), 14), ((3,), 12)],

@@ -1,6 +1,7 @@
 """Prime exclusion sets, the sphere-factor census, torsion lower bounds."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from loopgrowth.loop import pi_ranks
 from loopgrowth.series import RationalGF, expand
 from loopgrowth.space import Sphere, parse
 from loopgrowth.torsion import (
+    PRIME_LIMIT,
     PrimeSet,
     RetractionReport,
     hilton_milnor_census,
@@ -41,6 +43,14 @@ class TestPrimeSet:
     def test_membership_and_union(self):
         s = PrimeSet((2,)) | PrimeSet((5,))
         assert 2 in s and 5 in s and 3 not in s
+
+    def test_prime_limit(self):
+        assert PrimeSet((9999999967,)).primes == (9999999967,)
+        assert 9999999967 <= PRIME_LIMIT < 10**10 + 19
+        with pytest.raises(ValueError, match="prime limit"):
+            PrimeSet((10**10 + 19,))
+        with pytest.raises(ValueError, match="prime limit"):
+            least_p_torsion_dim(3, 10**400 + 267)
 
 
 class TestPrimesSet:
@@ -178,6 +188,15 @@ class TestCensus:
         census = hilton_milnor_census(m, n, trunc)
         a = GradedAlphabet((m - 1, n - 1))
         assert census.reconstruct().as_dims() == expand(a.loop_gf(), trunc).as_dims()
+
+    def test_reconstruct_degree_40_is_fast(self):
+        # 5.6e10 factors: one binomial convolution per dimension, not per factor
+        census = hilton_milnor_census(2, 2, 40)
+        assert sum(census.factors.values()) > 5 * 10**10
+        start = time.perf_counter()
+        dims = census.reconstruct().as_dims()
+        assert time.perf_counter() - start < 1.0
+        assert list(dims) == oracles.word_count_series((1, 1), 40)
 
     def test_factor_dimensions_fill_the_window(self):
         census = hilton_milnor_census(2, 2, 20)
