@@ -64,7 +64,11 @@ class IntPolynomial:
 
     def sign_at(self, x: Fraction) -> int:
         """Sign (-1, 0 or 1) of the value at the rational (or integer) point x."""
-        v = _scaled_value(self.coeffs, x.numerator, x.denominator)
+        return self.sign_at_ratio(x.numerator, x.denominator)
+
+    def sign_at_ratio(self, p: int, q: int) -> int:
+        """Sign of the value at p/q for integers p and q > 0, not necessarily coprime."""
+        v = _scaled_value(self.coeffs, p, q)
         return (v > 0) - (v < 0)
 
     # -- ring operations ---------------------------------------------------

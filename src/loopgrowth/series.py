@@ -6,11 +6,14 @@ are coprime, and the denominator has positive constant term. With that form,
 two generating functions are equal iff their fields are equal.
 
 Radii of convergence are certified, not sampled: the smallest positive root of
-the reduced denominator is isolated by Sturm counts and rational bisection, so
+the reduced denominator is found by root counting and rational bisection, so
 every Radius comes with an exact rational interval that provably contains
-exactly one denominator root. Strict comparisons between radii refine both
-intervals until they are disjoint, or certify equality through a common factor
-of the two denominators.
+exactly one denominator root. Sturm counts isolate: they run only until the
+interval holds a single root. Sign bisection refines: that root is simple, so
+the denominator changes sign across it, and one sign per midpoint narrows the
+interval from then on. Strict comparisons between radii refine both intervals
+(by sign alone) until they are disjoint, or certify equality through a common
+factor of the two denominators.
 
 All polynomial work (gcd, Sturm chains, signs at the bisection points) and the
 series recurrence run in integer arithmetic; Fractions appear only in the
@@ -20,7 +23,7 @@ interval endpoints and the expanded coefficients handed back to callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd as int_gcd
 from operator import mul
@@ -34,6 +37,7 @@ from .polynomial import (
     count_roots_halfopen,
     poly_divexact,
     poly_gcd,
+    sign_variations,
     squarefree_part,
     sturm_chain,
 )
@@ -213,7 +217,9 @@ class Radius:
 
     Finite: lo <= hi are positive rationals, the reduced denominator has
     exactly one root in [lo, hi] and none in (0, lo). A degenerate interval
-    (lo == hi) pins a rational pole exactly. Infinite: no positive pole;
+    (lo == hi) pins a rational pole exactly. Otherwise the denominator has
+    opposite signs at lo and hi, so `refined` narrows the interval by sign
+    bisection alone, with no Sturm chain. Infinite: no positive pole;
     `polynomial` records whether the series is a polynomial (so dimensions
     are eventually zero).
 
@@ -226,7 +232,6 @@ class Radius:
     hi: Fraction | None
     polynomial: bool = False
     _sqfree: IntPolynomial | None = field(default=None, repr=False, compare=False)
-    _chain: tuple = field(default=(), repr=False, compare=False)
     pringsheim_ok: bool = field(default=True, compare=False)
 
     @property
@@ -251,8 +256,8 @@ class Radius:
         """Shrink the isolating interval to width <= tol (no-op when exact)."""
         if self.is_infinite or self.is_exact or self.width() <= tol:
             return self
-        lo, hi = _bisect(self._sqfree, self._chain or None, self.lo, self.hi, tol)
-        return Radius(lo, hi, self.polynomial, self._sqfree, self._chain, self.pringsheim_ok)
+        lo, hi = _bisect(self._sqfree, None, self.lo, self.hi, tol)
+        return replace(self, lo=lo, hi=hi)
 
     def certificate_holds(self) -> bool:
         """Recheck the defining properties from scratch (used by tests)."""
@@ -273,27 +278,52 @@ class Radius:
         one_inside = count_roots_halfopen(f, self.lo, self.hi) == 1
         none_before = count_roots_halfopen(f, Fraction(0), self.lo) == 0
         sign_change = f.sign_at(self.lo) * f.sign_at(self.hi) < 0
-        return none_before and (one_inside or sign_change)
+        return none_before and one_inside and sign_change
 
 
 def _bisect(sf, chain, lo, hi, tol):
-    """Shrink (lo, hi] around the smallest positive root of sf.
+    """Shrink (lo, hi] around the smallest positive root of the squarefree sf.
 
-    Invariants: no root in (0, lo], at least one in (lo, hi]. Returns either a
-    degenerate rational-root interval or one of width <= tol isolating a
-    single root.
+    Invariants: sf(lo) != 0, no root in (0, lo], at least one in (lo, hi].
+    Returns either a degenerate rational-root interval or one of width <= tol
+    isolating a single root.
+
+    Sturm counts isolate: while (lo, hi] may hold several roots, the chain is
+    evaluated once per new midpoint (the count at lo is carried along), and a
+    midpoint that is a root is returned only when it is the one root in
+    (lo, mid]; otherwise it becomes hi and isolation goes on below it.
+    Sign bisection refines: once (lo, hi] holds one root, that root is simple,
+    so sf changes sign across it and the sign at each midpoint decides the
+    step, one integer Horner evaluation and no chain. With chain=None,
+    (lo, hi] is known to isolate one root already.
     """
-    while True:
-        narrow = hi - lo <= tol
-        if narrow and count_roots_halfopen(sf, lo, hi, chain) == 1:
-            return lo, hi
-        mid = (lo + hi) / 2
-        if sf.sign_at(mid) == 0:
-            return mid, mid
-        if count_roots_halfopen(sf, lo, mid, chain) == 0:
-            lo = mid
+    if chain is not None:
+        v_lo = sign_variations(chain, lo)
+        v_hi = sign_variations(chain, hi)
+        while v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = sign_variations(chain, mid)
+            if v_mid == v_lo:
+                lo = mid
+            elif v_lo - v_mid == 1 and sf.sign_at(mid) == 0:
+                return mid, mid
+            else:
+                hi, v_hi = mid, v_mid
+    # on a common denominator, lo = a/d and hi = b/d, so the midpoint is
+    # (a + b)/(2d) and every step stays in integers
+    d = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    s_lo = sf.sign_at_ratio(a, d)
+    while (b - a) * tol.denominator > tol.numerator * d:
+        m, d = a + b, 2 * d
+        s_mid = sf.sign_at_ratio(m, d)
+        if s_mid == 0:
+            return Fraction(m, d), Fraction(m, d)
+        if s_mid == s_lo:
+            a, b = m, 2 * b
         else:
-            hi = mid
+            a, b = 2 * a, m
+    return Fraction(a, d), Fraction(b, d)
 
 
 def _smallest_positive_rational_root(sf: IntPolynomial) -> Fraction | None:
@@ -337,11 +367,11 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     rat = _smallest_positive_rational_root(sf)
     if rat is not None:
         if count_roots_halfopen(sf, Fraction(0), rat, chain) == 1:
-            return Radius(rat, rat, False, sf, chain, ok)
+            return Radius(rat, rat, False, sf, ok)
         # a smaller irrational root exists; bisect below the rational one
         bound = rat
     lo, hi = _bisect(sf, chain, Fraction(0), bound, tol)
-    return Radius(lo, hi, False, sf, chain, ok)
+    return Radius(lo, hi, False, sf, ok)
 
 
 def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):

@@ -13,13 +13,19 @@ sympy = pytest.importorskip("sympy")
 from loopgrowth.loop import loop_gf  # noqa: E402
 from loopgrowth.polynomial import (  # noqa: E402
     IntPolynomial,
+    cauchy_root_bound,
     count_roots_halfopen,
     poly_divexact,
     poly_gcd,
     squarefree_part,
     sturm_chain,
 )
-from loopgrowth.series import RationalGF, expand, smallest_positive_pole  # noqa: E402
+from loopgrowth.series import (  # noqa: E402
+    RationalGF,
+    compare_radii,
+    expand,
+    smallest_positive_pole,
+)
 from loopgrowth.space import parse  # noqa: E402
 
 import oracles  # noqa: E402
@@ -184,6 +190,80 @@ class TestExpand:
     def test_geometric_series_in_thirds(self):
         got = expand(RationalGF.from_coeffs([1], [3, -1]), 6).coeffs
         assert got == tuple(Fraction(1, 3 ** (k + 1)) for k in range(7))
+
+
+def planted_roots(g: IntPolynomial, t: Fraction) -> list:
+    """Every r > 0 with r == t * cauchy_root_bound(g * (z - r)), g(r) != 0.
+
+    The bound of h = g * (z - r) is 1 + max_i |g_(i-1) - r g_i| / |g_n|, so a
+    fixed point lies on one of the lines r = t (|g_n| + s g_(i-1)) /
+    (|g_n| + s t g_i), s = +-1; each candidate is checked exactly.
+    """
+    n, lead = g.degree(), abs(g.leading())
+    found = set()
+    for i in range(n + 1):
+        for s in (1, -1):
+            den = lead + s * t * g[i]
+            if den == 0:
+                continue
+            r = t * (lead + s * g[i - 1]) / den
+            if r <= 0 or g.sign_at(r) == 0:
+                continue
+            f = g * IntPolynomial((-r.numerator, r.denominator))
+            if t * cauchy_root_bound(f) == r:
+                found.add(r)
+    return sorted(found)
+
+
+@st.composite
+def planted_denominators(draw):
+    """A squarefree integer product with a rational root on a bisection
+    midpoint of (0, Cauchy bound], that is, at a dyadic fraction of the bound.
+
+    The optional factor 10^8 z^2 + 1 has no real roots; its leading
+    coefficient turns off the rational-root scan, so the pole must come from
+    bisection.
+    """
+    factors = draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[0] != 0 and c[-1] != 0),
+        min_size=1, max_size=3,
+    ))
+    g = IntPolynomial((1,))
+    for c in factors:
+        g = g * IntPolynomial(tuple(c))
+    if draw(st.booleans()):
+        g = g * IntPolynomial((1, 0, 10**8))
+    j = draw(st.integers(1, 5))
+    t = Fraction(2 * draw(st.integers(0, 2 ** (j - 1) - 1)) + 1, 2**j)
+    roots = planted_roots(g, t)
+    assume(roots)
+    r = draw(st.sampled_from(roots))
+    f = g * IntPolynomial((-r.numerator, r.denominator))
+    assume(poly_gcd(f, f.derivative()).degree() == 0)
+    return f
+
+
+class TestPolesAgainstSympy:
+    @given(planted_denominators())
+    @settings(max_examples=150, deadline=None)
+    def test_smallest_positive_pole_agrees_with_intervals(self, f):
+        rho = smallest_positive_pole(RationalGF(IntPolynomial((1,)), f))
+        positive = sorted(
+            (Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+            for (a, b), _ in to_sympy(f).intervals(eps=Fraction(1, 10**14))
+            if b > 0
+        )
+        if not positive:
+            assert rho.is_infinite
+            return
+        (a, b), rest = positive[0], positive[1:]
+        assert rho.lo <= b and a <= rho.hi
+        assert all(rho.hi < c for c, _ in rest)
+        if rho.is_exact:
+            assert f.sign_at(rho.lo) == 0
+        assert rho.certificate_holds()
+        assert rho.refined(Fraction(1, 10**30)).certificate_holds()
+        assert compare_radii(rho, rho)[0] == 0
 
 
 class TestGateCertificates:

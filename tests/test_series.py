@@ -1,5 +1,6 @@
 """Exact rational generating functions: arithmetic, poles, growth checks."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopgrowth import series
+from loopgrowth.loop import loop_gf
+from loopgrowth.polynomial import IntPolynomial, cauchy_root_bound, count_roots_halfopen
 from loopgrowth.series import (
     RationalGF,
     TruncatedSeries,
@@ -21,12 +25,20 @@ from loopgrowth.series import (
     log_index_exact,
     smallest_positive_pole,
 )
+from loopgrowth.space import parse
 
 import oracles
 
 
 def gf(num, den=(1,)):
     return RationalGF.from_coeffs(num, den)
+
+
+# Cauchy bound 2, so the second bisection midpoint is the root 1/2; the leading
+# coefficient 4e7 skips the rational-root scan, and the true pole is the root
+# near 3.33e-8 of the second factor
+MIDPOINT_ROOT_DEN = IntPolynomial((1, -2)) * IntPolynomial((1, -3 * 10**7, -2 * 10**7))
+SUSP_EXPR = "Susp(" + " x ".join(f"S{k}" for k in range(2, 8)) + ") v S3 x S5"
 
 
 # -- arithmetic on closed forms ---------------------------------------------
@@ -199,12 +211,86 @@ class TestPoles:
         assert rho.certificate_holds()
         assert 0 < rho.lo <= rho.hi <= 1
 
+    def test_midpoint_root_does_not_hide_a_smaller_pole(self):
+        rho = smallest_positive_pole(RationalGF(IntPolynomial((1,)), MIDPOINT_ROOT_DEN))
+        assert not rho.is_exact
+        assert rho.certificate_holds()
+        assert rho.hi < Fraction(1, 10**7)
+
+    def test_certificate_rejects_an_interval_holding_three_roots(self):
+        # roots 1/4, 1/3, 1/2: (1/5, 3/5] has a sign change but three roots
+        den = IntPolynomial((1, -4)) * IntPolynomial((1, -3)) * IntPolynomial((1, -2))
+        rho = smallest_positive_pole(RationalGF(IntPolynomial((1,)), den))
+        assert rho.is_exact and rho.lo == Fraction(1, 4)
+        wide = dataclasses.replace(rho, lo=Fraction(1, 5), hi=Fraction(3, 5))
+        assert den.sign_at(wide.lo) * den.sign_at(wide.hi) < 0
+        assert not wide.certificate_holds()
+
     def test_pringsheim_flag(self):
         assert smallest_positive_pole(gf([1], [1, -2])).pringsheim_ok
         # (1-3z)/(1-2z) expands with negative coefficients
         mixed = smallest_positive_pole(gf([1, -3], [1, -2]))
         assert not mixed.pringsheim_ok
         assert mixed.refined(Fraction(1, 10**6)).pringsheim_ok is False
+
+
+class TestBisectionWork:
+    """Sturm counts only while isolating; sign bisection after that."""
+
+    @staticmethod
+    def count_chain_work(monkeypatch):
+        calls = []
+        real_variations, real_chain = series.sign_variations, series.sturm_chain
+
+        def variations(chain, x):
+            calls.append("sign_variations")
+            return real_variations(chain, x)
+
+        def chain(f):
+            calls.append("sturm_chain")
+            return real_chain(f)
+
+        monkeypatch.setattr(series, "sign_variations", variations)
+        monkeypatch.setattr(series, "sturm_chain", chain)
+        return calls
+
+    @staticmethod
+    def isolation_steps(sf, hi):
+        """Bisection steps from (0, hi] until one root is left, by plain root counts."""
+        lo, steps = Fraction(0), 0
+        while count_roots_halfopen(sf, lo, hi) > 1:
+            mid = (lo + hi) / 2
+            if count_roots_halfopen(sf, lo, mid) == 0:
+                lo = mid
+            else:
+                hi = mid
+            steps += 1
+        return steps
+
+    @pytest.mark.parametrize(
+        "make_gf",
+        [lambda: loop_gf(parse(SUSP_EXPR)), lambda: RationalGF(IntPolynomial((1,)), MIDPOINT_ROOT_DEN)],
+        ids=["susp-product-wedge", "midpoint-root"],
+    )
+    def test_chain_evaluated_only_until_one_root_is_isolated(self, monkeypatch, make_gf):
+        gf = make_gf()
+        calls = self.count_chain_work(monkeypatch)
+        rho = smallest_positive_pole(gf)
+        assert not rho.is_exact and rho.certificate_holds()
+        bound = cauchy_root_bound(rho._sqfree)
+        isolating = self.isolation_steps(rho._sqfree, bound)
+        steps = (bound / rho.width()).numerator.bit_length() - 1
+        assert calls.count("sturm_chain") == 1
+        assert calls.count("sign_variations") <= isolating + 2
+        assert isolating + 2 < steps
+
+    def test_refined_builds_and_evaluates_no_chain(self, monkeypatch):
+        rho = smallest_positive_pole(loop_gf(parse(SUSP_EXPR)))
+        calls = self.count_chain_work(monkeypatch)
+        tight = rho.refined(Fraction(1, 10**40))
+        assert tight.width() <= Fraction(1, 10**40)
+        assert tight.certificate_holds()
+        assert calls == []
 
 
 class TestCompareRadii:
