@@ -28,6 +28,7 @@ formula, and hh1 follows from rank-nullity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -335,6 +336,8 @@ def free_loop_good_growth(
             "wedge with a single sphere is rationally elliptic; "
             "good exponential growth needs at least two summands"
         )
+    if match_tol is not None and not (math.isfinite(match_tol) and match_tol >= 0):
+        raise ValueError("log-index tolerance must be finite and nonnegative")
     gf = a.loop_gf()
     target = log_index_exact(smallest_positive_pole(gf)).value
     if method == "necklace":
@@ -343,10 +346,10 @@ def free_loop_good_growth(
         table = hh_bruteforce(a, trunc_degree)
     else:
         raise ValueError(f"unknown method {method!r}; use 'necklace' or 'brute'")
-    if match_tol is None:
-        match_tol = 3.2 / trunc_degree
     lx = TruncatedSeries.from_dims(table.lx)
     check = controlled_growth_check(lx, target, lam, epsilon, k_min)
+    if match_tol is None:
+        match_tol = 3.2 / trunc_degree
     empirical = log_index_empirical(lx, k_min)
     match = abs(empirical - target) <= match_tol
     return FreeLoopGrowthResult(

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import comb
 from typing import NamedTuple
 
-from .polynomial import IntPolynomial, count_roots_halfopen
+from .polynomial import IntPolynomial
 from .series import (
     LogIndex,
     Radius,
@@ -35,6 +33,7 @@ from .series import (
     compare_radii,
     expand,
     log_index_exact,
+    mul_binomial_power,
     smallest_positive_pole,
 )
 from .space import (
@@ -261,23 +260,6 @@ class GrowthVerdict:
     trail: tuple
 
 
-def _radius_at_least_one(rho: Radius) -> bool:
-    """Certified rho >= 1 (no denominator root strictly inside (0, 1))."""
-    if rho.is_infinite:
-        return True
-    if rho.is_exact:
-        return rho.lo >= 1
-    if rho.lo >= 1:
-        return True
-    if rho.hi < 1:
-        return False
-    sf = rho._sqfree
-    inside = count_roots_halfopen(sf, Fraction(0), Fraction(1))
-    if sf.sign_at(Fraction(1)) == 0:
-        inside -= 1
-    return inside == 0
-
-
 def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
     """Decide good exponential growth for the loops of the cofibration's total space.
 
@@ -314,7 +296,7 @@ def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
     return GrowthVerdict(
         rho=ry,
         log_index=li,
-        elliptic=_radius_at_least_one(ry),
+        elliptic=ry.at_least(1),
         strongly_inert=strongly,
         omega_divergent=divergent,
         good_growth=verdict,
@@ -334,39 +316,13 @@ class PiRankTable:
     trunc_degree: int
 
     def reconstruct(self) -> TruncatedSeries:
-        n = self.trunc_degree
-        cur = [Fraction(1)] + [Fraction(0)] * n
+        cur = [1] + [0] * self.trunc_degree
         for i, l in sorted(self.ranks.items()):
             if i % 2 == 1:
-                cur = _mul_binomial_power(cur, i, +1, l, n)  # (1+z^i)^l
+                cur = mul_binomial_power(cur, i, +1, l)  # (1+z^i)^l
             else:
-                cur = _mul_binomial_power(cur, i, -1, -l, n)  # (1-z^i)^(-l)
-        return TruncatedSeries(tuple(cur), n)
-
-
-def _mul_binomial_power(cur, i, sign, exponent, n):
-    """Multiply coefficient list by (1 + sign*z^i)^exponent, truncated at n.
-
-    Generalized binomial weights make this a single sparse convolution:
-    coefficient of z^(i*j) is sign^j * C(exponent, j), with
-    C(-e, j) = (-1)^j C(e+j-1, j) for negative exponents.
-    """
-    out = [Fraction(0)] * (n + 1)
-    j = 0
-    while i * j <= n:
-        if exponent >= 0:
-            w = comb(exponent, j)
-        else:
-            w = (-1) ** j * comb(-exponent + j - 1, j)
-        if sign == -1 and j % 2 == 1:
-            w = -w
-        if w:
-            base = i * j
-            for k in range(base, n + 1):
-                if cur[k - base] != 0:
-                    out[k] += w * cur[k - base]
-        j += 1
-    return out
+                cur = mul_binomial_power(cur, i, -1, -l)  # (1-z^i)^(-l)
+        return TruncatedSeries(tuple(cur), self.trunc_degree)
 
 
 def pi_ranks(gf: RationalGF, trunc_degree: int) -> PiRankTable:
@@ -378,29 +334,27 @@ def pi_ranks(gf: RationalGF, trunc_degree: int) -> PiRankTable:
     >>> pi_ranks(RationalGF.from_coeffs([1], [1, -1]), 6).ranks
     {1: 1, 2: 1}
     """
-    coeffs = expand(gf, trunc_degree).as_dims()
-    if coeffs[0] != 1:
+    cur = list(expand(gf, trunc_degree).as_dims())
+    if cur[0] != 1:
         raise ValueError("constant term must be 1")
-    cur = [Fraction(c) for c in coeffs]
     n = trunc_degree
     ranks = {}
     for i in range(1, n + 1):
         li = cur[i]
         if li == 0:
             continue
-        if li.denominator != 1 or li < 0:
+        if li < 0:
             raise ValueError(
                 f"rank at degree {i} would be {li}; "
                 "not the Hilbert series of a graded universal enveloping algebra"
             )
-        li = int(li)
         ranks[i] = li
         # remove the degree-i factor: divide by (1+z^i)^li (odd) or
         # multiply by (1-z^i)^li (even)
         if i % 2 == 1:
-            cur = _mul_binomial_power(cur, i, +1, -li, n)
+            cur = mul_binomial_power(cur, i, +1, -li)
         else:
-            cur = _mul_binomial_power(cur, i, -1, li, n)
+            cur = mul_binomial_power(cur, i, -1, li)
     for k in range(1, n + 1):
         if cur[k] != 0:
             raise ValueError("internal inversion failure; residual series is not 1")

@@ -250,35 +250,37 @@ def sturm_chain(f: IntPolynomial):
     return chain
 
 
-def sign_variations(chain, x: Fraction) -> int:
-    p, q = x.numerator, x.denominator
-    signs = []
-    for coeffs in chain:
-        v = _scaled_value(coeffs, p, q)
-        if v != 0:
-            signs.append(v > 0)
+def _changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def count_roots_halfopen(f: IntPolynomial, a: Fraction, b: Fraction, chain=None) -> int:
-    """Number of distinct real roots of f in (a, b].
+def sign_variations(chain, x: Fraction) -> int:
+    p, q = x.numerator, x.denominator
+    return _changes(_scaled_value(coeffs, p, q) for coeffs in chain)
+
+
+def sign_variations_at_infinity(chain) -> int:
+    """Variations of the leading signs: the count at and past the last root,
+    so at the Cauchy bound too, with no evaluation."""
+    return _changes(coeffs[-1] for coeffs in chain)
+
+
+def count_roots_halfopen(f: IntPolynomial, a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots of f in (a, b], from scratch.
 
     Requires a < b and f(a) != 0. f need not be squarefree; counting happens
     on its squarefree part. With the zeros-skipped variation count, a root at
-    the right endpoint is included, which is what interval bisection needs.
-    A precomputed `chain` must be the Sturm chain of the squarefree part of f.
+    the right endpoint is included.
     """
     if a >= b:
         raise ValueError("need a < b")
-    if chain is None:
-        f = squarefree_part(f)
-        if f.degree() <= 0:
-            return 0
-        chain = sturm_chain(f)
-    elif f.degree() <= 0:
+    f = squarefree_part(f)
+    if f.degree() <= 0:
         return 0
     if f.sign_at(a) == 0:
         raise ValueError("left endpoint must not be a root")
+    chain = sturm_chain(f)
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
@@ -290,13 +292,3 @@ def cauchy_root_bound(f: IntPolynomial) -> Fraction:
     biggest = max(abs(c) for c in f.coeffs[:-1])
     return 1 + Fraction(biggest, lead)
 
-
-def positive_real_roots(f: IntPolynomial) -> int:
-    """Count of distinct positive real roots (exact)."""
-    sf = squarefree_part(f)
-    if sf.degree() <= 0:
-        return 0
-    if sf.constant_term() == 0:
-        raise ValueError("root at zero; divide out the z power first")
-    bound = cauchy_root_bound(sf)
-    return count_roots_halfopen(sf, Fraction(0), bound)

@@ -8,12 +8,19 @@ two generating functions are equal iff their fields are equal.
 Radii of convergence are certified, not sampled: the smallest positive root of
 the reduced denominator is found by root counting and rational bisection, so
 every Radius comes with an exact rational interval that provably contains
-exactly one denominator root. Sturm counts isolate: they run only until the
-interval holds a single root. Sign bisection refines: that root is simple, so
-the denominator changes sign across it, and one sign per midpoint narrows the
-interval from then on. Strict comparisons between radii refine both intervals
-(by sign alone) until they are disjoint, or certify equality through a common
-factor of the two denominators.
+exactly one denominator root. Sturm counts isolate: one chain per pole,
+counted once at each end of the search interval (at the Cauchy bound the
+count is read off the leading signs) and once per midpoint, only until the
+interval holds a single root. Sign bisection refines: that root is
+simple, so the denominator changes sign across it, and one sign per midpoint
+narrows the interval from then on.
+
+Every later root question is answered by signs alone, because each interval
+holds one simple root and the ends of a non-exact one are not roots.
+`Radius.at_least` decides rho >= x from the signs at x and lo. `compare_radii`
+refines both intervals until they are disjoint, or finds the common root of
+the two denominators in the overlap from the signs of their gcd at its ends.
+Only `Radius.certificate_holds` counts roots again, from scratch.
 
 All polynomial work (gcd, Sturm chains, signs at the bisection points) and the
 series recurrence run in integer arithmetic; Fractions appear only in the
@@ -38,6 +45,7 @@ from .polynomial import (
     poly_divexact,
     poly_gcd,
     sign_variations,
+    sign_variations_at_infinity,
     squarefree_part,
     sturm_chain,
 )
@@ -89,10 +97,6 @@ class RationalGF:
     def constant(cls, k: int) -> "RationalGF":
         return cls(IntPolynomial((k,)), ONE)
 
-    @classmethod
-    def monomial(cls, k: int, coeff: int = 1) -> "RationalGF":
-        return cls(IntPolynomial((0,) * k + (coeff,)), ONE)
-
     def __add__(self, other: "RationalGF") -> "RationalGF":
         return RationalGF(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -118,12 +122,6 @@ class RationalGF:
 
     def constant_coefficient(self) -> Fraction:
         return Fraction(self.num.constant_term(), self.den.constant_term())
-
-    def eval_at(self, x: Fraction) -> Fraction:
-        d = self.den.eval_at(x)
-        if d == 0:
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num.eval_at(x) / d
 
     def expand(self, trunc_degree: int) -> "TruncatedSeries":
         return expand(self, trunc_degree)
@@ -208,6 +206,27 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out), trunc_degree)
 
 
+def mul_binomial_power(coeffs, t: int, sign: int, e: int) -> list:
+    """The integer list coeffs times (1 + sign z^t)^e, truncated to its length.
+
+    The weight of z^(jt) is sign^j C(e, j), generalized to e < 0, where it
+    reads (-1)^j C(-e+j-1, j); each weight follows exactly from the last.
+
+    >>> mul_binomial_power([1, 0, 0, 0, 0], 2, -1, -1)
+    [1, 0, 1, 0, 1]
+    """
+    n = len(coeffs)
+    out = list(coeffs)
+    w = 1
+    for j in range(1, (n - 1) // t + 1):
+        w = w * sign * (e - j + 1) // j
+        if not w:
+            break
+        k = j * t
+        out[k:] = [x + w * y for x, y in zip(out[k:], coeffs)]
+    return out
+
+
 # -- radius of convergence -------------------------------------------------
 
 
@@ -219,9 +238,9 @@ class Radius:
     exactly one root in [lo, hi] and none in (0, lo). A degenerate interval
     (lo == hi) pins a rational pole exactly. Otherwise the denominator has
     opposite signs at lo and hi, so `refined` narrows the interval by sign
-    bisection alone, with no Sturm chain. Infinite: no positive pole;
-    `polynomial` records whether the series is a polynomial (so dimensions
-    are eventually zero).
+    bisection alone, and `at_least` decides rho >= x by sign, with no Sturm
+    chain. Infinite: no positive pole; `polynomial` records whether the
+    series is a polynomial (so dimensions are eventually zero).
 
     The smallest positive pole equals the radius of convergence only for
     series with nonnegative coefficients; `pringsheim_ok` goes false when a
@@ -259,6 +278,19 @@ class Radius:
         lo, hi = _bisect(self._sqfree, None, self.lo, self.hi, tol)
         return replace(self, lo=lo, hi=hi)
 
+    def at_least(self, x: Fraction) -> bool:
+        """Certified rho >= x, from at most two signs of the denominator.
+
+        Inside (lo, hi], rho >= x iff x is the root or no root lies in
+        (lo, x), that is, iff sf(x) = 0 or sf(x) has the sign of sf(lo).
+        """
+        if self.is_infinite or x <= self.lo:
+            return True
+        if x > self.hi:
+            return False
+        s = self._sqfree.sign_at(x)
+        return s == 0 or s == self._sqfree.sign_at(self.lo)
+
     def certificate_holds(self) -> bool:
         """Recheck the defining properties from scratch (used by tests)."""
         if self.is_infinite:
@@ -281,40 +313,39 @@ class Radius:
         return none_before and one_inside and sign_change
 
 
-def _bisect(sf, chain, lo, hi, tol):
+def _bisect(sf, chain, lo, hi, tol, v_lo=0, v_hi=0):
     """Shrink (lo, hi] around the smallest positive root of the squarefree sf.
 
     Invariants: sf(lo) != 0, no root in (0, lo], at least one in (lo, hi].
     Returns either a degenerate rational-root interval or one of width <= tol
     isolating a single root.
 
-    Sturm counts isolate: while (lo, hi] may hold several roots, the chain is
-    evaluated once per new midpoint (the count at lo is carried along), and a
+    Sturm counts isolate: v_lo and v_hi are the chain's sign variations at lo
+    and hi, which the caller has already counted. While (lo, hi] may hold
+    several roots, the chain is evaluated once per new midpoint, and a
     midpoint that is a root is returned only when it is the one root in
     (lo, mid]; otherwise it becomes hi and isolation goes on below it.
     Sign bisection refines: once (lo, hi] holds one root, that root is simple,
     so sf changes sign across it and the sign at each midpoint decides the
-    step, one integer Horner evaluation and no chain. With chain=None,
-    (lo, hi] is known to isolate one root already.
+    step, one integer Horner evaluation and no chain. Without a chain the
+    counts default to equal, and (lo, hi] is known to isolate one root already.
     """
-    if chain is not None:
-        v_lo = sign_variations(chain, lo)
-        v_hi = sign_variations(chain, hi)
-        while v_lo - v_hi > 1:
-            mid = (lo + hi) / 2
-            v_mid = sign_variations(chain, mid)
-            if v_mid == v_lo:
-                lo = mid
-            elif v_lo - v_mid == 1 and sf.sign_at(mid) == 0:
-                return mid, mid
-            else:
-                hi, v_hi = mid, v_mid
+    while v_lo - v_hi > 1:
+        mid = (lo + hi) / 2
+        v_mid = sign_variations(chain, mid)
+        if v_mid == v_lo:
+            lo = mid
+        elif v_lo - v_mid == 1 and sf.sign_at(mid) == 0:
+            return mid, mid
+        else:
+            hi, v_hi = mid, v_mid
     # on a common denominator, lo = a/d and hi = b/d, so the midpoint is
-    # (a + b)/(2d) and every step stays in integers
+    # (a + b)/(2d) and every step stays in integers; a root below tol still
+    # gets a positive lo
     d = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     s_lo = sf.sign_at_ratio(a, d)
-    while (b - a) * tol.denominator > tol.numerator * d:
+    while a == 0 or (b - a) * tol.denominator > tol.numerator * d:
         m, d = a + b, 2 * d
         s_mid = sf.sign_at_ratio(m, d)
         if s_mid == 0:
@@ -360,17 +391,23 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     sf = squarefree_part(den)
     if sf.leading() < 0:
         sf = -sf
-    bound = cauchy_root_bound(sf)
+    # the chain is counted once at each end of (0, upper]: upper is the
+    # smallest positive rational root if there is one, else the Cauchy bound,
+    # where the count is the one at infinity
     chain = sturm_chain(sf)
-    if count_roots_halfopen(sf, Fraction(0), bound, chain) == 0:
+    v_0 = sign_variations(chain, Fraction(0))
+    v_upper = sign_variations_at_infinity(chain)
+    if v_0 == v_upper:
         return Radius(None, None, polynomial=False, pringsheim_ok=ok)
-    rat = _smallest_positive_rational_root(sf)
-    if rat is not None:
-        if count_roots_halfopen(sf, Fraction(0), rat, chain) == 1:
-            return Radius(rat, rat, False, sf, ok)
-        # a smaller irrational root exists; bisect below the rational one
-        bound = rat
-    lo, hi = _bisect(sf, chain, Fraction(0), bound, tol)
+    upper = _smallest_positive_rational_root(sf)
+    if upper is None:
+        upper = cauchy_root_bound(sf)
+    else:
+        v_upper = sign_variations(chain, upper)
+        if v_0 - v_upper == 1:
+            return Radius(upper, upper, False, sf, ok)
+    # isolate the smallest root in (0, upper]; below a rational root it is irrational
+    lo, hi = _bisect(sf, chain, Fraction(0), upper, tol, v_0, v_upper)
     return Radius(lo, hi, False, sf, ok)
 
 
@@ -378,19 +415,15 @@ def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
     """Certified three-way comparison of two radii.
 
     Returns (cmp, a_refined, b_refined) with cmp in {-1, 0, 1}. Strict answers
-    come from disjoint isolating intervals; equality is certified by a common
-    root of the two reduced denominators trapped in the overlap.
+    come from disjoint isolating intervals. Equality is certified by a root
+    of g = gcd of the two squarefree denominators in the overlap [lo, hi].
+    Each interval holds one simple root, and the ends of a non-exact one are
+    not roots, so g has a root there iff g(hi) = 0 or g(lo) g(hi) < 0. The
+    gcd is taken only once the intervals first overlap.
     """
-    if a.is_infinite and b.is_infinite:
-        return 0, a, b
-    if a.is_infinite:
-        return 1, a, b
-    if b.is_infinite:
-        return -1, a, b
+    if a.is_infinite or b.is_infinite:
+        return a.is_infinite - b.is_infinite, a, b
     common = None
-    if a._sqfree is not None and b._sqfree is not None:
-        g = poly_gcd(a._sqfree, b._sqfree)
-        common = g if g.degree() >= 1 else None
     cur = tol
     ra, rb = a.refined(tol), b.refined(tol)
     for _ in range(300):
@@ -398,19 +431,12 @@ def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
         if decided is not None:
             return decided, ra, rb
         # overlapping intervals: either the radii share a denominator root
-        # (equality, certified below) or refinement will separate them
-        if ra.is_exact and rb._sqfree is not None:
-            if rb._sqfree.sign_at(ra.lo) == 0:
-                return 0, ra, rb
-        elif rb.is_exact and ra._sqfree is not None:
-            if ra._sqfree.sign_at(rb.lo) == 0:
-                return 0, ra, rb
-        elif common is not None:
-            lo = max(ra.lo, rb.lo)
-            hi = min(ra.hi, rb.hi)
-            if lo < hi and common.sign_at(lo) != 0:
-                if count_roots_halfopen(common, lo, hi) >= 1:
-                    return 0, ra, rb
+        # (equality) or refinement will separate them
+        if common is None:
+            common = poly_gcd(a._sqfree, b._sqfree)
+        s_hi = common.sign_at(min(ra.hi, rb.hi))
+        if s_hi == 0 or s_hi * common.sign_at(max(ra.lo, rb.lo)) < 0:
+            return 0, ra, rb
         cur = cur / 2**8
         ra, rb = ra.refined(cur), rb.refined(cur)
     raise RuntimeError("radius comparison did not resolve; intervals would not separate")
@@ -528,6 +554,8 @@ def controlled_growth_check(
     <= epsilon. All admissible degrees are selected (greedy maximal sequence);
     the ratio and coverage conditions then decide the verdict.
     """
+    if not (math.isfinite(lam) and math.isfinite(epsilon)):
+        raise ValueError("ratio bound and tolerance must be finite")
     if lam <= 1:
         raise ValueError("ratio bound must exceed 1")
     if epsilon < 0:

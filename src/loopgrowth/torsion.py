@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .arith import divisors, is_prime, mobius
-from .series import TruncatedSeries, log_index_empirical
+from .series import TruncatedSeries, log_index_empirical, mul_binomial_power
 from .space import SpaceExpr, Susp, profile, reduced_gf, wedge_decomposition
 
 WORD_LENGTH_GUARD = 20
@@ -194,15 +194,9 @@ class HiltonMilnorCensus:
         >>> hilton_milnor_census(2, 2, 6).reconstruct().as_dims()
         (1, 2, 4, 8, 16, 32, 64)
         """
-        n = self.trunc_degree
-        cur = [1] + [0] * n
+        cur = [1] + [0] * self.trunc_degree
         for dim, c in sorted(self.factors.items()):
-            t = dim - 1
-            binom = [comb(c + r - 1, r) for r in range(n // t + 1)]
-            cur = [
-                sum(binom[r] * cur[k - r * t] for r in range(k // t + 1))
-                for k in range(n + 1)
-            ]
+            cur = mul_binomial_power(cur, dim - 1, -1, -c)
         return TruncatedSeries.from_dims(cur)
 
 

@@ -249,6 +249,27 @@ class TestErrors:
         assert code == 1
         assert json.loads(text)["error"]["kind"] == "hypothesis-error"
 
+    def test_free_loop_degree_zero_is_a_validation_error(self):
+        code, report = run_json(["free-loop", "--degrees", "1,2", "--max-degree", "0"])
+        assert code == 1
+        assert report["error"] == {
+            "kind": "validation-error",
+            "message": "k_min outside the truncation range",
+        }
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lambda", "nan"), ("--lambda", "inf"), ("--epsilon", "nan"),
+         ("--epsilon", "-inf"), ("--match-tol", "nan"), ("--match-tol", "inf"),
+         ("--match-tol", "-0.5")],
+    )
+    def test_free_loop_non_finite_tolerance_is_a_validation_error(self, flag, value):
+        code, text = run_cli(["free-loop", "--degrees", "1,2", f"{flag}={value}"])
+        assert code == 1
+        # strict JSON: NaN and Infinity are rejected by the constant hook
+        report = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert report["error"]["kind"] == "validation-error"
+
     @pytest.mark.parametrize("flag", ["--p", "--excluded"])
     def test_huge_prime_is_a_validation_error(self, flag):
         argv = ["torsion", "--m", "3", "--n", "3", "--p", "5", "--r", "1"]

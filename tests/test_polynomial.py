@@ -266,6 +266,79 @@ class TestPolesAgainstSympy:
         assert compare_radii(rho, rho)[0] == 0
 
 
+COARSE = Fraction(1, 2)
+
+# no real roots; a leading coefficient above the 1e7 scan guard, so a
+# rational pole of a product with it comes back as a bisection interval
+NO_SCAN = IntPolynomial((1, 0, 10**8))
+
+
+def small_factors(min_size):
+    """Factors with small coefficients, or with a root near 1: k/(k+1),
+    (k+1)/k or sqrt(k/(k+1))."""
+    near_one = st.integers(2, 9).flatmap(lambda k: st.sampled_from(
+        [[k, -(k + 1)], [k + 1, -k], [k, 0, -(k + 1)]]))
+    random = st.lists(st.integers(-5, 5), min_size=2, max_size=3).filter(
+        lambda c: c[0] != 0 and c[-1] != 0)
+    return st.lists(st.one_of(near_one, random), min_size=min_size, max_size=2)
+
+
+def product(factors, no_scan=False) -> IntPolynomial:
+    f = NO_SCAN if no_scan else IntPolynomial((1,))
+    for c in factors:
+        f = f * IntPolynomial(tuple(c))
+    return f
+
+
+def coarse_radius(f: IntPolynomial):
+    """Radius of 1/f isolated only to width 1/2, so intervals overlap and straddle 1."""
+    return smallest_positive_pole(RationalGF(IntPolynomial((1,)), f), tol=COARSE)
+
+
+def first_positive_roots(polys) -> list:
+    """For each polynomial, the position of its smallest positive root among the
+    disjoint sympy isolating intervals of all of them (None when it has none)."""
+    positive = sorted(
+        (a, b, owners) for (a, b), owners in sympy.intervals([to_sympy(f) for f in polys])
+        if b > 0
+    )
+    return [
+        next((k for k, (_, _, owners) in enumerate(positive) if i in owners), None)
+        for i in range(len(polys))
+    ]
+
+
+class TestRootQuestionsAgainstSympy:
+    """rho >= x and radius equality, decided by signs, on coarse intervals."""
+
+    @given(small_factors(1), st.booleans(), st.fractions(0, 1).filter(lambda t: t > 0))
+    @settings(max_examples=200, deadline=None)
+    def test_at_least_agrees_with_root_counts(self, factors, no_scan, t):
+        f = product(factors, no_scan)
+        rho = coarse_radius(f)
+        sf = to_sympy(f)
+        # 1, and a point of the interval itself, so that lo < x <= hi is common
+        points = [Fraction(1)] if rho.is_infinite else [Fraction(1), rho.lo + t * rho.width()]
+        for x in points:
+            x_sym = sympy.Rational(x.numerator, x.denominator)
+            # roots in (0, x): the closed count minus a root at x (none at 0)
+            below = sf.count_roots(0, x_sym) - (sf.eval(x_sym) == 0)
+            assert rho.at_least(x) == (below == 0)
+
+    @given(small_factors(1), small_factors(0), small_factors(0), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_compare_radii_on_a_shared_factor(self, shared, left, right, scan_a, scan_b):
+        fa = product(shared + left, not scan_a)
+        fb = product(shared + right, not scan_b)
+        ra, rb = coarse_radius(fa), coarse_radius(fb)
+        ia, ib = first_positive_roots([fa, fb])
+        inf = float("inf")
+        ka, kb = (inf if i is None else i for i in (ia, ib))
+        verdict, ra2, rb2 = compare_radii(ra, rb, tol=COARSE)
+        assert verdict == (ka > kb) - (ka < kb)
+        assert ra2.certificate_holds() and rb2.certificate_holds()
+
+
 class TestGateCertificates:
     """The large denominators that motivated the integer kernel."""
 

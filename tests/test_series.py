@@ -334,6 +334,94 @@ class TestCompareRadii:
         assert compare_radii(inf, inf)[0] == 0
 
 
+COARSE = Fraction(1, 2)
+# 10^8 z^2 + 1 has no real roots, and its leading coefficient turns off the
+# rational-root scan, so a rational pole of a product with it is an interval
+NO_SCAN = IntPolynomial((1, 0, 10**8))
+
+
+def coarse_pole(den: IntPolynomial):
+    return smallest_positive_pole(RationalGF(IntPolynomial((1,)), den), tol=COARSE)
+
+
+class TestRootQuestionsBySign:
+    """rho >= x and radius equality read off signs of the denominators."""
+
+    def test_exact_radius_equals_an_interval_around_it(self):
+        exact = coarse_pole(IntPolynomial((2, -3)))
+        around = coarse_pole(IntPolynomial((2, -3)) * NO_SCAN)
+        assert exact.is_exact and exact.lo == Fraction(2, 3)
+        assert not around.is_exact and around.lo < Fraction(2, 3) < around.hi
+        assert compare_radii(exact, around, COARSE)[0] == 0
+        assert compare_radii(around, exact, COARSE)[0] == 0
+
+    def test_exact_radius_inside_an_interval_is_not_its_root(self):
+        exact = coarse_pole(IntPolynomial((2, -3)))
+        smaller = coarse_pole(IntPolynomial((1, -1, -1)))
+        assert smaller.lo < exact.lo < smaller.hi
+        verdict, ra, rb = compare_radii(exact, smaller, COARSE)
+        assert verdict == 1 and rb.hi <= ra.lo
+        assert rb.certificate_holds()
+
+    def test_overlapping_intervals_on_a_shared_irrational_root(self):
+        golden = IntPolynomial((1, -1, -1))
+        ra = coarse_pole(golden * IntPolynomial((1, 1)))
+        rb = coarse_pole(golden * IntPolynomial((5, 0, -6)))
+        assert max(ra.lo, rb.lo) < min(ra.hi, rb.hi)
+        assert compare_radii(ra, rb, COARSE)[0] == 0
+
+    @pytest.mark.parametrize(
+        "den, at_least_one",
+        [((1, -1, -1), False), ((6, 0, -5), True), ((1, 0, -1), True), ((2, -3), False)],
+        ids=["golden-below", "sqrt-6/5-above", "exact-one", "exact-below"],
+    )
+    def test_at_least_one(self, den, at_least_one):
+        rho = coarse_pole(IntPolynomial(den))
+        if not rho.is_exact:
+            assert rho.lo < 1 <= rho.hi
+        assert rho.at_least(1) is at_least_one
+
+    def test_no_root_counts_outside_the_certificate_recheck(self, monkeypatch):
+        import importlib
+        import io
+        import pkgutil
+
+        import loopgrowth
+        from loopgrowth.cli import run
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("root count outside certificate_holds")
+
+        for info in pkgutil.iter_modules(loopgrowth.__path__):
+            module = importlib.import_module(f"loopgrowth.{info.name}")
+            if hasattr(module, "count_roots_halfopen"):
+                monkeypatch.setattr(module, "count_roots_halfopen", refuse)
+        for argv in (
+            ["rho", SUSP_EXPR],
+            ["cofiber", "--A", "S2", "--Z", "S2 x S3", "--inert", "assumed"],
+        ):
+            assert run(argv, io.StringIO()) == 0
+        golden = IntPolynomial((1, -1, -1))
+        ra = coarse_pole(golden * IntPolynomial((1, 1)))
+        rb = coarse_pole(golden * IntPolynomial((5, 0, -6)))
+        assert compare_radii(ra, rb, COARSE)[0] == 0
+
+    def test_no_positive_root_is_decided_before_the_rational_scan(self, monkeypatch):
+        def refuse(sf):
+            raise AssertionError("rational-root scan without a positive root")
+
+        monkeypatch.setattr(series, "_smallest_positive_rational_root", refuse)
+        # 448 divisors on each end, and every coefficient positive
+        rho = smallest_positive_pole(gf([1], [8648640] + [1] * 20 + [8648640]))
+        assert rho.is_infinite and not rho.polynomial
+
+    def test_a_root_below_the_tolerance_gets_a_positive_lo(self):
+        rho = smallest_positive_pole(gf([1], [1, -(10**13)]))
+        assert 0 < rho.lo < rho.hi < Fraction(1, 10**12)
+        assert rho.certificate_holds()
+        assert math.isfinite(log_index_exact(rho).halfwidth)
+
+
 # -- log index ---------------------------------------------------------------
 
 
