@@ -41,7 +41,6 @@ from .loop import (
     NotExpressibleError,
     YClassPresentation,
     good_growth_verdict,
-    inert_cofiber_loop_gf,
     loop_gf,
 )
 from .series import (
@@ -324,11 +323,10 @@ def _cmd_log_index(args):
 
 
 def _verdict_payload(pres, n, justification):
-    gf = inert_cofiber_loop_gf(pres)
     verdict = good_growth_verdict(pres)
-    coeffs = gf.expand(n).coeffs
+    coeffs = verdict.series.expand(n).coeffs
     result = {
-        "series": _gf_json(gf),
+        "series": _gf_json(verdict.series),
         "coefficients": [_coeff_json(c) for c in coeffs],
         "rho": _interval(verdict.rho),
         "log_index": _log_index(verdict.log_index),

@@ -36,6 +36,7 @@ from .arith import divisors, mobius
 from .series import (
     RationalGF,
     TruncatedSeries,
+    check_growth_parameters,
     controlled_growth_check,
     GrowthCheckResult,
     log_index_empirical,
@@ -336,6 +337,7 @@ def free_loop_good_growth(
             "wedge with a single sphere is rationally elliptic; "
             "good exponential growth needs at least two summands"
         )
+    check_growth_parameters(lam, epsilon, k_min, trunc_degree)
     if match_tol is not None and not (math.isfinite(match_tol) and match_tol >= 0):
         raise ValueError("log-index tolerance must be finite and nonnegative")
     gf = a.loop_gf()

@@ -218,15 +218,17 @@ class StronglyInertResult(NamedTuple):
     strongly_inert: bool
     rho_y: Radius
     rho_z: Radius
+    series: RationalGF  # OmegaY, the split loop series of the total space
 
 
 def strongly_inert_check(c: CofiberPresentation) -> StronglyInertResult:
     """Certified test of rho(OmegaY) < rho(OmegaZ) via disjoint pole intervals."""
     _require_inert(c.inert_asserted)
-    ry = smallest_positive_pole(inert_cofiber_loop_gf(c))
+    series = inert_cofiber_loop_gf(c)
+    ry = smallest_positive_pole(series)
     rz = smallest_positive_pole(loop_gf(c.Z))
     verdict, ry, rz = compare_radii(ry, rz)
-    return StronglyInertResult(verdict == -1, ry, rz)
+    return StronglyInertResult(verdict == -1, ry, rz, series)
 
 
 def omega_at_rho_infinite(z: SpaceExpr) -> bool:
@@ -251,6 +253,7 @@ class GoodGrowth(Enum):
 class GrowthVerdict:
     """Good-exponential-growth verdict for the free loops on the total space."""
 
+    series: RationalGF
     rho: Radius
     log_index: LogIndex
     elliptic: bool
@@ -265,14 +268,16 @@ def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
 
     Strong inertness (a certified radius gap) gives the strongest verdict;
     failing that, divergence of OmegaZ at its radius still certifies growth;
-    otherwise the question is left open.
+    otherwise the question is left open. Each series and pole is computed
+    once: divergence of OmegaZ (as in `omega_at_rho_infinite`) is read off
+    the radius the comparison already certified.
     """
     _require_inert(c.inert_asserted)
     trail = [
         f"attaching map asserted inert: {c.justification or 'no justification given'}",
     ]
-    strongly, ry, rz = strongly_inert_check(c)
-    divergent = omega_at_rho_infinite(c.Z)
+    strongly, ry, rz, series = strongly_inert_check(c)
+    divergent = not rz.is_infinite
     if strongly:
         verdict = GoodGrowth.CERTIFIED_STRONGLY_INERT
         trail.append(
@@ -294,6 +299,7 @@ def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
         "free-loop homology is not recomputed here"
     )
     return GrowthVerdict(
+        series=series,
         rho=ry,
         log_index=li,
         elliptic=ry.at_least(1),

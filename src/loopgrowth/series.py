@@ -541,6 +541,18 @@ class GrowthCheckResult:
         return sum(self.dims[: k + 1], Fraction(0))
 
 
+def check_growth_parameters(lam: float, epsilon: float, k_min: int, trunc_degree: int) -> None:
+    """Raise ValueError unless `controlled_growth_check` accepts these parameters."""
+    if not (math.isfinite(lam) and math.isfinite(epsilon)):
+        raise ValueError("ratio bound and tolerance must be finite")
+    if lam <= 1:
+        raise ValueError("ratio bound must exceed 1")
+    if epsilon < 0:
+        raise ValueError("tolerance must be nonnegative")
+    if not 1 <= k_min <= trunc_degree:
+        raise ValueError("k_min outside the truncation range")
+
+
 def controlled_growth_check(
     s: TruncatedSeries,
     target: float,
@@ -554,14 +566,7 @@ def controlled_growth_check(
     <= epsilon. All admissible degrees are selected (greedy maximal sequence);
     the ratio and coverage conditions then decide the verdict.
     """
-    if not (math.isfinite(lam) and math.isfinite(epsilon)):
-        raise ValueError("ratio bound and tolerance must be finite")
-    if lam <= 1:
-        raise ValueError("ratio bound must exceed 1")
-    if epsilon < 0:
-        raise ValueError("tolerance must be nonnegative")
-    if not 1 <= k_min <= s.trunc_degree:
-        raise ValueError("k_min outside the truncation range")
+    check_growth_parameters(lam, epsilon, k_min, s.trunc_degree)
     seq = []
     alphas = []
     for n in range(k_min, s.trunc_degree + 1):

@@ -9,8 +9,12 @@ The expression language is
     atom  := "S" integer | "Susp" "(" expr ")" | "(" expr ")"
 
 with sphere dimension >= 2, precedence ^ over x over v, all operators left
-associative, whitespace ignored. Every expressible space is simply connected
-with finite-dimensional total homology, so homology generating functions are
+associative, whitespace ignored. One table, `_OPERATORS`, drives `parse` and
+`to_text`. The parser keeps explicit stacks, so brackets nest to any depth;
+a tree deeper than MAX_DEPTH levels is a ValueError, which keeps every
+recursive tree walk (homology, profile, printing, loop series) inside the
+default stack. Every expressible space is simply connected with
+finite-dimensional total homology, so homology generating functions are
 polynomials and connectivity/dimension bounds are computed structurally.
 """
 
@@ -75,6 +79,11 @@ class Susp(SpaceExpr):
 
 # -- parsing ------------------------------------------------------------------
 
+MAX_DEPTH = 256  # deepest tree parse builds; every tree walk here recurses once per level
+
+# symbol -> (precedence, node); all three operators are left associative
+_OPERATORS = {"v": (1, Wedge), "x": (2, Product), "^": (3, Smash)}
+
 _TOKEN_RE = re.compile(r"Susp|S(\d+)|[vx^()]")
 _ATOM_EXPECTED = ("S<int>", "Susp", "(")
 
@@ -84,112 +93,99 @@ def _tokenize(text: str):
     pos = 0
     n = len(text)
     while pos < n:
-        ch = text[pos]
-        if ch.isspace():
+        if text[pos].isspace():
             pos += 1
             continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        lexeme = m.group(0)
-        if m.group(1) is not None:
-            tokens.append(("SPHERE", int(m.group(1)), pos))
-        elif lexeme == "Susp":
-            tokens.append(("SUSP", None, pos))
+        lexeme, digits = m.group(0, 1)
+        if digits is not None:
+            tokens.append(("SPHERE", int(digits), pos))
         else:
-            tokens.append((lexeme, None, pos))
+            tokens.append(("SUSP" if lexeme == "Susp" else lexeme, None, pos))
         pos = m.end()
     tokens.append(("END", None, n))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected):
-        kind, _, offset = self.peek()
-        what = "end of input" if kind == "END" else f"{self.text[offset]!r}"
-        raise ParseError(
-            f"unexpected {what}; expected one of {', '.join(expected)}",
-            offset,
-            tuple(expected),
-        )
-
-    def expect(self, kind, expected):
-        if self.peek()[0] != kind:
-            self.fail(expected)
-        return self.advance()
-
-    def parse_expr(self) -> SpaceExpr:
-        node = self.parse_prod()
-        while self.peek()[0] == "v":
-            self.advance()
-            node = Wedge(node, self.parse_prod())
-        return node
-
-    def parse_prod(self) -> SpaceExpr:
-        node = self.parse_smash()
-        while self.peek()[0] == "x":
-            self.advance()
-            node = Product(node, self.parse_smash())
-        return node
-
-    def parse_smash(self) -> SpaceExpr:
-        node = self.parse_atom()
-        while self.peek()[0] == "^":
-            self.advance()
-            node = Smash(node, self.parse_atom())
-        return node
-
-    def parse_atom(self) -> SpaceExpr:
-        kind, value, offset = self.peek()
-        if kind == "SPHERE":
-            self.advance()
-            if value < 2:
-                raise ParseError("spheres must be simply connected (n >= 2)", offset)
-            return Sphere(value)
-        if kind == "SUSP":
-            self.advance()
-            self.expect("(", ("(",))
-            inner = self.parse_expr()
-            self.expect(")", (")",))
-            return Susp(inner)
-        if kind == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")", (")",))
-            return inner
-        self.fail(_ATOM_EXPECTED)
-
-
 def parse(text: str) -> SpaceExpr:
     """Parse an expression; raises ParseError with offset and expected tokens.
+
+    Operator precedence parsing (Floyd 1963) in one loop: an operand is open
+    brackets, a sphere, then closing brackets; an operator first reduces the
+    pending operators that bind at least as tightly.
 
     >>> parse("S2 v S3 x S4")
     Wedge(left=Sphere(n=2), right=Product(left=Sphere(n=3), right=Sphere(n=4)))
     """
-    p = _Parser(text)
-    node = p.parse_expr()
-    if p.peek()[0] != "END":
-        p.fail(("v", "x", "^", "end of input"))
-    return node
+    tokens = _tokenize(text)
+    operands = []  # (tree, depth) pairs; a sphere has depth 0
+    pending = []  # operator symbols, "(" and "SUSP" (an open "Susp(")
+    opened = 0
+    i = 0
+
+    def fail(expected):
+        kind, _, offset = tokens[i]
+        what = "end of input" if kind == "END" else f"{text[offset]!r}"
+        message = f"unexpected {what}; expected one of {', '.join(expected)}"
+        raise ParseError(message, offset, expected)
+
+    def push(node, depth):
+        if depth > MAX_DEPTH:
+            raise ValueError(f"expression tree deeper than the {MAX_DEPTH} level limit")
+        operands.append((node, depth))
+
+    def reduce():
+        (right, dr), (left, dl) = operands.pop(), operands.pop()
+        push(_OPERATORS[pending.pop()][1](left, right), max(dl, dr) + 1)
+
+    while True:
+        kind, value, offset = tokens[i]
+        while kind in ("(", "SUSP"):
+            if kind == "SUSP":
+                i += 1
+                if tokens[i][0] != "(":
+                    fail(("(",))
+            pending.append(kind)
+            opened += 1
+            i += 1
+            kind, value, offset = tokens[i]
+        if kind != "SPHERE":
+            fail(_ATOM_EXPECTED)
+        if value < 2:
+            raise ParseError("spheres must be simply connected (n >= 2)", offset)
+        push(Sphere(value), 0)
+        i += 1
+        kind = tokens[i][0]
+        while kind == ")" and opened:
+            while pending[-1] in _OPERATORS:
+                reduce()
+            if pending.pop() == "SUSP":
+                inner, depth = operands.pop()
+                push(Susp(inner), depth + 1)
+            opened -= 1
+            i += 1
+            kind = tokens[i][0]
+        if kind in _OPERATORS:
+            prec = _OPERATORS[kind][0]
+            while pending and pending[-1] in _OPERATORS and _OPERATORS[pending[-1]][0] >= prec:
+                reduce()
+            pending.append(kind)
+            i += 1
+            continue
+        if opened:
+            fail((")",))
+        if kind != "END":
+            fail((*_OPERATORS, "end of input"))
+        while pending:
+            reduce()
+        return operands[0][0]
 
 
 # -- canonical printing -------------------------------------------------------
 
-_PREC = {Wedge: 1, Product: 2, Smash: 3}
-_OP = {Wedge: "v", Product: "x", Smash: "^"}
+_PRINTED = {cls: (prec, symbol) for symbol, (prec, cls) in _OPERATORS.items()}
 
 
 def to_text(expr: SpaceExpr) -> str:
@@ -208,11 +204,8 @@ def _render(expr, parent_prec, is_right_child):
         return f"S{expr.n}"
     if isinstance(expr, Susp):
         return f"Susp({_render(expr.inner, 0, False)})"
-    prec = _PREC[type(expr)]
-    text = (
-        f"{_render(expr.left, prec, False)} {_OP[type(expr)]} "
-        f"{_render(expr.right, prec, True)}"
-    )
+    prec, symbol = _PRINTED[type(expr)]
+    text = f"{_render(expr.left, prec, False)} {symbol} {_render(expr.right, prec, True)}"
     if prec < parent_prec or (prec == parent_prec and is_right_child):
         return f"({text})"
     return text

@@ -31,6 +31,8 @@ WORD_LENGTH_GUARD = 20
 
 PRIME_LIMIT = 10**10  # bounds the trial division at about 1e5 steps
 
+PRIME_WINDOW_LIMIT = 10**5  # largest candidate primes_set tests, about 0.5 s
+
 
 def _require_prime(p: int) -> None:
     if p > PRIME_LIMIT:
@@ -70,6 +72,8 @@ def primes_set(d: int, s: int) -> PrimeSet:
     if s < 1 or d <= s:
         raise ValueError("dimension must exceed connectivity")
     bound = d - s + 1
+    if bound // 2 > PRIME_WINDOW_LIMIT:
+        raise ValueError(f"prime window up to {bound // 2} exceeds the {PRIME_WINDOW_LIMIT} limit")
     return PrimeSet(tuple(q for q in range(2, bound // 2 + 1) if 2 * q <= bound and is_prime(q)))
 
 

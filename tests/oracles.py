@@ -21,14 +21,19 @@ def tadd(a, b, n):
     return out
 
 
+def _nonzero_terms(a, start, n):
+    """(degree, Fraction) pairs of the nonzero coefficients in degrees start..n."""
+    return [(i, Fraction(c)) for i, c in enumerate(a[: n + 1]) if i >= start and c != 0]
+
+
 def tmul(a, b, n):
     out = [Fraction(0)] * (n + 1)
-    for i in range(min(len(a), n + 1)):
-        if a[i] == 0:
-            continue
-        ai = Fraction(a[i])
-        for j in range(min(len(b), n + 1 - i)):
-            out[i + j] += ai * Fraction(b[j])
+    b_terms = _nonzero_terms(b, 0, n)
+    for i, ai in _nonzero_terms(a, 0, n):
+        for j, bj in b_terms:
+            if i + j > n:
+                break
+            out[i + j] += ai * bj
     return out
 
 
@@ -37,12 +42,15 @@ def trecip(a, n):
     a0 = Fraction(a[0])
     if a0 == 0:
         raise ZeroDivisionError("constant term is zero")
+    terms = _nonzero_terms(a, 1, n)
     out = [Fraction(0)] * (n + 1)
     out[0] = 1 / a0
     for k in range(1, n + 1):
         s = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            s += Fraction(a[j]) * out[k - j]
+        for j, aj in terms:
+            if j > k:
+                break
+            s += aj * out[k - j]
         out[k] = -s / a0
     return out
 

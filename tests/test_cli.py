@@ -10,7 +10,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from loopgrowth import cli, freeloop, loop, series, space, torsion
 from loopgrowth.cli import run
+from loopgrowth.loop import CofiberPresentation, good_growth_verdict, inert_cofiber_loop_gf
+from loopgrowth.space import Sphere, parse
 
 
 SCHEMA = json.loads(
@@ -282,6 +285,90 @@ class TestErrors:
         assert code == 1
         assert report["error"]["kind"] == "validation-error"
         assert "prime limit" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--lambda", "nan"], "ratio bound and tolerance must be finite"),
+         (["--lambda", "1"], "ratio bound must exceed 1"),
+         (["--epsilon", "-1"], "tolerance must be nonnegative"),
+         (["--k-min", "0"], "k_min outside the truncation range"),
+         (["--k-min", "41"], "k_min outside the truncation range")],
+    )
+    @pytest.mark.parametrize("method", ["necklace", "brute"])
+    def test_free_loop_parameters_are_refused_before_computing(
+        self, monkeypatch, flags, message, method
+    ):
+        def fail(*args):
+            raise AssertionError("computed before the parameters were checked")
+
+        for name in ("hh_necklace", "hh_bruteforce", "smallest_positive_pole"):
+            monkeypatch.setattr(freeloop, name, fail)
+        argv = ["free-loop", "--degrees", "1,1", "--method", method] + flags
+        code, report = run_json(argv)
+        assert code == 1
+        assert report["error"] == {"kind": "validation-error", "message": message}
+
+    def test_prime_window_is_a_validation_error(self):
+        code, report = run_json(["primes", "--d", "100000000", "--s", "1"])
+        assert code == 1
+        assert report["error"] == {
+            "kind": "validation-error",
+            "message": "prime window up to 50000000 exceeds the 100000 limit",
+        }
+
+
+class TestDeepExpressions:
+    def test_three_thousand_brackets_answer(self):
+        code, report = run_json(["parse", "(" * 3000 + "S2" + ")" * 3000])
+        assert code == 0
+        assert report["result"] == {"canonical": "S2", "tree": {"kind": "sphere", "n": 2}}
+
+    def test_twelve_hundred_sphere_wedge_is_refused(self):
+        code, report = run_json(["rho", " v ".join(f"S{2 + i % 5}" for i in range(1200))])
+        assert code == 1
+        assert report["error"] == {
+            "kind": "validation-error",
+            "message": f"expression tree deeper than the {space.MAX_DEPTH} level limit",
+        }
+
+    @pytest.mark.parametrize("command", ["parse", "homology", "loop-series", "rho"])
+    def test_tree_at_the_depth_limit_answers(self, command):
+        k = space.MAX_DEPTH
+        for expr in (" v ".join(["S2"] * (k + 1)), "Susp(" * k + "S2" + ")" * k):
+            code, report = run_json([command, expr])
+            assert code == 0, report
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, at every package module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in (cli, freeloop, loop, series, space, torsion):
+        if owner.__dict__.get(name) is original:
+            monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkPerVerdict:
+    def test_a_verdict_takes_one_pole_per_series(self, monkeypatch):
+        poles = _count_calls(monkeypatch, series, "smallest_positive_pole")
+        pres = CofiberPresentation(Sphere(2), parse("S2 x S3"), inert_asserted=True)
+        verdict = good_growth_verdict(pres)
+        assert len(poles) == 2
+        assert verdict.series == inert_cofiber_loop_gf(pres)
+        assert verdict.omega_divergent
+
+    def test_a_cofiber_report_builds_the_split_series_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, loop, "inert_cofiber_loop_gf")
+        code, report = run_json(["cofiber", "--A", "S2", "--Z", "S2 x S2", "--inert", JUST])
+        assert code == 0
+        assert len(calls) == 1
+        assert report["result"]["series"] == {"numerator": [1], "denominator": [1, -2]}
 
 
 class TestPresentationFiles:

@@ -1,0 +1,141 @@
+"""Fuzzing `run()` argv: every input gets one typed JSON report, never a traceback.
+
+The expression and presentation commands get expressions from three sources:
+
+- random trees over the spheres S2..S9, bracketed at random;
+- token soup: the language's tokens, a few foreign characters, no grammar;
+- deep nests: up to 3,000 brackets, suspensions nested just past the
+  parser's depth limit, and operator chains of up to 400 operands.
+
+Each argv goes through `cli.run`. No exception may escape, the exit code is
+0, 1 or 2, and stdout is one strict JSON report (no NaN or Infinity) that
+validates against `report_schema.json`, within the per-example deadline.
+
+Sphere dimension and loop-series denominator degree have no declared limit
+yet: `rho` of a product or smash of a few hundred spheres,
+or of S100000, runs for minutes, and a verdict on a suspension nested 250
+deep (rationally a 250-dimensional sphere) takes seconds. So spheres stay
+within S2..S9, and long product and smash chains and deep suspension nests
+are drawn only past the depth limit, which the parser refuses before any
+series is built. Tests in `test_space.py` and `test_cli.py` cover trees at
+the limit.
+"""
+
+import io
+import json
+from datetime import timedelta
+from importlib import resources
+
+import jsonschema
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from loopgrowth.cli import run
+from loopgrowth.space import MAX_DEPTH
+
+VALIDATOR = jsonschema.Draft7Validator(
+    json.loads(resources.files("loopgrowth").joinpath("report_schema.json").read_text())
+)
+
+JUST = "asserted for the fuzz test"
+OPERATORS = st.sampled_from(["v", "x", "^"])
+SPHERES = st.integers(2, 9).map(lambda n: f"S{n}")
+
+
+def _binary(parts):
+    left, op, right, bracketed = parts
+    text = f"{left} {op} {right}"
+    return f"({text})" if bracketed else text
+
+
+trees = st.recursive(
+    SPHERES,
+    lambda inner: st.one_of(
+        st.tuples(inner, OPERATORS, inner, st.booleans()).map(_binary),
+        inner.map(lambda x: f"Susp({x})"),
+    ),
+    max_leaves=6,
+)
+
+TOKENS = ["S2", "S3", "S9", "S1", "S0", "S", "Susp", "Susp(", "(", ")", "v", "x", "^",
+          " ", "+", "&", "\t", "s2", "V"]
+soup = st.lists(st.sampled_from(TOKENS), max_size=24).map("".join)
+
+
+def _brackets(parts):
+    depth, inner, missing = parts
+    return "(" * depth + inner + ")" * max(depth - missing, 0)
+
+
+def _suspensions(parts):
+    depth, inner = parts
+    return "Susp(" * depth + inner + ")" * depth
+
+
+def _chain(parts):
+    op, length, sphere = parts
+    return f" {op} ".join([sphere] * length)
+
+
+nests = st.one_of(
+    st.tuples(st.integers(0, 3000), trees, st.sampled_from([0, 0, 0, 1])).map(_brackets),
+    st.tuples(st.integers(MAX_DEPTH + 1, MAX_DEPTH + 4), SPHERES).map(_suspensions),
+    st.tuples(st.just("v"), st.integers(1, 400), SPHERES).map(_chain),
+    st.tuples(
+        OPERATORS,
+        st.one_of(st.integers(1, 6), st.integers(MAX_DEPTH + 2, 400)),
+        SPHERES,
+    ).map(_chain),
+)
+
+expressions = st.one_of(trees, soup, nests)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(
+        ["parse", "homology", "loop-series", "rho", "log-index", "retraction",
+         "cofiber", "connsum", "yclass"]
+    ))
+    if command in ("parse", "rho"):
+        return [command, draw(expressions)]
+    if command in ("homology", "loop-series", "log-index"):
+        argv = [command, draw(expressions), "--max-degree", str(draw(st.integers(-1, 201)))]
+        if command == "log-index":
+            argv += ["--k-min", str(draw(st.integers(-1, 50)))]
+        return argv
+    if command == "retraction":
+        return [command, "--A", draw(expressions), "--Z", draw(expressions)]
+    if command == "yclass":
+        argv = [command, "--m", str(draw(st.integers(1, 6))), "--n", str(draw(st.integers(2, 12))),
+                "--J", draw(expressions)]
+    else:
+        flags = ("--A", "--Z") if command == "cofiber" else ("--A", "--M", "--N")
+        argv = [command]
+        for flag in flags:
+            argv += [flag, draw(expressions)]
+    if draw(st.integers(0, 9)):
+        argv += ["--inert", JUST]
+    return argv + ["--max-degree", str(draw(st.integers(0, 60)))]
+
+
+def _strict(constant):
+    raise ValueError(f"non-JSON constant {constant}")
+
+
+@given(argvs())
+@settings(
+    max_examples=400,
+    deadline=timedelta(seconds=3),
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_every_argv_gets_one_schema_valid_report(argv):
+    out = io.StringIO()
+    code = run(argv, out)
+    assert code in (0, 1, 2)
+    report = json.loads(out.getvalue(), parse_constant=_strict)
+    errors = sorted(VALIDATOR.iter_errors(report), key=str)
+    assert not errors, errors[0]
+    assert ("error" in report) == (code != 0)
+    if code == 2:
+        assert report["error"]["kind"] == "parse-error"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from loopgrowth.series import RationalGF, gf_shift
 from loopgrowth.space import (
+    MAX_DEPTH,
     ParseError,
     Product,
     Smash,
@@ -91,6 +92,78 @@ class TestParse:
         with pytest.raises(ParseError, match="unexpected character") as err:
             parse("S2 & S3")
         assert err.value.offset == 3
+
+
+# every error input of this file and of the benchmark's invalid requests, with
+# (message, offset, expected) as the recursive-descent parser reported them
+FROZEN_ERRORS = [
+    ("S2 v", "unexpected end of input; expected one of S<int>, Susp, ( at offset 4", 4,
+     ("S<int>", "Susp", "(")),
+    ("S2 + S3", "unexpected character '+' at offset 3", 3, ()),
+    ("(S2 v S3", "unexpected end of input; expected one of ) at offset 8", 8, (")",)),
+    ("S1 v S2", "spheres must be simply connected (n >= 2) at offset 0", 0, ()),
+    ("Susp S2", "unexpected 'S'; expected one of ( at offset 5", 5, ("(",)),
+    ("S2 x", "unexpected end of input; expected one of S<int>, Susp, ( at offset 4", 4,
+     ("S<int>", "Susp", "(")),
+    ("", "unexpected end of input; expected one of S<int>, Susp, ( at offset 0", 0,
+     ("S<int>", "Susp", "(")),
+    ("S2 v S3)", "unexpected ')'; expected one of v, x, ^, end of input at offset 7", 7,
+     ("v", "x", "^", "end of input")),
+    ("x S2", "unexpected 'x'; expected one of S<int>, Susp, ( at offset 0", 0,
+     ("S<int>", "Susp", "(")),
+    ("S2 ^^ S3", "unexpected '^'; expected one of S<int>, Susp, ( at offset 4", 4,
+     ("S<int>", "Susp", "(")),
+    ("S1", "spheres must be simply connected (n >= 2) at offset 0", 0, ()),
+    ("S2 v v S3", "unexpected 'v'; expected one of S<int>, Susp, ( at offset 5", 5,
+     ("S<int>", "Susp", "(")),
+    ("S2 S3", "unexpected 'S'; expected one of v, x, ^, end of input at offset 3", 3,
+     ("v", "x", "^", "end of input")),
+    ("S2 & S3", "unexpected character '&' at offset 3", 3, ()),
+]
+
+
+class TestParseErrorsFrozen:
+    @pytest.mark.parametrize("text, message, offset, expected", FROZEN_ERRORS)
+    def test_message_offset_and_expected(self, text, message, offset, expected):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.offset, err.value.expected) == (
+            message, offset, expected)
+
+
+class TestDepth:
+    def test_bracket_nesting_costs_no_depth(self):
+        assert parse("(" * 3000 + "S2" + ")" * 3000) == Sphere(2)
+
+    def test_unbalanced_deep_brackets_are_parse_errors(self):
+        with pytest.raises(ParseError) as err:
+            parse("(" * 3000 + "S2" + ")" * 2999)
+        assert (err.value.offset, err.value.expected) == (6001, (")",))
+
+    def test_wedge_chain_up_to_the_limit_parses(self):
+        x = parse(" v ".join(["S2"] * (MAX_DEPTH + 1)))
+        for _ in range(MAX_DEPTH):
+            assert x.right == Sphere(2)
+            x = x.left
+        assert x == Sphere(2)
+
+    def test_wedge_chain_past_the_limit_is_refused(self):
+        with pytest.raises(ValueError, match=f"deeper than the {MAX_DEPTH} level limit") as err:
+            parse(" v ".join(["S2"] * (MAX_DEPTH + 2)))
+        assert not isinstance(err.value, ParseError)
+
+    def test_suspension_nesting_past_the_limit_is_refused(self):
+        def nest(k):
+            return "Susp(" * k + "S2" + ")" * k
+
+        assert profile(parse(nest(MAX_DEPTH))).dimension == MAX_DEPTH + 2
+        with pytest.raises(ValueError, match="level limit"):
+            parse(nest(MAX_DEPTH + 1))
+
+    def test_tree_walks_fit_at_the_limit(self):
+        x = parse("Susp(" * (MAX_DEPTH - 1) + "S2 v S3" + ")" * (MAX_DEPTH - 1))
+        assert parse(to_text(x)) == x
+        assert wedge_decomposition(x).spheres == ((MAX_DEPTH + 1, 1), (MAX_DEPTH + 2, 1))
 
 
 class TestPrint:
