@@ -42,6 +42,25 @@ def mobius(n: int) -> int:
     return out
 
 
+def divisor_sieve(n: int) -> tuple:
+    """Ascending divisor lists and Moebius values of 0..n, index 0 [] and 0.
+
+    mu sums to 0 over the divisors of k > 1, so each mu(d) leaves its multiples.
+
+    >>> divs, mu = divisor_sieve(12)
+    >>> divs[12], mu[1:11]
+    ([1, 2, 3, 4, 6, 12], [1, -1, -1, 0, -1, 1, -1, 0, 0, 1])
+    """
+    divs = [[] for _ in range(n + 1)]
+    mu = [int(k == 1) for k in range(n + 1)]
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            divs[m].append(d)
+            if m > d:
+                mu[m] -= mu[d]
+    return divs, mu
+
+
 def is_prime(n: int) -> bool:
     """Trial division.
 

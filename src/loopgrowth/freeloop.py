@@ -13,10 +13,11 @@ bookkeeping: HH_1 in internal degree k-1 lands in total degree k).
 
 Two independent paths compute the table. The brute-force path numbers the
 words of each degree by arithmetic and materializes theta from its
-definition. Every row e_{wv} - sign e_{vw} has at most two nonzero entries, so
-theta is the incidence matrix of a signed graph on words, and its rank over Q
-is the number of words minus the number of balanced components (Zaslavsky,
-"Signed graphs", 1982), found by a union-find with parity. The necklace path
+definition. In degree k >= 1 every word is a v for exactly one letter v (its
+last) and v a' for exactly one (its first), so theta's rows e_{av} - sign
+e_{va} are those of a signed permutation sigma(av) = va of the words. Its
+rank over Q is the number of words minus the number of cycles of sigma whose
+signs multiply to +1, found by walking each cycle once. The necklace path
 builds no words: it counts coinvariants of the signed cyclic rotation action
 on degree-k words. A cyclic class survives unless some rotation carries the
 word to minus itself, which happens exactly when w0 * (k-1) is odd for w0 the
@@ -30,9 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
-from .arith import divisors, mobius
+from .arith import divisor_sieve
 from .series import (
     RationalGF,
     TruncatedSeries,
@@ -124,70 +124,39 @@ def _assemble(alphabet, hh0, hh1, n) -> HHDimTable:
     return HHDimTable(alphabet, tuple(hh0), tuple(hh1), lx, n)
 
 
-# -- brute force: theta as a signed graph on numbered words ------------------
+# -- brute force: theta as a signed permutation of numbered words ------------
 
 
-def exact_rank(rows, n_words: int) -> int:
-    """Rank over Q of theta's rows, read as a signed graph on n_words words.
+def exact_rank(perm, neg) -> int:
+    """Rank over Q of the rows e_u - s_u e_perm[u], u in range(len(perm)).
 
-    A row (u, v, s) is the vector e_u - s e_v: an edge of sign s between the
-    words u and v. A loop u == v is the zero row when s = +1 and 2 e_u when
-    s = -1. Such an incidence matrix has rank n_words minus the number of
-    balanced components, those whose vertices admit signs x with
-    x_u = s x_v on every edge (Zaslavsky 1982). A union-find with parity
-    (union by size, path halving) tracks the relative signs, so the rank is
-    the number of unions plus the number of unbalanced components.
+    perm lists integers in range(len(perm)) and neg[u] is 1 where s_u = -1,
+    else 0. The rows of one cycle of perm are independent unless its signs
+    multiply to +1 (then, weighted by partial sign products, they sum to 0),
+    so the rank is len(perm) minus the number of cycles with an even count
+    of negative signs. A walk that reaches a visited word other than its
+    start raises ValueError, so a map that is not a bijection is refused.
 
-    >>> exact_rank([(0, 1, 1), (1, 2, -1), (2, 0, 1)], 4)
+    >>> exact_rank([1, 2, 0], [0, 1, 1])
+    2
+    >>> exact_rank([1, 2, 0, 3], [0, 0, 1, 0])
     3
-    >>> exact_rank([(0, 1, 1), (1, 0, 1), (2, 2, 1)], 3)
-    1
     """
-    parent = list(range(n_words))
-    flip = [0] * n_words  # sign parity of a word relative to its parent
-    size = [1] * n_words
-    unbalanced = [False] * n_words  # read at roots only
-    unions = bad = 0
-    for u, v, s in rows:
-        # both finds are inlined: a call per find costs a third more time
-        par = s < 0
-        while True:
-            p = parent[u]
-            if p == u:
-                break
-            g = parent[p]
-            f = flip[u] ^ flip[p]
-            parent[u] = g
-            flip[u] = f
-            par ^= f
-            u = g
-        while True:
-            p = parent[v]
-            if p == v:
-                break
-            g = parent[p]
-            f = flip[v] ^ flip[p]
-            parent[v] = g
-            flip[v] = f
-            par ^= f
-            v = g
-        if u == v:
-            if par and not unbalanced[u]:
-                unbalanced[u] = True
-                bad += 1
-            continue
-        if size[u] < size[v]:
-            u, v = v, u
-        parent[v] = u
-        flip[v] = par
-        size[u] += size[v]
-        if unbalanced[v]:
-            if unbalanced[u]:
-                bad -= 1
-            else:
-                unbalanced[u] = True
-        unions += 1
-    return unions + bad
+    seen = bytearray(len(perm))
+    balanced = 0
+    start = seen.find(0)
+    while start >= 0:
+        parity = 0
+        u = start
+        while not seen[u]:
+            seen[u] = 1
+            parity ^= neg[u]
+            u = perm[u]
+        if u != start:
+            raise ValueError(f"not a permutation: word {u} is reached twice")
+        balanced += not parity
+        start = seen.find(0, start + 1)
+    return len(perm) - balanced
 
 
 def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
@@ -198,7 +167,8 @@ def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
     j followed by w comes from the prepend table pre[k][j], listed in the
     order of words[k - d_j]; splitting off the last letter l of w gives
     pre[k][j] = concat over l of (off[k][l] + pre[k - d_l][j]), with
-    pre[d_j][j] = [off[d_j][j]] for the empty w.
+    pre[d_j][j] = [off[d_j][j]] for the empty w. In block order, the tables
+    are theta's permutation, with sign (-1)^{(k - d_j) d_j} on block j.
 
     >>> hh_bruteforce(GradedAlphabet((1,)), 6).lx
     (1, 1, 1, 1, 1, 1, 1)
@@ -219,7 +189,7 @@ def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
         for d in degrees:
             off.append(start)
             start += dims[k - d] if k >= d else 0
-        rows = []
+        perm, neg = [], bytearray()
         for j, d in enumerate(degrees):
             if k < d:
                 continue
@@ -228,13 +198,13 @@ def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
                 if k - dl >= d:
                     table += map(off[l].__add__, pre[k - dl][j])
             pre[k][j] = table
-            sign = -1 if ((k - d) * d) % 2 else 1
-            rows += zip(range(off[j], off[j] + len(table)), table, repeat(sign))
+            perm += table
+            neg += (b"\1" if (k - d) * d % 2 else b"\0") * len(table)
         if k >= top:
             pre[k - top] = None  # later degrees read from k + 1 - top on
-        rank = exact_rank(rows, dims[k])
+        rank = exact_rank(perm, neg)
         hh0.append(dims[k] - rank)
-        hh1.append(len(rows) - rank)
+        hh1.append(len(perm) - rank)
     return _assemble(a, hh0, hh1, n)
 
 
@@ -255,9 +225,10 @@ def _lyndon_class_counts(degrees, trunc_degree):
     n = trunc_degree
     dims = tensor_algebra_dims(GradedAlphabet(degrees), n)
     t = [sum(d * dims[e - d] for d in degrees if e >= d) for e in range(n + 1)]
+    divs, mu = divisor_sieve(n)
     counts = [0] * (n + 1)
     for w in range(1, n + 1):
-        counts[w] = sum(mobius(w // e) * t[e] for e in divisors(w)) // w
+        counts[w] = sum(mu[w // e] * t[e] for e in divs[w]) // w
     return counts
 
 
@@ -275,20 +246,16 @@ def hh_necklace(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
     counts = _lyndon_class_counts(degrees, n)
     dims = tensor_algebra_dims(a, n)
 
-    def hh0_at(k):
-        if k == 0:
-            return 1
-        total = 0
-        for w in divisors(k):
-            if w <= n and counts[w] and (k % 2 == 1 or w % 2 == 0):
-                total += counts[w]
-        return total
-
-    hh0 = [hh0_at(k) for k in range(n + 1)]
-    hh1 = []
-    for k in range(n + 1):
-        av = sum(dims[k - d] for d in degrees if k >= d)
-        hh1.append(hh0[k] - dims[k] + av)
+    # a class of weight w counts in the degrees k it divides, odd k if w is odd
+    hh0 = [1] + [0] * n
+    for w in range(1, n + 1):
+        if counts[w]:
+            for k in range(w, n + 1, w if w % 2 == 0 else 2 * w):
+                hh0[k] += counts[w]
+    hh1 = [
+        hh0[k] - dims[k] + sum(dims[k - d] for d in degrees if k >= d)
+        for k in range(n + 1)
+    ]
     return _assemble(a, hh0, hh1, n)
 
 

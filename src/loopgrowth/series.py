@@ -358,18 +358,32 @@ def _bisect(sf, chain, lo, hi, tol, v_lo=0, v_hi=0):
 
 
 def _smallest_positive_rational_root(sf: IntPolynomial) -> Fraction | None:
-    """Rational-root-theorem scan; None when none exists or coefficients are huge."""
+    """Smallest positive rational root; None when none exists or coefficients are huge.
+
+    A root p/q in lowest terms has q | lc(f), and q x - p divides f in Z[x]
+    (Gauss's lemma), so b q - p divides f(b) at every integer b. With f(a)
+    the least nonzero of f(0), f(1) and f(-1), p = a q -/+ e for some
+    e | f(a); the other two values sieve these, and only the coprime ones
+    left are evaluated.
+    """
     sf = sf.primitive()
     a0, an = abs(sf.constant_term()), abs(sf.leading())
-    if a0 > 10**7 or an > 10**7:
+    if a0 == 0 or a0 > 10**7 or an > 10**7:
         return None
-    best = None
-    for p in divisors(a0):
-        for q in divisors(an):
-            cand = Fraction(p, q)
-            if (best is None or cand < best) and sf.sign_at(cand) == 0:
-                best = cand
-    return best
+    # f(1) and f(-1) are sums of coefficients, and |f(a)| <= |f(0)| = a0
+    c = sf.coeffs
+    f1, fm1 = sum(c), sum(c[::2]) - sum(c[1::2])
+    fa, a = min((abs(v), b) for b, v in ((0, c[0]), (1, f1), (-1, fm1)) if v)
+    roots = [
+        Fraction(p, q)
+        for q in divisors(an)
+        for e in divisors(fa)
+        for p in (a * q - e, a * q + e)
+        if p > 0 and a0 % p == 0 and fm1 % (q + p) == 0 and int_gcd(p, q) == 1
+        and (f1 % (q - p) == 0 if p != q else f1 == 0)
+        and sf.sign_at_ratio(p, q) == 0
+    ]
+    return min(roots, default=None)
 
 
 def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANCE) -> Radius:

@@ -269,3 +269,17 @@ def signed_necklace_hh0(degrees, k):
         if not dead:
             alive += 1
     return alive
+
+
+def smallest_positive_rational_root(coeffs):
+    """Every divisor pair p | f(0), q | lc(f), evaluated exactly; None if no root."""
+    def divs(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    roots = [
+        Fraction(p, q)
+        for p in divs(coeffs[0])
+        for q in divs(coeffs[-1])
+        if sum(c * Fraction(p, q) ** i for i, c in enumerate(coeffs)) == 0
+    ]
+    return min(roots, default=None)

@@ -19,6 +19,7 @@ from loopgrowth.freeloop import (
     hh_necklace,
     tensor_algebra_dims,
 )
+from loopgrowth.arith import divisor_sieve
 from loopgrowth.loop import HypothesisError
 from loopgrowth.series import (
     RationalGF,
@@ -99,59 +100,60 @@ class TestExactRank:
         assert oracles.exact_rank(rows) == oracles.dense_rank(rows, 10)
 
 
-signed_edges = st.integers(1, 10).flatmap(
+signed_permutations = st.integers(0, 12).flatmap(
     lambda n: st.tuples(
-        st.just(n),
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((1, -1))),
-            max_size=16,
-        ),
+        st.permutations(range(n)),
+        st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n),
     )
 )
 
 
-def _incidence_rows(edges):
+def _permutation_rows(perm, neg):
     rows = []
-    for u, v, s in edges:
+    for u, (v, odd) in enumerate(zip(perm, neg)):
         row = {u: 1}
-        row[v] = row.get(v, 0) - s
+        row[v] = row.get(v, 0) - (-1 if odd else 1)
         rows.append(row)
     return rows
 
 
 class TestSignedGraphRank:
+    """theta as a signed permutation: one out-edge and one in-edge per word."""
+
     def test_empty_graph(self):
-        assert exact_rank([], 0) == 0
-        assert exact_rank([], 5) == 0
+        assert exact_rank([], b"") == 0
 
     def test_balanced_cycle_loses_one(self):
         # x0 = x1 = -x2 = x0 is consistent, so the three rows span a plane
-        assert exact_rank([(0, 1, 1), (1, 2, -1), (2, 0, -1)], 3) == 2
+        assert exact_rank([1, 2, 0], [0, 1, 1]) == 2
 
     def test_unbalanced_cycle_has_full_rank(self):
-        assert exact_rank([(0, 1, 1), (1, 2, 1), (2, 0, -1)], 3) == 3
+        assert exact_rank([1, 2, 0], [0, 0, 1]) == 3
 
     def test_loops(self):
-        # the -1 loop is the row 2 e_0, the +1 loop the zero row
-        assert exact_rank([(0, 0, -1)], 2) == 1
-        assert exact_rank([(1, 1, 1)], 2) == 0
-        assert exact_rank([(0, 0, -1), (0, 0, -1), (0, 1, 1)], 2) == 2
+        # fixed points are loops: the row 2 e_u at -1, the zero row at +1
+        assert exact_rank([0], [1]) == 1
+        assert exact_rank([0], [0]) == 0
+        assert exact_rank([0, 1], bytearray([1, 0])) == 1
 
-    def test_merging_two_unbalanced_components(self):
-        rows = [(0, 0, -1), (1, 1, -1), (0, 1, 1), (2, 3, 1)]
-        assert exact_rank(rows, 5) == 3
+    def test_several_cycles(self):
+        # (0 3) balanced, (1 4 2) unbalanced, (5) +1, (6) -1
+        perm = [3, 4, 1, 0, 2, 5, 6]
+        neg = [1, 0, 1, 1, 0, 0, 1]
+        assert exact_rank(perm, neg) == 5
 
-    @given(signed_edges)
+    @given(signed_permutations)
     @settings(max_examples=300, deadline=None)
-    def test_matches_dense_gaussian_elimination(self, graph):
-        n, edges = graph
-        assert exact_rank(edges, n) == oracles.dense_rank(_incidence_rows(edges), n)
+    def test_matches_dense_gaussian_elimination(self, signed):
+        perm, neg = signed
+        rows = _permutation_rows(perm, neg)
+        assert exact_rank(perm, neg) == oracles.dense_rank(rows, len(perm))
 
-    @given(signed_edges)
-    @settings(max_examples=100, deadline=None)
-    def test_repeated_edges_change_nothing(self, graph):
-        n, edges = graph
-        assert exact_rank(edges + edges[::-1], n) == exact_rank(edges, n)
+    def test_map_that_is_not_a_bijection_is_refused(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            exact_rank([1, 2, 1], [0, 0, 0])
+        with pytest.raises(ValueError, match="not a permutation"):
+            exact_rank([0, 0], [0, 0])
 
 
 # -- Hochschild tables -------------------------------------------------------------
@@ -192,6 +194,15 @@ class TestOracleEquivalence:
             if weight <= n:
                 by_degree[weight] += 1
         assert _lyndon_class_counts(degs, n) == by_degree
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 97, 360])
+    def test_divisor_sieve_equals_trial_division(self, n):
+        divs, mu = divisor_sieve(n)
+        assert len(divs) == len(mu) == n + 1
+        assert divs[0] == [] and mu[0] == 0
+        for k in range(1, n + 1):
+            assert divs[k] == [d for d in range(1, k + 1) if k % d == 0]
+            assert mu[k] == oracles.mobius(k)
 
     @pytest.mark.parametrize("n", [1, 5, 37, 200])
     @pytest.mark.parametrize("degs", [(1,), (1, 1), (1, 2, 3), (2, 2, 3), (1, 1, 2)])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopgrowth import series
+from loopgrowth import polynomial, series
 from loopgrowth.loop import loop_gf
 from loopgrowth.polynomial import IntPolynomial, cauchy_root_bound, count_roots_halfopen
 from loopgrowth.series import (
@@ -420,6 +420,46 @@ class TestRootQuestionsBySign:
         assert 0 < rho.lo < rho.hi < Fraction(1, 10**12)
         assert rho.certificate_holds()
         assert math.isfinite(log_index_exact(rho).halfwidth)
+
+
+class TestRationalRootScan:
+    """The smallest positive rational root, from divisors of a small value."""
+
+    def test_a_wide_divisor_scan_takes_few_evaluations(self, monkeypatch):
+        # 448 divisors on each end, no rational root: the plain scan
+        # evaluated all 200,704 pairs
+        calls = []
+        scaled_value = polynomial._scaled_value
+
+        def counting(coeffs, p, q):
+            calls.append((p, q))
+            return scaled_value(coeffs, p, q)
+
+        monkeypatch.setattr(polynomial, "_scaled_value", counting)
+        f = IntPolynomial((8648640,) + (-1,) * 20 + (-8648640,))
+        assert series._smallest_positive_rational_root(f) is None
+        assert len(calls) <= 100
+
+    def test_finds_a_planted_root_among_wide_divisors(self):
+        # the other factor is positive on [0, 1/2]
+        wide = IntPolynomial((4324320,) + (-1,) * 19 + (-4324320,))
+        f = wide * IntPolynomial((-1, 2))
+        assert series._smallest_positive_rational_root(f) == Fraction(1, 2)
+
+    @given(
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=3),
+        st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(any),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_every_divisor_pair(self, roots, cofactor):
+        f = IntPolynomial(tuple(cofactor))
+        for p, q in roots:
+            f = f * IntPolynomial((-p, q))
+        if f.constant_term() == 0:
+            expected = None  # zero is not a positive root, and the scan stops
+        else:
+            expected = oracles.smallest_positive_rational_root(f.primitive().coeffs)
+        assert series._smallest_positive_rational_root(f) == expected
 
 
 # -- log index ---------------------------------------------------------------
