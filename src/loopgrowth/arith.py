@@ -1,4 +1,4 @@
-"""Elementary number theory shared by the series, necklace and census code."""
+"""Elementary number theory shared by the series, necklace and torsion code."""
 
 from __future__ import annotations
 
@@ -20,26 +20,6 @@ def divisors(n: int) -> list:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def mobius(n: int) -> int:
-    """The Moebius function of a positive integer.
-
-    >>> [mobius(k) for k in range(1, 11)]
-    [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    """
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
 
 
 def divisor_sieve(n: int) -> tuple:

@@ -32,7 +32,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .freeloop import GradedAlphabet, free_loop_good_growth
+from .freeloop import GradedAlphabet, free_loop_good_growth, tensor_algebra_dims
 from .loop import (
     CofiberPresentation,
     ConnSumPresentation,
@@ -451,10 +451,8 @@ def _cmd_free_loop(args):
 def _cmd_hm_census(args):
     n = _check_degree(args.max_degree)
     census = hilton_milnor_census(args.m, args.n, n)
-    expected = expand(
-        GradedAlphabet((args.m - 1, args.n - 1)).loop_gf(), n
-    ).as_dims()
-    reconstruction_ok = census.reconstruct().as_dims() == tuple(expected)
+    expected = tensor_algebra_dims(GradedAlphabet((args.m - 1, args.n - 1)), n)
+    reconstruction_ok = census.reconstruct().as_dims() == expected
     tail = max(1, min(args.k_min, n))
     rate = log_index_empirical(census.factor_counts(), tail)
     result = {

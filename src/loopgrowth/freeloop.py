@@ -80,6 +80,8 @@ def tensor_algebra_dims(a: GradedAlphabet, trunc_degree: int) -> tuple:
     >>> tensor_algebra_dims(GradedAlphabet((1, 2)), 8)
     (1, 1, 2, 3, 5, 8, 13, 21, 34)
     """
+    if trunc_degree < 0:
+        raise ValueError("truncation degree must be nonnegative")
     dims = [0] * (trunc_degree + 1)
     dims[0] = 1
     for k in range(1, trunc_degree + 1):
@@ -217,7 +219,9 @@ def _lyndon_class_counts(degrees, trunc_degree):
     Unique factorization into Lyndon words gives prod_w (1 - z^w)^-counts[w]
     = A(z) = 1/(1 - sum_j z^d_j). Comparing logarithmic derivatives, with
     t_e = sum_j d_j A_{e - d_j} the coefficients of z A'(z)/A(z), gives the
-    weighted Witt formula w counts[w] = sum_{e | w} mu(w/e) t_e.
+    weighted Witt formula w counts[w] = sum_{e | w} mu(w/e) t_e. These are
+    also the Lyndon words of weight w, so `torsion.hilton_milnor_census`
+    reads them as the multiplicities of the sphere factors S^(w+1).
 
     >>> _lyndon_class_counts((1, 1), 6)
     [0, 2, 1, 2, 3, 6, 9]
@@ -305,16 +309,16 @@ def free_loop_good_growth(
             "good exponential growth needs at least two summands"
         )
     check_growth_parameters(lam, epsilon, k_min, trunc_degree)
+    if method not in ("necklace", "brute"):
+        raise ValueError(f"unknown method {method!r}; use 'necklace' or 'brute'")
     if match_tol is not None and not (math.isfinite(match_tol) and match_tol >= 0):
         raise ValueError("log-index tolerance must be finite and nonnegative")
     gf = a.loop_gf()
     target = log_index_exact(smallest_positive_pole(gf)).value
     if method == "necklace":
         table = hh_necklace(a, trunc_degree)
-    elif method == "brute":
-        table = hh_bruteforce(a, trunc_degree)
     else:
-        raise ValueError(f"unknown method {method!r}; use 'necklace' or 'brute'")
+        table = hh_bruteforce(a, trunc_degree)
     lx = TruncatedSeries.from_dims(table.lx)
     check = controlled_growth_check(lx, target, lam, epsilon, k_min)
     if match_tol is None:

@@ -101,7 +101,11 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         lexeme, digits = m.group(0, 1)
         if digits is not None:
-            tokens.append(("SPHERE", int(digits), pos))
+            try:
+                index = int(digits)
+            except ValueError:  # past the interpreter's integer digit limit
+                raise ParseError("sphere index has too many digits", pos) from None
+            tokens.append(("SPHERE", index, pos))
         else:
             tokens.append(("SUSP" if lexeme == "Susp" else lexeme, None, pos))
         pos = m.end()

@@ -6,11 +6,13 @@ primes at or below that bound form the exclusion set. Loops on a wedge of two
 spheres split (integrally) as a product of loop spaces of spheres, one factor
 per basic product, and basic products are counted by Lyndon words over a
 two-letter alphabet weighted by the generator degrees m-1 and n-1. The census
-here counts those sphere factors with the classical (ungraded) Witt numbers:
-it is a statement about actual sphere factors, not about rational homotopy
-ranks, so no Koszul-sign regrading applies. The graded rank table lives in
-`loop.pi_ranks` and the two agree exactly when every generator degree is
-even.
+reads those counts from the weighted Witt formula that the necklace path of
+`freeloop` already evaluates (`_lyndon_class_counts`), which sums the
+bivariate Witt numbers by weight. The counts are classical (ungraded): the
+census is a statement about actual sphere factors, not about rational
+homotopy ranks, so no Koszul-sign regrading applies. The graded rank table
+lives in `loop.pi_ranks` and the two agree exactly when every generator
+degree is even.
 
 Torsion consequences are reported in two registers. The census growth rate is
 rigorous. Per-degree torsion counts are not: how many summands each sphere
@@ -21,9 +23,9 @@ under an explicitly named counting model and must not be read as a theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, gcd
 
-from .arith import divisors, is_prime, mobius
+from .arith import is_prime
+from .freeloop import _lyndon_class_counts
 from .series import TruncatedSeries, log_index_empirical, mul_binomial_power
 from .space import SpaceExpr, Susp, profile, reduced_gf, wedge_decomposition
 
@@ -157,16 +159,6 @@ def lyndon_basic_products(m: int, n: int, max_len: int):
     ]
 
 
-def _witt_bivariate(i: int, j: int) -> int:
-    """Number of Lyndon words with i copies of one letter and j of the other."""
-    if i == 0 and j == 0:
-        return 0
-    total = 0
-    for e in divisors(gcd(i, j) if i and j else max(i, j)):
-        total += mobius(e) * comb((i + j) // e, i // e)
-    return total // (i + j)
-
-
 @dataclass(frozen=True)
 class HiltonMilnorCensus:
     """Sphere-factor multiplicities of loops on S^m v S^n up to weight N.
@@ -207,23 +199,22 @@ class HiltonMilnorCensus:
 def hilton_milnor_census(m: int, n: int, trunc_degree: int) -> HiltonMilnorCensus:
     """Count sphere factors of loops on S^m v S^n by dimension, weight <= N.
 
+    The factors of dimension t + 1 are the Lyndon words of weight t over
+    letters weighted m-1 and n-1, as many as the aperiodic necklace classes
+    of degree t that `freeloop._lyndon_class_counts` counts for the
+    Hochschild tables.
+
     >>> hilton_milnor_census(2, 2, 6).factors
     {2: 2, 3: 1, 4: 2, 5: 3, 6: 6, 7: 9}
     """
     if m < 2 or n < 2:
         raise ValueError("sphere dimensions must be at least 2")
-    a, b = m - 1, n - 1
-    factors = {}
-    for i in range(trunc_degree // a + 1):
-        for j in range(trunc_degree // b + 1):
-            t = i * a + j * b
-            if t == 0 or t > trunc_degree:
-                continue
-            c = _witt_bivariate(i, j)
-            if c:
-                factors[t + 1] = factors.get(t + 1, 0) + c
+    degrees = (m - 1, n - 1)
+    counts = _lyndon_class_counts(degrees, trunc_degree)
     return HiltonMilnorCensus(
-        generators=(a, b), factors=dict(sorted(factors.items())), trunc_degree=trunc_degree
+        generators=degrees,
+        factors={t + 1: c for t, c in enumerate(counts) if c},
+        trunc_degree=trunc_degree,
     )
 
 

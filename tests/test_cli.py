@@ -212,6 +212,12 @@ class TestErrors:
         assert code == 2
         assert json.loads(text)["error"]["kind"] == "parse-error"
 
+    def test_huge_sphere_index_is_a_parse_error(self):
+        code, report = run_json(["parse", "S" + "9" * 5000])
+        assert code == 2
+        assert report["error"]["kind"] == "parse-error"
+        assert report["error"]["offset"] == 0
+
     def test_hypothesis_error(self):
         code, text = run_cli(
             ["yclass", "--m", "2", "--n", "3", "--J", "S2", "--inert", JUST]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopgrowth import freeloop
 from loopgrowth.freeloop import (
     BRUTE_FORCE_WORD_LIMIT,
     FreeLoopGrowthResult,
@@ -66,6 +67,11 @@ class TestTensorAlgebraDims:
 
     def test_fibonacci_compositions(self):
         assert tensor_algebra_dims(GradedAlphabet((1, 2)), 5) == (1, 1, 2, 3, 5, 8)
+
+    @pytest.mark.parametrize("table", [tensor_algebra_dims, hh_necklace, hh_bruteforce])
+    def test_negative_truncation_is_refused(self, table):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            table(GradedAlphabet((1, 1)), -1)
 
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
@@ -317,7 +323,13 @@ class TestFreeLoopGrowth:
         assert r.match_tol == 0.01
         assert not r.log_index_match
 
-    def test_unknown_method(self):
+    def test_unknown_method(self, monkeypatch):
+        # refused before the pole and the table are computed
+        def fail(*args):
+            raise AssertionError("computed before the method was checked")
+
+        for name in ("smallest_positive_pole", "hh_necklace", "hh_bruteforce"):
+            monkeypatch.setattr(freeloop, name, fail)
         with pytest.raises(ValueError, match="unknown method"):
             free_loop_good_growth(GradedAlphabet((2, 2)), method="fast")
 

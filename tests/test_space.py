@@ -56,6 +56,12 @@ class TestParse:
             parse("S1")
         assert err.value.offset == 0
 
+    def test_sphere_index_past_the_digit_limit_is_a_parse_error(self):
+        # int() refuses more than 4,300 digits; the sphere's offset is reported
+        with pytest.raises(ParseError, match="too many digits") as err:
+            parse("S2 v S" + "9" * 5000)
+        assert err.value.offset == 5
+
     def test_sphere_node_validates_too(self):
         with pytest.raises(ValueError, match="simply connected"):
             Sphere(1)

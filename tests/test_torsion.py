@@ -155,8 +155,9 @@ class TestCensus:
         census = hilton_milnor_census(2, 2, 6)
         assert census.factors == {2: 2, 3: 1, 4: 2, 5: 3, 6: 6, 7: 9}
 
-    def test_factors_match_lyndon_enumeration(self):
-        m, n = 2, 3
+    # equal letters, mixed parity, and gcd(m - 1, n - 1) > 1
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (3, 5), (4, 7)])
+    def test_factors_match_lyndon_enumeration(self, m, n):
         census = hilton_milnor_census(m, n, 12)
         want = {}
         for w in oracles.brute_lyndon(2, 12):
@@ -167,6 +168,12 @@ class TestCensus:
                 d = t + 1
                 want[d] = want.get(d, 0) + 1
         assert census.factors == want
+
+    def test_negative_truncation_is_refused(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            hilton_milnor_census(2, 2, -1)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            torsion_report(3, 3, 5, 1, -1)
 
     def test_reconstruct_geometric(self):
         census = hilton_milnor_census(2, 2, 14)
