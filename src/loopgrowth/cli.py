@@ -92,8 +92,7 @@ def _decimal_str(q: Fraction) -> str:
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def _rational(q) -> dict:
-    q = Fraction(q)
+def _rational(q: Fraction) -> dict:
     return {
         "num": str(q.numerator),
         "den": str(q.denominator),
@@ -120,13 +119,8 @@ def _log_index(li) -> dict:
     }
 
 
-def _cell(q) -> str:
-    return str(Fraction(q))
-
-
 def _coeff_json(q):
-    q = Fraction(q)
-    return int(q) if q.denominator == 1 else str(q)
+    return q if isinstance(q, int) else str(q)
 
 
 def _gf_json(gf) -> dict:
@@ -139,7 +133,7 @@ def _gf_json(gf) -> dict:
 def _series_table(coeffs) -> dict:
     return {
         "columns": ["degree", "coefficient"],
-        "rows": [[k, _cell(c)] for k, c in enumerate(coeffs)],
+        "rows": [[k, str(c)] for k, c in enumerate(coeffs)],
     }
 
 

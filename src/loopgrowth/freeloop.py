@@ -24,7 +24,8 @@ word to minus itself, which happens exactly when w0 * (k-1) is odd for w0 the
 weight of the word's minimal period (rotating a letter of degree d past the
 rest contributes (-1)^(d*(k-d)), and summing over one period collapses to that
 parity). The aperiodic classes of each weight come from the weighted Witt
-formula, and hh1 follows from rank-nullity.
+formula. In degree k >= 1 theta maps a space of dimension dim A_k to
+itself, so rank-nullity gives hh1[k] = hh0[k] there, and hh1[0] = 0.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .series import (
     smallest_positive_pole,
 )
 from .loop import HypothesisError
+from .space import MAX_SPHERE_DIMENSION
 
 BRUTE_FORCE_WORD_LIMIT = 10**7
 
@@ -68,6 +70,8 @@ class GradedAlphabet:
 
     def loop_gf(self) -> RationalGF:
         """1/(1 - sum z^d): the loop series of the corresponding sphere wedge."""
+        if self.degrees[-1] >= MAX_SPHERE_DIMENSION:  # degree d is the sphere S^(d+1)
+            raise ValueError(f"generator degree exceeds the {MAX_SPHERE_DIMENSION - 1} limit")
         den = [1] + [0] * max(self.degrees)
         for d in self.degrees:
             den[d] -= 1
@@ -95,7 +99,8 @@ class HHDimTable:
 
     Invariants checked on construction: entries nonnegative, rank-nullity
     hh0[k] - hh1[k] = dim A_k - dim (A (x) V)_k, and the assembly rule
-    lx[k] = hh0[k] + hh1[k-1].
+    lx[k] = hh0[k] + hh1[k-1]. As (A (x) V)_k = A_k for k >= 1 (split off the
+    last letter), rank-nullity reads hh0[k] - hh1[k] = 1 if k == 0 else 0.
     """
 
     alphabet: GradedAlphabet
@@ -110,10 +115,8 @@ class HHDimTable:
             raise ValueError("table lengths must match the truncation degree")
         if any(v < 0 for v in self.hh0 + self.hh1 + self.lx):
             raise ValueError("negative dimension in the table")
-        dims = tensor_algebra_dims(self.alphabet, n)
         for k in range(n + 1):
-            av = sum(dims[k - d] for d in self.alphabet.degrees if k >= d)
-            if self.hh0[k] - self.hh1[k] != dims[k] - av:
+            if self.hh0[k] - self.hh1[k] != (k == 0):
                 raise ValueError(f"rank-nullity violated at degree {k}")
             if self.lx[k] != self.hh0[k] + (self.hh1[k - 1] if k >= 1 else 0):
                 raise ValueError(f"free-loop assembly rule violated at degree {k}")
@@ -237,7 +240,7 @@ def _lyndon_class_counts(degrees, trunc_degree):
 
 
 def hh_necklace(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
-    """HH table from signed necklace counts; hh1 via rank-nullity.
+    """HH table from signed necklace counts; hh1 = hh0 above degree 0 by rank-nullity.
 
     A degree-k class with minimal period weight w0 survives the signed cyclic
     action iff w0 * (k-1) is even.
@@ -246,21 +249,14 @@ def hh_necklace(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
     (1, 0, 1, 1, 1, 1, 1)
     """
     n = trunc_degree
-    degrees = a.degrees
-    counts = _lyndon_class_counts(degrees, n)
-    dims = tensor_algebra_dims(a, n)
-
+    counts = _lyndon_class_counts(a.degrees, n)
     # a class of weight w counts in the degrees k it divides, odd k if w is odd
     hh0 = [1] + [0] * n
     for w in range(1, n + 1):
         if counts[w]:
             for k in range(w, n + 1, w if w % 2 == 0 else 2 * w):
                 hh0[k] += counts[w]
-    hh1 = [
-        hh0[k] - dims[k] + sum(dims[k - d] for d in degrees if k >= d)
-        for k in range(n + 1)
-    ]
-    return _assemble(a, hh0, hh1, n)
+    return _assemble(a, hh0, [0] + hh0[1:], n)
 
 
 # -- growth of the free-loop table --------------------------------------------

@@ -328,7 +328,7 @@ class PiRankTable:
                 cur = mul_binomial_power(cur, i, +1, l)  # (1+z^i)^l
             else:
                 cur = mul_binomial_power(cur, i, -1, -l)  # (1-z^i)^(-l)
-        return TruncatedSeries(tuple(cur), self.trunc_degree)
+        return TruncatedSeries(tuple(cur))
 
 
 def pi_ranks(gf: RationalGF, trunc_degree: int) -> PiRankTable:

@@ -23,8 +23,10 @@ the two denominators in the overlap from the signs of their gcd at its ends.
 Only `Radius.certificate_holds` counts roots again, from scratch.
 
 All polynomial work (gcd, Sturm chains, signs at the bisection points) and the
-series recurrence run in integer arithmetic; Fractions appear only in the
-interval endpoints and the expanded coefficients handed back to callers.
+series recurrence run in integer arithmetic. A series coefficient is an int
+whenever it is integral, as every dimension series here is; rationals appear
+only as interval endpoints and as the non-integral coefficients of a
+denominator whose constant term is not 1.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class RationalGF:
     """num(z)/den(z) in canonical reduced form.
 
     >>> RationalGF.from_coeffs([1], [1, -2]).expand(4).coeffs
-    (Fraction(1, 1), Fraction(2, 1), Fraction(4, 1), Fraction(8, 1), Fraction(16, 1))
+    (1, 2, 4, 8, 16)
     """
 
     num: IntPolynomial
@@ -120,8 +122,8 @@ class RationalGF:
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0
 
-    def constant_coefficient(self) -> Fraction:
-        return Fraction(self.num.constant_term(), self.den.constant_term())
+    def constant_coefficient(self):
+        return self.expand(0)[0]
 
     def expand(self, trunc_degree: int) -> "TruncatedSeries":
         return expand(self, trunc_degree)
@@ -129,17 +131,15 @@ class RationalGF:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients c_0 .. c_N of a power series, exact rationals."""
+    """Coefficients c_0 .. c_N of a power series: ints, Fractions only where not integral."""
 
     coeffs: tuple
-    trunc_degree: int
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.trunc_degree + 1:
-            raise ValueError("coefficient count does not match truncation degree")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    @property
+    def trunc_degree(self) -> int:
+        return len(self.coeffs) - 1
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int):
         return self.coeffs[i]
 
     def __len__(self) -> int:
@@ -147,12 +147,7 @@ class TruncatedSeries:
 
     def as_dims(self) -> tuple:
         """Coefficients as nonnegative integers; raises if any is not one."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if c.denominator != 1 or c < 0:
-                raise ValueError(f"coefficient at degree {i} is not a nonnegative integer: {c}")
-            out.append(int(c))
-        return tuple(out)
+        return self.from_dims(self.coeffs).coeffs
 
     @classmethod
     def from_dims(cls, dims) -> "TruncatedSeries":
@@ -160,7 +155,7 @@ class TruncatedSeries:
         for i, c in enumerate(dims):
             if not isinstance(c, int) or c < 0:
                 raise ValueError(f"dimension at degree {i} must be a nonnegative integer")
-        return cls(dims, len(dims) - 1)
+        return cls(dims)
 
 
 def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
@@ -184,8 +179,12 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
 
     The recurrence runs on the integers e_k = d0^(k+1) c_k, where d0 is the
     denominator's constant term:
-    e_k = d0^k n_k - sum_{j>=1} d_j d0^(j-1) e_(k-j),
-    and c_k = e_k / d0^(k+1) is the only Fraction made per term.
+    e_k = d0^k n_k - sum_{j>=1} d_j d0^(j-1) e_(k-j).
+    c_k is the int e_k / d0^(k+1) when the division is exact, as it always is
+    for d0 = 1, and a Fraction only when it is not.
+
+    >>> expand(RationalGF.from_coeffs([2], [2, -1]), 3).coeffs
+    (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
     """
     if trunc_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
@@ -202,8 +201,9 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
         ek = d0k * num[k] - sum(map(mul, weights, e[k:k + m]))
         e.append(ek)
         d0k *= d0
-        out.append(Fraction(ek, d0k))
-    return TruncatedSeries(tuple(out), trunc_degree)
+        c, r = divmod(ek, d0k)
+        out.append(Fraction(ek, d0k) if r else c)
+    return TruncatedSeries(tuple(out))
 
 
 def mul_binomial_power(coeffs, t: int, sign: int, e: int) -> list:
@@ -548,11 +548,11 @@ class GrowthCheckResult:
     trunc_degree: int
     dims: tuple = field(repr=False, default=())
 
-    def cumulative(self, k: int) -> Fraction:
+    def cumulative(self, k: int) -> int:
         """r_k: sum of dimensions through degree k."""
         if not 0 <= k <= self.trunc_degree:
             raise ValueError("degree outside the truncation range")
-        return sum(self.dims[: k + 1], Fraction(0))
+        return sum(self.dims[: k + 1])
 
 
 def check_growth_parameters(lam: float, epsilon: float, k_min: int, trunc_degree: int) -> None:

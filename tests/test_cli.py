@@ -218,6 +218,41 @@ class TestErrors:
         assert report["error"]["kind"] == "parse-error"
         assert report["error"]["offset"] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology", "S" + "9" * 4000],
+            ["loop-series", "S" + "9" * 4000],
+            ["rho", "S" + "9" * 4000],
+            ["rho", "S2 v S1001"],
+            ["free-loop", "--degrees", "1," + "9" * 30],
+            ["free-loop", "--degrees", "1,1000"],
+            ["yclass", "--m", "2", "--n", "9" * 30, "--J", "S2", "--inert", JUST],
+        ],
+        ids=["homology", "loop-series", "rho", "rho-1001", "free-loop", "free-loop-1000",
+             "yclass"],
+    )
+    def test_sphere_past_the_dimension_limit_is_a_validation_error(self, argv):
+        code, report = run_json(argv)
+        assert code == 1
+        assert report["error"]["kind"] == "validation-error"
+        assert "limit" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "S2 v S1000"],
+            ["free-loop", "--degrees", "1,999", "--max-degree", "12", "--k-min", "2"],
+            ["hm-census", "--m", "1000000", "--n", "3", "--max-degree", "10", "--k-min", "1"],
+            ["torsion", "--m", "1000000", "--n", "3", "--p", "3", "--r", "1", "--k-min", "1"],
+        ],
+        ids=["rho", "free-loop", "hm-census", "torsion"],
+    )
+    def test_sphere_at_the_dimension_limit_answers(self, argv):
+        # the census and torsion never build a loop series of S^m
+        code, report = run_json(argv)
+        assert code == 0, report
+
     def test_hypothesis_error(self):
         code, text = run_cli(
             ["yclass", "--m", "2", "--n", "3", "--J", "S2", "--inert", JUST]

@@ -1,24 +1,31 @@
 """Fuzzing `run()` argv: every input gets one typed JSON report, never a traceback.
 
-The expression and presentation commands get expressions from three sources:
+The expression and presentation commands get expressions from four sources:
 
 - random trees over the spheres S2..S9, bracketed at random;
 - token soup: the language's tokens, a few foreign characters, no grammar;
 - deep nests: up to 3,000 brackets, suspensions nested just past the
-  parser's depth limit, and operator chains of up to 400 operands.
+  parser's depth limit, and operator chains of up to 400 operands;
+- a random tree joined to one sphere past the sphere dimension limit, with up
+  to 4,000 digits.
+
+`free-loop` gets a few small generator degrees, sometimes with one past the
+limit (a generator of degree d is the sphere S^(d+1)).
 
 Each argv goes through `cli.run`. No exception may escape, the exit code is
 0, 1 or 2, and stdout is one strict JSON report (no NaN or Infinity) that
 validates against `report_schema.json`, within the per-example deadline.
 
-Sphere dimension and loop-series denominator degree have no declared limit
-yet: `rho` of a product or smash of a few hundred spheres,
-or of S100000, runs for minutes, and a verdict on a suspension nested 250
-deep (rationally a 250-dimensional sphere) takes seconds. So spheres stay
-within S2..S9, and long product and smash chains and deep suspension nests
-are drawn only past the depth limit, which the parser refuses before any
-series is built. Tests in `test_space.py` and `test_cli.py` cover trees at
-the limit.
+Sphere dimension is limited to `space.MAX_SPHERE_DIMENSION`, but loop-series
+denominator degree has no declared limit yet: `rho` of a product or smash of
+a few hundred small spheres, or of three spheres near the dimension limit,
+runs for minutes, and a verdict on a suspension nested 250 deep (rationally a
+250-dimensional sphere) takes seconds. So spheres within the limit stay within
+S2..S9, and long product and smash chains and deep suspension nests are drawn
+only past the depth limit. Past either limit, the parser refuses the
+expression before any series is built. Tests in `test_space.py` and
+`test_cli.py` cover trees at the depth limit and spheres at the dimension
+limit.
 """
 
 import io
@@ -31,7 +38,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loopgrowth.cli import run
-from loopgrowth.space import MAX_DEPTH
+from loopgrowth.space import MAX_DEPTH, MAX_SPHERE_DIMENSION
 
 VALIDATOR = jsonschema.Draft7Validator(
     json.loads(resources.files("loopgrowth").joinpath("report_schema.json").read_text())
@@ -88,14 +95,17 @@ nests = st.one_of(
     ).map(_chain),
 )
 
-expressions = st.one_of(trees, soup, nests)
+PAST_LIMIT = st.integers(MAX_SPHERE_DIMENSION + 1, 10**4000)
+past_limit = st.tuples(trees, OPERATORS, PAST_LIMIT).map(lambda t: f"{t[0]} {t[1]} S{t[2]}")
+
+expressions = st.one_of(trees, soup, nests, past_limit)
 
 
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(
         ["parse", "homology", "loop-series", "rho", "log-index", "retraction",
-         "cofiber", "connsum", "yclass"]
+         "cofiber", "connsum", "yclass", "free-loop"]
     ))
     if command in ("parse", "rho"):
         return [command, draw(expressions)]
@@ -104,6 +114,12 @@ def argvs(draw):
         if command == "log-index":
             argv += ["--k-min", str(draw(st.integers(-1, 50)))]
         return argv
+    if command == "free-loop":
+        degrees = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            degrees.append(draw(PAST_LIMIT) - 1)
+        return [command, "--degrees", ",".join(map(str, degrees)),
+                "--max-degree", str(draw(st.integers(0, 60))), "--k-min", str(draw(st.integers(1, 20)))]
     if command == "retraction":
         return [command, "--A", draw(expressions), "--Z", draw(expressions)]
     if command == "yclass":

@@ -103,10 +103,28 @@ class TestExpand:
             Fraction(1, 16),
         ]
 
+    def test_integral_coefficients_are_ints(self):
+        # 2/(2 - z): the constant term divides out, the rest do not
+        s = expand(gf([2], [2, -1]), 3)
+        assert s.coeffs == (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+        assert type(s[0]) is int
+        assert all(type(c) is Fraction for c in s.coeffs[1:])
+        with pytest.raises(ValueError, match="degree 1 must be a nonnegative integer"):
+            s.as_dims()
+
     def test_getitem_and_len(self):
         s = expand(gf([1], [1, -1]), 5)
-        assert len(s) == 6
+        assert len(s) == 6 and s.trunc_degree == 5
         assert s[0] == 1 and s[5] == 1
+
+    def test_from_dims_keeps_ints(self):
+        s = TruncatedSeries.from_dims([1, 0, 2, 5])
+        assert s.coeffs == (1, 0, 2, 5) and s.trunc_degree == 3
+        assert all(type(c) is int for c in s.coeffs)
+        assert s.as_dims() == s.coeffs
+        for bad in ([1, -1], [1, Fraction(1, 2)], [1.0]):
+            with pytest.raises(ValueError, match="must be a nonnegative integer"):
+                TruncatedSeries.from_dims(bad)
 
 
 small_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(tuple)
@@ -553,7 +571,7 @@ class TestControlledGrowth:
     def test_cumulative_dimension_count(self):
         s = expand(gf([1], [1, -2]), 10)
         out = controlled_growth_check(s, math.log(2), k_min=5)
-        assert out.cumulative(3) == 15
+        assert out.cumulative(3) == 15 and type(out.cumulative(3)) is int
         assert out.cumulative(0) == 1
 
 

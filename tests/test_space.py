@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from loopgrowth.series import RationalGF, gf_shift
 from loopgrowth.space import (
     MAX_DEPTH,
+    MAX_SPHERE_DIMENSION,
     ParseError,
     Product,
     Smash,
@@ -65,6 +66,16 @@ class TestParse:
     def test_sphere_node_validates_too(self):
         with pytest.raises(ValueError, match="simply connected"):
             Sphere(1)
+
+    def test_sphere_dimension_limit(self):
+        assert MAX_SPHERE_DIMENSION == 1000
+        assert parse("S2 v S1000") == Wedge(Sphere(2), Sphere(1000))
+        for text in ("S1001", "S2 v S1001", "S" + "9" * 4000):
+            with pytest.raises(ValueError, match="exceeds the 1000 limit") as err:
+                parse(text)
+            assert not isinstance(err.value, ParseError)
+        with pytest.raises(ValueError, match="exceeds the 1000 limit"):
+            Sphere(1001)
 
     def test_error_reports_offset_and_expected(self):
         with pytest.raises(ParseError) as err:

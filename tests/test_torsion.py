@@ -195,6 +195,8 @@ class TestCensus:
         census = hilton_milnor_census(m, n, trunc)
         a = GradedAlphabet((m - 1, n - 1))
         assert census.reconstruct().as_dims() == expand(a.loop_gf(), trunc).as_dims()
+        coeffs = census.reconstruct().coeffs + census.factor_counts().coeffs
+        assert all(type(c) is int for c in coeffs)
 
     def test_reconstruct_degree_40_is_fast(self):
         # 5.6e10 factors: one binomial convolution per dimension, not per factor
