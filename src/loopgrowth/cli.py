@@ -29,6 +29,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -725,11 +726,45 @@ def _render_csv(table: dict) -> str:
     return buf.getvalue()
 
 
+_FLOAT = json.JSONEncoder().encode
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, with no reference cycles.
+
+    With an indent the standard library takes its pure-Python encoder, whose
+    nested closures leave cyclic garbage behind on every call. Object keys
+    must be strings, as they are in every report.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return _LITERALS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _FLOAT(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # a table row is mostly ints, so they skip the type dispatch
+        items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, fmt: str, out) -> None:
     if fmt == "csv" and "table" in report:
         out.write(_render_csv(report["table"]))
     else:
-        out.write(json.dumps(report, indent=2))
+        out.write(_json(report))
         out.write("\n")
 
 

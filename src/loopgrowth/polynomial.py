@@ -3,15 +3,17 @@
 Coefficients are arbitrary-precision ints stored low degree first, and every
 operation stays in integers: gcd by a primitive pseudo-remainder sequence over
 Z, exact division, Sturm sequences whose rows are primitive integer
-polynomials, and signs at a rational point p/q read off the homogeneous value
-q^n f(p/q). Root counting on half-open intervals (a, b] is therefore exact,
-and no floating point enters any certificate.
+polynomials, Taylor shifts for Descartes counts, and signs at a rational point
+p/q read off the homogeneous value q^n f(p/q). Root counting on half-open
+intervals (a, b] is therefore exact, and no floating point enters any
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as int_gcd
 
 
@@ -264,6 +266,36 @@ def sign_variations_at_infinity(chain) -> int:
     """Variations of the leading signs: the count at and past the last root,
     so at the Cauchy bound too, with no evaluation."""
     return _changes(coeffs[-1] for coeffs in chain)
+
+
+def taylor_shift(coeffs) -> list:
+    """Coefficients of f(x + 1) from those of f, both leading coefficient first.
+
+    Repeated synthetic division by x - 1: each pass is one running sum, so
+    the n(n + 1)/2 integer additions all happen inside `accumulate`.
+
+    >>> taylor_shift([1, 0, 0])
+    [1, 2, 1]
+    """
+    h = list(coeffs)
+    for m in range(len(h), 1, -1):
+        h[:m] = accumulate(h[:m])
+    return h
+
+
+def descartes_count(coeffs) -> int:
+    """Descartes' bound on the roots of f in (0, 1), from f's coefficients low degree first.
+
+    It counts the sign variations of (x + 1)^n f(1/(x + 1)), whose positive
+    roots are the roots of f in (0, 1). The bound has the parity of the
+    number of roots, counted with multiplicity, so 0 and 1 are exact. Read
+    low degree first, f's coefficients are those of x^n f(1/x) read leading
+    first, so one Taylor shift gives the transform.
+
+    >>> descartes_count([1, -3, 2]), descartes_count([2, -3, 1])
+    (1, 0)
+    """
+    return _changes(taylor_shift(coeffs))
 
 
 def count_roots_halfopen(f: IntPolynomial, a: Fraction, b: Fraction) -> int:

@@ -8,10 +8,13 @@ two generating functions are equal iff their fields are equal.
 Radii of convergence are certified, not sampled: the smallest positive root of
 the reduced denominator is found by root counting and rational bisection, so
 every Radius comes with an exact rational interval that provably contains
-exactly one denominator root. Sturm counts isolate: one chain per pole,
-counted once at each end of the search interval (at the Cauchy bound the
-count is read off the leading signs) and once per midpoint, only until the
-interval holds a single root. Sign bisection refines: that root is
+exactly one denominator root. Descartes counts on the raw denominator
+isolate (Collins-Akritas): a count of 0 or 1 on an interval is exact, and
+each cell of the bisection grid is a Taylor shift of its parent, so product
+denominators like prod (1 - z^a), whose pole is the rational root 1, are
+certified with no gcd and no chain. Sturm counts are the fallback, on the
+squarefree part, for what Descartes counts leave open; both walk the same
+grid and return the same interval. Sign bisection refines: the root is
 simple, so the denominator changes sign across it, and one sign per midpoint
 narrows the interval from then on.
 
@@ -22,11 +25,11 @@ refines both intervals until they are disjoint, or finds the common root of
 the two denominators in the overlap from the signs of their gcd at its ends.
 Only `Radius.certificate_holds` counts roots again, from scratch.
 
-All polynomial work (gcd, Sturm chains, signs at the bisection points) and the
-series recurrence run in integer arithmetic. A series coefficient is an int
-whenever it is integral, as every dimension series here is; rationals appear
-only as interval endpoints and as the non-integral coefficients of a
-denominator whose constant term is not 1.
+All polynomial work (gcd, Taylor shifts, Sturm chains, signs at the
+bisection points) and the series recurrence run in integer arithmetic. A
+series coefficient is an int whenever it is integral, as every dimension
+series here is; rationals appear only as interval endpoints and as the
+non-integral coefficients of a denominator whose constant term is not 1.
 """
 
 from __future__ import annotations
@@ -44,12 +47,14 @@ from .polynomial import (
     ZERO,
     cauchy_root_bound,
     count_roots_halfopen,
+    descartes_count,
     poly_divexact,
     poly_gcd,
     sign_variations,
     sign_variations_at_infinity,
     squarefree_part,
     sturm_chain,
+    taylor_shift,
 )
 
 DEFAULT_POLE_TOLERANCE = Fraction(1, 10**12)
@@ -242,6 +247,12 @@ class Radius:
     chain. Infinite: no positive pole; `polynomial` records whether the
     series is a polynomial (so dimensions are eventually zero).
 
+    `_sqfree` is the polynomial the certificate is about, leading
+    coefficient positive: the denominator itself when Descartes counts
+    decided (an exact pole, or a denominator certified squarefree), else its
+    squarefree part from the Sturm fallback. Behind a non-exact interval it
+    is squarefree either way, so the root inside is simple.
+
     The smallest positive pole equals the radius of convergence only for
     series with nonnegative coefficients; `pringsheim_ok` goes false when a
     negative coefficient was spotted in a desk-scale expansion of the source.
@@ -292,25 +303,31 @@ class Radius:
         return s == 0 or s == self._sqfree.sign_at(self.lo)
 
     def certificate_holds(self) -> bool:
-        """Recheck the defining properties from scratch (used by tests)."""
+        """Recheck the defining properties from scratch (used by tests).
+
+        A root count is settled by Descartes' rule when it reads 0 or 1, with
+        no gcd, and by a Sturm count on the squarefree part otherwise.
+        """
         if self.is_infinite:
             return True
-        f = self._sqfree
+        f, lo, hi = self._sqfree, self.lo, self.hi
+        zero = Fraction(0)
+
+        def descartes(a, b):
+            return descartes_count(_cell_polynomial(f, a, b))
+
         if self.is_exact:
             # the pinned point is a root and is the first one past zero
             return (
-                self.lo > 0
-                and f.sign_at(self.lo) == 0
-                and count_roots_halfopen(f, Fraction(0), self.lo) == 1
+                lo > 0
+                and f.sign_at(lo) == 0
+                and (descartes(zero, lo) == 0 or count_roots_halfopen(f, zero, lo) == 1)
             )
-        if not (0 < self.lo < self.hi):
+        if not (0 < lo < hi) or f.sign_at(lo) * f.sign_at(hi) >= 0:
             return False
-        if f.sign_at(self.lo) == 0:
-            return False
-        one_inside = count_roots_halfopen(f, self.lo, self.hi) == 1
-        none_before = count_roots_halfopen(f, Fraction(0), self.lo) == 0
-        sign_change = f.sign_at(self.lo) * f.sign_at(self.hi) < 0
-        return none_before and one_inside and sign_change
+        none_before = descartes(zero, lo) == 0 or count_roots_halfopen(f, zero, lo) == 0
+        one_inside = descartes(lo, hi) == 1 or count_roots_halfopen(f, lo, hi) == 1
+        return none_before and one_inside
 
 
 def _bisect(sf, chain, lo, hi, tol, v_lo=0, v_hi=0):
@@ -357,21 +374,23 @@ def _bisect(sf, chain, lo, hi, tol, v_lo=0, v_hi=0):
     return Fraction(a, d), Fraction(b, d)
 
 
-def _smallest_positive_rational_root(sf: IntPolynomial) -> Fraction | None:
+def _smallest_positive_rational_root(f: IntPolynomial) -> Fraction | None:
     """Smallest positive rational root; None when none exists or coefficients are huge.
 
     A root p/q in lowest terms has q | lc(f), and q x - p divides f in Z[x]
     (Gauss's lemma), so b q - p divides f(b) at every integer b. With f(a)
     the least nonzero of f(0), f(1) and f(-1), p = a q -/+ e for some
     e | f(a); the other two values sieve these, and only the coprime ones
-    left are evaluated.
+    left are evaluated. f need not be squarefree: a repeated factor only
+    raises |f(0)| and |lc(f)|, so the 10^7 guard that passes on f passes on
+    its squarefree part too.
     """
-    sf = sf.primitive()
-    a0, an = abs(sf.constant_term()), abs(sf.leading())
+    f = f.primitive()
+    a0, an = abs(f.constant_term()), abs(f.leading())
     if a0 == 0 or a0 > 10**7 or an > 10**7:
         return None
     # f(1) and f(-1) are sums of coefficients, and |f(a)| <= |f(0)| = a0
-    c = sf.coeffs
+    c = f.coeffs
     f1, fm1 = sum(c), sum(c[::2]) - sum(c[1::2])
     fa, a = min((abs(v), b) for b, v in ((0, c[0]), (1, f1), (-1, fm1)) if v)
     roots = [
@@ -381,27 +400,103 @@ def _smallest_positive_rational_root(sf: IntPolynomial) -> Fraction | None:
         for p in (a * q - e, a * q + e)
         if p > 0 and a0 % p == 0 and fm1 % (q + p) == 0 and int_gcd(p, q) == 1
         and (f1 % (q - p) == 0 if p != q else f1 == 0)
-        and sf.sign_at_ratio(p, q) == 0
+        and f.sign_at_ratio(p, q) == 0
     ]
     return min(roots, default=None)
 
 
-def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANCE) -> Radius:
-    """Certified isolating interval for the smallest positive denominator root.
+# p = 2^61 - 1 is prime; one prime suffices, since the fallback covers a miss
+_CERTIFICATE_PRIME = 2**61 - 1
 
-    The gf is already reduced, so every denominator root is a genuine pole.
-    Rational poles are pinned exactly (degenerate interval); irrational ones
-    get a bisection interval of width <= tol.
 
-    >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
-    >>> (r.lo, r.hi)
-    (Fraction(1, 2), Fraction(1, 2))
+def _squarefree_mod_p(f: IntPolynomial) -> bool:
+    """True when f mod p keeps its degree and gcd(f, f') = 1 mod p.
+
+    That proves f squarefree over Q: a repeated factor g of f has lc(g) | lc(f),
+    so g keeps its degree mod p and divides both f and f' there.
     """
-    # Pringsheim guard: pole = radius only for nonnegative series
-    ok = all(c >= 0 for c in gf.expand(64).coeffs)
-    den = gf.den
-    if den.degree() == 0:
-        return Radius(None, None, polynomial=True, pringsheim_ok=ok)
+    p = _CERTIFICATE_PRIME
+    a = [c % p for c in f.coeffs]
+    if not a[-1]:
+        return False
+    b = [i * c % p for i, c in enumerate(a)][1:]
+    while b:
+        # a := a mod b, Euclid over Z/p; entries are reduced once per division
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        for top in range(len(a) - 1, db - 1, -1):
+            c = a.pop() % p * inv % p
+            if c:
+                a[top - db:] = [x - c * y for x, y in zip(a[top - db:], b)]
+        a = [x % p for x in a]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _cell_polynomial(f: IntPolynomial, a: Fraction, b: Fraction) -> list:
+    """Coefficients, low degree first, of f(a + (b - a) x) made integral: the cell (a, b) as (0, 1).
+
+    On a common denominator d, a = s/d and b = t/d. With F(y) = d^n f(y/d),
+    G(x) = F(s + x) is H(x/s) for H(y) = F(s + s y), the Taylor shift of
+    F(s y), and the cell is G((t - s) x).
+    """
+    d = math.lcm(a.denominator, b.denominator)
+    s, t = a.numerator * d // a.denominator, b.numerator * d // b.denominator
+    n = f.degree()
+    g = [c * d ** (n - i) for i, c in enumerate(f.coeffs)]
+    if s:
+        h = taylor_shift([c * s**i for i, c in enumerate(g)][::-1])[::-1]
+        g = [c // s**j for j, c in enumerate(h)]
+    return [c * (t - s) ** j for j, c in enumerate(g)]
+
+
+def _descartes_pole(f: IntPolynomial, r: Fraction | None, tol: Fraction, ok: bool) -> Radius | None:
+    """The Radius of the squarefree f by Descartes counts, or None to leave it to Sturm.
+
+    The search walks the dyadic grid of (0, upper] that `_bisect` walks,
+    depth first and left first, where upper is the rational root r or the
+    Cauchy bound. A cell (lo, hi] is held as g(x) = f(lo + (hi - lo) x) made
+    integral: its left child is 2^n g(x/2), its right child that shifted by
+    one, whose constant term vanishes exactly when the grid midpoint between
+    them is a root. A cell is isolated when its count is 1 and f(hi) != 0,
+    the stop rule of the Sturm walk. Every cell left of it was excluded, so
+    it holds the smallest root and is one of the Sturm walk's cells, at or
+    below the one where that walk stops; sign bisection goes on from either
+    down the same cells. So both return the same interval unless the search
+    must go below the tolerance first, and there it gives up. When no root
+    turns up below upper, the pole is r, or there is none.
+    """
+    upper = cauchy_root_bound(f) if r is None else r
+    n = f.degree()
+    # (index j, level k, coefficients, shift pending): the cell is
+    # (j, j + 1] times upper / 2^k, and a right child is shifted when popped
+    stack = [(0, 0, _cell_polynomial(f, Fraction(0), upper), False)]
+    while stack:
+        j, k, g, pending = stack.pop()
+        width = upper / 2**k
+        if pending:
+            g = taylor_shift(g[::-1])[::-1]
+            if g[0] == 0:
+                return Radius(width * j, width * j, False, f, ok)
+        count = descartes_count(g)
+        if count == 0:
+            continue
+        if count == 1 and sum(g) != 0:
+            lo, hi = _bisect(f, None, width * j, width * (j + 1), tol)
+            return Radius(lo, hi, False, f, ok)
+        if width <= tol:
+            return None
+        left = [c << (n - i) for i, c in enumerate(g)]
+        stack.append((2 * j + 1, k + 1, left, True))
+        stack.append((2 * j, k + 1, left, False))
+    if r is None:
+        return Radius(None, None, polynomial=False, pringsheim_ok=ok)
+    return Radius(r, r, False, f, ok)
+
+
+def _sturm_pole(den: IntPolynomial, tol: Fraction, ok: bool) -> Radius:
+    """The Radius from the squarefree part of den, by one Sturm chain."""
     sf = squarefree_part(den)
     if sf.leading() < 0:
         sf = -sf
@@ -425,15 +520,55 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     return Radius(lo, hi, False, sf, ok)
 
 
+def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANCE) -> Radius:
+    """Certified isolating interval for the smallest positive denominator root.
+
+    The gf is already reduced, so every denominator root is a genuine pole.
+    Rational poles are pinned exactly (degenerate interval); irrational ones
+    get a bisection interval of width <= tol.
+
+    The certificate is read off the denominator f itself, leading coefficient
+    made positive, in this order: no sign change in its coefficients means
+    no positive root; a rational root r with Descartes count 0 on (0, r) is
+    the pole; a squarefree f, certified mod one prime, is isolated by
+    Descartes counts (`_descartes_pole`). Only when none of these decides
+    does the pole come from the squarefree part and a Sturm chain. All paths
+    return the same interval.
+
+    >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
+    >>> (r.lo, r.hi)
+    (Fraction(1, 2), Fraction(1, 2))
+    """
+    # Pringsheim guard: pole = radius only for nonnegative series
+    ok = all(c >= 0 for c in gf.expand(64).coeffs)
+    den = gf.den
+    if den.degree() == 0:
+        return Radius(None, None, polynomial=True, pringsheim_ok=ok)
+    f = den if den.leading() > 0 else -den
+    if all(c >= 0 for c in f.coeffs):
+        return Radius(None, None, polynomial=False, pringsheim_ok=ok)
+    r = _smallest_positive_rational_root(f)
+    if r is not None and descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0:
+        return Radius(r, r, False, f, ok)
+    if _squarefree_mod_p(f):
+        rho = _descartes_pole(f, r, tol, ok)
+        if rho is not None:
+            return rho
+    return _sturm_pole(den, tol, ok)
+
+
 def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
     """Certified three-way comparison of two radii.
 
     Returns (cmp, a_refined, b_refined) with cmp in {-1, 0, 1}. Strict answers
     come from disjoint isolating intervals. Equality is certified by a root
-    of g = gcd of the two squarefree denominators in the overlap [lo, hi].
-    Each interval holds one simple root, and the ends of a non-exact one are
-    not roots, so g has a root there iff g(hi) = 0 or g(lo) g(hi) < 0. The
-    gcd is taken only once the intervals first overlap.
+    of g = gcd of the two certificate polynomials (`Radius._sqfree`) in the
+    overlap [lo, hi]. Two exact radii never get this far, and the polynomial
+    of a non-exact one is squarefree, so g is squarefree too. Each interval
+    holds one simple root, and the ends of a non-exact one are not roots, so
+    g has a root there iff g(hi) = 0 or g(lo) g(hi) < 0. The gcd is taken
+    only once the intervals first overlap. Intervals that still overlap
+    after 300 rounds of refinement raise ValueError.
     """
     if a.is_infinite or b.is_infinite:
         return a.is_infinite - b.is_infinite, a, b
@@ -453,7 +588,7 @@ def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
             return 0, ra, rb
         cur = cur / 2**8
         ra, rb = ra.refined(cur), rb.refined(cur)
-    raise RuntimeError("radius comparison did not resolve; intervals would not separate")
+    raise ValueError("radius comparison did not resolve; intervals would not separate")
 
 
 def _disjoint_verdict(ra: Radius, rb: Radius):

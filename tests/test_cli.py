@@ -13,6 +13,7 @@ import pytest
 from loopgrowth import cli, freeloop, loop, series, space, torsion
 from loopgrowth.cli import run
 from loopgrowth.loop import CofiberPresentation, good_growth_verdict, inert_cofiber_loop_gf
+from loopgrowth.polynomial import IntPolynomial
 from loopgrowth.space import Sphere, parse
 
 
@@ -356,6 +357,16 @@ class TestErrors:
             "kind": "validation-error",
             "message": "prime window up to 50000000 exceeds the 100000 limit",
         }
+
+    def test_radii_that_never_separate_are_a_validation_error(self, monkeypatch):
+        # every comparison overlaps and no common root is found, so
+        # compare_radii runs out of refinement rounds
+        monkeypatch.setattr(series, "_disjoint_verdict", lambda ra, rb: None)
+        monkeypatch.setattr(series, "poly_gcd", lambda a, b: IntPolynomial((1,)))
+        code, report = run_json(["cofiber", "--A", "S2", "--Z", "S2 x S2", "--inert", JUST])
+        assert code == 1
+        assert report["error"]["kind"] == "validation-error"
+        assert "did not resolve" in report["error"]["message"]
 
 
 class TestDeepExpressions:

@@ -10,6 +10,7 @@ After an intentional output change, refreeze with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
+import gc
 import io
 import json
 from pathlib import Path
@@ -57,6 +58,19 @@ def test_golden_bytes(name, argv, tmp_path):
     want = GOLDEN[name]
     assert want["argv"] == argv
     assert run_case(argv, tmp_path) == (want["exit"], want["stdout"])
+
+
+def test_reports_leave_no_reference_cycles(tmp_path):
+    # with the collector off, any cyclic garbage a report leaves stays
+    # behind for the one collection at the end to find
+    gc.collect()
+    gc.disable()
+    try:
+        for _, argv in cases():
+            run_case(argv, tmp_path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 division, Sturm chains and root counts, series expansion, and the certified
 radii of the large denominators the kernel is built for."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from loopgrowth import series  # noqa: E402
 from loopgrowth.loop import loop_gf  # noqa: E402
 from loopgrowth.polynomial import (  # noqa: E402
     IntPolynomial,
     cauchy_root_bound,
     count_roots_halfopen,
+    descartes_count,
     poly_divexact,
     poly_gcd,
     squarefree_part,
@@ -266,6 +270,143 @@ class TestPolesAgainstSympy:
         assert compare_radii(rho, rho)[0] == 0
 
 
+def sympy_positive_intervals(f: IntPolynomial) -> list:
+    """Disjoint isolating intervals of f's positive roots, in order, from sympy."""
+    return sorted(
+        (Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+        for (a, b), _ in to_sympy(f).intervals(eps=Fraction(1, 10**14))
+        if b > 0
+    )
+
+
+def square_free_factors(min_size=1):
+    return st.lists(
+        st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[0] != 0 and c[-1] != 0),
+        min_size=min_size, max_size=3,
+    )
+
+
+@st.composite
+def root_at_the_rational_end(draw):
+    """(q z - p) times a complex pair near the positive axis below p/q, and
+    maybe one more factor: the Descartes count on (0, p/q) need not be 0,
+    but p/q may still be the smallest positive root."""
+    q, p = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    d = draw(st.integers(1, 6))
+    a = draw(st.integers(1, max(1, p * d // q)))
+    b = draw(st.integers(1, 40))
+    # (d z - a)^2 + b: roots (a +- i sqrt(b)) / d
+    f = IntPolynomial((-p, q)) * IntPolynomial((a * a + b, -2 * a * d, d * d))
+    for c in draw(square_free_factors(0)):
+        f = f * IntPolynomial(tuple(c))
+    return f
+
+
+@st.composite
+def roots_closer_than_tol(draw):
+    """sqrt(a) and sqrt(a + 1/n), closer than 2^-20, as the two positive roots."""
+    a = draw(st.integers(1, 9))
+    n = draw(st.integers(2**20, 2**40))
+    return IntPolynomial((-a, 0, 1)) * IntPolynomial((-(a * n + 1), 0, n))
+
+
+@st.composite
+def repeated_factors(draw):
+    f = IntPolynomial((1,))
+    for c in draw(square_free_factors()):
+        f = f * power(IntPolynomial(tuple(c)), draw(st.integers(1, 3)))
+    return f
+
+
+@st.composite
+def no_positive_root(draw):
+    """Complex pairs (a z^2 - b z + c, b^2 < 4ac) with positive real part,
+    times factors with positive coefficients: sign changes, no positive root."""
+    f = IntPolynomial((1,))
+    for _ in range(draw(st.integers(1, 3))):
+        a, c = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        b = draw(st.integers(1, max(1, math.isqrt(4 * a * c - 1))))
+        f = f * IntPolynomial((c, -b, a))
+    for c in draw(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=3).filter(lambda c: c[0] and c[-1]), max_size=2)):
+        f = f * IntPolynomial(tuple(c))
+    return f
+
+
+class TestDescartesPathAgainstOracles:
+    """The Descartes path of `smallest_positive_pole` returns the interval of
+    the Sturm fallback and sympy's smallest positive root."""
+
+    TOL = Fraction(1, 2**16)
+
+    def check(self, f: IntPolynomial, tol=TOL):
+        gf = RationalGF(IntPolynomial((1,)), f)
+        rho = smallest_positive_pole(gf, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_squarefree_mod_p", lambda f: False)
+            forced = smallest_positive_pole(gf, tol)
+        fallback = series._sturm_pole(gf.den, tol, rho.pringsheim_ok)
+        assert rho == forced == fallback
+        assert rho.certificate_holds() and fallback.certificate_holds()
+        positive = sympy_positive_intervals(f)
+        if not positive:
+            assert rho.is_infinite
+            return rho
+        (a, b), rest = positive[0], positive[1:]
+        assert rho.lo <= b and a <= rho.hi
+        assert all(rho.hi < c for c, _ in rest)
+        if rho.is_exact:
+            assert f.sign_at(rho.lo) == 0
+        return rho
+
+    @given(planted_denominators())
+    @settings(max_examples=60, deadline=None)
+    def test_roots_on_grid_midpoints(self, f):
+        self.check(f)
+
+    @given(root_at_the_rational_end())
+    @settings(max_examples=150, deadline=None)
+    def test_a_root_at_the_rational_upper_end(self, f):
+        self.check(f)
+
+    @given(roots_closer_than_tol())
+    @settings(max_examples=30, deadline=None)
+    def test_two_roots_closer_than_tol(self, f):
+        assert self.check(f).width() <= self.TOL
+
+    @given(repeated_factors())
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_factors(self, f):
+        self.check(f)
+
+    @given(no_positive_root())
+    @settings(max_examples=100, deadline=None)
+    def test_no_positive_root(self, f):
+        assert self.check(f).is_infinite
+
+    def test_the_rational_end_is_returned_when_nothing_smaller_turns_up(self):
+        # roots 2 and (1 +- i)/2: the Descartes count on (0, 2) is 2
+        f = IntPolynomial((-2, 5, -6, 2))
+        assert descartes_count(series._cell_polynomial(f, Fraction(0), Fraction(2))) == 2
+        rho = self.check(f)
+        assert rho.is_exact and rho.lo == 2
+
+    def test_a_cell_ending_on_a_root_is_not_isolating(self):
+        # roots sqrt(1 - 2^-22) and the rational end 1, 2^-23 apart: every
+        # cell (1 - 2^-k, 1] counts one root inside and one at its end
+        n = 2**22
+        f = IntPolynomial((-1, 1)) * IntPolynomial((-(n - 1), 0, n))
+        rho = self.check(f, Fraction(1, 2**20))
+        assert not rho.is_exact and rho.hi < 1
+
+    def test_close_roots_take_the_fallback(self, monkeypatch):
+        chains = []
+        monkeypatch.setattr(series, "sturm_chain", lambda f: chains.append(f) or sturm_chain(f))
+        f = IntPolynomial((-2, 0, 1)) * IntPolynomial((-(2 * 2**30 + 1), 0, 2**30))
+        rho = smallest_positive_pole(RationalGF(IntPolynomial((1,)), f), self.TOL)
+        assert len(chains) == 1
+        assert rho.lo ** 2 < 2 < rho.hi ** 2
+
+
 COARSE = Fraction(1, 2)
 
 # no real roots; a leading coefficient above the 1e7 scan guard, so a
@@ -361,3 +502,35 @@ class TestGateCertificates:
         hi = sympy.Rational(rho.hi.numerator, rho.hi.denominator)
         assert sf.count_roots(0, lo) == 0
         assert sf.count_roots(lo, hi) == 1
+
+
+def timed_radius(expr: str):
+    """The radius of the loop space of expr, and the seconds it took from the parse."""
+    start = time.perf_counter()
+    rho = smallest_positive_pole(loop_gf(parse(expr)))
+    return rho, time.perf_counter() - start
+
+
+class TestScalingFamilies:
+    """The scaling families of the pole certificate, under generous wall bounds
+    for a 2-core shared host; at the Sturm-only baseline they took 89 s,
+    104 s and 1.3 s."""
+
+    def test_product_of_forty_nine_spheres(self):
+        rho, seconds = timed_radius(" x ".join(f"S{k}" for k in range(2, 51)))
+        assert seconds < 2
+        assert rho.is_exact and rho.lo == 1
+        assert rho.certificate_holds()
+
+    def test_three_spheres_near_the_dimension_limit(self):
+        rho, seconds = timed_radius("S1000 x S999 x S998")
+        assert seconds < 5
+        assert rho.is_exact and rho.lo == 1
+        assert rho.certificate_holds()
+
+    def test_suspended_product_of_twenty_two_spheres(self):
+        expr = "Susp(" + " x ".join(f"S{k}" for k in range(2, 24)) + ") v S3 x S5"
+        rho, seconds = timed_radius(expr)
+        assert seconds < 1
+        assert not rho.is_exact and rho.width() <= Fraction(1, 10**12)
+        assert rho.certificate_holds()

@@ -253,23 +253,25 @@ class TestPoles:
 
 
 class TestBisectionWork:
-    """Sturm counts only while isolating; sign bisection after that."""
+    """Descartes counts isolate on the raw denominator; sign bisection refines.
+    Sturm chains and the squarefree part are left to the fallback."""
 
     @staticmethod
     def count_chain_work(monkeypatch):
         calls = []
-        real_variations, real_chain = series.sign_variations, series.sturm_chain
 
-        def variations(chain, x):
-            calls.append("sign_variations")
-            return real_variations(chain, x)
+        def counted(module, name):
+            real = getattr(module, name)
 
-        def chain(f):
-            calls.append("sturm_chain")
-            return real_chain(f)
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(series, "sign_variations", variations)
-        monkeypatch.setattr(series, "sturm_chain", chain)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("sign_variations", "sturm_chain", "squarefree_part", "taylor_shift"):
+            counted(series, name)
+        counted(polynomial, "taylor_shift")  # the one inside descartes_count
         return calls
 
     @staticmethod
@@ -290,25 +292,45 @@ class TestBisectionWork:
         [lambda: loop_gf(parse(SUSP_EXPR)), lambda: RationalGF(IntPolynomial((1,)), MIDPOINT_ROOT_DEN)],
         ids=["susp-product-wedge", "midpoint-root"],
     )
-    def test_chain_evaluated_only_until_one_root_is_isolated(self, monkeypatch, make_gf):
+    def test_descartes_isolates_without_chains(self, monkeypatch, make_gf):
         gf = make_gf()
         calls = self.count_chain_work(monkeypatch)
         rho = smallest_positive_pole(gf)
+        work = list(calls)
         assert not rho.is_exact and rho.certificate_holds()
+        assert rho._sqfree in (gf.den, -gf.den)  # the raw denominator
         bound = cauchy_root_bound(rho._sqfree)
         isolating = self.isolation_steps(rho._sqfree, bound)
         steps = (bound / rho.width()).numerator.bit_length() - 1
-        assert calls.count("sturm_chain") == 1
-        assert calls.count("sign_variations") <= isolating + 2
+        assert work.count("sturm_chain") == work.count("squarefree_part") == 0
+        assert work.count("sign_variations") == 0
+        # one shift counts a cell, and one more makes a right child: a count
+        # at the top, then at most three shifts per level down to isolation
+        assert work.count("taylor_shift") <= 1 + 3 * isolating
         assert isolating + 2 < steps
+
+    def test_a_product_pole_takes_one_shift(self, monkeypatch):
+        gf = loop_gf(parse(" x ".join(f"S{k}" for k in range(2, 14))))
+        calls = self.count_chain_work(monkeypatch)
+        rho = smallest_positive_pole(gf)
+        assert rho.is_exact and rho.lo == 1
+        assert calls == ["taylor_shift"]
+
+    def test_a_double_root_takes_the_sturm_fallback(self, monkeypatch):
+        gf = loop_gf(parse("(S2 v S3) x (S2 v S3)"))
+        calls = self.count_chain_work(monkeypatch)
+        rho = smallest_positive_pole(gf)
+        assert calls.count("sturm_chain") == calls.count("squarefree_part") == 1
+        assert not rho.is_exact and rho.certificate_holds()
+        assert rho._sqfree.coeffs == (-1, 1, 1)  # the squarefree part of (1 - z - z^2)^2
 
     def test_refined_builds_and_evaluates_no_chain(self, monkeypatch):
         rho = smallest_positive_pole(loop_gf(parse(SUSP_EXPR)))
         calls = self.count_chain_work(monkeypatch)
         tight = rho.refined(Fraction(1, 10**40))
+        assert calls == []  # no chain, no Descartes count: signs only
         assert tight.width() <= Fraction(1, 10**40)
         assert tight.certificate_holds()
-        assert calls == []
 
 
 class TestCompareRadii:
