@@ -14,86 +14,48 @@ once per process. Usage errors (unknown or malformed flags, a missing
 subcommand) print a `usage-error` report and exit 2; `--help` and
 `--version` print to stdout and exit 0.
 
-Output is byte-identical across repeated runs. Handlers look library
-functions up as module globals at call time, so a wrapper installed on this
-module's attributes sees every call.
+Output is byte-identical across repeated runs. This module imports no
+library module at load time: each handler imports the modules it reads when
+it is called, and reads library functions off their home module (for
+instance `space.parse`, `series.expand`), so a wrapper installed there sees
+every call, and a command loads only what it uses. A library error carries
+its report kind as the class attribute `report_kind`; any other ValueError
+is a `validation-error`.
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
 import io
 import json
 import sys
-from decimal import Decimal, localcontext
-from fractions import Fraction
+from collections import namedtuple
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple
 
 from . import __version__
-from .freeloop import GradedAlphabet, free_loop_good_growth, tensor_algebra_dims
-from .loop import (
-    CofiberPresentation,
-    ConnSumPresentation,
-    GoodGrowth,
-    HypothesisError,
-    NotExpressibleError,
-    YClassPresentation,
-    good_growth_verdict,
-    loop_gf,
-)
-from .series import (
-    Radius,
-    expand,
-    log_index_empirical,
-    log_index_exact,
-    smallest_positive_pole,
-)
-from .space import (
-    ParseError,
-    Product,
-    Smash,
-    Sphere,
-    SpaceExpr,
-    Susp,
-    Wedge,
-    homology_gf,
-    parse,
-    profile,
-    to_text,
-)
-from .torsion import (
-    PrimeSet,
-    hilton_milnor_census,
-    primes_set,
-    retraction_report,
-    torsion_report,
-)
 
 SCHEMA_ID = "loopgrowth-report/v1"
 RATIONAL_DEGREE_LIMIT = 200
 BRUTE_DEGREE_LIMIT = 40
 DECIMAL_DIGITS = 30
 
+# the kinds run() names itself; a library error carries its own as `report_kind`
 KIND_PARSE = "parse-error"
-KIND_HYPOTHESIS = "hypothesis-error"
 KIND_VALIDATION = "validation-error"
-KIND_NOT_EXPRESSIBLE = "not-expressible"
 KIND_USAGE = "usage-error"
 
 
 # -- serialization helpers -----------------------------------------------------
 
 
-def _decimal_str(q: Fraction) -> str:
+def _decimal_str(q) -> str:
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def _rational(q: Fraction) -> dict:
+def _rational(q) -> dict:
     return {
         "num": str(q.numerator),
         "den": str(q.denominator),
@@ -101,7 +63,7 @@ def _rational(q: Fraction) -> dict:
     }
 
 
-def _interval(r: Radius) -> dict:
+def _interval(r) -> dict:
     if r.is_infinite:
         return {"infinite": True, "polynomial": r.polynomial}
     return {
@@ -158,18 +120,27 @@ def _model(claim: str, model_id: str) -> dict:
     return {"claim": claim, "source": "MODEL", "model_id": model_id}
 
 
-def _tree(x: SpaceExpr) -> dict:
-    if isinstance(x, Sphere):
-        return {"kind": "sphere", "n": x.n}
-    if isinstance(x, Wedge):
-        return {"kind": "wedge", "left": _tree(x.left), "right": _tree(x.right)}
-    if isinstance(x, Product):
-        return {"kind": "product", "left": _tree(x.left), "right": _tree(x.right)}
-    if isinstance(x, Smash):
-        return {"kind": "smash", "left": _tree(x.left), "right": _tree(x.right)}
-    if isinstance(x, Susp):
-        return {"kind": "suspension", "inner": _tree(x.inner)}
-    raise TypeError(f"unknown expression node {x!r}")
+# expression node class -> its "kind" in the syntax tree of a parse report
+_TREE_KINDS = {
+    "Sphere": "sphere",
+    "Wedge": "wedge",
+    "Product": "product",
+    "Smash": "smash",
+    "Susp": "suspension",
+}
+
+
+def _tree(x) -> dict:
+    """The syntax tree as nested dicts. Nodes are told apart by class name,
+    so the walk imports nothing."""
+    kind = _TREE_KINDS.get(type(x).__name__)
+    if kind == "sphere":
+        return {"kind": kind, "n": x.n}
+    if kind == "suspension":
+        return {"kind": kind, "inner": _tree(x.inner)}
+    if kind is None:
+        raise TypeError(f"unknown expression node {x!r}")
+    return {"kind": kind, "left": _tree(x.left), "right": _tree(x.right)}
 
 
 def _check_degree(n: int, limit: int = RATIONAL_DEGREE_LIMIT, what: str = "") -> int:
@@ -222,8 +193,10 @@ def _load_presentation(args, fields):
 
 
 def _cmd_parse(args):
-    x = parse(args.expr)
-    canonical = to_text(x)
+    from . import space
+
+    x = space.parse(args.expr)
+    canonical = space.to_text(x)
     result = {"canonical": canonical, "tree": _tree(x)}
     table = _kv_table([("canonical", canonical)])
     prov = [_computed("canonical form from the precedence grammar (^ over x over v)")]
@@ -231,10 +204,12 @@ def _cmd_parse(args):
 
 
 def _cmd_homology(args):
+    from . import space
+
     n = _check_degree(args.max_degree)
-    x = parse(args.expr)
-    gf = homology_gf(x)
-    pr = profile(x)
+    x = space.parse(args.expr)
+    gf = space.homology_gf(x)
+    pr = space.profile(x)
     coeffs = gf.expand(min(n, max(gf.num.degree(), 0))).coeffs
     result = {
         "polynomial": [_coeff_json(c) for c in coeffs],
@@ -253,11 +228,13 @@ def _cmd_homology(args):
 
 
 def _cmd_loop_series(args):
+    from . import loop, series, space
+
     n = _check_degree(args.max_degree)
-    x = parse(args.expr)
-    gf = loop_gf(x)
+    x = space.parse(args.expr)
+    gf = loop.loop_gf(x)
     coeffs = gf.expand(n).coeffs
-    rho = smallest_positive_pole(gf)
+    rho = series.smallest_positive_pole(gf)
     result = {
         "series": _gf_json(gf),
         "coefficients": [_coeff_json(c) for c in coeffs],
@@ -280,8 +257,10 @@ def _cmd_loop_series(args):
 
 
 def _cmd_rho(args):
-    x = parse(args.expr)
-    rho = smallest_positive_pole(loop_gf(x))
+    from . import loop, series, space
+
+    x = space.parse(args.expr)
+    rho = series.smallest_positive_pole(loop.loop_gf(x))
     result = {"rho": _interval(rho)}
     if rho.is_infinite:
         rows = [("infinite", "true"), ("polynomial", str(rho.polynomial).lower())]
@@ -296,12 +275,14 @@ def _cmd_rho(args):
 
 
 def _cmd_log_index(args):
+    from . import loop, series, space
+
     n = _check_degree(args.max_degree)
-    x = parse(args.expr)
-    gf = loop_gf(x)
-    li = log_index_exact(smallest_positive_pole(gf))
+    x = space.parse(args.expr)
+    gf = loop.loop_gf(x)
+    li = series.log_index_exact(series.smallest_positive_pole(gf))
     tail = max(1, min(args.k_min, n))
-    empirical = log_index_empirical(expand(gf, n), tail)
+    empirical = series.log_index_empirical(series.expand(gf, n), tail)
     result = {
         "log_index": _log_index(li),
         "empirical": empirical,
@@ -317,8 +298,20 @@ def _cmd_log_index(args):
     return {"expr": args.expr, "max_degree": n, "k_min": args.k_min}, result, table, prov
 
 
-def _verdict_payload(pres, n, justification):
-    verdict = good_growth_verdict(pres)
+# the theorem a certified verdict rests on, by GoodGrowth value
+_VERDICT_CITATIONS = {
+    "certified-strongly-inert": (
+        "good exponential growth of the free loops on the total space",
+        "log-index transfer for strongly inert attachments",
+    ),
+    "certified-divergent-loop-series": (
+        "good exponential growth from divergence at the radius",
+        "divergence criterion for good growth of free loops",
+    ),
+}
+
+
+def _verdict_payload(verdict, n, justification):
     coeffs = verdict.series.expand(n).coeffs
     result = {
         "series": _gf_json(verdict.series),
@@ -339,36 +332,27 @@ def _verdict_payload(pres, n, justification):
         ),
         _computed("radius and log index certified by root counting and bisection"),
     ]
-    if verdict.good_growth is GoodGrowth.CERTIFIED_STRONGLY_INERT:
-        prov.append(
-            _cited(
-                "good exponential growth of the free loops on the total space",
-                "log-index transfer for strongly inert attachments",
-            )
-        )
-    elif verdict.good_growth is GoodGrowth.CERTIFIED_DIVERGENT_LOOP_SERIES:
-        prov.append(
-            _cited(
-                "good exponential growth from divergence at the radius",
-                "divergence criterion for good growth of free loops",
-            )
-        )
+    if verdict.good_growth.value in _VERDICT_CITATIONS:
+        prov.append(_cited(*_VERDICT_CITATIONS[verdict.good_growth.value]))
     return result, _series_table(coeffs), prov
 
 
 _INT_FIELDS = ("m", "n")
 
 
-def _cmd_presentation(cls, fields, args):
-    """Growth verdict for a presentation of type `cls` with these fields."""
+def _cmd_presentation(kind, fields, args):
+    """Growth verdict for a presentation of the `loop` class named `kind`
+    with these fields."""
+    from . import loop, space
+
     n = _check_degree(args.max_degree)
     p = _load_presentation(args, fields)
     just = p["inert_justification"]
-    values = [int(p[f]) if f in _INT_FIELDS else parse(str(p[f])) for f in fields]
-    pres = cls(*values, inert_asserted=True, justification=just)
-    cofiber = pres if cls is CofiberPresentation else pres.as_cofiber()
-    result, table, prov = _verdict_payload(cofiber, n, just)
-    if cls is ConnSumPresentation:
+    values = [int(p[f]) if f in _INT_FIELDS else space.parse(str(p[f])) for f in fields]
+    pres = getattr(loop, kind)(*values, inert_asserted=True, justification=just)
+    cofiber = pres if kind == "CofiberPresentation" else pres.as_cofiber()
+    result, table, prov = _verdict_payload(loop.good_growth_verdict(cofiber), n, just)
+    if kind == "ConnSumPresentation":
         prov.insert(
             1,
             _cited(
@@ -376,21 +360,23 @@ def _cmd_presentation(cls, fields, args):
                 "collar cofibration of a connected sum",
             ),
         )
-    elif cls is YClassPresentation:
-        result["cofiber_space"] = to_text(pres.cofiber_space())
-    req = {f: v if f in _INT_FIELDS else to_text(v) for f, v in zip(fields, values)}
+    elif kind == "YClassPresentation":
+        result["cofiber_space"] = space.to_text(pres.cofiber_space())
+    req = {f: v if f in _INT_FIELDS else space.to_text(v) for f, v in zip(fields, values)}
     req["inert_justification"] = just
     req["max_degree"] = n
     return req, result, table, prov
 
 
 def _cmd_free_loop(args):
+    from . import freeloop
+
     limit = BRUTE_DEGREE_LIMIT if args.method == "brute" else RATIONAL_DEGREE_LIMIT
     what = "brute-force Hochschild computation" if args.method == "brute" else ""
     n = _check_degree(args.max_degree, limit, what)
     degrees = tuple(int(part) for part in args.degrees.split(",") if part.strip())
-    a = GradedAlphabet(degrees)
-    r = free_loop_good_growth(
+    a = freeloop.GradedAlphabet(degrees)
+    r = freeloop.free_loop_good_growth(
         a,
         n,
         lam=args.lam,
@@ -444,12 +430,15 @@ def _cmd_free_loop(args):
 
 
 def _cmd_hm_census(args):
+    from . import freeloop, series, torsion
+
     n = _check_degree(args.max_degree)
-    census = hilton_milnor_census(args.m, args.n, n)
-    expected = tensor_algebra_dims(GradedAlphabet((args.m - 1, args.n - 1)), n)
+    census = torsion.hilton_milnor_census(args.m, args.n, n)
+    alphabet = freeloop.GradedAlphabet((args.m - 1, args.n - 1))
+    expected = freeloop.tensor_algebra_dims(alphabet, n)
     reconstruction_ok = census.reconstruct().as_dims() == expected
     tail = max(1, min(args.k_min, n))
-    rate = log_index_empirical(census.factor_counts(), tail)
+    rate = series.log_index_empirical(census.factor_counts(), tail)
     result = {
         "generators": list(census.generators),
         "total_factors": sum(census.factors.values()),
@@ -476,13 +465,15 @@ def _cmd_hm_census(args):
 
 
 def _cmd_torsion(args):
+    from . import torsion
+
     n = _check_degree(args.max_degree)
-    excluded = PrimeSet(
+    excluded = torsion.PrimeSet(
         tuple(int(q) for q in args.excluded.split(",") if q.strip())
         if args.excluded
         else ()
     )
-    rep = torsion_report(
+    rep = torsion.torsion_report(
         args.m, args.n, args.p, args.r, n, excluded=excluded, tail_start=args.k_min
     )
     result = {
@@ -524,7 +515,9 @@ def _cmd_torsion(args):
 
 
 def _cmd_primes(args):
-    ps = primes_set(args.d, args.s)
+    from . import torsion
+
+    ps = torsion.primes_set(args.d, args.s)
     result = {"d": args.d, "s": args.s, "primes": list(ps.primes)}
     table = {"columns": ["prime"], "rows": [[p] for p in ps.primes]}
     prov = [
@@ -538,9 +531,11 @@ def _cmd_primes(args):
 
 
 def _cmd_retraction(args):
-    A = parse(args.A)
-    Z = parse(args.Z)
-    rep = retraction_report(A, Z)
+    from . import space, torsion
+
+    A = space.parse(args.A)
+    Z = space.parse(args.Z)
+    rep = torsion.retraction_report(A, Z)
     result = {
         "m": rep.m,
         "n": rep.n,
@@ -565,10 +560,9 @@ def _cmd_retraction(args):
 # -- command table -------------------------------------------------------------
 
 
-class Command(NamedTuple):
-    help: str
-    handler: Callable
-    arguments: tuple  # (flags, add_argument keywords) pairs
+# help text, handler(args) -> (request, result, table, provenance), and
+# the arguments as (flags, add_argument keywords) pairs
+Command = namedtuple("Command", ("help", "handler", "arguments"))
 
 
 def _arg(*flags, **kwargs):
@@ -598,7 +592,7 @@ _COMMANDS = {
     ),
     "cofiber": Command(
         "growth verdict for an asserted-inert cofibration",
-        partial(_cmd_presentation, CofiberPresentation, ("A", "Z")),
+        partial(_cmd_presentation, "CofiberPresentation", ("A", "Z")),
         (
             _arg("--A", help="cofiber attachment source (suspended)"),
             _arg("--Z", help="cofiber of the attachment"),
@@ -609,7 +603,7 @@ _COMMANDS = {
     ),
     "connsum": Command(
         "growth verdict for a connected sum",
-        partial(_cmd_presentation, ConnSumPresentation, ("A", "M", "N")),
+        partial(_cmd_presentation, "ConnSumPresentation", ("A", "M", "N")),
         (
             _arg("--A", help="collar attachment source"),
             _arg("--M", help="first summand"),
@@ -621,7 +615,7 @@ _COMMANDS = {
     ),
     "yclass": Command(
         "growth verdict for a two-cone sphere-product class",
-        partial(_cmd_presentation, YClassPresentation, ("m", "n", "J")),
+        partial(_cmd_presentation, "YClassPresentation", ("m", "n", "J")),
         (
             _arg("--m", type=int, help="lower sphere dimension"),
             _arg("--n", type=int, help="total dimension"),
@@ -718,6 +712,8 @@ _PARSER = _build_parser()
 
 
 def _render_csv(table: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table["columns"])
@@ -783,25 +779,14 @@ def run(argv, out) -> int:
         return 2
     try:
         request, result, table, provenance = _COMMANDS[args.command].handler(args)
-    except ParseError as e:
-        report = _error_report(
-            args.command,
-            KIND_PARSE,
-            str(e),
-            offset=e.offset,
-            expected=list(e.expected),
-        )
-        _emit(report, "json", out)
-        return 2
-    except HypothesisError as e:
-        _emit(_error_report(args.command, KIND_HYPOTHESIS, str(e)), "json", out)
-        return 1
-    except NotExpressibleError as e:
-        _emit(_error_report(args.command, KIND_NOT_EXPRESSIBLE, str(e)), "json", out)
-        return 1
     except ValueError as e:
-        _emit(_error_report(args.command, KIND_VALIDATION, str(e)), "json", out)
-        return 1
+        kind = getattr(e, "report_kind", KIND_VALIDATION)
+        if kind == KIND_PARSE:
+            extra = {"offset": e.offset, "expected": list(e.expected)}
+        else:
+            extra = {}
+        _emit(_error_report(args.command, kind, str(e), **extra), "json", out)
+        return 2 if kind == KIND_PARSE else 1
     report = {
         "schema": SCHEMA_ID,
         "command": args.command,

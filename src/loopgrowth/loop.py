@@ -53,9 +53,13 @@ from .space import (
 class HypothesisError(ValueError):
     """A stated hypothesis of a splitting or growth theorem is not met."""
 
+    report_kind = "hypothesis-error"
+
 
 class NotExpressibleError(ValueError):
     """The loop series of the expression is outside the closed rules."""
+
+    report_kind = "not-expressible"
 
 
 _ONE = RationalGF.constant(1)

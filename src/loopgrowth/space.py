@@ -17,19 +17,20 @@ default stack. So is a sphere past MAX_SPHERE_DIMENSION, which bounds the
 series one sphere contributes. Every expressible space is simply connected with
 finite-dimensional total homology, so homology generating functions are
 polynomials and connectivity/dimension bounds are computed structurally.
+
+Parsing and printing need no other module of the package: the homology
+functions import `polynomial` and `series` when they are called.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
-from .polynomial import IntPolynomial, ONE
-from .series import RationalGF
 
 
 class ParseError(ValueError):
     """Syntax error with the offending offset and the expected token kinds."""
+
+    report_kind = "parse-error"
 
     def __init__(self, message: str, offset: int, expected: tuple = ()):
         super().__init__(f"{message} at offset {offset}")
@@ -40,8 +41,48 @@ class ParseError(ValueError):
 # -- AST --------------------------------------------------------------------
 
 
-class SpaceExpr:
-    """Base class; concrete nodes below are frozen and compare structurally."""
+_set = object.__setattr__  # how a record's __init__ writes its fields
+
+
+class _Record:
+    """An immutable record whose fields are named by `__match_args__`.
+
+    Equality is field by field between instances of the same class, the hash
+    is that of the field tuple, and the repr is `Name(field=value, ...)`, as
+    for a frozen dataclass, without the cost of building one at import.
+    Each subclass keeps its fields in slots and writes them with `_set`.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SpaceExpr(_Record):
+    """Base class; concrete nodes below are immutable and compare structurally."""
 
     __slots__ = ()
 
@@ -49,38 +90,44 @@ class SpaceExpr:
 MAX_SPHERE_DIMENSION = 1000  # rho of S2 v S1000 takes about 0.2 s, of S2 v S10000 about 12 s
 
 
-@dataclass(frozen=True)
 class Sphere(SpaceExpr):
-    n: int
+    __slots__ = __match_args__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int):
+        if n < 2:
             raise ValueError("spheres must be simply connected (n >= 2)")
-        if self.n > MAX_SPHERE_DIMENSION:
+        if n > MAX_SPHERE_DIMENSION:
             raise ValueError(f"sphere dimension exceeds the {MAX_SPHERE_DIMENSION} limit")
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Wedge(SpaceExpr):
-    left: SpaceExpr
-    right: SpaceExpr
+class _Binary(SpaceExpr):
+    """A node with two operands; the subclass names the operator."""
+
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: SpaceExpr, right: SpaceExpr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Product(SpaceExpr):
-    left: SpaceExpr
-    right: SpaceExpr
+class Wedge(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Smash(SpaceExpr):
-    left: SpaceExpr
-    right: SpaceExpr
+class Product(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Smash(_Binary):
+    __slots__ = ()
+
+
 class Susp(SpaceExpr):
-    inner: SpaceExpr
+    __slots__ = __match_args__ = ("inner",)
+
+    def __init__(self, inner: SpaceExpr):
+        _set(self, "inner", inner)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -224,44 +271,52 @@ def _render(expr, parent_prec, is_right_child):
 # -- homology -----------------------------------------------------------------
 
 
-def homology_gf(x: SpaceExpr) -> RationalGF:
+def homology_gf(x: SpaceExpr):
     """Hilbert series of the rational homology (a polynomial with constant 1).
 
     >>> homology_gf(parse("S2 ^ S3")).num.coeffs
     (1, 0, 0, 0, 0, 1)
     """
-    return RationalGF(_homology_poly(x), ONE)
+    from .polynomial import ONE
+    from .series import RationalGF
+
+    return RationalGF(_homology_poly(x, ONE), ONE)
 
 
-def reduced_gf(x: SpaceExpr) -> RationalGF:
+def reduced_gf(x: SpaceExpr):
     """Reduced homology series: homology_gf minus 1."""
+    from .series import RationalGF
+
     return homology_gf(x) - RationalGF.constant(1)
 
 
-def _homology_poly(x: SpaceExpr) -> IntPolynomial:
+def _homology_poly(x: SpaceExpr, one):
+    """The homology polynomial; `one` is the constant IntPolynomial 1."""
     if isinstance(x, Sphere):
-        return ONE + ONE.shift(x.n)
+        return one + one.shift(x.n)
     if isinstance(x, Wedge):
-        return _homology_poly(x.left) + _homology_poly(x.right) - ONE
+        return _homology_poly(x.left, one) + _homology_poly(x.right, one) - one
     if isinstance(x, Product):
-        return _homology_poly(x.left) * _homology_poly(x.right)
+        return _homology_poly(x.left, one) * _homology_poly(x.right, one)
     if isinstance(x, Smash):
-        return (_homology_poly(x.left) - ONE) * (_homology_poly(x.right) - ONE) + ONE
+        return (_homology_poly(x.left, one) - one) * (_homology_poly(x.right, one) - one) + one
     if isinstance(x, Susp):
-        return (_homology_poly(x.inner) - ONE).shift(1) + ONE
+        return (_homology_poly(x.inner, one) - one).shift(1) + one
     raise TypeError(f"not a space expression: {x!r}")
 
 
 # -- connectivity / dimension profile ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Record):
     """Connectivity s (s-connected), top nonzero degree d, nontriviality flag."""
 
-    connectivity: int
-    dimension: int
-    rationally_nontrivial: bool
+    __slots__ = __match_args__ = ("connectivity", "dimension", "rationally_nontrivial")
+
+    def __init__(self, connectivity: int, dimension: int, rationally_nontrivial: bool):
+        _set(self, "connectivity", connectivity)
+        _set(self, "dimension", dimension)
+        _set(self, "rationally_nontrivial", rationally_nontrivial)
 
 
 def profile(x: SpaceExpr) -> Profile:
@@ -270,8 +325,10 @@ def profile(x: SpaceExpr) -> Profile:
     >>> profile(parse("Susp(S2 ^ S2)"))
     Profile(connectivity=4, dimension=5, rationally_nontrivial=True)
     """
+    from .polynomial import ONE
+
     s, d = _profile_bounds(x)
-    red = _homology_poly(x) - ONE
+    red = _homology_poly(x, ONE) - ONE
     return Profile(s, d, not red.is_zero())
 
 
@@ -297,14 +354,21 @@ def _profile_bounds(x: SpaceExpr):
 # -- wedge decomposition --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphereList:
-    """Multiset of sphere dimensions, sorted; the decomposition certificate."""
+class SphereList(_Record):
+    """Multiset of sphere dimensions, sorted; the decomposition certificate.
 
-    spheres: tuple  # ((dimension, multiplicity), ...) sorted by dimension
+    `spheres` is ((dimension, multiplicity), ...) sorted by dimension.
+    """
 
-    def series(self) -> RationalGF:
+    __slots__ = __match_args__ = ("spheres",)
+
+    def __init__(self, spheres: tuple):
+        _set(self, "spheres", spheres)
+
+    def series(self):
         """Homology series of the corresponding sphere wedge."""
+        from .series import RationalGF
+
         coeffs = [1]
         for dim, mult in self.spheres:
             while len(coeffs) <= dim:
@@ -338,8 +402,10 @@ def wedge_decomposition(x: SpaceExpr) -> SphereList:
     >>> wedge_decomposition(parse("Susp(S2 ^ (S2 v S3))")).spheres
     ((5, 1), (6, 1))
     """
+    from .polynomial import ONE
+
     if not is_rational_sphere_wedge(x):
         raise ValueError("not rationally a wedge of spheres: product detected")
-    red = _homology_poly(x) - ONE
+    red = _homology_poly(x, ONE) - ONE
     spheres = tuple((dim, mult) for dim, mult in enumerate(red.coeffs) if mult)
     return SphereList(spheres)

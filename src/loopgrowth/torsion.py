@@ -29,8 +29,6 @@ from .freeloop import _lyndon_class_counts
 from .series import TruncatedSeries, log_index_empirical, mul_binomial_power
 from .space import SpaceExpr, Susp, profile, reduced_gf, wedge_decomposition
 
-WORD_LENGTH_GUARD = 20
-
 PRIME_LIMIT = 10**10  # bounds the trial division at about 1e5 steps
 
 PRIME_WINDOW_LIMIT = 10**5  # largest candidate primes_set tests, about 0.5 s
@@ -86,7 +84,8 @@ def primes_set_of(x: SpaceExpr) -> PrimeSet:
 
 
 def suspension_splits_locally(x: SpaceExpr, p: int) -> bool:
-    """True when the suspension of x splits p-locally into a wedge of spheres.
+    """True when the suspension of x splits p-locally into a wedge of spheres,
+    that is when the prime p lies outside the exclusion set of x.
 
     >>> from .space import parse
     >>> suspension_splits_locally(parse("S2 v S5"), 3)
@@ -95,8 +94,7 @@ def suspension_splits_locally(x: SpaceExpr, p: int) -> bool:
     False
     """
     _require_prime(p)
-    pr = profile(x)
-    return 2 * p > pr.dimension - pr.connectivity + 1
+    return p not in primes_set_of(x)
 
 
 def least_p_torsion_dim(n: int, p: int) -> int:
@@ -113,50 +111,7 @@ def least_p_torsion_dim(n: int, p: int) -> int:
     return n + 2 * p - 3
 
 
-# -- Lyndon words and the sphere-factor census --------------------------------
-
-
-def lyndon_words(alphabet_size: int, max_len: int):
-    """All Lyndon words (as index tuples) of length <= max_len, lexicographic.
-
-    Duval's generation: extend periodically, bump the last letter, trim.
-    """
-    if alphabet_size < 1 or max_len < 1:
-        return []
-    out = []
-    w = [0]
-    while w:
-        if len(w) <= max_len:
-            out.append(tuple(w))
-        # periodic extension to max_len, then strip trailing top letters
-        w = (w * (max_len // len(w) + 1))[:max_len]
-        while w and w[-1] == alphabet_size - 1:
-            w.pop()
-        if w:
-            w[-1] += 1
-    return out
-
-
-def lyndon_basic_products(m: int, n: int, max_len: int):
-    """Lyndon words over letters of weight m-1, n-1 with their weight degrees.
-
-    Returns (word, degree) pairs; basic products of loops on S^m v S^n
-    correspond one-to-one to these words, the word of weight t naming a
-    sphere factor of dimension t + 1.
-
-    >>> [(''.join('ab'[i] for i in w), d) for w, d in lyndon_basic_products(2, 2, 3)]
-    [('a', 1), ('aab', 3), ('ab', 2), ('abb', 3), ('b', 1)]
-    """
-    if max_len > WORD_LENGTH_GUARD:
-        raise ValueError(
-            f"word length guard exceeded: max_len must be at most {WORD_LENGTH_GUARD}"
-        )
-    if m < 2 or n < 2:
-        raise ValueError("sphere dimensions must be at least 2")
-    weights = (m - 1, n - 1)
-    return [
-        (w, sum(weights[i] for i in w)) for w in lyndon_words(2, max_len)
-    ]
+# -- the sphere-factor census ---------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ case of `golden_cli.json`. The sha256 is over stdout. Two checkouts print the
 same reports byte for byte, with the same exit codes, exactly when their
 digests are equal, so checking that is one diff:
 
-    PYTHONPATH=src python tests/report_digest.py > after.txt
-    (in the other checkout) PYTHONPATH=src python tests/report_digest.py > before.txt
+    python tests/report_digest.py > after.txt
+    (in the other checkout) python tests/report_digest.py > before.txt
     diff before.txt after.txt
+
+The script puts its own checkout's src/ on the path, so each checkout digests
+its own library.
 
 The name keeps pytest from collecting it.
 """
@@ -21,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "loopbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "loopbench")]
 
 import workloads  # noqa: E402
 from test_golden import cases, run_case  # noqa: E402

@@ -1,0 +1,123 @@
+"""Fresh processes: each command answers from a cold start, and loads only
+what its handler reads.
+
+The other test files import every module of the package before they run a
+command, so they cannot see a missing function-level import or an error kind
+that depends on which modules happen to be loaded. Here every argv runs in a
+new `python -m loopgrowth.cli` with only this checkout's src/ on the path,
+and must print the same bytes with the same exit code as `cli.run` in this
+process. The import checks read `sys.modules`, never a clock.
+"""
+
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import loopgrowth
+from loopgrowth.cli import run
+from test_cli import COMMANDS, JUST
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ERRORS = {
+    "parse-error": ["rho", "S2 v (S3"],
+    "hypothesis-error": ["yclass", "--m", "2", "--n", "3", "--J", "S2", "--inert", JUST],
+    "validation-error": ["loop-series", "S2", "--max-degree", "300"],
+    "not-expressible": ["loop-series", "(S2 x S2) ^ (S2 x S3)"],
+    "usage-error": ["rho", "S2", "--max-degree", "5"],
+}
+
+CASES = [(argv[0], argv) for argv in COMMANDS]
+CASES += [("csv", ["primes", "--d", "7", "--s", "1", "--format", "csv"])]
+CASES += list(ERRORS.items())
+
+
+def fresh(args, tmp_path):
+    """Run `python *args` in a new interpreter with only src/ on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=tmp_path, capture_output=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_a_cold_process_prints_the_in_process_report(name, argv, tmp_path):
+    out = io.StringIO()
+    code = run(argv, out)
+    proc = fresh(["-m", "loopgrowth.cli", *argv], tmp_path)
+    assert proc.stderr == b""
+    assert (proc.returncode, proc.stdout.decode()) == (code, out.getvalue())
+
+
+# site is skipped (-S) so that sys.modules holds only what the probe and
+# the package load, on any host
+PROBE = """\
+import sys
+{body}
+print(*sorted(sys.modules))
+"""
+
+
+def loaded_after(body, tmp_path) -> set:
+    proc = fresh(["-S", "-c", PROBE.format(body=body)], tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return set(proc.stdout.decode().splitlines()[-1].split())
+
+
+def package_modules(modules) -> set:
+    return {m for m in modules if m.split(".")[0] == "loopgrowth"}
+
+
+HEAVY = {"dataclasses", "inspect", "decimal", "fractions", "csv", "typing"}
+
+
+def test_parse_loads_only_the_parser(tmp_path):
+    modules = loaded_after("from loopgrowth.cli import main\nmain(['parse', 'S2'])", tmp_path)
+    assert package_modules(modules) == {"loopgrowth", "loopgrowth.cli", "loopgrowth.space"}
+    assert not modules & HEAVY
+
+
+def test_importing_the_package_loads_no_module_of_it(tmp_path):
+    assert package_modules(loaded_after("import loopgrowth", tmp_path)) == {"loopgrowth"}
+
+
+def test_a_public_name_loads_its_home_module(tmp_path):
+    modules = loaded_after("import loopgrowth\nloopgrowth.parse('S2')", tmp_path)
+    assert package_modules(modules) == {"loopgrowth", "loopgrowth.space"}
+
+
+def test_a_submodule_imports_by_name_from_a_cold_package(tmp_path):
+    body = "from loopgrowth import polynomial\nprint(polynomial.__name__)"
+    proc = fresh(["-S", "-c", body], tmp_path)
+    assert proc.stdout == b"loopgrowth.polynomial\n", proc.stderr.decode()
+
+
+# -- the lazy package namespace ------------------------------------------------
+
+
+def test_a_public_name_is_the_object_its_home_module_defines():
+    for name in loopgrowth.__all__:
+        value = getattr(loopgrowth, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("loopgrowth."), name
+        assert getattr(home, name) is value, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(loopgrowth.__all__) <= set(dir(loopgrowth))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from loopgrowth import *", namespace)
+    assert set(loopgrowth.__all__) <= set(namespace)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'lyndon_words'"):
+        loopgrowth.lyndon_words
+    assert not hasattr(loopgrowth, "no_such_name")

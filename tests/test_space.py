@@ -196,6 +196,63 @@ class TestPrint:
         assert to_text(Susp(Smash(Sphere(2), Sphere(3)))) == "Susp(S2 ^ S3)"
 
 
+# -- expression nodes as values -----------------------------------------------------
+
+
+class TestNodes:
+    def test_equal_trees_hash_equal(self):
+        a, b = parse("Susp(S2 ^ S3) x (S4 v S5)"), parse("Susp(S2^S3) x (S4 v S5)")
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_equality_sees_the_node_class(self):
+        a, b = Sphere(2), Sphere(3)
+        assert Wedge(a, b) != Product(a, b)
+        assert Product(a, b) != Smash(a, b)
+        assert Wedge(a, b) != Wedge(b, a)
+        assert Susp(a) != a
+        assert Sphere(2) != 2
+
+    @pytest.mark.parametrize("field", ["left", "right"])
+    def test_fields_are_frozen(self, field):
+        x = Wedge(Sphere(2), Sphere(3))
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(x, field, Sphere(4))
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+        with pytest.raises(AttributeError):
+            Sphere(2).n = 3
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert x == Wedge(Sphere(2), Sphere(3))
+
+    def test_repr_names_the_fields(self):
+        x = parse("Susp(S2 ^ S3) x S4 v S5")
+        assert repr(x) == (
+            "Wedge(left=Product(left=Susp(inner=Smash(left=Sphere(n=2), right=Sphere(n=3))), "
+            "right=Sphere(n=4)), right=Sphere(n=5))"
+        )
+        assert repr(profile(Sphere(3))) == (
+            "Profile(connectivity=2, dimension=3, rationally_nontrivial=True)"
+        )
+        assert repr(wedge_decomposition(parse("S2 v S2"))) == "SphereList(spheres=((2, 2),))"
+
+    def test_a_node_takes_exactly_its_fields(self):
+        with pytest.raises(TypeError):
+            Wedge(Sphere(2))
+        with pytest.raises(ValueError, match="simply connected"):
+            Sphere(1)
+
+    def test_copy_and_pickle_keep_the_tree(self):
+        import copy
+        import pickle
+
+        x = parse("Susp(S2 ^ S3) x S4")
+        assert copy.deepcopy(x) == x
+        assert pickle.loads(pickle.dumps(x)) == x
+
+
 # -- homology series -------------------------------------------------------------
 
 

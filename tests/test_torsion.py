@@ -17,8 +17,6 @@ from loopgrowth.torsion import (
     RetractionReport,
     hilton_milnor_census,
     least_p_torsion_dim,
-    lyndon_basic_products,
-    lyndon_words,
     primes_set,
     primes_set_of,
     retraction_report,
@@ -117,34 +115,51 @@ class TestLeastTorsionDim:
 
 
 # -- Lyndon words ---------------------------------------------------------------
+#
+# The library counts Lyndon words (the census) without listing them; these
+# cases hold the two oracles the census tests rest on against each other and
+# against the census itself.
+
+
+def _lengths(words):
+    by_len = {}
+    for w in words:
+        by_len[len(w)] = by_len.get(len(w), 0) + 1
+    return by_len
+
+
+def _census_from_counts(counts):
+    """Census factors from Lyndon counts by weight: weight t names S^(t+1)."""
+    return {t + 1: c for t, c in enumerate(counts) if c}
 
 
 class TestLyndonWords:
     def test_matches_rotation_oracle(self):
-        got = lyndon_words(2, 6)
-        assert got == oracles.brute_lyndon(2, 6)
+        counts = oracles.lyndon_counts_by_length((1, 1), 6)
+        assert _lengths(oracles.brute_lyndon(2, 6)) == {k: c for k, c in enumerate(counts) if c}
 
     def test_three_letters(self):
-        got = lyndon_words(3, 4)
-        assert got == oracles.brute_lyndon(3, 4)
+        counts = oracles.lyndon_counts_by_length((1, 1, 1), 4)
+        assert _lengths(oracles.brute_lyndon(3, 4)) == {k: c for k, c in enumerate(counts) if c}
 
     def test_counts_are_witt_numbers(self):
-        by_len = {}
-        for w in lyndon_words(2, 8):
-            by_len[len(w)] = by_len.get(len(w), 0) + 1
+        by_len = _lengths(oracles.brute_lyndon(2, 8))
         assert by_len == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30}
 
     def test_basic_products(self):
-        got = lyndon_basic_products(2, 2, 3)
-        assert got == [((0,), 1), ((0, 0, 1), 3), ((0, 1), 2), ((0, 1, 1), 3), ((1,), 1)]
+        # a, b, ab, aab, abb: letters of weight 1 name S2, words of weight t name S^(t+1)
+        assert hilton_milnor_census(2, 2, 3).factors == {2: 2, 3: 1, 4: 2}
 
     def test_basic_products_weighted_degrees(self):
-        got = dict(lyndon_basic_products(2, 3, 2))
-        assert got[(0,)] == 1 and got[(1,)] == 2 and got[(0, 1)] == 3
+        # letters of weight 1 and 2: a, b and ab have weights 1, 2 and 3
+        assert hilton_milnor_census(2, 3, 3).factors == {2: 1, 3: 1, 4: 1}
+        counts = oracles.lyndon_counts_by_length((1, 2), 3)
+        assert hilton_milnor_census(2, 3, 3).factors == _census_from_counts(counts)
 
-    def test_word_length_guard(self):
-        with pytest.raises(ValueError, match="word length guard exceeded"):
-            lyndon_basic_products(2, 2, 21)
+    def test_census_counts_words_past_the_old_length_guard(self):
+        # Lyndon words were once listed and refused past length 20
+        census = hilton_milnor_census(2, 2, 24)
+        assert census.factors == _census_from_counts(oracles.lyndon_counts_by_length((1, 1), 24))
 
 
 # -- the sphere-factor census -----------------------------------------------------
