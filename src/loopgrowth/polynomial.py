@@ -2,11 +2,12 @@
 
 Coefficients are arbitrary-precision ints stored low degree first, and every
 operation stays in integers: gcd by a primitive pseudo-remainder sequence over
-Z, exact division, Sturm sequences whose rows are primitive integer
-polynomials, Taylor shifts for Descartes counts, and signs at a rational point
-p/q read off the homogeneous value q^n f(p/q). Root counting on half-open
-intervals (a, b] is therefore exact, and no floating point enters any
-certificate.
+Z, exact division, Taylor shifts for Descartes counts, and signs at a rational
+point p/q read off the homogeneous value q^n f(p/q), so no floating point
+enters any certificate. Descartes counts isolate the poles; Sturm sequences,
+whose rows are primitive integer polynomials, count roots on half-open
+intervals (a, b] exactly from scratch, and serve only as the independent
+recheck of a certificate (`series.Radius.certificate_holds`).
 """
 
 from __future__ import annotations
@@ -260,12 +261,6 @@ def _changes(values) -> int:
 def sign_variations(chain, x: Fraction) -> int:
     p, q = x.numerator, x.denominator
     return _changes(_scaled_value(coeffs, p, q) for coeffs in chain)
-
-
-def sign_variations_at_infinity(chain) -> int:
-    """Variations of the leading signs: the count at and past the last root,
-    so at the Cauchy bound too, with no evaluation."""
-    return _changes(coeffs[-1] for coeffs in chain)
 
 
 def taylor_shift(coeffs) -> list:

@@ -8,15 +8,15 @@ two generating functions are equal iff their fields are equal.
 Radii of convergence are certified, not sampled: the smallest positive root of
 the reduced denominator is found by root counting and rational bisection, so
 every Radius comes with an exact rational interval that provably contains
-exactly one denominator root. Descartes counts on the raw denominator
-isolate (Collins-Akritas): a count of 0 or 1 on an interval is exact, and
-each cell of the bisection grid is a Taylor shift of its parent, so product
-denominators like prod (1 - z^a), whose pole is the rational root 1, are
-certified with no gcd and no chain. Sturm counts are the fallback, on the
-squarefree part, for what Descartes counts leave open; both walk the same
-grid and return the same interval. Sign bisection refines: the root is
-simple, so the denominator changes sign across it, and one sign per midpoint
-narrows the interval from then on.
+exactly one denominator root. Descartes counts isolate (Collins-Akritas): a
+count of 0 or 1 on an interval is exact, and each cell of the bisection grid
+is a Taylor shift of its parent, so product denominators like
+prod (1 - z^a), whose pole is the rational root 1, are certified with no gcd.
+The search runs on the raw denominator when it is certified squarefree, and
+on its squarefree part otherwise; on a squarefree polynomial it always ends
+(Vincent's theorem). Sign bisection refines: the root is simple, so the
+denominator changes sign across it, and one sign per midpoint narrows the
+interval from then on.
 
 Every later root question is answered by signs alone, because each interval
 holds one simple root and the ends of a non-exact one are not roots.
@@ -25,11 +25,11 @@ refines both intervals until they are disjoint, or finds the common root of
 the two denominators in the overlap from the signs of their gcd at its ends.
 Only `Radius.certificate_holds` counts roots again, from scratch.
 
-All polynomial work (gcd, Taylor shifts, Sturm chains, signs at the
-bisection points) and the series recurrence run in integer arithmetic. A
-series coefficient is an int whenever it is integral, as every dimension
-series here is; rationals appear only as interval endpoints and as the
-non-integral coefficients of a denominator whose constant term is not 1.
+All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
+the series recurrence run in integer arithmetic. A series coefficient is an
+int whenever it is integral, as every dimension series here is; rationals
+appear only as interval endpoints and as the non-integral coefficients of a
+denominator whose constant term is not 1.
 """
 
 from __future__ import annotations
@@ -46,14 +46,10 @@ from .polynomial import (
     ONE,
     ZERO,
     cauchy_root_bound,
-    count_roots_halfopen,
     descartes_count,
     poly_divexact,
     poly_gcd,
-    sign_variations,
-    sign_variations_at_infinity,
     squarefree_part,
-    sturm_chain,
     taylor_shift,
 )
 
@@ -243,15 +239,15 @@ class Radius:
     exactly one root in [lo, hi] and none in (0, lo). A degenerate interval
     (lo == hi) pins a rational pole exactly. Otherwise the denominator has
     opposite signs at lo and hi, so `refined` narrows the interval by sign
-    bisection alone, and `at_least` decides rho >= x by sign, with no Sturm
-    chain. Infinite: no positive pole; `polynomial` records whether the
+    bisection alone, and `at_least` decides rho >= x by sign, with no root
+    count. Infinite: no positive pole; `polynomial` records whether the
     series is a polynomial (so dimensions are eventually zero).
 
     `_sqfree` is the polynomial the certificate is about, leading
-    coefficient positive: the denominator itself when Descartes counts
-    decided (an exact pole, or a denominator certified squarefree), else its
-    squarefree part from the Sturm fallback. Behind a non-exact interval it
-    is squarefree either way, so the root inside is simple.
+    coefficient positive: the denominator itself when it is certified
+    squarefree or its pole is a rational root found before any gcd, else its
+    squarefree part. Behind a non-exact interval it is squarefree either
+    way, so the root inside is simple.
 
     The smallest positive pole equals the radius of convergence only for
     series with nonnegative coefficients; `pringsheim_ok` goes false when a
@@ -286,7 +282,7 @@ class Radius:
         """Shrink the isolating interval to width <= tol (no-op when exact)."""
         if self.is_infinite or self.is_exact or self.width() <= tol:
             return self
-        lo, hi = _bisect(self._sqfree, None, self.lo, self.hi, tol)
+        lo, hi = _bisect(self._sqfree, tol, self.lo, self.hi)
         return replace(self, lo=lo, hi=hi)
 
     def at_least(self, x: Fraction) -> bool:
@@ -306,8 +302,11 @@ class Radius:
         """Recheck the defining properties from scratch (used by tests).
 
         A root count is settled by Descartes' rule when it reads 0 or 1, with
-        no gcd, and by a Sturm count on the squarefree part otherwise.
+        no gcd, and by a Sturm count on the squarefree part otherwise: the
+        only root count in the package that is not a Descartes count.
         """
+        from .polynomial import count_roots_halfopen
+
         if self.is_infinite:
             return True
         f, lo, hi = self._sqfree, self.lo, self.hi
@@ -330,32 +329,15 @@ class Radius:
         return none_before and one_inside
 
 
-def _bisect(sf, chain, lo, hi, tol, v_lo=0, v_hi=0):
-    """Shrink (lo, hi] around the smallest positive root of the squarefree sf.
+# lo and hi stay the third and fourth positional arguments:
+# loopbench/spans.py reads args[2] and args[3] to count bisection steps
+def _bisect(sf, tol, lo, hi):
+    """Shrink (lo, hi], which isolates one root of the squarefree sf, to width <= tol.
 
-    Invariants: sf(lo) != 0, no root in (0, lo], at least one in (lo, hi].
-    Returns either a degenerate rational-root interval or one of width <= tol
-    isolating a single root.
-
-    Sturm counts isolate: v_lo and v_hi are the chain's sign variations at lo
-    and hi, which the caller has already counted. While (lo, hi] may hold
-    several roots, the chain is evaluated once per new midpoint, and a
-    midpoint that is a root is returned only when it is the one root in
-    (lo, mid]; otherwise it becomes hi and isolation goes on below it.
-    Sign bisection refines: once (lo, hi] holds one root, that root is simple,
-    so sf changes sign across it and the sign at each midpoint decides the
-    step, one integer Horner evaluation and no chain. Without a chain the
-    counts default to equal, and (lo, hi] is known to isolate one root already.
+    The root is simple, so sf changes sign across it and the sign at each
+    midpoint decides the step, one integer Horner evaluation. Returns either
+    a degenerate interval, when a midpoint is the root, or one of width <= tol.
     """
-    while v_lo - v_hi > 1:
-        mid = (lo + hi) / 2
-        v_mid = sign_variations(chain, mid)
-        if v_mid == v_lo:
-            lo = mid
-        elif v_lo - v_mid == 1 and sf.sign_at(mid) == 0:
-            return mid, mid
-        else:
-            hi, v_hi = mid, v_mid
     # on a common denominator, lo = a/d and hi = b/d, so the midpoint is
     # (a + b)/(2d) and every step stays in integers; a root below tol still
     # gets a positive lo
@@ -405,7 +387,7 @@ def _smallest_positive_rational_root(f: IntPolynomial) -> Fraction | None:
     return min(roots, default=None)
 
 
-# p = 2^61 - 1 is prime; one prime suffices, since the fallback covers a miss
+# p = 2^61 - 1 is prime; one prime suffices, since a miss only costs a gcd
 _CERTIFICATE_PRIME = 2**61 - 1
 
 
@@ -451,21 +433,21 @@ def _cell_polynomial(f: IntPolynomial, a: Fraction, b: Fraction) -> list:
     return [c * (t - s) ** j for j, c in enumerate(g)]
 
 
-def _descartes_pole(f: IntPolynomial, r: Fraction | None, tol: Fraction, ok: bool) -> Radius | None:
-    """The Radius of the squarefree f by Descartes counts, or None to leave it to Sturm.
+def _descartes_pole(f: IntPolynomial, r: Fraction | None, tol: Fraction, ok: bool) -> Radius:
+    """The Radius of the squarefree f, leading coefficient positive, by Descartes counts.
 
     The search walks the dyadic grid of (0, upper] that `_bisect` walks,
     depth first and left first, where upper is the rational root r or the
     Cauchy bound. A cell (lo, hi] is held as g(x) = f(lo + (hi - lo) x) made
     integral: its left child is 2^n g(x/2), its right child that shifted by
     one, whose constant term vanishes exactly when the grid midpoint between
-    them is a root. A cell is isolated when its count is 1 and f(hi) != 0,
-    the stop rule of the Sturm walk. Every cell left of it was excluded, so
-    it holds the smallest root and is one of the Sturm walk's cells, at or
-    below the one where that walk stops; sign bisection goes on from either
-    down the same cells. So both return the same interval unless the search
-    must go below the tolerance first, and there it gives up. When no root
-    turns up below upper, the pole is r, or there is none.
+    them is a root. A cell is isolated when its count is 1 and f(hi) != 0.
+    Every cell left of it was excluded, so it holds the smallest root, and
+    sign bisection refines it down the same grid. Since f is squarefree, a
+    cell small enough against the root separation counts 0 or 1 (Vincent's
+    theorem), so the search ends, below the tolerance when two roots are
+    closer than it. When no root turns up below upper, the pole is r, or
+    there is none.
     """
     upper = cauchy_root_bound(f) if r is None else r
     n = f.degree()
@@ -483,41 +465,14 @@ def _descartes_pole(f: IntPolynomial, r: Fraction | None, tol: Fraction, ok: boo
         if count == 0:
             continue
         if count == 1 and sum(g) != 0:
-            lo, hi = _bisect(f, None, width * j, width * (j + 1), tol)
+            lo, hi = _bisect(f, tol, width * j, width * (j + 1))
             return Radius(lo, hi, False, f, ok)
-        if width <= tol:
-            return None
         left = [c << (n - i) for i, c in enumerate(g)]
         stack.append((2 * j + 1, k + 1, left, True))
         stack.append((2 * j, k + 1, left, False))
     if r is None:
         return Radius(None, None, polynomial=False, pringsheim_ok=ok)
     return Radius(r, r, False, f, ok)
-
-
-def _sturm_pole(den: IntPolynomial, tol: Fraction, ok: bool) -> Radius:
-    """The Radius from the squarefree part of den, by one Sturm chain."""
-    sf = squarefree_part(den)
-    if sf.leading() < 0:
-        sf = -sf
-    # the chain is counted once at each end of (0, upper]: upper is the
-    # smallest positive rational root if there is one, else the Cauchy bound,
-    # where the count is the one at infinity
-    chain = sturm_chain(sf)
-    v_0 = sign_variations(chain, Fraction(0))
-    v_upper = sign_variations_at_infinity(chain)
-    if v_0 == v_upper:
-        return Radius(None, None, polynomial=False, pringsheim_ok=ok)
-    upper = _smallest_positive_rational_root(sf)
-    if upper is None:
-        upper = cauchy_root_bound(sf)
-    else:
-        v_upper = sign_variations(chain, upper)
-        if v_0 - v_upper == 1:
-            return Radius(upper, upper, False, sf, ok)
-    # isolate the smallest root in (0, upper]; below a rational root it is irrational
-    lo, hi = _bisect(sf, chain, Fraction(0), upper, tol, v_0, v_upper)
-    return Radius(lo, hi, False, sf, ok)
 
 
 def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANCE) -> Radius:
@@ -527,13 +482,13 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     Rational poles are pinned exactly (degenerate interval); irrational ones
     get a bisection interval of width <= tol.
 
-    The certificate is read off the denominator f itself, leading coefficient
-    made positive, in this order: no sign change in its coefficients means
-    no positive root; a rational root r with Descartes count 0 on (0, r) is
-    the pole; a squarefree f, certified mod one prime, is isolated by
-    Descartes counts (`_descartes_pole`). Only when none of these decides
-    does the pole come from the squarefree part and a Sturm chain. All paths
-    return the same interval.
+    The certificate is read off the denominator f, leading coefficient made
+    positive, in this order: no sign change in its coefficients means no
+    positive root; a rational root r with Descartes count 0 on (0, r) is
+    the pole, with no gcd; otherwise f is replaced by its squarefree part,
+    unless it is certified squarefree mod one prime, and Descartes counts
+    isolate its smallest positive root below r or the Cauchy bound
+    (`_descartes_pole`).
 
     >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
     >>> (r.lo, r.hi)
@@ -550,11 +505,10 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     r = _smallest_positive_rational_root(f)
     if r is not None and descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0:
         return Radius(r, r, False, f, ok)
-    if _squarefree_mod_p(f):
-        rho = _descartes_pole(f, r, tol, ok)
-        if rho is not None:
-            return rho
-    return _sturm_pole(den, tol, ok)
+    if not _squarefree_mod_p(f):
+        f = squarefree_part(f)
+        r = _smallest_positive_rational_root(f)
+    return _descartes_pole(f, r, tol, ok)
 
 
 def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):

@@ -25,9 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import is_prime
-from .freeloop import _lyndon_class_counts
-from .series import TruncatedSeries, log_index_empirical, mul_binomial_power
-from .space import SpaceExpr, Susp, profile, reduced_gf, wedge_decomposition
 
 PRIME_LIMIT = 10**10  # bounds the trial division at about 1e5 steps
 
@@ -77,13 +74,15 @@ def primes_set(d: int, s: int) -> PrimeSet:
     return PrimeSet(tuple(q for q in range(2, bound // 2 + 1) if 2 * q <= bound and is_prime(q)))
 
 
-def primes_set_of(x: SpaceExpr) -> PrimeSet:
+def primes_set_of(x) -> PrimeSet:
     """Exclusion set from the structural (connectivity, dimension) profile."""
+    from .space import profile
+
     pr = profile(x)
     return primes_set(pr.dimension, pr.connectivity)
 
 
-def suspension_splits_locally(x: SpaceExpr, p: int) -> bool:
+def suspension_splits_locally(x, p: int) -> bool:
     """True when the suspension of x splits p-locally into a wedge of spheres,
     that is when the prime p lies outside the exclusion set of x.
 
@@ -127,14 +126,16 @@ class HiltonMilnorCensus:
     factors: dict = field(compare=False)
     trunc_degree: int = 0
 
-    def factor_counts(self) -> TruncatedSeries:
+    def factor_counts(self):
         """Counts as a series in the weight degree t = D - 1."""
+        from .series import TruncatedSeries
+
         dims = [0] * (self.trunc_degree + 1)
         for dim, count in self.factors.items():
             dims[dim - 1] = count
         return TruncatedSeries.from_dims(dims)
 
-    def reconstruct(self) -> TruncatedSeries:
+    def reconstruct(self):
         """Product of 1/(1 - z^t) over all factors, t the weight degree.
 
         Unique factorization of words into nonincreasing Lyndon products
@@ -145,6 +146,8 @@ class HiltonMilnorCensus:
         >>> hilton_milnor_census(2, 2, 6).reconstruct().as_dims()
         (1, 2, 4, 8, 16, 32, 64)
         """
+        from .series import TruncatedSeries, mul_binomial_power
+
         cur = [1] + [0] * self.trunc_degree
         for dim, c in sorted(self.factors.items()):
             cur = mul_binomial_power(cur, dim - 1, -1, -c)
@@ -164,6 +167,8 @@ def hilton_milnor_census(m: int, n: int, trunc_degree: int) -> HiltonMilnorCensu
     """
     if m < 2 or n < 2:
         raise ValueError("sphere dimensions must be at least 2")
+    from .freeloop import _lyndon_class_counts
+
     degrees = (m - 1, n - 1)
     counts = _lyndon_class_counts(degrees, trunc_degree)
     return HiltonMilnorCensus(
@@ -215,6 +220,8 @@ def torsion_report(
     _require_prime(p)
     if r < 1:
         raise ValueError("r must be a positive integer")
+    from .series import log_index_empirical
+
     census = hilton_milnor_census(m, n, trunc_degree)
     witness = None
     for dim in census.factors:
@@ -258,7 +265,7 @@ class RetractionReport:
         return f"RetractionReport(m={self.m}, n={self.n}, excluded={self.excluded.primes})"
 
 
-def retraction_report(A: SpaceExpr, Z: SpaceExpr) -> RetractionReport:
+def retraction_report(A, Z) -> RetractionReport:
     """Locate the two-sphere wedge retracting off loops of the cofiber.
 
     m is the least sphere dimension in the wedge decomposition of the
@@ -270,6 +277,8 @@ def retraction_report(A: SpaceExpr, Z: SpaceExpr) -> RetractionReport:
     >>> retraction_report(parse("S2"), parse("S2 x S2"))
     RetractionReport(m=3, n=4, excluded=(2,))
     """
+    from .space import Susp, reduced_gf, wedge_decomposition
+
     red_a = reduced_gf(A)
     red_z = reduced_gf(Z)
     if red_a.num.is_zero():

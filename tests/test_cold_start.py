@@ -81,6 +81,21 @@ def test_parse_loads_only_the_parser(tmp_path):
     assert not modules & HEAVY
 
 
+def test_primes_loads_only_the_prime_window(tmp_path):
+    body = "from loopgrowth.cli import main\nmain(['primes', '--d', '7', '--s', '1'])"
+    modules = loaded_after(body, tmp_path)
+    assert package_modules(modules) == {
+        "loopgrowth", "loopgrowth.cli", "loopgrowth.torsion", "loopgrowth.arith",
+    }
+
+
+def test_retraction_loads_no_loop_space_module(tmp_path):
+    body = "from loopgrowth.cli import main\nmain(['retraction', '--A', 'S2', '--Z', 'S2 x S2'])"
+    modules = loaded_after(body, tmp_path)
+    assert "loopgrowth.torsion" in modules
+    assert not modules & {"loopgrowth.freeloop", "loopgrowth.loop"}
+
+
 def test_importing_the_package_loads_no_module_of_it(tmp_path):
     assert package_modules(loaded_after("import loopgrowth", tmp_path)) == {"loopgrowth"}
 

@@ -2,8 +2,9 @@
 golden_cli.json.
 
 The cases cover every command of test_cli.COMMANDS in both formats, the
-brute-force free-loop path, a presentation read from a file, and one argv
-per error kind. A case whose argv holds "{file}" runs with the presentation
+brute-force free-loop path, a presentation read from a file, one argv per
+error kind, and four requests whose loop-series denominator has a repeated
+factor. A case whose argv holds "{file}" runs with the presentation
 file written to a temporary directory; the path is never echoed.
 
 After an intentional output change, refreeze with
@@ -11,12 +12,16 @@ After an intentional output change, refreeze with
 """
 
 import gc
+import importlib
 import io
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import loopgrowth
+from loopgrowth import polynomial
 from loopgrowth.cli import run
 from test_cli import COMMANDS, JUST
 
@@ -39,6 +44,11 @@ def cases():
         ("validation-error", ["loop-series", "S2", "--max-degree", "300"]),
         ("not-expressible", ["log-index", "(S2 x S2) ^ (S2 x S3)"]),
     ]
+    # a denominator with a repeated factor, (1 - z - z^2)^2, and no rational
+    # pole: its pole is isolated on the squarefree part
+    square = "(S2 v S3) x (S2 v S3)"
+    out += [(f"{cmd}-repeated-factor", [cmd, square]) for cmd in ("rho", "loop-series", "log-index")]
+    out += [("cofiber-repeated-factor", ["cofiber", "--A", "S3", "--Z", square, "--inert", "x"])]
     return out
 
 
@@ -58,6 +68,23 @@ def test_golden_bytes(name, argv, tmp_path):
     want = GOLDEN[name]
     assert want["argv"] == argv
     assert run_case(argv, tmp_path) == (want["exit"], want["stdout"])
+
+
+def test_no_report_builds_a_sturm_chain(tmp_path, monkeypatch):
+    # Descartes counts isolate every pole, on the squarefree part when the
+    # denominator has a repeated factor; a Sturm chain is left to the
+    # independent recheck of Radius.certificate_holds
+    def refused(f):
+        raise AssertionError("a report built a Sturm chain")
+
+    real = polynomial.sturm_chain
+    for info in pkgutil.iter_modules(loopgrowth.__path__):
+        module = importlib.import_module(f"loopgrowth.{info.name}")
+        if getattr(module, "sturm_chain", None) is real:
+            monkeypatch.setattr(module, "sturm_chain", refused)
+    for name, argv in cases():
+        want = GOLDEN[name]
+        assert run_case(argv, tmp_path) == (want["exit"], want["stdout"]), name
 
 
 def test_reports_leave_no_reference_cycles(tmp_path):

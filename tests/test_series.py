@@ -253,8 +253,8 @@ class TestPoles:
 
 
 class TestBisectionWork:
-    """Descartes counts isolate on the raw denominator; sign bisection refines.
-    Sturm chains and the squarefree part are left to the fallback."""
+    """Descartes counts isolate, on the raw denominator unless it has a
+    repeated factor, and sign bisection refines. No Sturm chain is built."""
 
     @staticmethod
     def count_chain_work(monkeypatch):
@@ -269,9 +269,10 @@ class TestBisectionWork:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("sign_variations", "sturm_chain", "squarefree_part", "taylor_shift"):
+        for name in ("squarefree_part", "taylor_shift"):
             counted(series, name)
-        counted(polynomial, "taylor_shift")  # the one inside descartes_count
+        for name in ("sign_variations", "sturm_chain", "taylor_shift"):
+            counted(polynomial, name)  # taylor_shift: the one inside descartes_count
         return calls
 
     @staticmethod
@@ -316,11 +317,12 @@ class TestBisectionWork:
         assert rho.is_exact and rho.lo == 1
         assert calls == ["taylor_shift"]
 
-    def test_a_double_root_takes_the_sturm_fallback(self, monkeypatch):
+    def test_a_double_root_takes_the_squarefree_part(self, monkeypatch):
         gf = loop_gf(parse("(S2 v S3) x (S2 v S3)"))
         calls = self.count_chain_work(monkeypatch)
         rho = smallest_positive_pole(gf)
-        assert calls.count("sturm_chain") == calls.count("squarefree_part") == 1
+        assert calls.count("squarefree_part") == 1
+        assert calls.count("sturm_chain") == calls.count("sign_variations") == 0
         assert not rho.is_exact and rho.certificate_holds()
         assert rho._sqfree.coeffs == (-1, 1, 1)  # the squarefree part of (1 - z - z^2)^2
 

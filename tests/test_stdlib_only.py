@@ -1,5 +1,6 @@
 """The runtime is stdlib-only: every import in the package is the standard
-library or the package itself, and every name a module imports is used there."""
+library or the package itself, and every name a module imports is used there.
+Sturm root counts serve only as the independent recheck of a certificate."""
 
 import ast
 import sys
@@ -62,3 +63,59 @@ def test_unused_import_check_sees_dead_names():
 def test_every_imported_name_is_used(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+# Descartes counts isolate every pole; a Sturm count is only the recheck
+STURM_NAMES = {"sturm_chain", "sign_variations", "count_roots_halfopen"}
+
+
+def sturm_references(source: str):
+    """(line, name) of every Sturm name a module reads or imports outside
+    `Radius.certificate_holds`."""
+    tree = ast.parse(source)
+    recheck = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "Radius"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "certificate_holds"
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in recheck:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in STURM_NAMES]
+    return sorted(found)
+
+
+def test_sturm_reference_check_sees_every_kind_of_reference():
+    source = (
+        "from .polynomial import sturm_chain\n"
+        "from . import polynomial\n"
+        "def pole(f):\n"
+        "    return sign_variations(sturm_chain(f), 0), polynomial.count_roots_halfopen\n"
+        "class Radius:\n"
+        "    def certificate_holds(self):\n"
+        "        from .polynomial import count_roots_halfopen\n"
+        "        return count_roots_halfopen(self.f, 0, 1)\n"
+    )
+    assert sturm_references(source) == [
+        (1, "sturm_chain"), (4, "count_roots_halfopen"), (4, "sign_variations"), (4, "sturm_chain"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.stem != "polynomial"], ids=lambda p: p.stem
+)
+def test_sturm_counts_only_recheck_certificates(path):
+    found = sturm_references(path.read_text())
+    assert not found, f"{path.name} reads Sturm root counts outside certificate_holds: {found}"
