@@ -27,11 +27,10 @@ import argparse
 import io
 import json
 import sys
-from collections import namedtuple
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
-from . import __version__
+from . import __version__, _Record
 
 SCHEMA_ID = "loopgrowth-report/v1"
 RATIONAL_DEGREE_LIMIT = 200
@@ -560,9 +559,11 @@ def _cmd_retraction(args):
 # -- command table -------------------------------------------------------------
 
 
-# help text, handler(args) -> (request, result, table, provenance), and
-# the arguments as (flags, add_argument keywords) pairs
-Command = namedtuple("Command", ("help", "handler", "arguments"))
+class Command(_Record):
+    """Help text, handler(args) -> (request, result, table, provenance), and
+    the arguments as (flags, add_argument keywords) pairs."""
+
+    __slots__ = __match_args__ = ("help", "handler", "arguments")
 
 
 def _arg(*flags, **kwargs):

@@ -31,38 +31,35 @@ itself, so rank-nullity gives hh1[k] = hh0[k] there, and hh1[0] = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from . import _Record, _set
 from .arith import divisor_sieve
 from .series import (
     RationalGF,
     TruncatedSeries,
     check_growth_parameters,
     controlled_growth_check,
-    GrowthCheckResult,
     log_index_empirical,
     log_index_exact,
     smallest_positive_pole,
 )
-from .loop import HypothesisError
 from .space import MAX_SPHERE_DIMENSION
 
 BRUTE_FORCE_WORD_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class GradedAlphabet:
+class GradedAlphabet(_Record):
     """Multiset of generator degrees, each >= 1, sorted on construction."""
 
-    degrees: tuple
+    __slots__ = __match_args__ = ("degrees",)
 
-    def __post_init__(self):
-        degs = tuple(sorted(int(d) for d in self.degrees))
+    def __init__(self, degrees: tuple):
+        degs = tuple(sorted(int(d) for d in degrees))
         if not degs:
             raise ValueError("alphabet must have at least one generator")
         if degs[0] < 1:
             raise ValueError("generator degrees must be positive")
-        object.__setattr__(self, "degrees", degs)
+        _set(self, "degrees", degs)
 
     @classmethod
     def from_sphere_dimensions(cls, dims) -> "GradedAlphabet":
@@ -93,8 +90,7 @@ def tensor_algebra_dims(a: GradedAlphabet, trunc_degree: int) -> tuple:
     return tuple(dims)
 
 
-@dataclass(frozen=True)
-class HHDimTable:
+class HHDimTable(_Record):
     """hh0, hh1 and the assembled free-loop table lx, exact integers.
 
     Invariants checked on construction: entries nonnegative, rank-nullity
@@ -103,23 +99,23 @@ class HHDimTable:
     last letter), rank-nullity reads hh0[k] - hh1[k] = 1 if k == 0 else 0.
     """
 
-    alphabet: GradedAlphabet
-    hh0: tuple
-    hh1: tuple
-    lx: tuple
-    trunc_degree: int
+    __slots__ = __match_args__ = ("alphabet", "hh0", "hh1", "lx", "trunc_degree")
 
-    def __post_init__(self):
-        n = self.trunc_degree
-        if not (len(self.hh0) == len(self.hh1) == len(self.lx) == n + 1):
+    def __init__(self, alphabet: GradedAlphabet, hh0: tuple, hh1: tuple, lx: tuple, trunc_degree):
+        if not (len(hh0) == len(hh1) == len(lx) == trunc_degree + 1):
             raise ValueError("table lengths must match the truncation degree")
-        if any(v < 0 for v in self.hh0 + self.hh1 + self.lx):
+        if any(v < 0 for v in hh0 + hh1 + lx):
             raise ValueError("negative dimension in the table")
-        for k in range(n + 1):
-            if self.hh0[k] - self.hh1[k] != (k == 0):
+        for k in range(trunc_degree + 1):
+            if hh0[k] - hh1[k] != (k == 0):
                 raise ValueError(f"rank-nullity violated at degree {k}")
-            if self.lx[k] != self.hh0[k] + (self.hh1[k - 1] if k >= 1 else 0):
+            if lx[k] != hh0[k] + (hh1[k - 1] if k >= 1 else 0):
                 raise ValueError(f"free-loop assembly rule violated at degree {k}")
+        _set(self, "alphabet", alphabet)
+        _set(self, "hh0", hh0)
+        _set(self, "hh1", hh1)
+        _set(self, "lx", lx)
+        _set(self, "trunc_degree", trunc_degree)
 
 
 def _assemble(alphabet, hh0, hh1, n) -> HHDimTable:
@@ -262,17 +258,12 @@ def hh_necklace(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
 # -- growth of the free-loop table --------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeLoopGrowthResult:
+class FreeLoopGrowthResult(_Record):
     """Controlled-growth verdict for lx against the loop-space log index."""
 
-    alphabet: GradedAlphabet
-    target: float
-    check: GrowthCheckResult
-    empirical: float
-    log_index_match: bool
-    match_tol: float
-    table: HHDimTable
+    __slots__ = __match_args__ = (
+        "alphabet", "target", "check", "empirical", "log_index_match", "match_tol", "table",
+    )
 
     @property
     def passed(self) -> bool:
@@ -300,6 +291,8 @@ def free_loop_good_growth(
     wrong at every other N.
     """
     if len(a.degrees) < 2:
+        from .loop import HypothesisError
+
         raise HypothesisError(
             "wedge with a single sphere is rationally elliptic; "
             "good exponential growth needs at least two summands"

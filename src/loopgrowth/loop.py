@@ -20,14 +20,11 @@ callers assert it and the assertion is threaded into every verdict trail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
+from . import _Record, _set
 from .polynomial import IntPolynomial
 from .series import (
-    LogIndex,
-    Radius,
     RationalGF,
     TruncatedSeries,
     compare_radii,
@@ -128,38 +125,40 @@ def _require_inert(asserted: bool):
         )
 
 
-@dataclass(frozen=True)
-class CofiberPresentation:
+class CofiberPresentation(_Record):
     """Cofibration Sigma A -> Y -> Z with A the desuspended cone.
 
     `inert_asserted` records the caller's hypothesis that the attaching map
     is inert; `justification` is free text carried into reports.
     """
 
-    A: SpaceExpr
-    Z: SpaceExpr
-    inert_asserted: bool = False
-    justification: str = ""
+    __slots__ = __match_args__ = ("A", "Z", "inert_asserted", "justification")
 
-    def __post_init__(self):
-        _require_nontrivial(self.A, "A")
-        _require_nontrivial(self.Z, "Z")
+    def __init__(self, A: SpaceExpr, Z: SpaceExpr, inert_asserted=False, justification=""):
+        _require_nontrivial(A, "A")
+        _require_nontrivial(Z, "Z")
+        _set(self, "A", A)
+        _set(self, "Z", Z)
+        _set(self, "inert_asserted", inert_asserted)
+        _set(self, "justification", justification)
 
 
-@dataclass(frozen=True)
-class ConnSumPresentation:
+class ConnSumPresentation(_Record):
     """Connected-sum presentation: summands M and N glued over the collar Sigma A."""
 
-    A: SpaceExpr
-    M: SpaceExpr
-    N: SpaceExpr
-    inert_asserted: bool = False
-    justification: str = ""
+    __slots__ = __match_args__ = ("A", "M", "N", "inert_asserted", "justification")
 
-    def __post_init__(self):
-        _require_nontrivial(self.A, "A")
-        _require_nontrivial(self.M, "M")
-        _require_nontrivial(self.N, "N")
+    def __init__(
+        self, A: SpaceExpr, M: SpaceExpr, N: SpaceExpr, inert_asserted=False, justification=""
+    ):
+        _require_nontrivial(A, "A")
+        _require_nontrivial(M, "M")
+        _require_nontrivial(N, "N")
+        _set(self, "A", A)
+        _set(self, "M", M)
+        _set(self, "N", N)
+        _set(self, "inert_asserted", inert_asserted)
+        _set(self, "justification", justification)
 
     def as_cofiber(self) -> CofiberPresentation:
         return CofiberPresentation(
@@ -167,21 +166,21 @@ class ConnSumPresentation:
         )
 
 
-@dataclass(frozen=True)
-class YClassPresentation:
+class YClassPresentation(_Record):
     """Two-cone presentation: skeleton Sigma J v S^m v S^(n-m), cofiber like
     S^m x S^(n-m), with 1 < m <= n - m."""
 
-    m: int
-    n: int
-    J: SpaceExpr
-    inert_asserted: bool = False
-    justification: str = ""
+    __slots__ = __match_args__ = ("m", "n", "J", "inert_asserted", "justification")
 
-    def __post_init__(self):
-        if not 1 < self.m <= self.n - self.m:
+    def __init__(self, m: int, n: int, J: SpaceExpr, inert_asserted=False, justification=""):
+        if not 1 < m <= n - m:
             raise HypothesisError("class constraint violated: need 1 < m <= n - m")
-        _require_nontrivial(self.J, "J")
+        _require_nontrivial(J, "J")
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "J", J)
+        _set(self, "inert_asserted", inert_asserted)
+        _set(self, "justification", justification)
 
     def cofiber_space(self) -> SpaceExpr:
         return Product(Sphere(self.m), Sphere(self.n - self.m))
@@ -218,11 +217,10 @@ def y_class_loop_gf(y: YClassPresentation) -> RationalGF:
 # -- growth verdicts ----------------------------------------------------------
 
 
-class StronglyInertResult(NamedTuple):
-    strongly_inert: bool
-    rho_y: Radius
-    rho_z: Radius
-    series: RationalGF  # OmegaY, the split loop series of the total space
+class StronglyInertResult(_Record):
+    """The radius comparison; `series` is OmegaY, the split loop series of the total space."""
+
+    __slots__ = __match_args__ = ("strongly_inert", "rho_y", "rho_z", "series")
 
 
 def strongly_inert_check(c: CofiberPresentation) -> StronglyInertResult:
@@ -253,18 +251,13 @@ class GoodGrowth(Enum):
     NOT_CERTIFIED = "not-certified"
 
 
-@dataclass(frozen=True)
-class GrowthVerdict:
+class GrowthVerdict(_Record):
     """Good-exponential-growth verdict for the free loops on the total space."""
 
-    series: RationalGF
-    rho: Radius
-    log_index: LogIndex
-    elliptic: bool
-    strongly_inert: bool
-    omega_divergent: bool
-    good_growth: GoodGrowth
-    trail: tuple
+    __slots__ = __match_args__ = (
+        "series", "rho", "log_index", "elliptic", "strongly_inert", "omega_divergent",
+        "good_growth", "trail",
+    )
 
 
 def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
@@ -280,9 +273,10 @@ def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
     trail = [
         f"attaching map asserted inert: {c.justification or 'no justification given'}",
     ]
-    strongly, ry, rz, series = strongly_inert_check(c)
-    divergent = not rz.is_infinite
-    if strongly:
+    check = strongly_inert_check(c)
+    ry = check.rho_y
+    divergent = not check.rho_z.is_infinite
+    if check.strongly_inert:
         verdict = GoodGrowth.CERTIFIED_STRONGLY_INERT
         trail.append(
             "certified rho(OmegaY) < rho(OmegaZ) by disjoint isolating intervals; "
@@ -303,11 +297,11 @@ def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
         "free-loop homology is not recomputed here"
     )
     return GrowthVerdict(
-        series=series,
+        series=check.series,
         rho=ry,
         log_index=li,
         elliptic=ry.at_least(1),
-        strongly_inert=strongly,
+        strongly_inert=check.strongly_inert,
         omega_divergent=divergent,
         good_growth=verdict,
         trail=tuple(trail),
@@ -317,13 +311,11 @@ def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
 # -- homotopy ranks via PBW inversion ------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiRankTable:
+class PiRankTable(_Record):
     """Graded Lie-algebra ranks l_i with
     gf = prod_{i odd} (1+z^i)^(l_i) * prod_{i even} (1-z^i)^(-l_i) mod z^(N+1)."""
 
-    ranks: dict
-    trunc_degree: int
+    __slots__ = __match_args__ = ("ranks", "trunc_degree")
 
     def reconstruct(self) -> TruncatedSeries:
         cur = [1] + [0] * self.trunc_degree

@@ -12,10 +12,11 @@ recheck of a certificate (`series.Radius.certificate_holds`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd as int_gcd
+
+from . import _Record, _set
 
 
 def _strip(coeffs):
@@ -25,8 +26,7 @@ def _strip(coeffs):
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Record):
     """An integer polynomial; coeffs[i] is the coefficient of z^i.
 
     Trailing zeros are stripped on construction, so degree() is the index of
@@ -37,11 +37,10 @@ class IntPolynomial:
     (2, Fraction(1, 2))
     """
 
-    coeffs: tuple
+    __slots__ = __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        stripped = _strip(tuple(int(c) for c in self.coeffs))
-        object.__setattr__(self, "coeffs", stripped)
+    def __init__(self, coeffs: tuple):
+        _set(self, "coeffs", _strip(tuple(int(c) for c in coeffs)))
 
     # -- basic queries ----------------------------------------------------
 

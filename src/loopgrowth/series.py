@@ -35,11 +35,11 @@ denominator whose constant term is not 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd as int_gcd
 from operator import mul
 
+from . import _Record, _set
 from .arith import divisors
 from .polynomial import (
     IntPolynomial,
@@ -76,21 +76,19 @@ def _normalize(num: IntPolynomial, den: IntPolynomial):
     return num, den
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(_Record):
     """num(z)/den(z) in canonical reduced form.
 
     >>> RationalGF.from_coeffs([1], [1, -2]).expand(4).coeffs
     (1, 2, 4, 8, 16)
     """
 
-    num: IntPolynomial
-    den: IntPolynomial
+    __slots__ = __match_args__ = ("num", "den")
 
-    def __post_init__(self):
-        num, den = _normalize(self.num, self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, num: IntPolynomial, den: IntPolynomial):
+        num, den = _normalize(num, den)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @classmethod
     def from_coeffs(cls, num, den=(1,)) -> "RationalGF":
@@ -130,11 +128,10 @@ class RationalGF:
         return expand(self, trunc_degree)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Coefficients c_0 .. c_N of a power series: ints, Fractions only where not integral."""
 
-    coeffs: tuple
+    __slots__ = __match_args__ = ("coeffs",)
 
     @property
     def trunc_degree(self) -> int:
@@ -231,8 +228,7 @@ def mul_binomial_power(coeffs, t: int, sign: int, e: int) -> list:
 # -- radius of convergence -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Radius:
+class Radius(_Record):
     """Smallest positive pole, certified.
 
     Finite: lo <= hi are positive rationals, the reduced denominator has
@@ -252,13 +248,14 @@ class Radius:
     The smallest positive pole equals the radius of convergence only for
     series with nonnegative coefficients; `pringsheim_ok` goes false when a
     negative coefficient was spotted in a desk-scale expansion of the source.
+
+    Two radii are equal when lo, hi and `polynomial` are; `_sqfree` and
+    `pringsheim_ok` are carried along, not compared.
     """
 
-    lo: Fraction | None
-    hi: Fraction | None
-    polynomial: bool = False
-    _sqfree: IntPolynomial | None = field(default=None, repr=False, compare=False)
-    pringsheim_ok: bool = field(default=True, compare=False)
+    __slots__ = ("lo", "hi", "polynomial", "_sqfree", "pringsheim_ok")
+    __match_args__ = __slots__[:3]
+    _defaults = {"polynomial": False, "_sqfree": None, "pringsheim_ok": True}
 
     @property
     def is_infinite(self) -> bool:
@@ -283,7 +280,7 @@ class Radius:
         if self.is_infinite or self.is_exact or self.width() <= tol:
             return self
         lo, hi = _bisect(self._sqfree, tol, self.lo, self.hi)
-        return replace(self, lo=lo, hi=hi)
+        return Radius(lo, hi, self.polynomial, self._sqfree, self.pringsheim_ok)
 
     def at_least(self, x: Fraction) -> bool:
         """Certified rho >= x, from at most two signs of the denominator.
@@ -560,13 +557,11 @@ def _disjoint_verdict(ra: Radius, rb: Radius):
 # -- log index -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogIndex:
+class LogIndex(_Record):
     """Exponential growth rate -ln(radius), with a propagated error bound."""
 
-    value: float
-    halfwidth: float = 0.0
-    eventually_zero: bool = False
+    __slots__ = __match_args__ = ("value", "halfwidth", "eventually_zero")
+    _defaults = {"halfwidth": 0.0, "eventually_zero": False}
 
 
 def log_index_exact(rho: Radius) -> LogIndex:
@@ -616,26 +611,22 @@ def log_index_empirical(s: TruncatedSeries, tail_start: int) -> float:
 # -- controlled exponential growth ----------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthCheckResult:
+class GrowthCheckResult(_Record):
     """Outcome of the finite controlled-growth certificate.
 
     `sequence` is the greedy maximal admissible degree sequence in [k_min, N],
     `alphas` the per-degree rates log(dim)/degree. The check passes when the
     sequence is nonempty, starts within ratio lambda of k_min, has every
     consecutive ratio below lambda, and lambda * n_last >= N, so truncation
-    hides no gap.
+    hides no gap. The series coefficients `dims` are carried along, not
+    compared.
     """
 
-    passed: bool
-    sequence: tuple
-    alphas: tuple
-    target: float
-    lam: float
-    epsilon: float
-    k_min: int
-    trunc_degree: int
-    dims: tuple = field(repr=False, default=())
+    __slots__ = (
+        "passed", "sequence", "alphas", "target", "lam", "epsilon", "k_min", "trunc_degree", "dims",
+    )
+    __match_args__ = __slots__[:-1]
+    _defaults = {"dims": ()}
 
     def cumulative(self, k: int) -> int:
         """r_k: sum of dimensions through degree k."""

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import re
 
+from . import _Record, _set
+
 
 class ParseError(ValueError):
     """Syntax error with the offending offset and the expected token kinds."""
@@ -39,46 +41,6 @@ class ParseError(ValueError):
 
 
 # -- AST --------------------------------------------------------------------
-
-
-_set = object.__setattr__  # how a record's __init__ writes its fields
-
-
-class _Record:
-    """An immutable record whose fields are named by `__match_args__`.
-
-    Equality is field by field between instances of the same class, the hash
-    is that of the field tuple, and the repr is `Name(field=value, ...)`, as
-    for a frozen dataclass, without the cost of building one at import.
-    Each subclass keeps its fields in slots and writes them with `_set`.
-    """
-
-    __slots__ = ()
-    __match_args__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class SpaceExpr(_Record):

@@ -22,8 +22,7 @@ under an explicitly named counting model and must not be read as a theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from . import _Record, _set
 from .arith import is_prime
 
 PRIME_LIMIT = 10**10  # bounds the trial division at about 1e5 steps
@@ -38,16 +37,16 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(_Record):
     """Finite sorted set of primes, the exclusion set of a (d, s) profile."""
 
-    primes: tuple
+    __slots__ = __match_args__ = ("primes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
-        for p in self.primes:
+    def __init__(self, primes: tuple):
+        primes = tuple(sorted(set(primes)))
+        for p in primes:
             _require_prime(p)
+        _set(self, "primes", primes)
 
     def __contains__(self, p: int) -> bool:
         return p in self.primes
@@ -113,18 +112,18 @@ def least_p_torsion_dim(n: int, p: int) -> int:
 # -- the sphere-factor census ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HiltonMilnorCensus:
+class HiltonMilnorCensus(_Record):
     """Sphere-factor multiplicities of loops on S^m v S^n up to weight N.
 
     factors maps a sphere dimension D to the number of loop-space factors on
     S^D, which equals the number of Lyndon words of weight D-1 over letters
-    weighted m-1 and n-1.
+    weighted m-1 and n-1. It is carried along, not compared: the generators
+    and N determine it.
     """
 
-    generators: tuple
-    factors: dict = field(compare=False)
-    trunc_degree: int = 0
+    __slots__ = ("generators", "factors", "trunc_degree")
+    __match_args__ = ("generators", "trunc_degree")
+    _defaults = {"trunc_degree": 0}
 
     def factor_counts(self):
         """Counts as a series in the weight degree t = D - 1."""
@@ -181,8 +180,7 @@ def hilton_milnor_census(m: int, n: int, trunc_degree: int) -> HiltonMilnorCensu
 # -- torsion and retraction reports --------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(_Record):
     """Exponent witness and modeled torsion lower bounds at a prime power.
 
     census_log_index is the rigorous growth statistic. t_lower counts one
@@ -191,15 +189,11 @@ class TorsionReport:
     count is a modeling choice, named by model_id, not a theorem.
     """
 
-    prime: int
-    r: int
-    census: HiltonMilnorCensus
-    exponent_witness: int
-    t_lower: dict
-    census_log_index: float
-    excluded: PrimeSet
-    prime_excluded: bool
-    model_id: str = "factor-count-v1"
+    __slots__ = __match_args__ = (
+        "prime", "r", "census", "exponent_witness", "t_lower", "census_log_index", "excluded",
+        "prime_excluded", "model_id",
+    )
+    _defaults = {"model_id": "factor-count-v1"}
 
 
 def torsion_report(
@@ -253,13 +247,10 @@ def torsion_report(
     )
 
 
-@dataclass(frozen=True)
-class RetractionReport:
+class RetractionReport(_Record):
     """Sphere pair (m, n) with a wedge retraction off the cofiber's loops."""
 
-    m: int
-    n: int
-    excluded: PrimeSet
+    __slots__ = __match_args__ = ("m", "n", "excluded")
 
     def __repr__(self):
         return f"RetractionReport(m={self.m}, n={self.n}, excluded={self.excluded.primes})"

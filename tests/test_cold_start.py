@@ -96,6 +96,21 @@ def test_retraction_loads_no_loop_space_module(tmp_path):
     assert not modules & {"loopgrowth.freeloop", "loopgrowth.loop"}
 
 
+def test_the_census_loads_no_loop_space_module(tmp_path):
+    body = "from loopgrowth.cli import main\nmain(['hm-census', '--m', '2', '--n', '3'])"
+    modules = loaded_after(body, tmp_path)
+    assert "loopgrowth.freeloop" in modules
+    assert "loopgrowth.loop" not in modules
+
+
+# records are slot classes, so no command builds a dataclass or a NamedTuple
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_no_command_loads_the_dataclass_machinery(argv, tmp_path):
+    body = f"from loopgrowth.cli import main\nmain({argv!r})"
+    modules = loaded_after(body, tmp_path)
+    assert not modules & {"dataclasses", "inspect", "typing"}
+
+
 def test_importing_the_package_loads_no_module_of_it(tmp_path):
     assert package_modules(loaded_after("import loopgrowth", tmp_path)) == {"loopgrowth"}
 

@@ -1,6 +1,5 @@
 """Exact rational generating functions: arithmetic, poles, growth checks."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -240,7 +239,9 @@ class TestPoles:
         den = IntPolynomial((1, -4)) * IntPolynomial((1, -3)) * IntPolynomial((1, -2))
         rho = smallest_positive_pole(RationalGF(IntPolynomial((1,)), den))
         assert rho.is_exact and rho.lo == Fraction(1, 4)
-        wide = dataclasses.replace(rho, lo=Fraction(1, 5), hi=Fraction(3, 5))
+        wide = series.Radius(
+            Fraction(1, 5), Fraction(3, 5), rho.polynomial, rho._sqfree, rho.pringsheim_ok
+        )
         assert den.sign_at(wide.lo) * den.sign_at(wide.hi) < 0
         assert not wide.certificate_holds()
 

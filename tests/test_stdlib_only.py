@@ -1,6 +1,7 @@
 """The runtime is stdlib-only: every import in the package is the standard
 library or the package itself, and every name a module imports is used there.
-Sturm root counts serve only as the independent recheck of a certificate."""
+Records are `_Record` slot classes, never dataclasses or named tuples. Sturm
+root counts serve only as the independent recheck of a certificate."""
 
 import ast
 import sys
@@ -45,6 +46,33 @@ def test_imports_only_the_standard_library(path):
     allowed = sys.stdlib_module_names | {"loopgrowth"}
     foreign = sorted(set(imported_roots(path.read_text())) - allowed)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+# every record is a slot `loopgrowth._Record`; these build records another way
+RECORD_MAKERS = {"dataclasses", "typing", "namedtuple"}
+
+
+def record_imports(source: str):
+    """The modules and names of RECORD_MAKERS that a module's source imports."""
+    found = set(imported_roots(source))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return sorted(found & RECORD_MAKERS)
+
+
+def test_record_import_check_sees_every_way_in():
+    source = (
+        "import typing\nfrom dataclasses import dataclass\n"
+        "from collections import namedtuple\nfrom enum import Enum\n"
+    )
+    assert record_imports(source) == ["dataclasses", "namedtuple", "typing"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_records_are_slot_records_only(path):
+    found = record_imports(path.read_text())
+    assert not found, f"{path.name} imports {found}; declare records as loopgrowth._Record"
 
 
 def test_unused_import_check_sees_dead_names():
