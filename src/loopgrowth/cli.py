@@ -408,11 +408,11 @@ def _cmd_free_loop(args):
             [k, t.hh0[k], t.hh1[k], t.lx[k]] for k in range(t.trunc_degree + 1)
         ],
     }
+    method = "signed cyclic coinvariants of the tensor algebra"
+    if args.method == "brute":
+        method = "cycle parity of theta's signed permutation of numbered words"
     prov = [
-        _computed(
-            "free-loop dimension table from signed cyclic coinvariants of the "
-            "tensor algebra, kernel layer by rank-nullity"
-        ),
+        _computed(f"free-loop dimension table from {method}, kernel layer by rank-nullity"),
         _computed("target log index from the certified radius of the loop series"),
         _computed("finite controlled-growth certificate over the requested window"),
     ]
@@ -455,7 +455,7 @@ def _cmd_hm_census(args):
             "spheres indexed by basic products",
             "product decomposition of loops on a two-sphere wedge",
         ),
-        _computed("multiplicities by the bivariate Witt formula over Lyndon words"),
+        _computed("multiplicities by the weighted Witt formula over Lyndon words"),
         _computed("reconstruction cross-check against the word-counting series"),
         _computed("census growth rate as the empirical log index of factor counts"),
     ]
