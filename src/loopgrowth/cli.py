@@ -9,10 +9,12 @@ ever carries the precision. Errors print a report with a machine-readable
 
 Each subcommand is declared once, in `_COMMANDS`: its help, its arguments
 and its handler. A flag is attached only to the commands whose handler reads
-it, so a flag a command would ignore is a usage error. The parser is built
-once per process. Usage errors (unknown or malformed flags, a missing
-subcommand) print a `usage-error` report and exit 2; `--help` and
-`--version` print to stdout and exit 0.
+it, so a flag a command would ignore is a usage error. The same arguments
+are the report's `request`: it echoes every argument but `--file`, keyed by
+its `dest`, in declaration order, with the value the handler normalized it
+to. The parser is built once per process. Usage errors (unknown or
+malformed flags, a missing subcommand) print a `usage-error` report and
+exit 2; `--help` and `--version` print to stdout and exit 0.
 
 Output is byte-identical across repeated runs. This module imports no
 library module at load time: each handler imports the modules it reads when
@@ -55,30 +57,17 @@ def _decimal_str(q) -> str:
 
 
 def _rational(q) -> dict:
-    return {
-        "num": str(q.numerator),
-        "den": str(q.denominator),
-        "decimal": _decimal_str(q),
-    }
+    return {"num": str(q.numerator), "den": str(q.denominator), "decimal": _decimal_str(q)}
 
 
 def _interval(r) -> dict:
     if r.is_infinite:
         return {"infinite": True, "polynomial": r.polynomial}
-    return {
-        "infinite": False,
-        "exact": r.is_exact,
-        "lo": _rational(r.lo),
-        "hi": _rational(r.hi),
-    }
+    return {"infinite": False, "exact": r.is_exact, "lo": _rational(r.lo), "hi": _rational(r.hi)}
 
 
 def _log_index(li) -> dict:
-    return {
-        "value": li.value,
-        "halfwidth": li.halfwidth,
-        "eventually_zero": li.eventually_zero,
-    }
+    return {"value": li.value, "halfwidth": li.halfwidth, "eventually_zero": li.eventually_zero}
 
 
 def _coeff_json(q):
@@ -86,10 +75,7 @@ def _coeff_json(q):
 
 
 def _gf_json(gf) -> dict:
-    return {
-        "numerator": list(gf.num.coeffs),
-        "denominator": list(gf.den.coeffs),
-    }
+    return {"numerator": list(gf.num.coeffs), "denominator": list(gf.den.coeffs)}
 
 
 def _series_table(coeffs) -> dict:
@@ -154,10 +140,23 @@ def _check_degree(n: int, limit: int = RATIONAL_DEGREE_LIMIT, what: str = "") ->
 # -- presentation payloads -----------------------------------------------------
 
 
+def _file_value(name, value, kind):
+    """A presentation-file value, held to the type its flag declares."""
+    if kind is int and type(value) in (int, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif kind is None and type(value) is str:
+        return value
+    want = "an integer" if kind is int else "a string"
+    raise ValueError(f"presentation field {name!r} must be {want}, not {json.dumps(value)}")
+
+
 def _load_presentation(args, fields):
-    """Merge a presentation file with command-line flags; flags win."""
+    """Merge a presentation file into `args`, field by field; flags win."""
     data = {}
-    if getattr(args, "file", None):
+    if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -171,21 +170,18 @@ def _load_presentation(args, fields):
             raise ValueError(
                 f"presentation kind {data['kind']!r} does not match command {args.command!r}"
             )
-    out = {}
-    for name in fields:
-        flag = getattr(args, name, None)
-        out[name] = flag if flag is not None else data.get(name)
-    just = args.inert if args.inert is not None else data.get("inert_justification")
-    if not just:
+    types = {a.dest: a.type for a in _ECHO[args.command]}
+    for name in fields + ("inert_justification",):
+        if getattr(args, name) is None and data.get(name) is not None:
+            setattr(args, name, _file_value(name, data[name], types[name]))
+    if not args.inert_justification:
         raise ValueError(
             "an inertness justification is required (--inert or the "
             "inert_justification field): the engine cannot verify inertness"
         )
-    out["inert_justification"] = just
-    missing = [k for k, v in out.items() if v is None]
+    missing = [name for name in fields if getattr(args, name) is None]
     if missing:
         raise ValueError(f"missing presentation fields: {', '.join(missing)}")
-    return out
 
 
 # -- command handlers ----------------------------------------------------------
@@ -199,7 +195,7 @@ def _cmd_parse(args):
     result = {"canonical": canonical, "tree": _tree(x)}
     table = _kv_table([("canonical", canonical)])
     prov = [_computed("canonical form from the precedence grammar (^ over x over v)")]
-    return {"expr": args.expr}, result, table, prov
+    return result, table, prov
 
 
 def _cmd_homology(args):
@@ -218,12 +214,7 @@ def _cmd_homology(args):
         _computed("rational homology by the wedge, product, smash and suspension rules"),
         _computed("connectivity and dimension bounds read off the same recursion"),
     ]
-    return (
-        {"expr": args.expr, "max_degree": n},
-        result,
-        _series_table(coeffs),
-        prov,
-    )
+    return result, _series_table(coeffs), prov
 
 
 def _cmd_loop_series(args):
@@ -247,12 +238,7 @@ def _cmd_loop_series(args):
         _computed("coefficients by linear recurrence on the reduced fraction"),
         _computed("radius certified by root counting and rational bisection"),
     ]
-    return (
-        {"expr": args.expr, "max_degree": n},
-        result,
-        _series_table(coeffs),
-        prov,
-    )
+    return result, _series_table(coeffs), prov
 
 
 def _cmd_rho(args):
@@ -270,7 +256,7 @@ def _cmd_rho(args):
             ("exact", str(rho.is_exact).lower()),
         ]
     prov = [_computed("radius certified by root counting and rational bisection")]
-    return {"expr": args.expr}, result, _kv_table(rows), prov
+    return result, _kv_table(rows), prov
 
 
 def _cmd_log_index(args):
@@ -282,19 +268,13 @@ def _cmd_log_index(args):
     li = series.log_index_exact(series.smallest_positive_pole(gf))
     tail = max(1, min(args.k_min, n))
     empirical = series.log_index_empirical(series.expand(gf, n), tail)
-    result = {
-        "log_index": _log_index(li),
-        "empirical": empirical,
-        "tail_start": tail,
-    }
-    table = _kv_table(
-        [("log_index", repr(li.value)), ("empirical", repr(empirical))]
-    )
+    result = {"log_index": _log_index(li), "empirical": empirical, "tail_start": tail}
+    table = _kv_table([("log_index", repr(li.value)), ("empirical", repr(empirical))])
     prov = [
         _computed("exact log index as -ln(certified radius midpoint)"),
         _computed("empirical log index as the max of log(dim)/degree over the tail"),
     ]
-    return {"expr": args.expr, "max_degree": n, "k_min": args.k_min}, result, table, prov
+    return result, table, prov
 
 
 # the theorem a certified verdict rests on, by GoodGrowth value
@@ -310,7 +290,22 @@ _VERDICT_CITATIONS = {
 }
 
 
-def _verdict_payload(verdict, n, justification):
+def _cmd_presentation(kind, fields, args):
+    """Growth verdict for a presentation of the `loop` class named `kind`
+    with these fields; the request echoes each field in canonical form."""
+    from . import loop, space
+
+    n = _check_degree(args.max_degree)
+    _load_presentation(args, fields)
+    just = args.inert_justification
+    values = [getattr(args, name) for name in fields]
+    values = [space.parse(v) if isinstance(v, str) else v for v in values]
+    pres = getattr(loop, kind)(*values, inert_asserted=True, justification=just)
+    for name, value in zip(fields, values):
+        if not isinstance(value, int):
+            setattr(args, name, space.to_text(value))
+    cofiber = pres if kind == "CofiberPresentation" else pres.as_cofiber()
+    verdict = loop.good_growth_verdict(cofiber)
     coeffs = verdict.series.expand(n).coeffs
     result = {
         "series": _gf_json(verdict.series),
@@ -324,7 +319,7 @@ def _verdict_payload(verdict, n, justification):
         "trail": list(verdict.trail),
     }
     prov = [
-        _asserted(f"attaching map is inert: {justification}"),
+        _asserted(f"attaching map is inert: {just}"),
         _cited(
             "loop series of the total space from the splitting of the cofiber fibration",
             "loop-space splitting for inert attachments",
@@ -333,24 +328,6 @@ def _verdict_payload(verdict, n, justification):
     ]
     if verdict.good_growth.value in _VERDICT_CITATIONS:
         prov.append(_cited(*_VERDICT_CITATIONS[verdict.good_growth.value]))
-    return result, _series_table(coeffs), prov
-
-
-_INT_FIELDS = ("m", "n")
-
-
-def _cmd_presentation(kind, fields, args):
-    """Growth verdict for a presentation of the `loop` class named `kind`
-    with these fields."""
-    from . import loop, space
-
-    n = _check_degree(args.max_degree)
-    p = _load_presentation(args, fields)
-    just = p["inert_justification"]
-    values = [int(p[f]) if f in _INT_FIELDS else space.parse(str(p[f])) for f in fields]
-    pres = getattr(loop, kind)(*values, inert_asserted=True, justification=just)
-    cofiber = pres if kind == "CofiberPresentation" else pres.as_cofiber()
-    result, table, prov = _verdict_payload(loop.good_growth_verdict(cofiber), n, just)
     if kind == "ConnSumPresentation":
         prov.insert(
             1,
@@ -361,10 +338,7 @@ def _cmd_presentation(kind, fields, args):
         )
     elif kind == "YClassPresentation":
         result["cofiber_space"] = space.to_text(pres.cofiber_space())
-    req = {f: v if f in _INT_FIELDS else space.to_text(v) for f, v in zip(fields, values)}
-    req["inert_justification"] = just
-    req["max_degree"] = n
-    return req, result, table, prov
+    return result, _series_table(coeffs), prov
 
 
 def _cmd_free_loop(args):
@@ -376,16 +350,11 @@ def _cmd_free_loop(args):
     degrees = tuple(int(part) for part in args.degrees.split(",") if part.strip())
     a = freeloop.GradedAlphabet(degrees)
     r = freeloop.free_loop_good_growth(
-        a,
-        n,
-        lam=args.lam,
-        epsilon=args.epsilon,
-        k_min=args.k_min,
-        match_tol=args.match_tol,
-        method=args.method,
+        a, n, getattr(args, "lambda"), args.epsilon, args.k_min, args.match_tol, args.method
     )
+    args.degrees, args.match_tol = list(a.degrees), r.match_tol
     result = {
-        "degrees": list(a.degrees),
+        "degrees": args.degrees,
         "target_log_index": r.target,
         "empirical_log_index": r.empirical,
         "log_index_match": r.log_index_match,
@@ -416,16 +385,7 @@ def _cmd_free_loop(args):
         _computed("target log index from the certified radius of the loop series"),
         _computed("finite controlled-growth certificate over the requested window"),
     ]
-    req = {
-        "degrees": list(a.degrees),
-        "max_degree": n,
-        "lambda": args.lam,
-        "epsilon": args.epsilon,
-        "k_min": args.k_min,
-        "match_tol": r.match_tol,
-        "method": args.method,
-    }
-    return req, result, table, prov
+    return result, table, prov
 
 
 def _cmd_hm_census(args):
@@ -459,8 +419,7 @@ def _cmd_hm_census(args):
         _computed("reconstruction cross-check against the word-counting series"),
         _computed("census growth rate as the empirical log index of factor counts"),
     ]
-    req = {"m": args.m, "n": args.n, "max_degree": n, "k_min": args.k_min}
-    return req, result, table, prov
+    return result, table, prov
 
 
 def _cmd_torsion(args):
@@ -468,13 +427,12 @@ def _cmd_torsion(args):
 
     n = _check_degree(args.max_degree)
     excluded = torsion.PrimeSet(
-        tuple(int(q) for q in args.excluded.split(",") if q.strip())
-        if args.excluded
-        else ()
+        tuple(int(q) for q in (args.excluded or "").split(",") if q.strip())
     )
     rep = torsion.torsion_report(
         args.m, args.n, args.p, args.r, n, excluded=excluded, tail_start=args.k_min
     )
+    args.excluded = list(excluded.primes)
     result = {
         "prime": rep.prime,
         "r": rep.r,
@@ -501,16 +459,7 @@ def _cmd_torsion(args):
         ),
         _computed("census growth rate as the empirical log index of factor counts"),
     ]
-    req = {
-        "m": args.m,
-        "n": args.n,
-        "p": args.p,
-        "r": args.r,
-        "max_degree": n,
-        "k_min": args.k_min,
-        "excluded": list(excluded.primes),
-    }
-    return req, result, table, prov
+    return result, table, prov
 
 
 def _cmd_primes(args):
@@ -526,7 +475,7 @@ def _cmd_primes(args):
         ),
         _computed("primes q with 2q <= d - s + 1"),
     ]
-    return {"d": args.d, "s": args.s}, result, table, prov
+    return result, table, prov
 
 
 def _cmd_retraction(args):
@@ -535,11 +484,7 @@ def _cmd_retraction(args):
     A = space.parse(args.A)
     Z = space.parse(args.Z)
     rep = torsion.retraction_report(A, Z)
-    result = {
-        "m": rep.m,
-        "n": rep.n,
-        "excluded": list(rep.excluded.primes),
-    }
+    result = {"m": rep.m, "n": rep.n, "excluded": list(rep.excluded.primes)}
     table = _kv_table(
         [("m", rep.m), ("n", rep.n), ("excluded", ",".join(map(str, rep.excluded.primes)))]
     )
@@ -553,15 +498,20 @@ def _cmd_retraction(args):
         _computed("n from the least nonvanishing reduced homology degree of Z"),
         _computed("excluded primes from both structural profiles"),
     ]
-    return {"A": args.A, "Z": args.Z}, result, table, prov
+    return result, table, prov
 
 
 # -- command table -------------------------------------------------------------
 
 
 class Command(_Record):
-    """Help text, handler(args) -> (request, result, table, provenance), and
-    the arguments as (flags, add_argument keywords) pairs."""
+    """Help text, handler(args) -> (result, table, provenance), and the
+    arguments as (flags, add_argument keywords) pairs.
+
+    The arguments are the command's whole request: the report echoes each
+    one but `--file` under its `dest`, in this order, with the value the
+    handler leaves in `args`. A handler writes back only what it normalizes.
+    """
 
     __slots__ = __match_args__ = ("help", "handler", "arguments")
 
@@ -570,11 +520,14 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
+def _inert(what):
+    return _arg("--inert", dest="inert_justification", help=f"why the {what} is inert (recorded)")
+
+
 EXPR = _arg("expr")
 MAX_DEGREE = _arg("--max-degree", type=int, default=40, metavar="N")
 K_MIN = _arg("--k-min", type=int, default=10)
 FILE = _arg("--file", help="presentation file (JSON)")
-INERT = _arg("--inert", help="why the attaching map is inert (recorded)")
 FORMAT = _arg("--format", choices=("json", "csv"), default="json")
 
 _COMMANDS = {
@@ -597,7 +550,7 @@ _COMMANDS = {
         (
             _arg("--A", help="cofiber attachment source (suspended)"),
             _arg("--Z", help="cofiber of the attachment"),
-            INERT,
+            _inert("attaching map"),
             FILE,
             MAX_DEGREE,
         ),
@@ -609,7 +562,7 @@ _COMMANDS = {
             _arg("--A", help="collar attachment source"),
             _arg("--M", help="first summand"),
             _arg("--N", help="second summand"),
-            _arg("--inert", help="why the collar attachment is inert (recorded)"),
+            _inert("collar attachment"),
             FILE,
             MAX_DEGREE,
         ),
@@ -621,7 +574,7 @@ _COMMANDS = {
             _arg("--m", type=int, help="lower sphere dimension"),
             _arg("--n", type=int, help="total dimension"),
             _arg("--J", help="suspended attachment source"),
-            INERT,
+            _inert("attaching map"),
             FILE,
             MAX_DEGREE,
         ),
@@ -631,17 +584,17 @@ _COMMANDS = {
         _cmd_free_loop,
         (
             _arg("--degrees", required=True, help="generator degrees, e.g. 2,2"),
-            _arg("--method", choices=("necklace", "brute"), default="necklace"),
+            MAX_DEGREE,
+            _arg("--lambda", type=float, default=1.5),
+            _arg("--epsilon", type=float, default=0.1),
+            K_MIN,
             _arg(
                 "--match-tol",
                 type=float,
                 default=None,
                 help="log-index agreement tolerance (default 3.2/N, i.e. 0.08 at N=40)",
             ),
-            MAX_DEGREE,
-            K_MIN,
-            _arg("--lambda", dest="lam", type=float, default=1.5),
-            _arg("--epsilon", type=float, default=0.1),
+            _arg("--method", choices=("necklace", "brute"), default="necklace"),
         ),
     ),
     "hm-census": Command(
@@ -662,9 +615,9 @@ _COMMANDS = {
             _arg("--n", type=int, required=True),
             _arg("--p", type=int, required=True),
             _arg("--r", type=int, required=True),
-            _arg("--excluded", help="comma-separated excluded primes"),
             MAX_DEGREE,
             K_MIN,
+            _arg("--excluded", help="comma-separated excluded primes"),
         ),
     ),
     "primes": Command(
@@ -692,21 +645,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser, and each command's echoed arguments as argparse actions."""
     top = _ArgumentParser(
         prog="loopgrowth",
         description="growth invariants of loop spaces and free loop spaces",
     )
     top.add_argument("--version", action="version", version=f"loopgrowth {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
+    echo = {}
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for flags, kwargs in command.arguments + (FORMAT,):
-            p.add_argument(*flags, **kwargs)
-    return top
+        actions = [p.add_argument(*flags, **kwargs) for flags, kwargs in command.arguments]
+        echo[name] = [a for a in actions if a.dest != "file"]
+        p.add_argument(*FORMAT[0], **FORMAT[1])
+    return top, echo
 
 
-_PARSER = _build_parser()
+_PARSER, _ECHO = _build_parser()
 
 
 # -- report assembly -----------------------------------------------------------
@@ -718,8 +674,7 @@ def _render_csv(table: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table["columns"])
-    for row in table["rows"]:
-        writer.writerow(row)
+    writer.writerows(table["rows"])
     return buf.getvalue()
 
 
@@ -779,20 +734,17 @@ def run(argv, out) -> int:
         _emit(_error_report(command, KIND_USAGE, str(e)), "json", out)
         return 2
     try:
-        request, result, table, provenance = _COMMANDS[args.command].handler(args)
+        result, table, provenance = _COMMANDS[args.command].handler(args)
     except ValueError as e:
         kind = getattr(e, "report_kind", KIND_VALIDATION)
-        if kind == KIND_PARSE:
-            extra = {"offset": e.offset, "expected": list(e.expected)}
-        else:
-            extra = {}
+        extra = {"offset": e.offset, "expected": list(e.expected)} if kind == KIND_PARSE else {}
         _emit(_error_report(args.command, kind, str(e), **extra), "json", out)
         return 2 if kind == KIND_PARSE else 1
     report = {
         "schema": SCHEMA_ID,
         "command": args.command,
         "engine": {"name": "loopgrowth", "version": __version__},
-        "request": request,
+        "request": {a.dest: getattr(args, a.dest) for a in _ECHO[args.command]},
         "result": result,
         "table": table,
         "provenance": provenance,

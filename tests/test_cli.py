@@ -1,11 +1,15 @@
-"""CLI reports: schema validity, exit codes, determinism, CSV round trips."""
+"""CLI reports: schema validity, exit codes, determinism, CSV round trips, and
+the request echo read off each command's declared arguments."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -423,6 +427,20 @@ class TestWorkPerVerdict:
         assert report["result"]["series"] == {"numerator": [1], "denominator": [1, -2]}
 
 
+PRESENTATIONS = {
+    "cofiber": {"A": "S2", "Z": "S2 x S2", "inert_justification": JUST},
+    "connsum": {"A": "S3", "M": "S2 x S2", "N": "S2 x S2", "inert_justification": JUST},
+    "yclass": {"m": 2, "n": 5, "J": "S2 v S3", "inert_justification": JUST},
+}
+
+
+def presentation_file(directory, command, **fields) -> str:
+    """Write the test presentation of `command`, with `fields` replaced."""
+    path = directory / "pres.json"
+    path.write_text(json.dumps({"kind": command, **PRESENTATIONS[command], **fields}))
+    return str(path)
+
+
 class TestPresentationFiles:
     def test_file_supplies_fields(self, tmp_path):
         f = tmp_path / "pres.json"
@@ -473,6 +491,69 @@ class TestPresentationFiles:
         err = json.loads(text)["error"]
         assert "missing presentation fields" in err["message"]
         assert "M" in err["message"] and "N" in err["message"]
+
+    @pytest.mark.parametrize("command", PRESENTATIONS)
+    def test_file_alone_answers(self, command, tmp_path):
+        code, report = run_json([command, "--file", presentation_file(tmp_path, command)])
+        assert code == 0
+        assert report["request"]["inert_justification"] == JUST
+
+    def test_integer_field_may_be_a_numeric_string(self, tmp_path):
+        path = presentation_file(tmp_path, "yclass", m="2", n=" 5 ")
+        code, report = run_json(["yclass", "--file", path])
+        assert code == 0
+        assert (report["request"]["m"], report["request"]["n"]) == (2, 5)
+
+    @pytest.mark.parametrize(
+        "command,field,value",
+        [("yclass", f, v) for f in ("m", "n") for v in (2.9, 5.0, True, "2.5", [2])]
+        + [
+            (command, f, v)
+            for command, fields in PRESENTATIONS.items()
+            for f in fields
+            if f not in ("m", "n")
+            for v in (2, False, ["S2"])
+        ],
+    )
+    def test_file_field_of_the_wrong_type_is_refused(self, command, field, value, tmp_path):
+        path = presentation_file(tmp_path, command, **{field: value})
+        code, report = run_json([command, "--file", path])
+        assert code == 1
+        assert report["error"]["kind"] == "validation-error"
+        assert f"presentation field {field!r} must be" in report["error"]["message"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def declared_flags(command):
+    """(dest, flag) of each argument `command` declares, in order; a
+    positional's flag is its name in capitals, as the README writes it."""
+    parser = argparse.ArgumentParser(add_help=False)
+    out = []
+    for flags, kwargs in cli._COMMANDS[command].arguments:
+        dest = parser.add_argument(*flags, **kwargs).dest
+        out.append((dest, flags[0] if flags[0].startswith("-") else flags[0].upper()))
+    return out
+
+
+class TestRequestEcho:
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_request_echoes_the_declared_arguments_in_order(self, argv):
+        _, report = run_json(argv)
+        dests = [dest for dest, _ in declared_flags(argv[0]) if dest != "file"]
+        assert list(report["request"]) == dests
+
+    def test_readme_table_lists_the_declared_flags_in_order(self):
+        text = README.read_text(encoding="utf-8")
+        header = "| command | what it reports | arguments |"
+        rows = text[text.index(header):].split("\n\n")[0].splitlines()[2:]
+        listed = {}
+        for row in rows:
+            cells = row.strip("|").split("|")
+            listed[cells[0].strip().strip("`")] = re.findall(r"`([^`]+)`", cells[-1])
+        declared = {c: [flag for _, flag in declared_flags(c)] for c in cli._COMMANDS}
+        assert listed == declared
 
 
 class TestCsv:
