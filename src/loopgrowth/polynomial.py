@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd as int_gcd
+from operator import index
 
 from . import _Record, _set
 
@@ -30,7 +31,9 @@ class IntPolynomial(_Record):
     """An integer polynomial; coeffs[i] is the coefficient of z^i.
 
     Trailing zeros are stripped on construction, so degree() is the index of
-    the last nonzero coefficient (-1 for the zero polynomial).
+    the last nonzero coefficient (-1 for the zero polynomial). Coefficients
+    must be exact integers: a float or a Fraction raises TypeError rather
+    than being truncated.
 
     >>> p = IntPolynomial((1, 0, -2))
     >>> p.degree(), p.eval_at(Fraction(1, 2))
@@ -40,7 +43,7 @@ class IntPolynomial(_Record):
     __slots__ = __match_args__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple):
-        _set(self, "coeffs", _strip(tuple(int(c) for c in coeffs)))
+        _set(self, "coeffs", _strip(tuple(map(index, coeffs))))
 
     # -- basic queries ----------------------------------------------------
 
@@ -87,14 +90,17 @@ class IntPolynomial(_Record):
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
+        """The product; each nonzero term of the sparser factor adds one scaled row of the other."""
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        if len(b) - b.count(0) < len(a) - a.count(0):
+            a, b = b, a
+        n = len(b)
+        out = [0] * (len(a) + n - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + n] = [x + c * y for x, y in zip(out[i:i + n], b)]
         return IntPolynomial(tuple(out))
 
     def scale(self, k: int) -> "IntPolynomial":
@@ -199,11 +205,13 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
     Computed by the primitive pseudo-remainder sequence over Z: dividing the
     content out of each pseudo-remainder keeps coefficient growth in check
-    without rational arithmetic.
+    without rational arithmetic. A nonzero constant operand gives ONE at once.
 
     >>> poly_gcd(IntPolynomial((-1, 0, 1)), IntPolynomial((1, 1))).coeffs
     (1, 1)
     """
+    if a.degree() == 0 or b.degree() == 0:
+        return ONE
     fa = _primitive(list(a.coeffs))
     fb = _primitive(list(b.coeffs))
     while fb:

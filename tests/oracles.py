@@ -62,6 +62,17 @@ def tshift(a, k, n):
     return out
 
 
+def dense_product(a, b):
+    """Coefficients of the product of two integer coefficient lists, every pair of terms visited."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def texpand(num, den, n):
     """Expansion of num/den as lists of coefficients, exact."""
     return tmul(list(num), trecip(list(den), n), n)

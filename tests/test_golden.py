@@ -3,9 +3,11 @@ golden_cli.json.
 
 The cases cover every command of test_cli.COMMANDS in both formats, the
 brute-force free-loop path, a presentation read from a file, one argv per
-error kind, and four requests whose loop-series denominator has a repeated
-factor. A case whose argv holds "{file}" runs with the presentation
-file written to a temporary directory; the path is never echoed.
+error kind, four requests whose loop-series denominator has a repeated
+factor, the loop series of a twelve-sphere product and of a wedge of
+products, and a cofiber whose series arithmetic cancels a common factor. A
+case whose argv holds "{file}" runs with the presentation file written to a
+temporary directory; the path is never echoed.
 
 After an intentional output change, refreeze with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -49,6 +51,15 @@ def cases():
     square = "(S2 v S3) x (S2 v S3)"
     out += [(f"{cmd}-repeated-factor", [cmd, square]) for cmd in ("rho", "loop-series", "log-index")]
     out += [("cofiber-repeated-factor", ["cofiber", "--A", "S3", "--Z", square, "--inert", "x"])]
+    # series built from spheres by products and wedges, which take no gcd,
+    # and a cofiber whose redA = z^2 + z^3 shares the factor 1 + z with the
+    # loop denominator 1 - z^2 of Z, which does
+    product = " x ".join(f"S{n}" for n in range(2, 14))
+    big = ["loop-series", product, "--max-degree", "200"]
+    out += [("loop-series-sphere-product-json", big)]
+    out += [("loop-series-sphere-product-csv", big + ["--format", "csv"])]
+    out += [("loop-series-wedge-of-products", ["loop-series", "(S2 x S3) v (S4 x S5)"])]
+    out += [("cofiber-shared-factor", ["cofiber", "--A", "S2 v S3", "--Z", "S3", "--inert", "x"])]
     return out
 
 

@@ -23,6 +23,8 @@ from loopgrowth.loop import (
     strongly_inert_check,
     y_class_loop_gf,
 )
+from loopgrowth import series
+from loopgrowth.polynomial import IntPolynomial
 from loopgrowth.series import (
     RationalGF,
     compare_radii,
@@ -32,6 +34,7 @@ from loopgrowth.series import (
 from loopgrowth.space import Product, Sphere, Susp, Wedge, homology_gf, parse
 
 import oracles
+from test_golden import GOLDEN, run_case
 
 
 def gf(num, den=(1,)):
@@ -77,6 +80,49 @@ class TestLoopSeries:
             x = Wedge(x, Sphere(n))
         got = expand(loop_gf(x), 30).as_dims()
         assert list(got) == oracles.word_count_series([n - 1 for n in dims], 30)
+
+
+def unreduced_loop_fields(x):
+    """(num, den) of the loop series of a sphere product or wedge, nothing cancelled."""
+    if isinstance(x, Sphere):
+        return IntPolynomial((1,)), IntPolynomial((1,) + (0,) * (x.n - 2) + (-1,))
+    (a, b), (c, d) = unreduced_loop_fields(x.left), unreduced_loop_fields(x.right)
+    if isinstance(x, Product):
+        return a * c, b * d
+    # 1/OmegaW = b/a + d/c - 1
+    return a * c, b * c + d * a - a * c
+
+
+SPHERE_PRODUCT = " x ".join(f"S{n}" for n in range(2, 14))
+# the degree-105 rho ladder of the seed-1 product-poles benchmark workload
+LADDER = "S5 x S3 x S10 x S5 x S9 x S10 x S7 x S11 x S9 x S3 x S3 x S7 x S5 x S6 x S8 x S6 x S2 x S4 x S11"
+
+
+class TestWorkPerSeries:
+    @pytest.mark.parametrize("expr", [SPHERE_PRODUCT, LADDER, "(S2 x S3) v (S4 x S5)"])
+    def test_products_and_wedges_of_spheres_take_no_gcd(self, monkeypatch, expr):
+        want = RationalGF(*unreduced_loop_fields(parse(expr)))
+
+        def refused(a, b):
+            raise AssertionError("a polynomial gcd was taken")
+
+        monkeypatch.setattr(series, "poly_gcd", refused)
+        got = loop_gf(parse(expr))
+        assert (got.num, got.den) == (want.num, want.den)
+
+    def test_a_shared_factor_is_still_cancelled(self, monkeypatch, tmp_path):
+        # redA = z^2 + z^3 for A = S2 v S3 shares 1 + z with 1 - z^2 from Z = S3
+        real, gcds = series.poly_gcd, []
+
+        def recorded(a, b):
+            gcds.append(real(a, b))
+            return gcds[-1]
+
+        monkeypatch.setattr(series, "poly_gcd", recorded)
+        case = GOLDEN["cofiber-shared-factor"]
+        assert case["argv"] == ["cofiber", "--A", "S2 v S3", "--Z", "S3", "--inert", "x"]
+        assert run_case(case["argv"], tmp_path) == (case["exit"], case["stdout"])
+        assert IntPolynomial((1, 1)) in gcds
 
 
 class TestLoopSmashSphere:

@@ -125,6 +125,68 @@ class TestExpand:
             with pytest.raises(ValueError, match="must be a nonnegative integer"):
                 TruncatedSeries.from_dims(bad)
 
+    def test_from_dims_refuses_booleans(self):
+        for bad in ([1, True], [False]):
+            with pytest.raises(ValueError, match="must be a nonnegative integer"):
+                TruncatedSeries.from_dims(bad)
+
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=9),
+        st.sampled_from([1, 2, 3, 6]),
+        st.lists(st.integers(-4, 4), max_size=4),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_both_paths_match_truncated_arithmetic(self, num, d0, rest, n):
+        # d0 = 1 runs the division-free path, d0 > 1 the scaled one; n may
+        # fall below the numerator's degree
+        a = gf(num, [d0] + rest)
+        got = expand(a, n).coeffs
+        want = oracles.texpand(a.num.coeffs, a.den.coeffs, n)
+        assert got == tuple(want)
+        assert [type(c) is int for c in got] == [c.denominator == 1 for c in want]
+
+    def test_truncation_below_the_numerator_degree(self):
+        num = (1, 2, 3, 4, 5, 6, 7, 8)
+        assert expand(gf(num, [1, -1]), 3).coeffs == (1, 3, 6, 10)
+        assert expand(gf(num, [3, -1]), 2).coeffs == tuple(oracles.texpand(num, (3, -1), 2))
+        assert expand(gf(num), 3).coeffs == (1, 2, 3, 4)
+
+
+class TestExactIntegers:
+    def test_float_coefficients_are_refused(self):
+        with pytest.raises(TypeError):
+            IntPolynomial((1.5, 2.7))
+        with pytest.raises(TypeError):
+            RationalGF.from_coeffs([0.5], [1, -1.9])
+
+    def test_fraction_coefficients_are_refused(self):
+        with pytest.raises(TypeError):
+            IntPolynomial((Fraction(7, 2),))
+
+
+# a sparse factor: a few nonzero terms at scattered degrees, zeros between them
+sparse_coeffs = st.dictionaries(st.integers(0, 30), st.integers(-9, 9), max_size=3).map(
+    lambda terms: [terms.get(i, 0) for i in range(max(terms, default=-1) + 1)]
+)
+dense_coeffs = st.lists(st.integers(-9, 9), max_size=12)
+
+
+class TestMultiplyKernel:
+    @given(sparse_coeffs, dense_coeffs)
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_times_dense_either_way_round(self, a, b):
+        p, q = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
+        want = tuple(oracles.dense_product(list(p.coeffs), list(q.coeffs)))
+        assert (p * q).coeffs == want
+        assert (q * p).coeffs == want
+
+    def test_zero_and_constant_factors(self):
+        p = IntPolynomial((0, -3, 0, 0, 5))
+        assert (p * IntPolynomial(())).is_zero() and (IntPolynomial(()) * p).is_zero()
+        assert (p * IntPolynomial((-2,))).coeffs == (0, 6, 0, 0, -10)
+        assert (IntPolynomial((0, 0, 1)) * p).coeffs == (0, 0, 0, -3, 0, 0, 5)
+
 
 small_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(tuple)
 unit_polys = st.tuples(
@@ -170,6 +232,138 @@ class TestRingLaws:
         again = RationalGF(a.num, a.den)
         assert again.num.coeffs == a.num.coeffs
         assert again.den.coeffs == a.den.coeffs
+
+
+# -- reduced form by construction -----------------------------------------------
+
+# factors planted in the unreduced fields: cyclotomic polynomials (1 - z,
+# 1 + z, 1 + z + z^2, 1 - z + z^2, 1 + z^2, Phi_5), a non-monic one and a
+# square, all with nonzero constant term so they may sit in a denominator
+PLANTED = [(1, -1), (1, 1), (1, 1, 1), (1, -1, 1), (1, 0, 1), (1, 1, 1, 1, 1), (2, -3), (1, 2, 1)]
+
+
+def _planted_product(draw, pool, min_size=0):
+    out = IntPolynomial((draw(st.sampled_from([1, -1, 2, 3, -6])),))
+    for f in draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=3)):
+        out = out * IntPolynomial(f)
+    return out
+
+
+@st.composite
+def planted_series(draw, pool):
+    """A series num/den whose unreduced fields carry planted factors from pool, one at least in den.
+
+    The numerator may be zero, and the denominator's constant term is drawn
+    from values other than 1 too, before normalization makes it positive.
+    """
+    num = IntPolynomial(draw(st.lists(st.integers(-4, 4), max_size=4)) or (0,))
+    d0 = draw(st.sampled_from([1, -1, 2, -3, 4]))
+    den = IntPolynomial((d0, *draw(st.lists(st.integers(-3, 3), max_size=3))))
+    return RationalGF(num * _planted_product(draw, pool), den * _planted_product(draw, pool, 1))
+
+
+@st.composite
+def operand_pairs(draw):
+    """(x, y) where y shares planted factors with x, or is built so x + y or x * y cancels."""
+    pool = draw(st.lists(st.sampled_from(PLANTED), min_size=1, max_size=3))
+    x, w = draw(planted_series(pool)), draw(planted_series(pool))
+    kind = draw(st.sampled_from(["shared", "sum-cancels", "product-cancels", "same", "negated"]))
+    if kind == "sum-cancels":
+        # x + y = w, so the sum cancels every factor of x.den that w.den lacks
+        return x, RationalGF(w.num * x.den - x.num * w.den, w.den * x.den)
+    if kind == "product-cancels":
+        # x * y = w where x.num may sit in a denominator, else x * y = w x.num
+        x_num = x.num if x.num.constant_term() != 0 else IntPolynomial((1,))
+        return x, RationalGF(w.num * x.den, w.den * x_num)
+    if kind == "same":
+        return x, x  # x - x cancels to 0
+    if kind == "negated":
+        return x, RationalGF(-x.num, x.den)  # x + y cancels to 0
+    return x, w
+
+
+def unreduced(op, x, y, k):
+    """The fields of the result of op before any cancellation."""
+    a, b, c, d = x.num, x.den, y.num, y.den
+    return {
+        "add": (a * d + c * b, b * d),
+        "sub": (a * d - c * b, b * d),
+        "mul": (a * c, b * d),
+        "neg": (-a, b),
+        "reciprocal": (b, a),
+        "shifted": (a.shift(k), b),
+    }[op]
+
+
+def computed(op, x, y, k):
+    return {
+        "add": lambda: x + y,
+        "sub": lambda: x - y,
+        "mul": lambda: x * y,
+        "neg": lambda: -x,
+        "reciprocal": x.reciprocal,
+        "shifted": lambda: x.shifted(k),
+    }[op]()
+
+
+OPS = ["add", "sub", "mul", "neg", "reciprocal", "shifted"]
+
+
+def invertible(op, x):
+    return op != "reciprocal" or x.num.constant_term() != 0
+
+
+class TestReducedByConstruction:
+    """Each operation gives exactly the fields the constructor gives on the
+    unreduced result, though only the constructor takes the full gcd."""
+
+    @pytest.mark.parametrize("op", OPS)
+    @given(pair=operand_pairs(), k=st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_fields_match_the_constructor(self, op, pair, k):
+        x, y = pair
+        if not invertible(op, x):
+            return
+        got = computed(op, x, y, k)
+        want = RationalGF(*unreduced(op, x, y, k))
+        assert (got.num, got.den) == (want.num, want.den)
+
+    @pytest.mark.parametrize("op", OPS)
+    @given(pair=operand_pairs(), k=st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_fields_match_sympy_cancel(self, op, pair, k):
+        sympy = pytest.importorskip("sympy")
+        x, y = pair
+        if not invertible(op, x):
+            return
+        z = sympy.Symbol("z")
+        num, den = (sum(c * z**i for i, c in enumerate(p.coeffs)) for p in unreduced(op, x, y, k))
+        n, d = sympy.fraction(sympy.cancel(num / den))
+        n, d = sympy.Poly(n, z, domain="QQ"), sympy.Poly(d, z, domain="QQ")
+        # scale to coprime integer coefficients with den(0) > 0
+        coeffs = n.all_coeffs() + d.all_coeffs()
+        scale = sympy.ilcm(*(c.q for c in coeffs)) / sympy.igcd(*(c.p for c in coeffs))
+        n, d = n * scale, d * scale
+        if d.eval(0) < 0:
+            n, d = -n, -d
+        got = computed(op, x, y, k)
+        assert got.num == IntPolynomial(tuple(int(c) for c in reversed(n.all_coeffs())))
+        assert got.den == IntPolynomial(tuple(int(c) for c in reversed(d.all_coeffs())))
+
+    def test_sum_that_cancels_to_zero(self):
+        x = gf([1, 2], [1, 0, -1])
+        for zero in (x - x, x + -x):
+            assert (zero.num.coeffs, zero.den.coeffs) == ((), (1,))
+
+    def test_cross_cancelled_product_divides_out_content(self):
+        # (2 - 2z)/(3 + 3z) * (3 + 3z)/(4 - 4z): every factor cancels but 1/2
+        a = RationalGF(IntPolynomial((2, -2)), IntPolynomial((3, 3)))
+        b = RationalGF(IntPolynomial((3, 3)), IntPolynomial((4, -4)))
+        assert ((a * b).num.coeffs, (a * b).den.coeffs) == ((1,), (2,))
+
+    def test_reciprocal_of_a_negative_constant_term_flips_the_sign(self):
+        r = gf([-1, 1], [1, -3]).reciprocal()
+        assert (r.num.coeffs, r.den.coeffs) == ((-1, 3), (1, -1))
 
 
 # -- certified pole isolation -------------------------------------------------
