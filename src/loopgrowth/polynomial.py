@@ -205,13 +205,11 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
     Computed by the primitive pseudo-remainder sequence over Z: dividing the
     content out of each pseudo-remainder keeps coefficient growth in check
-    without rational arithmetic. A nonzero constant operand gives ONE at once.
+    without rational arithmetic.
 
     >>> poly_gcd(IntPolynomial((-1, 0, 1)), IntPolynomial((1, 1))).coeffs
     (1, 1)
     """
-    if a.degree() == 0 or b.degree() == 0:
-        return ONE
     fa = _primitive(list(a.coeffs))
     fb = _primitive(list(b.coeffs))
     while fb:

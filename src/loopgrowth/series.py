@@ -5,13 +5,10 @@ polynomial gcd is removed, the integer contents of numerator and denominator
 are coprime, and the denominator has positive constant term. That form is
 unique, so two generating functions are equal iff their fields are equal.
 
-Only the constructor `RationalGF(num, den)` takes the gcd of its whole
-numerator and denominator. Arithmetic keeps the form by construction, by
-Henrici's cross-cancellation (P. Henrici, A subroutine for computations with
-rational numbers, JACM 3, 1956), so each operation takes only the gcds its
-coprime operands leave open (see `RationalGF`). A gcd with a constant
-operand is 1 and is never taken, so a series built from spheres by products
-and wedges takes no polynomial gcd.
+Every operation builds its unreduced fraction and the constructor reduces
+it. A gcd with a constant operand is 1 and is not taken, so a series built
+from spheres by products and wedges, where every fraction has a constant
+numerator or denominator, takes no polynomial gcd.
 
 Radii of convergence are certified, not sampled: the smallest positive root of
 the reduced denominator is found by root counting and rational bisection, so
@@ -69,73 +66,30 @@ def _normalize(num: IntPolynomial, den: IntPolynomial):
         raise ZeroDivisionError("denominator is the zero polynomial")
     if den.constant_term() == 0:
         raise ValueError("denominator constant term is zero; no power series at z = 0")
-    return _content_and_sign(*_cancel(num, den))
-
-
-def _gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """gcd(p, q) over Q, taken only when both have positive degree; ONE otherwise.
-
-    A zero p gives ONE too: wherever that happens the result is 0/1 anyway.
-    """
-    return poly_gcd(p, q) if p.degree() > 0 and q.degree() > 0 else ONE
-
-
-def _cancel(p: IntPolynomial, q: IntPolynomial):
-    """p and q divided by their gcd over Q (exactly, since the gcd is primitive)."""
-    g = _gcd(p, q)
-    if g.degree() > 0:
-        return poly_divexact(p, g), poly_divexact(q, g)
-    return p, q
-
-
-def _content_and_sign(num: IntPolynomial, den: IntPolynomial):
-    """The reduced form of num/den when the two are already coprime over Q.
-
-    The common integer content is divided out and the denominator's constant
-    term made positive; a zero numerator gives 0/1.
-    """
     if num.is_zero():
         return ZERO, ONE
-    c = int_gcd(*num.coeffs, *den.coeffs)
+    # a gcd with a constant operand is 1, so it is not taken
+    if num.degree() > 0 and den.degree() > 0:
+        g = poly_gcd(num, den)
+        if g.degree() > 0:
+            num = poly_divexact(num, g)
+            den = poly_divexact(den, g)
+    c = int_gcd(num.content(), den.content())
     if c > 1:
         num = IntPolynomial(tuple(x // c for x in num.coeffs))
         den = IntPolynomial(tuple(x // c for x in den.coeffs))
-    if den.coeffs[0] < 0:
+    if den.constant_term() < 0:
         num, den = -num, -den
     return num, den
-
-
-def _coprime(num: IntPolynomial, den: IntPolynomial) -> "RationalGF":
-    """The RationalGF num/den, for num and den coprime over Q and den(0) != 0.
-
-    Only `_content_and_sign` runs: the record is built without `_normalize`.
-    """
-    gf = object.__new__(RationalGF)
-    num, den = _content_and_sign(num, den)
-    _set(gf, "num", num)
-    _set(gf, "den", den)
-    return gf
 
 
 class RationalGF(_Record):
     """num(z)/den(z) in canonical reduced form.
 
-    The constructor takes the full gcd of num and den. The operations keep
-    the reduced form by cross-cancellation, with operands a/b and c/d:
-
-    - `a/b * c/d` cancels g = gcd(a, d) and h = gcd(c, b), giving
-      (a/g)(c/h) / ((b/h)(d/g));
-    - `a/b +- c/d` takes g = gcd(b, d); with b = g b' and d = g d', the
-      numerator t = a d' +- c b' shares no factor with b' or d', so only
-      s = gcd(t, g) cancels, giving (t/s) / (b' d' (g/s)), and with g = 1
-      no second gcd is taken;
-    - `reciprocal`, `-x` and `shifted` take no gcd: a and b are coprime,
-      and z^k is coprime to b because b(0) != 0.
-
-    Each result is then coprime over Q, and once its content is divided out
-    and the sign of den(0) made positive it is the unique reduced form, so
-    it equals the field-by-field result of the constructor on the unreduced
-    fraction.
+    The constructor divides out gcd(num, den), taken only when both have
+    positive degree, then the common integer content, and makes den(0)
+    positive. Each operation passes it the unreduced result (`a/b * c/d` is
+    ac/bd, `a/b + c/d` is (ad + cb)/bd), so operations take no gcd of their own.
 
     >>> RationalGF.from_coeffs([1], [1, -2]).expand(4).coeffs
     (1, 2, 4, 8, 16)
@@ -157,33 +111,24 @@ class RationalGF(_Record):
         return cls(IntPolynomial((k,)), ONE)
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
-        a, b, c, d = self.num, self.den, other.num, other.den
-        g = _gcd(b, d)
-        if g.degree() <= 0:
-            return _coprime(a * d + c * b, b * d)
-        b, d = poly_divexact(b, g), poly_divexact(d, g)
-        # t is coprime to b' and d'; only a factor of g can cancel
-        t, g = _cancel(a * d + c * b, g)
-        return _coprime(t, b * d * g)
+        return RationalGF(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RationalGF") -> "RationalGF":
-        return self + -other
+        return RationalGF(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RationalGF":
-        return _coprime(-self.num, self.den)
+        return RationalGF(-self.num, self.den)
 
     def __mul__(self, other: "RationalGF") -> "RationalGF":
-        a, d = _cancel(self.num, other.den)
-        c, b = _cancel(other.num, self.den)
-        return _coprime(a * c, b * d)
+        return RationalGF(self.num * other.num, self.den * other.den)
 
     def reciprocal(self) -> "RationalGF":
         if self.num.is_zero() or self.num.constant_term() == 0:
             raise ValueError("not invertible as a power series")
-        return _coprime(self.den, self.num)
+        return RationalGF(self.den, self.num)
 
     def shifted(self, k: int) -> "RationalGF":
-        return _coprime(self.num.shift(k), self.den)
+        return RationalGF(self.num.shift(k), self.den)
 
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0
@@ -245,9 +190,9 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     The recurrence runs on the integers e_k = d0^(k+1) c_k, where d0 is the
     denominator's constant term:
     e_k = d0^k n_k - sum_{j>=1} d_j d0^(j-1) e_(k-j).
-    c_k is the int e_k / d0^(k+1) when the division is exact and a Fraction
-    only when it is not. With d0 = 1, the case of every loop series, e_k is
-    c_k itself, and that path takes no powers of d0 and no divisions.
+    c_k is the int e_k / d0^(k+1) when the division is exact, as it always is
+    for d0 = 1, and a Fraction only when it is not. The numerator is sliced
+    and zero-padded to the truncation once, so the loop indexes no polynomial.
 
     >>> expand(RationalGF.from_coeffs([2], [2, -1]), 3).coeffs
     (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
@@ -262,10 +207,6 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     # weights d_j d0^(j-1) for j = m..1, against the window e_(k-m) .. e_(k-1)
     weights = [den[j] * d0 ** (j - 1) for j in range(m, 0, -1)]
     e = [0] * m  # zeros stand in for e_(-m) .. e_(-1)
-    if d0 == 1:
-        for k, nk in enumerate(num):
-            e.append(nk - sum(map(mul, weights, e[k:k + m])))
-        return TruncatedSeries(tuple(e[m:]))
     out = []
     d0k = 1
     for k, nk in enumerate(num):

@@ -138,8 +138,8 @@ class TestExpand:
     )
     @settings(max_examples=150, deadline=None)
     def test_both_paths_match_truncated_arithmetic(self, num, d0, rest, n):
-        # d0 = 1 runs the division-free path, d0 > 1 the scaled one; n may
-        # fall below the numerator's degree
+        # d0 = 1 gives ints only, d0 > 1 may give Fractions; n may fall
+        # below the numerator's degree
         a = gf(num, [d0] + rest)
         got = expand(a, n).coeffs
         want = oracles.texpand(a.num.coeffs, a.den.coeffs, n)
@@ -313,9 +313,10 @@ def invertible(op, x):
     return op != "reciprocal" or x.num.constant_term() != 0
 
 
-class TestReducedByConstruction:
+class TestReducedArithmetic:
     """Each operation gives exactly the fields the constructor gives on the
-    unreduced result, though only the constructor takes the full gcd."""
+    unreduced result, and those of sympy's cancel, though no gcd is taken
+    with a constant operand."""
 
     @pytest.mark.parametrize("op", OPS)
     @given(pair=operand_pairs(), k=st.integers(0, 3))
@@ -355,7 +356,7 @@ class TestReducedByConstruction:
         for zero in (x - x, x + -x):
             assert (zero.num.coeffs, zero.den.coeffs) == ((), (1,))
 
-    def test_cross_cancelled_product_divides_out_content(self):
+    def test_product_that_cancels_to_a_constant_divides_out_content(self):
         # (2 - 2z)/(3 + 3z) * (3 + 3z)/(4 - 4z): every factor cancels but 1/2
         a = RationalGF(IntPolynomial((2, -2)), IntPolynomial((3, 3)))
         b = RationalGF(IntPolynomial((3, 3)), IntPolynomial((4, -4)))
