@@ -105,7 +105,6 @@ _EXPORTS = {
         "PiRankTable",
         "StronglyInertResult",
         "YClassPresentation",
-        "connected_sum_loop_gf",
         "good_growth_verdict",
         "inert_cofiber_loop_gf",
         "loop_gf",
@@ -113,7 +112,6 @@ _EXPORTS = {
         "omega_at_rho_infinite",
         "pi_ranks",
         "strongly_inert_check",
-        "y_class_loop_gf",
     ),
     "series": (
         "GrowthCheckResult",

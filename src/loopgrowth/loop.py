@@ -204,16 +204,6 @@ def inert_cofiber_loop_gf(c: CofiberPresentation) -> RationalGF:
     return oz * (_ONE - ra * oz).reciprocal()
 
 
-def connected_sum_loop_gf(c: ConnSumPresentation) -> RationalGF:
-    """Loop series of the connected sum via the collar cofibration."""
-    return inert_cofiber_loop_gf(c.as_cofiber())
-
-
-def y_class_loop_gf(y: YClassPresentation) -> RationalGF:
-    """Loop series of a two-cone presentation; agrees with the cofiber route."""
-    return inert_cofiber_loop_gf(y.as_cofiber())
-
-
 # -- growth verdicts ----------------------------------------------------------
 
 

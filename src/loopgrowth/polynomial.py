@@ -2,7 +2,8 @@
 
 Coefficients are arbitrary-precision ints stored low degree first, and every
 operation stays in integers: gcd by a primitive pseudo-remainder sequence over
-Z, exact division, Taylor shifts for Descartes counts, and signs at a rational
+Z, exact division, the split of a denominator into binomials 1 - z^a by
+stride sums, Taylor shifts for Descartes counts, and signs at a rational
 point p/q read off the homogeneous value q^n f(p/q), so no floating point
 enters any certificate. Descartes counts isolate the poles; Sturm sequences,
 whose rows are primitive integer polynomials, count roots on half-open
@@ -266,6 +267,53 @@ def _changes(values) -> int:
 def sign_variations(chain, x: Fraction) -> int:
     p, q = x.numerator, x.denominator
     return _changes(_scaled_value(coeffs, p, q) for coeffs in chain)
+
+
+def stride_sums(c: list, a: int) -> list:
+    """The running sums of c along each residue class mod a, in place.
+
+    Read low degree first, this is c divided by 1 - z^a as a power series:
+    the quotient q satisfies q_k = c_k + q_(k-a).
+
+    >>> stride_sums([1, 0, 1, 0, 1], 2)
+    [1, 0, 2, 0, 3]
+    """
+    for r in range(a):
+        c[r::a] = accumulate(c[r::a])
+    return c
+
+
+def binomial_factors(f: IntPolynomial):
+    """(exponents, cofactor) with f = cofactor * prod(1 - z^a), split greedily.
+
+    Only an f with f(0) = 1 is split; any other comes back whole. The next
+    exponent tried is a, the lowest degree of a nonzero term past z^0, when
+    that term is negative; the quotient by 1 - z^a is the stride-a running
+    sums of f, and the division is exact iff the top a of them vanish. The
+    first division that fails ends the split. A product of binomials always
+    splits down to the cofactor 1: the lowest term of prod(1 - z^(a_i)) past
+    z^0 is -m z^a, with a the least a_i and m its multiplicity.
+
+    >>> binomial_factors(IntPolynomial((1, -1, -1, 1)))
+    ((1, 2), IntPolynomial(coeffs=(1,)))
+    """
+    c = list(f.coeffs)
+    exponents = []
+    a = 1
+    if c[:1] == [1]:
+        while len(c) > 1:
+            # a quotient by 1 - z^a keeps the terms of degree 1 .. a - 1 at
+            # zero, so the search resumes at a; it stops at the top term
+            while not c[a]:
+                a += 1
+            if c[a] > 0:
+                break
+            q = stride_sums(c[:], a)
+            if any(q[-a:]):
+                break
+            c = q[:-a]
+            exponents.append(a)
+    return tuple(exponents), IntPolynomial(tuple(c))
 
 
 def taylor_shift(coeffs) -> list:

@@ -13,10 +13,13 @@ numerator or denominator, takes no polynomial gcd.
 Radii of convergence are certified, not sampled: the smallest positive root of
 the reduced denominator is found by root counting and rational bisection, so
 every Radius comes with an exact rational interval that provably contains
-exactly one denominator root. Descartes counts isolate (Collins-Akritas): a
+exactly one denominator root. A denominator that splits exactly into
+binomials prod (1 - z^a), as every loop series of a product of spheres does,
+has the pole 1, certified by the split itself: every root of 1 - z^a is a
+root of unity. Otherwise Descartes counts isolate (Collins-Akritas): a
 count of 0 or 1 on an interval is exact, and each cell of the bisection grid
-is a Taylor shift of its parent, so product denominators like
-prod (1 - z^a), whose pole is the rational root 1, are certified with no gcd.
+is a Taylor shift of its parent, so a rational pole with no root below it
+is certified with no gcd.
 The search runs on the raw denominator when it is certified squarefree, and
 on its squarefree part otherwise; on a squarefree polynomial it always ends
 (Vincent's theorem). Sign bisection refines: the root is simple, so the
@@ -31,10 +34,11 @@ the two denominators in the overlap from the signs of their gcd at its ends.
 Only `Radius.certificate_holds` counts roots again, from scratch.
 
 All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
-the series recurrence run in integer arithmetic. A series coefficient is an
-int whenever it is integral, as every dimension series here is; rationals
-appear only as interval endpoints and as the non-integral coefficients of a
-denominator whose constant term is not 1.
+the series expansion (a stride sum for each binomial factor, a recurrence
+for the rest of the denominator) run in integer arithmetic. A series
+coefficient is an int whenever it is integral, as every dimension series
+here is; rationals appear only as interval endpoints and as the
+non-integral coefficients of a denominator whose constant term is not 1.
 """
 
 from __future__ import annotations
@@ -50,11 +54,13 @@ from .polynomial import (
     IntPolynomial,
     ONE,
     ZERO,
+    binomial_factors,
     cauchy_root_bound,
     descartes_count,
     poly_divexact,
     poly_gcd,
     squarefree_part,
+    stride_sums,
     taylor_shift,
 )
 
@@ -185,36 +191,45 @@ def gf_shift(a: RationalGF, k: int) -> RationalGF:
 
 
 def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
-    """Power series coefficients through z^trunc_degree, by linear recurrence.
+    """Power series coefficients through z^trunc_degree.
 
-    The recurrence runs on the integers e_k = d0^(k+1) c_k, where d0 is the
-    denominator's constant term:
+    The denominator splits as cofactor * prod(1 - z^a) (`binomial_factors`,
+    only when its constant term is 1). A linear recurrence divides the
+    numerator by the cofactor, on the integers e_k = d0^(k+1) c_k, where d0
+    is the cofactor's constant term:
     e_k = d0^k n_k - sum_{j>=1} d_j d0^(j-1) e_(k-j).
     c_k is the int e_k / d0^(k+1) when the division is exact, as it always is
-    for d0 = 1, and a Fraction only when it is not. The numerator is sliced
-    and zero-padded to the truncation once, so the loop indexes no polynomial.
+    for d0 = 1, and a Fraction only when it is not; with the cofactor 1 the
+    recurrence copies the numerator. Then each 1 - z^a with a <=
+    trunc_degree divides the series by one stride-a running sum.
 
     >>> expand(RationalGF.from_coeffs([2], [2, -1]), 3).coeffs
     (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+    >>> expand(RationalGF.from_coeffs([1], [1, -1, -1, 1]), 5).coeffs
+    (1, 1, 2, 2, 3, 3)
     """
     if trunc_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
-    den = gf.den.coeffs
+    exponents, cofactor = binomial_factors(gf.den)
+    den = cofactor.coeffs
     num = list(gf.num.coeffs[:trunc_degree + 1])
     num += [0] * (trunc_degree + 1 - len(num))
     d0 = den[0]
-    m = len(den) - 1
-    # weights d_j d0^(j-1) for j = m..1, against the window e_(k-m) .. e_(k-1)
-    weights = [den[j] * d0 ** (j - 1) for j in range(m, 0, -1)]
-    e = [0] * m  # zeros stand in for e_(-m) .. e_(-1)
+    # weights d_j d0^(j-1) for j = 1, 2, .. against e_(k-1), e_(k-2), .. read
+    # backwards; map stops at the shorter, so no window is padded or sliced
+    weights = [d * d0**j for j, d in enumerate(den[1:])]
+    e = []
     out = []
     d0k = 1
-    for k, nk in enumerate(num):
-        ek = d0k * nk - sum(map(mul, weights, e[k:k + m]))
+    for nk in num:
+        ek = d0k * nk - sum(map(mul, weights, reversed(e)))
         e.append(ek)
         d0k *= d0
         c, r = divmod(ek, d0k)
         out.append(Fraction(ek, d0k) if r else c)
+    for a in exponents:
+        if a <= trunc_degree:
+            stride_sums(out, a)
     return TruncatedSeries(tuple(out))
 
 
@@ -254,10 +269,10 @@ class Radius(_Record):
     series is a polynomial (so dimensions are eventually zero).
 
     `_sqfree` is the polynomial the certificate is about, leading
-    coefficient positive: the denominator itself when it is certified
-    squarefree or its pole is a rational root found before any gcd, else its
-    squarefree part. Behind a non-exact interval it is squarefree either
-    way, so the root inside is simple.
+    coefficient positive: the denominator itself when it is a product of
+    binomials, is certified squarefree, or its pole is a rational root found
+    before any gcd, else its squarefree part. Behind a non-exact interval it
+    is squarefree either way, so the root inside is simple.
 
     The smallest positive pole equals the radius of convergence only for
     series with nonnegative coefficients; `pringsheim_ok` goes false when a
@@ -495,11 +510,15 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
 
     The certificate is read off the denominator f, leading coefficient made
     positive, in this order: no sign change in its coefficients means no
-    positive root; a rational root r with Descartes count 0 on (0, r) is
-    the pole, with no gcd; otherwise f is replaced by its squarefree part,
-    unless it is certified squarefree mod one prime, and Descartes counts
-    isolate its smallest positive root below r or the Cauchy bound
-    (`_descartes_pole`).
+    positive root; a denominator that `binomial_factors` splits into
+    binomials 1 - z^a with cofactor 1 has the pole 1, with no root scan and
+    no Taylor shift, because every root of 1 - z^a is a root of unity, so 1
+    is the only positive one; a rational root r with Descartes count 0 on
+    (0, r) is the pole, with no gcd; otherwise f is replaced by its
+    squarefree part, unless it is certified squarefree mod one prime, and
+    Descartes counts isolate its smallest positive root below r or the
+    Cauchy bound (`_descartes_pole`). A partial split into binomials is not
+    used: the cofactor's pole may lie below 1.
 
     >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
     >>> (r.lo, r.hi)
@@ -513,6 +532,10 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     f = den if den.leading() > 0 else -den
     if all(c >= 0 for c in f.coeffs):
         return Radius(None, None, polynomial=False, pringsheim_ok=ok)
+    # every root of 1 - z^a is a root of unity, so a product of them has the
+    # one positive root 1, and the exact division is the certificate
+    if binomial_factors(den)[1] == ONE:
+        return Radius(Fraction(1), Fraction(1), False, f, ok)
     r = _smallest_positive_rational_root(f)
     if r is not None and descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0:
         return Radius(r, r, False, f, ok)

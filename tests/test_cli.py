@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -425,6 +426,25 @@ class TestWorkPerVerdict:
         assert code == 0
         assert len(calls) == 1
         assert report["result"]["series"] == {"numerator": [1], "denominator": [1, -2]}
+
+
+class TestSphereProductScaling:
+    def test_eleven_spheres_near_the_limit_answer_within_a_second(self):
+        # the loop denominator prod (1 - z^(n-1)) has degree 10,934 and the
+        # pole 1; its exact split into binomials certifies that pole
+        expr = " x ".join(f"S{n}" for n in range(1000, 989, -1))
+        want = IntPolynomial((1,))
+        for n in range(990, 1001):
+            want = want * IntPolynomial((1,) + (0,) * (n - 2) + (-1,))
+        assert want.degree() == 10_934
+        assert loop.loop_gf(parse(expr)).den == want
+        start = time.perf_counter()
+        code, text = run_cli(["rho", expr])
+        seconds = time.perf_counter() - start
+        assert code == 0 and seconds < 1
+        rho = json.loads(text)["result"]["rho"]
+        assert rho["exact"] and rho["lo"] == rho["hi"]
+        assert (rho["lo"]["num"], rho["lo"]["den"]) == ("1", "1")
 
 
 PRESENTATIONS = {

@@ -60,6 +60,20 @@ def cases():
     out += [("loop-series-sphere-product-csv", big + ["--format", "csv"])]
     out += [("loop-series-wedge-of-products", ["loop-series", "(S2 x S3) v (S4 x S5)"])]
     out += [("cofiber-shared-factor", ["cofiber", "--A", "S2 v S3", "--Z", "S3", "--inert", "x"])]
+    # sphere products, whose loop denominators are products of binomials
+    # 1 - z^a, and a product whose denominator keeps a cofactor 1 - z - z^2
+    def spheres(hi, lo):
+        return " x ".join(f"S{n}" for n in range(hi, lo - 1, -1))
+
+    long = ["loop-series", spheres(40, 2), "--max-degree", "200"]
+    out += [("loop-series-40-spheres-json", long)]
+    out += [("loop-series-40-spheres-csv", long + ["--format", "csv"])]
+    out += [("rho-eleven-spheres", ["rho", spheres(100, 90)])]
+    out += [("rho-three-top-spheres", ["rho", spheres(1000, 998)])]
+    mixed = ["loop-series", "(S2 v S3) x S4 x S5", "--max-degree", "200"]
+    out += [("loop-series-wedge-times-spheres", mixed)]
+    repeated = ["log-index", "S2 x S2 x S3 x S3 x S5 x S7 x S7", "--max-degree", "200"]
+    out += [("log-index-repeated-spheres", repeated)]
     return out
 
 

@@ -16,6 +16,7 @@ from loopgrowth import polynomial, series  # noqa: E402
 from loopgrowth.loop import loop_gf  # noqa: E402
 from loopgrowth.polynomial import (  # noqa: E402
     IntPolynomial,
+    binomial_factors,
     cauchy_root_bound,
     count_roots_halfopen,
     descartes_count,
@@ -178,6 +179,65 @@ class TestSturm:
             value = value * x + c
         assert f.eval_at(x) == value
         assert f.sign_at(x) == (value > 0) - (value < 0)
+
+
+def binomial(a: int) -> IntPolynomial:
+    return IntPolynomial((1,) + (0,) * (a - 1) + (-1,))
+
+
+def binomial_product(exponents) -> IntPolynomial:
+    out = IntPolynomial((1,))
+    for a in exponents:
+        out = out * binomial(a)
+    return out
+
+
+class TestBinomialFactors:
+    @given(st.lists(st.integers(1, 12), max_size=6), st.sampled_from([1, -1, 2, 5]),
+           st.lists(st.integers(-4, 4), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_factors_and_cofactor_rebuild_the_input(self, exponents, c0, rest):
+        f = binomial_product(exponents) * IntPolynomial((c0, *rest))
+        found, cofactor = binomial_factors(f)
+        assert binomial_product(found) * cofactor == f
+        assert list(found) == sorted(found)
+        if c0 != 1:
+            assert (found, cofactor) == ((), f)
+        elif not any(rest):
+            assert sorted(found) == sorted(exponents) and cofactor == IntPolynomial((1,))
+
+    @staticmethod
+    def check_against_sympy(exponents):
+        f = binomial_product(exponents)
+        found, cofactor = binomial_factors(f)
+        assert sorted(found) == sorted(exponents) and cofactor == IntPolynomial((1,))
+        # 1 - z^a is -prod over d | a of Phi_d, so Phi_d appears once per a it divides
+        _, factors = to_sympy(f).factor_list()
+        got = {normalized(from_sympy(g)): e for g, e in factors}
+        counts = {d: sum(a % d == 0 for a in found) for d in range(1, max(found, default=1) + 1)}
+        assert got == {cyclotomic(d): e for d, e in counts.items() if e}
+
+    @given(st.lists(st.integers(1, 12), max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_a_product_splits_whole_as_sympy_factors_it(self, exponents):
+        self.check_against_sympy(exponents)
+
+    # degree about 200, with few distinct cyclotomic factors: sympy factors
+    # a product of many distinct ones of high degree only in seconds
+    @pytest.mark.parametrize(
+        "exponents", [[200], [100, 100], [40] * 5, [60, 60, 60], [2] * 100, [1] * 50 + [3] * 50],
+        ids=["200", "100x2", "40x5", "60x3", "2x100", "1x50-3x50"],
+    )
+    def test_degree_200_products_split_as_sympy_factors_them(self, exponents):
+        self.check_against_sympy(exponents)
+
+    def test_a_failed_division_ends_the_split(self):
+        # (1 - z)(1 - z - z^2): 1 - z splits off, then 1 - z does not divide
+        found, cofactor = binomial_factors(IntPolynomial((1, -2, 0, 1)))
+        assert (found, cofactor.coeffs) == ((1,), (1, -1, -1))
+        # a positive lowest term is never tried
+        f = cyclotomic(3) * binomial(2)
+        assert binomial_factors(f) == ((), f)
 
 
 class TestExpand:

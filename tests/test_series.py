@@ -146,6 +146,26 @@ class TestExpand:
         assert got == tuple(want)
         assert [type(c) is int for c in got] == [c.denominator == 1 for c in want]
 
+    @given(
+        st.lists(st.integers(1, 12), max_size=5),
+        st.sampled_from([1, -1, 2, 3]),
+        st.lists(st.integers(-3, 3), max_size=3),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=30),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_binomial_products_match_truncated_arithmetic(self, exponents, c0, rest, num, n):
+        # prod (1 - z^a) times a cofactor; n falls below and above each a and
+        # the numerator's degree, and c0 != 1 either flips to 1 or keeps the
+        # whole denominator in the recurrence
+        den = IntPolynomial((c0, *rest))
+        for a in exponents:
+            den = den * IntPolynomial((1,) + (0,) * (a - 1) + (-1,))
+        got = expand(RationalGF(IntPolynomial(tuple(num)), den), n).coeffs
+        want = oracles.texpand(num, den.coeffs, n)
+        assert got == tuple(want)
+        assert [type(c) is int for c in got] == [c.denominator == 1 for c in want]
+
     def test_truncation_below_the_numerator_degree(self):
         num = (1, 2, 3, 4, 5, 6, 7, 8)
         assert expand(gf(num, [1, -1]), 3).coeffs == (1, 3, 6, 10)
@@ -506,12 +526,56 @@ class TestBisectionWork:
         assert work.count("taylor_shift") <= 1 + 3 * isolating
         assert isolating + 2 < steps
 
-    def test_a_product_pole_takes_one_shift(self, monkeypatch):
+    @staticmethod
+    def count_root_scans(monkeypatch, calls):
+        real = series._smallest_positive_rational_root
+
+        def counted(f):
+            calls.append("rational_root")
+            return real(f)
+
+        monkeypatch.setattr(series, "_smallest_positive_rational_root", counted)
+
+    def test_a_product_pole_takes_no_shift(self, monkeypatch):
         gf = loop_gf(parse(" x ".join(f"S{k}" for k in range(2, 14))))
         calls = self.count_chain_work(monkeypatch)
+        self.count_root_scans(monkeypatch, calls)
         rho = smallest_positive_pole(gf)
-        assert rho.is_exact and rho.lo == 1
-        assert calls == ["taylor_shift"]
+        assert calls == []  # no Taylor shift, no rational-root scan
+        assert rho.lo == rho.hi == 1
+        assert rho.certificate_holds()
+
+    # (lo, hi, certificate polynomial) as the Descartes path gave them before
+    # the binomial step existed
+    _GOLDEN_PHI = (
+        Fraction(679535556991, 1099511627776),
+        Fraction(5308871539, 8589934592),
+    )
+
+    @pytest.mark.parametrize(
+        "make_gf,lo,hi,sqfree",
+        [
+            # (1 - z)(1 - z^2) split off; the cofactor (1 - z - z^2)(1 + z + 2z^2 + z^3 + z^4) keeps the pole
+            (lambda: loop_gf(parse("(S2 v S3) x S4 x S5")), *_GOLDEN_PHI,
+             (1, 0, -1, -2, -2, 0, 1, 2, 1)),
+            # (1 - z) splits off, the cofactor 1 - z - z^2 does not
+            (lambda: gf([1], [1, -2, 0, 1]), *_GOLDEN_PHI, (1, -2, 0, 1)),
+            # Phi_3 (1 - z^2)(1 - z^5): the lowest term is +z, so nothing splits
+            (lambda: RationalGF(IntPolynomial((1,)), IntPolynomial((1, 1, 1)) * IntPolynomial((1, 0, -1))
+                                * IntPolynomial((1, 0, 0, 0, 0, -1))),
+             Fraction(1), Fraction(1), (1, 1, 0, -1, -1, -1, -1, 0, 1, 1)),
+        ],
+        ids=["wedge-times-spheres", "partial-split", "phi3-factor"],
+    )
+    def test_a_partial_split_takes_the_descartes_path(self, monkeypatch, make_gf, lo, hi, sqfree):
+        g = make_gf()
+        assert polynomial.binomial_factors(g.den)[1].degree() > 0
+        calls = self.count_chain_work(monkeypatch)
+        self.count_root_scans(monkeypatch, calls)
+        rho = smallest_positive_pole(g)
+        assert "rational_root" in calls and "taylor_shift" in calls
+        assert (rho.lo, rho.hi, rho._sqfree.coeffs) == (lo, hi, sqfree)
+        assert rho.certificate_holds()
 
     def test_a_double_root_takes_the_squarefree_part(self, monkeypatch):
         gf = loop_gf(parse("(S2 v S3) x (S2 v S3)"))
