@@ -485,7 +485,7 @@ class TestBisectionWork:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("squarefree_part", "taylor_shift"):
+        for name in ("squarefree_part", "taylor_shift", "_smallest_positive_rational_root"):
             counted(series, name)
         for name in ("sign_variations", "sturm_chain", "taylor_shift"):
             counted(polynomial, name)  # taylor_shift: the one inside descartes_count
@@ -526,20 +526,9 @@ class TestBisectionWork:
         assert work.count("taylor_shift") <= 1 + 3 * isolating
         assert isolating + 2 < steps
 
-    @staticmethod
-    def count_root_scans(monkeypatch, calls):
-        real = series._smallest_positive_rational_root
-
-        def counted(f):
-            calls.append("rational_root")
-            return real(f)
-
-        monkeypatch.setattr(series, "_smallest_positive_rational_root", counted)
-
     def test_a_product_pole_takes_no_shift(self, monkeypatch):
         gf = loop_gf(parse(" x ".join(f"S{k}" for k in range(2, 14))))
         calls = self.count_chain_work(monkeypatch)
-        self.count_root_scans(monkeypatch, calls)
         rho = smallest_positive_pole(gf)
         assert calls == []  # no Taylor shift, no rational-root scan
         assert rho.lo == rho.hi == 1
@@ -555,14 +544,14 @@ class TestBisectionWork:
     @pytest.mark.parametrize(
         "make_gf,lo,hi,sqfree",
         [
-            # (1 - z)(1 - z^2) split off; the cofactor (1 - z - z^2)(1 + z + 2z^2 + z^3 + z^4) keeps the pole
+            # (1 - z)(1 - z^2) split off; the cofactor
+            # (1 - z - z^2)(1 + z + 2z^2 + z^3 + z^4) keeps the pole
             (lambda: loop_gf(parse("(S2 v S3) x S4 x S5")), *_GOLDEN_PHI,
              (1, 0, -1, -2, -2, 0, 1, 2, 1)),
             # (1 - z) splits off, the cofactor 1 - z - z^2 does not
             (lambda: gf([1], [1, -2, 0, 1]), *_GOLDEN_PHI, (1, -2, 0, 1)),
             # Phi_3 (1 - z^2)(1 - z^5): the lowest term is +z, so nothing splits
-            (lambda: RationalGF(IntPolynomial((1,)), IntPolynomial((1, 1, 1)) * IntPolynomial((1, 0, -1))
-                                * IntPolynomial((1, 0, 0, 0, 0, -1))),
+            (lambda: gf([1], [1, 1, 0, -1, -1, -1, -1, 0, 1, 1]),
              Fraction(1), Fraction(1), (1, 1, 0, -1, -1, -1, -1, 0, 1, 1)),
         ],
         ids=["wedge-times-spheres", "partial-split", "phi3-factor"],
@@ -571,9 +560,8 @@ class TestBisectionWork:
         g = make_gf()
         assert polynomial.binomial_factors(g.den)[1].degree() > 0
         calls = self.count_chain_work(monkeypatch)
-        self.count_root_scans(monkeypatch, calls)
         rho = smallest_positive_pole(g)
-        assert "rational_root" in calls and "taylor_shift" in calls
+        assert "_smallest_positive_rational_root" in calls and "taylor_shift" in calls
         assert (rho.lo, rho.hi, rho._sqfree.coeffs) == (lo, hi, sqfree)
         assert rho.certificate_holds()
 
