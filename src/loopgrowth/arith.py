@@ -22,23 +22,21 @@ def divisors(n: int) -> list:
     return small + large[::-1]
 
 
-def divisor_sieve(n: int) -> tuple:
-    """Ascending divisor lists and Moebius values of 0..n, index 0 [] and 0.
+def moebius_invert(values: list) -> None:
+    """Replace values[n] by sum_{d | n} mu(n/d) values[d] for n >= 1, in place.
 
-    mu sums to 0 over the divisors of k > 1, so each mu(d) leaves its multiples.
+    Once the proper divisors of e have subtracted theirs, values[e] holds its
+    own term, which it then subtracts from each proper multiple of e.
 
-    >>> divs, mu = divisor_sieve(12)
-    >>> divs[12], mu[1:11]
-    ([1, 2, 3, 4, 6, 12], [1, -1, -1, 0, -1, 1, -1, 0, 0, 1])
+    >>> tau = [0, 1, 2, 2, 3, 2, 4]
+    >>> moebius_invert(tau)
+    >>> tau
+    [0, 1, 1, 1, 1, 1, 1]
     """
-    divs = [[] for _ in range(n + 1)]
-    mu = [int(k == 1) for k in range(n + 1)]
-    for d in range(1, n + 1):
-        for m in range(d, n + 1, d):
-            divs[m].append(d)
-            if m > d:
-                mu[m] -= mu[d]
-    return divs, mu
+    n = len(values) - 1
+    for e in range(1, n // 2 + 1):
+        for m in range(2 * e, n + 1, e):
+            values[m] -= values[e]
 
 
 def is_prime(n: int) -> bool:

@@ -678,7 +678,6 @@ def _render_csv(table: dict) -> str:
     return buf.getvalue()
 
 
-_FLOAT = json.JSONEncoder().encode
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
@@ -696,7 +695,7 @@ def _json(value, indent: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _FLOAT(value)
+        return float.__repr__(value)  # every report float is finite
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 
 from . import _Record, _set
-from .arith import divisor_sieve
+from .arith import moebius_invert
 from .series import (
     RationalGF,
     TruncatedSeries,
@@ -218,21 +218,18 @@ def _lyndon_class_counts(degrees, trunc_degree):
     Unique factorization into Lyndon words gives prod_w (1 - z^w)^-counts[w]
     = A(z) = 1/(1 - sum_j z^d_j). Comparing logarithmic derivatives, with
     t_e = sum_j d_j A_{e - d_j} the coefficients of z A'(z)/A(z), gives the
-    weighted Witt formula w counts[w] = sum_{e | w} mu(w/e) t_e. These are
-    also the Lyndon words of weight w, so `torsion.hilton_milnor_census`
-    reads them as the multiplicities of the sphere factors S^(w+1).
+    weighted Witt formula t_e = sum_{w | e} w counts[w], which
+    `arith.moebius_invert` inverts in place. These are also the Lyndon words
+    of weight w, so `torsion.hilton_milnor_census` reads them as the
+    multiplicities of the sphere factors S^(w+1).
 
     >>> _lyndon_class_counts((1, 1), 6)
     [0, 2, 1, 2, 3, 6, 9]
     """
-    n = trunc_degree
-    dims = tensor_algebra_dims(GradedAlphabet(degrees), n)
-    t = [sum(d * dims[e - d] for d in degrees if e >= d) for e in range(n + 1)]
-    divs, mu = divisor_sieve(n)
-    counts = [0] * (n + 1)
-    for w in range(1, n + 1):
-        counts[w] = sum(mu[w // e] * t[e] for e in divs[w]) // w
-    return counts
+    dims = tensor_algebra_dims(GradedAlphabet(degrees), trunc_degree)
+    t = [sum(d * dims[e - d] for d in degrees if e >= d) for e in range(trunc_degree + 1)]
+    moebius_invert(t)
+    return [0] + [t[w] // w for w in range(1, trunc_degree + 1)]
 
 
 def hh_necklace(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:

@@ -622,6 +622,16 @@ def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def _rates(s: TruncatedSeries, start: int):
+    """Yield (n, log(c_n)/n) for each nonzero coefficient c_n with n >= start."""
+    for n in range(start, s.trunc_degree + 1):
+        c = s[n]
+        if c:
+            if c < 0:
+                raise ValueError("series has negative coefficients; growth undefined")
+            yield n, _log_fraction(c) / n
+
+
 def log_index_empirical(s: TruncatedSeries, tail_start: int) -> float:
     """max over the tail of log(c_i)/i, skipping zero coefficients.
 
@@ -630,16 +640,7 @@ def log_index_empirical(s: TruncatedSeries, tail_start: int) -> float:
     """
     if not 0 <= tail_start <= s.trunc_degree:
         raise ValueError("tail start outside the truncation range")
-    best = None
-    for i in range(max(tail_start, 1), s.trunc_degree + 1):
-        c = s[i]
-        if c <= 0:
-            if c < 0:
-                raise ValueError("series has negative coefficients; growth undefined")
-            continue
-        v = _log_fraction(c) / i
-        if best is None or v > best:
-            best = v
+    best = max((rate for _, rate in _rates(s, max(tail_start, 1))), default=None)
     if best is None:
         raise ValueError("series has no tail growth to measure")
     return best
@@ -651,12 +652,9 @@ def log_index_empirical(s: TruncatedSeries, tail_start: int) -> float:
 class GrowthCheckResult(_Record):
     """Outcome of the finite controlled-growth certificate.
 
-    `sequence` is the greedy maximal admissible degree sequence in [k_min, N],
-    `alphas` the per-degree rates log(dim)/degree. The check passes when the
-    sequence is nonempty, starts within ratio lambda of k_min, has every
-    consecutive ratio below lambda, and lambda * n_last >= N, so truncation
-    hides no gap. The series coefficients `dims` are carried along, not
-    compared.
+    `sequence` is the admissible degree sequence of `controlled_growth_check`,
+    `alphas` its per-degree rates log(dim)/degree. The series coefficients
+    `dims` are carried along, not compared.
     """
 
     __slots__ = (
@@ -694,36 +692,23 @@ def controlled_growth_check(
     """Finite certificate for controlled exponential growth at rate `target`.
 
     Admissible degrees n in [k_min, N] have dim > 0 and |log(dim)/n - target|
-    <= epsilon. All admissible degrees are selected (greedy maximal sequence);
-    the ratio and coverage conditions then decide the verdict.
+    <= epsilon. All admissible degrees are selected (greedy maximal sequence).
+    The check passes when that sequence is nonempty, each of its degrees is
+    below lambda times the one before, with k_min before the first, and
+    lambda times its last degree reaches N, so truncation hides no gap.
     """
     check_growth_parameters(lam, epsilon, k_min, s.trunc_degree)
-    seq = []
-    alphas = []
-    for n in range(k_min, s.trunc_degree + 1):
-        c = s[n]
-        if c < 0:
-            raise ValueError("series has negative coefficients; growth undefined")
-        if c == 0:
-            continue
-        alpha = _log_fraction(c) / n
-        if abs(alpha - target) <= epsilon:
-            seq.append(n)
-            alphas.append(alpha)
-    passed = bool(seq)
-    if passed and seq[0] >= lam * k_min:
-        passed = False
-    if passed:
-        for prev, nxt in zip(seq, seq[1:]):
-            if nxt >= lam * prev:
-                passed = False
-                break
-    if passed and lam * seq[-1] < s.trunc_degree:
-        passed = False
+    kept = [(n, rate) for n, rate in _rates(s, k_min) if abs(rate - target) <= epsilon]
+    seq = [n for n, _ in kept]
+    passed = (
+        bool(seq)
+        and all(nxt < lam * prev for prev, nxt in zip([k_min] + seq, seq))
+        and lam * seq[-1] >= s.trunc_degree
+    )
     return GrowthCheckResult(
         passed=passed,
         sequence=tuple(seq),
-        alphas=tuple(alphas),
+        alphas=tuple(rate for _, rate in kept),
         target=target,
         lam=lam,
         epsilon=epsilon,

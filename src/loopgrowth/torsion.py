@@ -70,7 +70,7 @@ def primes_set(d: int, s: int) -> PrimeSet:
     bound = d - s + 1
     if bound // 2 > PRIME_WINDOW_LIMIT:
         raise ValueError(f"prime window up to {bound // 2} exceeds the {PRIME_WINDOW_LIMIT} limit")
-    return PrimeSet(tuple(q for q in range(2, bound // 2 + 1) if 2 * q <= bound and is_prime(q)))
+    return PrimeSet(tuple(q for q in range(2, bound // 2 + 1) if is_prime(q)))
 
 
 def primes_set_of(x) -> PrimeSet:
@@ -217,21 +217,16 @@ def torsion_report(
     from .series import log_index_empirical
 
     census = hilton_milnor_census(m, n, trunc_degree)
-    witness = None
-    for dim in census.factors:
-        if dim % 2 == 1 and (dim - 1) // 2 >= r:
-            witness = dim
-            break
-    if witness is None:
+    odd = [(dim, c) for dim, c in census.factors.items() if dim % 2 == 1 and (dim - 1) // 2 >= r]
+    if not odd:
         raise ValueError(
             "increase truncation: no odd sphere factor of dimension 2k+1 "
             f"with k >= {r} below degree {trunc_degree}"
         )
     t_lower = {}
-    for dim, count in census.factors.items():
-        if dim % 2 == 1 and (dim - 1) // 2 >= r:
-            deg = least_p_torsion_dim(dim, p)
-            t_lower[deg] = t_lower.get(deg, 0) + count
+    for dim, count in odd:
+        deg = least_p_torsion_dim(dim, p)
+        t_lower[deg] = t_lower.get(deg, 0) + count
     rate = log_index_empirical(
         census.factor_counts(), max(1, min(tail_start, trunc_degree))
     )
@@ -239,7 +234,7 @@ def torsion_report(
         prime=p,
         r=r,
         census=census,
-        exponent_witness=witness,
+        exponent_witness=odd[0][0],
         t_lower=dict(sorted(t_lower.items())),
         census_log_index=rate,
         excluded=excluded,

@@ -8,7 +8,7 @@ fraction-free eliminator, and sparse ranks against dense elimination.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 
 
 def tadd(a, b, n):
@@ -294,3 +294,54 @@ def smallest_positive_rational_root(coeffs):
         if sum(c * Fraction(p, q) ** i for i, c in enumerate(coeffs)) == 0
     ]
     return min(roots, default=None)
+
+
+def _log_fraction(q):
+    return log(q.numerator) - log(q.denominator)
+
+
+def log_index_empirical(s, tail_start):
+    """The per-degree loop of `series.log_index_empirical` before its rate pass."""
+    if not 0 <= tail_start <= s.trunc_degree:
+        raise ValueError("tail start outside the truncation range")
+    best = None
+    for i in range(max(tail_start, 1), s.trunc_degree + 1):
+        c = s[i]
+        if c <= 0:
+            if c < 0:
+                raise ValueError("series has negative coefficients; growth undefined")
+            continue
+        v = _log_fraction(c) / i
+        if best is None or v > best:
+            best = v
+    if best is None:
+        raise ValueError("series has no tail growth to measure")
+    return best
+
+
+def controlled_growth_check(s, target, lam, epsilon, k_min):
+    """(passed, sequence, alphas) by the loops of `series.controlled_growth_check`
+    before its rate pass, after the same parameter checks."""
+    seq = []
+    alphas = []
+    for n in range(k_min, s.trunc_degree + 1):
+        c = s[n]
+        if c < 0:
+            raise ValueError("series has negative coefficients; growth undefined")
+        if c == 0:
+            continue
+        alpha = _log_fraction(c) / n
+        if abs(alpha - target) <= epsilon:
+            seq.append(n)
+            alphas.append(alpha)
+    passed = bool(seq)
+    if passed and seq[0] >= lam * k_min:
+        passed = False
+    if passed:
+        for prev, nxt in zip(seq, seq[1:]):
+            if nxt >= lam * prev:
+                passed = False
+                break
+    if passed and lam * seq[-1] < s.trunc_degree:
+        passed = False
+    return passed, tuple(seq), tuple(alphas)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopgrowth import cli, freeloop, loop, series, space, torsion
 from loopgrowth.cli import run
@@ -596,6 +598,19 @@ class TestCsv:
         code, text = run_cli(["parse", "S2 v", "--format", "csv"])
         assert code == 2
         assert json.loads(text)["error"]["kind"] == "parse-error"
+
+
+class TestFloatEmission:
+    # every report float is finite, where float.__repr__ and json.dumps agree
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.225073858507201e-308)
+    @example(1e308)
+    @example(-1e308)
+    @settings(max_examples=500, deadline=None)
+    def test_finite_floats_match_json_dumps(self, x):
+        assert cli._json(x) == json.dumps(x)
 
 
 class TestDeterminism:

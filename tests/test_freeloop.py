@@ -20,7 +20,7 @@ from loopgrowth.freeloop import (
     hh_necklace,
     tensor_algebra_dims,
 )
-from loopgrowth.arith import divisor_sieve
+from loopgrowth.arith import moebius_invert
 from loopgrowth.loop import HypothesisError
 from loopgrowth.series import (
     RationalGF,
@@ -201,14 +201,15 @@ class TestOracleEquivalence:
                 by_degree[weight] += 1
         assert _lyndon_class_counts(degs, n) == by_degree
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 97, 360])
-    def test_divisor_sieve_equals_trial_division(self, n):
-        divs, mu = divisor_sieve(n)
-        assert len(divs) == len(mu) == n + 1
-        assert divs[0] == [] and mu[0] == 0
-        for k in range(1, n + 1):
-            assert divs[k] == [d for d in range(1, k + 1) if k % d == 0]
-            assert mu[k] == oracles.mobius(k)
+    @given(st.lists(st.integers(-(10**20), 10**20), max_size=400))
+    @settings(max_examples=40, deadline=None)
+    def test_moebius_invert_equals_divisor_sum(self, g):
+        want = g[:1] + [
+            sum(oracles.mobius(n // d) * g[d] for d in range(1, n + 1) if n % d == 0)
+            for n in range(1, len(g))
+        ]
+        moebius_invert(g)
+        assert g == want
 
     @pytest.mark.parametrize("n", [1, 5, 37, 200])
     @pytest.mark.parametrize("degs", [(1,), (1, 1), (1, 2, 3), (2, 2, 3), (1, 1, 2)])

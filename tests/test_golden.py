@@ -5,9 +5,11 @@ The cases cover every command of test_cli.COMMANDS in both formats, the
 brute-force free-loop path, a presentation read from a file, one argv per
 error kind, four requests whose loop-series denominator has a repeated
 factor, the loop series of a twelve-sphere product and of a wedge of
-products, and a cofiber whose series arithmetic cancels a common factor. A
-case whose argv holds "{file}" runs with the presentation file written to a
-temporary directory; the path is never echoed.
+products, a cofiber whose series arithmetic cancels a common factor, one
+free-loop growth check per branch of its verdict, and the Witt counts and
+per-degree rates of free-loop, hm-census, torsion and log-index at larger
+truncations. A case whose argv holds "{file}" runs with the presentation
+file written to a temporary directory; the path is never echoed.
 
 After an intentional output change, refreeze with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -74,6 +76,27 @@ def cases():
     out += [("loop-series-wedge-times-spheres", mixed)]
     repeated = ["log-index", "S2 x S2 x S3 x S3 x S5 x S7 x S7", "--max-degree", "200"]
     out += [("log-index-repeated-spheres", repeated)]
+    # one free-loop growth check per branch of its verdict: no admissible
+    # degree, a first degree too far past k_min, a ratio gap, a last degree
+    # too far below N, and a pass
+    def growth(degrees, n, k_min, epsilon, lam):
+        return ["free-loop", "--degrees", degrees, "--max-degree", n, "--k-min", k_min,
+                "--epsilon", epsilon, "--lambda", lam]
+
+    out += [("free-loop-growth-empty", growth("1,1", "20", "5", "0.01", "1.1"))]
+    out += [("free-loop-growth-late-start", growth("1,1", "40", "5", "0.1", "1.1"))]
+    out += [("free-loop-growth-ratio-gap", growth("4,4", "20", "5", "0.05", "1.05"))]
+    out += [("free-loop-growth-short-coverage", growth("2,2,2", "20", "2", "0.002", "1.05"))]
+    out += [("free-loop-growth-passed", growth("1,1", "40", "30", "0.1", "1.1"))]
+    # the Witt counts and per-degree rates at larger truncations
+    necklace = ["free-loop", "--degrees", "1,2,3", "--max-degree", "200"]
+    out += [("free-loop-necklace-200-json", necklace)]
+    out += [("free-loop-necklace-200-csv", necklace + ["--format", "csv"])]
+    out += [("hm-census-3-4", ["hm-census", "--m", "3", "--n", "4", "--max-degree", "60"])]
+    torsion = ["torsion", "--m", "3", "--n", "5", "--p", "5", "--r", "3", "--max-degree", "60"]
+    out += [("torsion-3-5", torsion)]
+    top = ["log-index", "S2 v S3", "--max-degree", "40", "--k-min", "40"]
+    out += [("log-index-tail-at-top", top)]
     return out
 
 

@@ -847,6 +847,91 @@ class TestControlledGrowth:
         assert out.cumulative(0) == 1
 
 
+# -- the rate pass against the per-degree loops it replaced --------------------
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+def growth_fields(s, target, lam, epsilon, k_min):
+    out = controlled_growth_check(s, target, lam=lam, epsilon=epsilon, k_min=k_min)
+    return out.passed, out.sequence, out.alphas
+
+
+def growth_series(head, zeros, negative):
+    coeffs = list(head) + [0] * zeros
+    if negative is not None:
+        at, c = negative
+        coeffs[at % len(coeffs)] = -c
+    return TruncatedSeries(tuple(coeffs))
+
+
+# zeros, ints over many magnitudes and Fractions, then an all-zero tail and at
+# most one negative coefficient
+COEFF = st.one_of(
+    st.just(0), st.integers(0, 10**40), st.fractions(min_value=0, max_denominator=10**9)
+)
+GROWTH_SERIES = st.builds(
+    growth_series,
+    st.lists(COEFF, min_size=2, max_size=60),
+    st.integers(0, 20),
+    st.none() | st.tuples(st.integers(0, 79), st.integers(1, 10)),
+)
+
+
+class TestRatePass:
+    @given(
+        GROWTH_SERIES,
+        st.floats(0, 3),
+        st.floats(1, 3, exclude_min=True),
+        st.floats(0, 2),
+        st.integers(1, 80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_growth_check_matches_reference(self, s, target, lam, epsilon, k_min):
+        k_min = min(k_min, s.trunc_degree)
+        args = (s, target, lam, epsilon, k_min)
+        assert outcome(growth_fields, *args) == outcome(oracles.controlled_growth_check, *args)
+
+    @given(GROWTH_SERIES, st.integers(0, 80))
+    @settings(max_examples=300, deadline=None)
+    def test_empirical_matches_reference(self, s, tail_start):
+        tail_start = min(tail_start, s.trunc_degree + 1)
+        want = outcome(oracles.log_index_empirical, s, tail_start)
+        assert outcome(log_index_empirical, s, tail_start) == want
+
+    @pytest.mark.parametrize(
+        "support,n,passed",
+        [
+            ((6, 8, 10, 12), 12, False),  # seq[0] == lam * k_min
+            ((5, 6, 9), 9, False),  # 9 == lam * 6
+            ((5, 6, 7, 8), 12, True),  # lam * seq[-1] == N
+            ((5, 6, 7, 8), 13, False),
+        ],
+    )
+    def test_boundary_ratios_match_reference(self, support, n, passed):
+        # lam = 1.5 and k_min = 4 make each boundary an exact float equality
+        s = TruncatedSeries(tuple(2**i if i in support else 0 for i in range(n + 1)))
+        args = (s, math.log(2), 1.5, 1e-9, 4)
+        assert growth_fields(*args) == oracles.controlled_growth_check(*args)
+        assert growth_fields(*args)[:2] == (passed, support)
+
+    def test_negative_coefficient_raises_the_reference_error(self):
+        s = TruncatedSeries((1, 2, 0, -1, 0))
+        message = "series has negative coefficients; growth undefined"
+        for f, args in (
+            (growth_fields, (s, 0.5, 1.5, 0.1, 1)),
+            (oracles.controlled_growth_check, (s, 0.5, 1.5, 0.1, 1)),
+            (log_index_empirical, (s, 0)),
+            (oracles.log_index_empirical, (s, 0)),
+        ):
+            assert outcome(f, *args) == ("ValueError", message)
+
+
 # -- growth flag consistency ---------------------------------------------------
 
 
