@@ -70,8 +70,9 @@ def _log_index(li) -> dict:
     return {"value": li.value, "halfwidth": li.halfwidth, "eventually_zero": li.eventually_zero}
 
 
-def _coeff_json(q):
-    return q if isinstance(q, int) else str(q)
+def _coeffs_json(coeffs) -> list:
+    """Series coefficients as JSON values: ints as they are, Fractions as "p/q"."""
+    return [c if isinstance(c, int) else str(c) for c in coeffs]
 
 
 def _gf_json(gf) -> dict:
@@ -81,7 +82,7 @@ def _gf_json(gf) -> dict:
 def _series_table(coeffs) -> dict:
     return {
         "columns": ["degree", "coefficient"],
-        "rows": [[k, str(c)] for k, c in enumerate(coeffs)],
+        "rows": list(map(list, zip(range(len(coeffs)), map(str, coeffs)))),
     }
 
 
@@ -207,7 +208,7 @@ def _cmd_homology(args):
     pr = space.profile(x)
     coeffs = gf.expand(min(n, max(gf.num.degree(), 0))).coeffs
     result = {
-        "polynomial": [_coeff_json(c) for c in coeffs],
+        "polynomial": _coeffs_json(coeffs),
         "profile": {"connectivity": pr.connectivity, "dimension": pr.dimension},
     }
     prov = [
@@ -227,7 +228,7 @@ def _cmd_loop_series(args):
     rho = series.smallest_positive_pole(gf)
     result = {
         "series": _gf_json(gf),
-        "coefficients": [_coeff_json(c) for c in coeffs],
+        "coefficients": _coeffs_json(coeffs),
         "rho": _interval(rho),
     }
     prov = [
@@ -309,7 +310,7 @@ def _cmd_presentation(kind, fields, args):
     coeffs = verdict.series.expand(n).coeffs
     result = {
         "series": _gf_json(verdict.series),
-        "coefficients": [_coeff_json(c) for c in coeffs],
+        "coefficients": _coeffs_json(coeffs),
         "rho": _interval(verdict.rho),
         "log_index": _log_index(verdict.log_index),
         "elliptic": verdict.elliptic,
@@ -679,6 +680,10 @@ def _render_csv(table: dict) -> str:
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}
+# exact type -> its JSON text; bool, None and every subclass take the
+# isinstance chain of `_json`
+_SCALARS = {int: int.__repr__, str: encode_basestring_ascii, float: float.__repr__}
+_ROW_TYPES = {list, tuple}
 
 
 def _json(value, indent: str = "") -> str:
@@ -686,8 +691,20 @@ def _json(value, indent: str = "") -> str:
 
     With an indent the standard library takes its pure-Python encoder, whose
     nested closures leave cyclic garbage behind on every call. Object keys
-    must be strings, as they are in every report.
+    must be strings, as they are in every report, and floats finite.
+
+    A value of exact type int, str or float is written by its encoder
+    directly. A list is written as a whole where it can be: items all of one
+    such exact type are one join of that encoder, and a table (rows of one
+    length whose every column holds one such type) is encoded column by
+    column and each row filled into one row template, so neither costs a
+    Python call per item. Anything else (dicts, mixed or ragged lists, bool
+    and None items, subclasses) takes the isinstance chain, whose text is
+    the same as `json.dumps`'s.
     """
+    encode = _SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or isinstance(value, bool):
@@ -695,7 +712,7 @@ def _json(value, indent: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return float.__repr__(value)  # every report float is finite
+        return float.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -705,10 +722,29 @@ def _json(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # a table row is mostly ints, so they skip the type dispatch
-        items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        return "[\n" + inner + (",\n" + inner).join(_json_items(value, inner)) + "\n" + indent + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _column_encoder(items):
+    """The encoder of the one exact scalar type of all the items, else None."""
+    types = set(map(type, items))
+    return _SCALARS.get(types.pop()) if len(types) == 1 else None
+
+
+def _json_items(items, indent: str):
+    """The JSON text of each item of a nonempty list, at this indent."""
+    encode = _column_encoder(items)
+    if encode is not None:
+        return map(encode, items)
+    if set(map(type, items)) <= _ROW_TYPES and len(set(map(len, items))) == 1:
+        columns = list(zip(*items))
+        encoders = [_column_encoder(column) for column in columns]
+        if columns and None not in encoders:
+            inner = indent + "  "
+            row = "[\n" + inner + (",\n" + inner).join(["%s"] * len(columns)) + "\n" + indent + "]"
+            return map(row.__mod__, zip(*map(map, encoders, columns)))
+    return [_json(v, indent) for v in items]
 
 
 def _emit(report: dict, fmt: str, out) -> None:

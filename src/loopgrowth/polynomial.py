@@ -14,9 +14,9 @@ recheck of a certificate (`series.Radius.certificate_holds`).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, starmap, zip_longest
 from math import gcd as int_gcd
-from operator import index
+from operator import add, index, sub
 
 from . import _Record, _set
 
@@ -80,12 +80,10 @@ class IntPolynomial(_Record):
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self[i] + other[i] for i in range(n)))
+        return IntPolynomial(starmap(add, zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self[i] - other[i] for i in range(n)))
+        return IntPolynomial(starmap(sub, zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))

@@ -97,16 +97,29 @@ class RationalGF(_Record):
     positive. Each operation passes it the unreduced result (`a/b * c/d` is
     ac/bd, `a/b + c/d` is (ad + cb)/bd), so operations take no gcd of their own.
 
+    The series carries the split of its denominator into binomials
+    (`binomial_split`), made on first use, so `expand` and
+    `smallest_positive_pole` split one series once between them. It is
+    carried like `Radius._sqfree`: not compared, hashed or printed.
+
     >>> RationalGF.from_coeffs([1], [1, -2]).expand(4).coeffs
     (1, 2, 4, 8, 16)
     """
 
-    __slots__ = __match_args__ = ("num", "den")
+    __slots__ = ("num", "den", "_split")
+    __match_args__ = __slots__[:2]
 
-    def __init__(self, num: IntPolynomial, den: IntPolynomial):
+    def __init__(self, num: IntPolynomial, den: IntPolynomial, _split=None):
         num, den = _normalize(num, den)
         _set(self, "num", num)
         _set(self, "den", den)
+        _set(self, "_split", _split)
+
+    def binomial_split(self):
+        """`binomial_factors(den)`: (exponents, cofactor), split on the first call only."""
+        if self._split is None:
+            _set(self, "_split", binomial_factors(self.den))
+        return self._split
 
     @classmethod
     def from_coeffs(cls, num, den=(1,)) -> "RationalGF":
@@ -193,15 +206,16 @@ def gf_shift(a: RationalGF, k: int) -> RationalGF:
 def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     """Power series coefficients through z^trunc_degree.
 
-    The denominator splits as cofactor * prod(1 - z^a) (`binomial_factors`,
-    only when its constant term is 1). A linear recurrence divides the
+    The denominator splits as cofactor * prod(1 - z^a) (the series' carried
+    `binomial_split`, only when its constant term is 1). With the cofactor 1,
+    as for every loop series of a product of spheres, the series starts as
+    the numerator, zero-padded. Otherwise a linear recurrence divides the
     numerator by the cofactor, on the integers e_k = d0^(k+1) c_k, where d0
     is the cofactor's constant term:
     e_k = d0^k n_k - sum_{j>=1} d_j d0^(j-1) e_(k-j).
     c_k is the int e_k / d0^(k+1) when the division is exact, as it always is
-    for d0 = 1, and a Fraction only when it is not; with the cofactor 1 the
-    recurrence copies the numerator. Then each 1 - z^a with a <=
-    trunc_degree divides the series by one stride-a running sum.
+    for d0 = 1, and a Fraction only when it is not. Then each 1 - z^a with
+    a <= trunc_degree divides the series by one stride-a running sum.
 
     >>> expand(RationalGF.from_coeffs([2], [2, -1]), 3).coeffs
     (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
@@ -210,23 +224,26 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     """
     if trunc_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
-    exponents, cofactor = binomial_factors(gf.den)
+    exponents, cofactor = gf.binomial_split()
     den = cofactor.coeffs
     num = list(gf.num.coeffs[:trunc_degree + 1])
     num += [0] * (trunc_degree + 1 - len(num))
-    d0 = den[0]
-    # weights d_j d0^(j-1) for j = 1, 2, .. against e_(k-1), e_(k-2), .. read
-    # backwards; map stops at the shorter, so no window is padded or sliced
-    weights = [d * d0**j for j, d in enumerate(den[1:])]
-    e = []
-    out = []
-    d0k = 1
-    for nk in num:
-        ek = d0k * nk - sum(map(mul, weights, reversed(e)))
-        e.append(ek)
-        d0k *= d0
-        c, r = divmod(ek, d0k)
-        out.append(Fraction(ek, d0k) if r else c)
+    if den == (1,):
+        out = num
+    else:
+        d0 = den[0]
+        # weights d_j d0^(j-1) for j = 1, 2, .. against e_(k-1), e_(k-2), ..
+        # read backwards; map stops at the shorter, so no window is padded
+        weights = [d * d0**j for j, d in enumerate(den[1:])]
+        e = []
+        out = []
+        d0k = 1
+        for nk in num:
+            ek = d0k * nk - sum(map(mul, weights, reversed(e)))
+            e.append(ek)
+            d0k *= d0
+            c, r = divmod(ek, d0k)
+            out.append(Fraction(ek, d0k) if r else c)
     for a in exponents:
         if a <= trunc_degree:
             stride_sums(out, a)
@@ -510,15 +527,16 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
 
     The certificate is read off the denominator f, leading coefficient made
     positive, in this order: no sign change in its coefficients means no
-    positive root; a denominator that `binomial_factors` splits into
-    binomials 1 - z^a with cofactor 1 has the pole 1, with no root scan and
-    no Taylor shift, because every root of 1 - z^a is a root of unity, so 1
-    is the only positive one; a rational root r with Descartes count 0 on
-    (0, r) is the pole, with no gcd; otherwise f is replaced by its
-    squarefree part, unless it is certified squarefree mod one prime, and
-    Descartes counts isolate its smallest positive root below r or the
-    Cauchy bound (`_descartes_pole`). A partial split into binomials is not
-    used: the cofactor's pole may lie below 1.
+    positive root; a denominator that splits into binomials 1 - z^a with
+    cofactor 1 has the pole 1, with no root scan and no Taylor shift,
+    because every root of 1 - z^a is a root of unity, so 1 is the only
+    positive one (the split is the series' carried `binomial_split`, which
+    the Pringsheim guard's `expand` has already made); a rational root r
+    with Descartes count 0 on (0, r) is the pole, with no gcd; otherwise f
+    is replaced by its squarefree part, unless it is certified squarefree
+    mod one prime, and Descartes counts isolate its smallest positive root
+    below r or the Cauchy bound (`_descartes_pole`). A partial split into
+    binomials is not used: the cofactor's pole may lie below 1.
 
     >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
     >>> (r.lo, r.hi)
@@ -534,7 +552,7 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
         return Radius(None, None, polynomial=False, pringsheim_ok=ok)
     # every root of 1 - z^a is a root of unity, so a product of them has the
     # one positive root 1, and the exact division is the certificate
-    if binomial_factors(den)[1] == ONE:
+    if gf.binomial_split()[1] == ONE:
         return Radius(Fraction(1), Fraction(1), False, f, ok)
     r = _smallest_positive_rational_root(f)
     if r is not None and descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0:

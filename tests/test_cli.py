@@ -8,6 +8,7 @@ import json
 import math
 import re
 import time
+from enum import IntEnum
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -600,17 +601,70 @@ class TestCsv:
         assert json.loads(text)["error"]["kind"] == "parse-error"
 
 
-class TestFloatEmission:
-    # every report float is finite, where float.__repr__ and json.dumps agree
-    @given(st.floats(allow_nan=False, allow_infinity=False))
+class Level(IntEnum):
+    LOW = 1
+    HIGH = -7
+
+
+class Tag(str):
+    pass
+
+
+# strings that exercise escaping and the table row template
+SPECIAL = '"\\,[]{}%s\n\t\x00\x1f\x7fé€\U0001f600'
+TEXT = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters()))
+INTS = st.one_of(st.integers(), st.integers(-10**1000, 10**1000))
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)  # every report float is finite
+SCALARS = st.one_of(
+    INTS, TEXT, FLOATS, st.sampled_from([True, False, None, Level.LOW, Level.HIGH]), TEXT.map(Tag)
+)
+# what one table column holds: one exact type, or a mix the column path refuses
+COLUMNS = [INTS, TEXT, FLOATS, st.one_of(INTS, TEXT), st.one_of(INTS, st.booleans())]
+
+
+@st.composite
+def tables(draw):
+    """Rows of one length, each column drawn from one of COLUMNS; zero columns
+    give empty rows, and rows may be tuples."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    columns = [draw(st.lists(draw(st.sampled_from(COLUMNS)), min_size=n_rows, max_size=n_rows))
+               for _ in range(n_cols)]
+    rows = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(n_rows)]
+    return [tuple(row) for row in rows] if draw(st.booleans()) else rows
+
+
+VALUES = st.recursive(
+    st.one_of(SCALARS, tables(), st.lists(SCALARS), st.lists(st.lists(INTS, max_size=3))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestEmission:
+    # the examples: finite floats at the ends of the range, then one of each
+    # list shape (empty, a table, ragged, a mixed column, empty rows, uniform
+    # floats, a str subclass among strs)
+    @given(VALUES)
     @example(-0.0)
     @example(5e-324)
     @example(2.225073858507201e-308)
     @example(1e308)
     @example(-1e308)
-    @settings(max_examples=500, deadline=None)
-    def test_finite_floats_match_json_dumps(self, x):
-        assert cli._json(x) == json.dumps(x)
+    @example([])
+    @example({})
+    @example({"rows": [[0, "1"], [1, "%s"]], "empty": [], "ragged": [[1], [2, 3]]})
+    @example([[1, "a"], [2, 3]])
+    @example([[1, True], [2, 3]])
+    @example([[], []])
+    @example([1.5, 2.0, -0.0])
+    @example([Tag("x"), "y"])
+    @settings(max_examples=300, deadline=None)
+    def test_json_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
 
 
 class TestDeterminism:

@@ -8,8 +8,9 @@ factor, the loop series of a twelve-sphere product and of a wedge of
 products, a cofiber whose series arithmetic cancels a common factor, one
 free-loop growth check per branch of its verdict, and the Witt counts and
 per-degree rates of free-loop, hm-census, torsion and log-index at larger
-truncations. A case whose argv holds "{file}" runs with the presentation
-file written to a temporary directory; the path is never echoed.
+truncations, and a report whose table has no rows. A case whose argv holds
+"{file}" runs with the presentation file written to a temporary directory;
+the path is never echoed.
 
 After an intentional output change, refreeze with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -97,6 +98,8 @@ def cases():
     out += [("torsion-3-5", torsion)]
     top = ["log-index", "S2 v S3", "--max-degree", "40", "--k-min", "40"]
     out += [("log-index-tail-at-top", top)]
+    # a report whose result list and table rows are both empty
+    out += [("primes-empty-window", ["primes", "--d", "3", "--s", "1"])]
     return out
 
 

@@ -1,13 +1,20 @@
 """Exact rational generating functions: arithmetic, poles, growth checks."""
 
+import copy
+import importlib
+import io
 import math
+import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopgrowth
 from loopgrowth import polynomial, series
+from loopgrowth.cli import run
 from loopgrowth.loop import loop_gf
 from loopgrowth.polynomial import IntPolynomial, cauchy_root_bound, count_roots_halfopen
 from loopgrowth.series import (
@@ -581,6 +588,59 @@ class TestBisectionWork:
         assert calls == []  # no chain, no Descartes count: signs only
         assert tight.width() <= Fraction(1, 10**40)
         assert tight.certificate_holds()
+
+
+class TestSplitOnce:
+    """A series carries the split of its denominator into binomials, so one
+    request splits one denominator once: in the first `expand` or pole step
+    that reads it."""
+
+    @staticmethod
+    def count_splits(monkeypatch):
+        calls = []
+        real = polynomial.binomial_factors
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        for info in pkgutil.iter_modules(loopgrowth.__path__):
+            module = importlib.import_module(f"loopgrowth.{info.name}")
+            if getattr(module, "binomial_factors", None) is real:
+                monkeypatch.setattr(module, "binomial_factors", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loop-series", "S2 x S3 x S5 x S7", "--max-degree", "100"],
+            ["log-index", "S2 x S3 x S5 x S7", "--max-degree", "100"],
+            ["rho", "S2 x S3 x S5 x S7"],
+            ["loop-series", "(S2 v S3) x S4 x S5"],
+        ],
+        ids=["loop-series", "log-index", "rho", "partial-split"],
+    )
+    def test_a_request_splits_its_denominator_once(self, monkeypatch, argv):
+        calls = self.count_splits(monkeypatch)
+        assert run(argv, io.StringIO()) == 0
+        assert len(calls) == 1
+
+    def test_a_filled_split_is_carried_not_compared(self):
+        fresh = loop_gf(parse("S2 x S3 x S5"))
+        used = loop_gf(parse("S2 x S3 x S5"))
+        split = used.binomial_split()
+        assert split == ((1, 2, 4), IntPolynomial((1,)))
+        assert used.binomial_split() is split
+        assert fresh._split is None
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        clones = (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g)))
+        for clone in clones:
+            for g in (fresh, used):
+                twin = clone(g)
+                assert twin == g and hash(twin) == hash(g)
+                assert twin._split == g._split
+            assert clone(used).expand(12) == fresh.expand(12)
 
 
 class TestCompareRadii:
