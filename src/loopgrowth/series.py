@@ -22,9 +22,11 @@ is a Taylor shift of its parent, so a rational pole with no root below it
 is certified with no gcd.
 The search runs on the raw denominator when it is certified squarefree, and
 on its squarefree part otherwise; on a squarefree polynomial it always ends
-(Vincent's theorem). Sign bisection refines: the root is simple, so the
-denominator changes sign across it, and one sign per midpoint narrows the
-interval from then on.
+(Vincent's theorem). Refinement returns the interval that sign bisection
+reaches, without walking it: the root is simple, so the denominator changes
+sign across it; a Newton estimate of the root names the grid cell where
+bisection stops, and exact signs at the cell's two ends certify it. Only a
+missed estimate walks the bisection, one sign per midpoint.
 
 Every later root question is answered by signs alone, because each interval
 holds one simple root and the ends of a non-exact one are not roots.
@@ -35,7 +37,8 @@ Only `Radius.certificate_holds` counts roots again, from scratch.
 
 All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
 the series expansion (a stride sum for each binomial factor, a recurrence
-for the rest of the denominator) run in integer arithmetic. A series
+for the rest of the denominator) run in integer arithmetic. Floats enter
+only the Newton estimate, which no certificate trusts. A series
 coefficient is an int whenever it is integral, as every dimension series
 here is; rationals appear only as interval endpoints and as the
 non-integral coefficients of a denominator whose constant term is not 1.
@@ -280,8 +283,8 @@ class Radius(_Record):
     Finite: lo <= hi are positive rationals, the reduced denominator has
     exactly one root in [lo, hi] and none in (0, lo). A degenerate interval
     (lo == hi) pins a rational pole exactly. Otherwise the denominator has
-    opposite signs at lo and hi, so `refined` narrows the interval by sign
-    bisection alone, and `at_least` decides rho >= x by sign, with no root
+    opposite signs at lo and hi, so `refined` narrows the interval by signs
+    alone (`_bisect`), and `at_least` decides rho >= x by sign, with no root
     count. Infinite: no positive pole; `polynomial` records whether the
     series is a polynomial (so dimensions are eventually zero).
 
@@ -375,18 +378,29 @@ class Radius(_Record):
 # lo and hi stay the third and fourth positional arguments:
 # loopbench/spans.py reads args[2] and args[3] to count bisection steps
 def _bisect(sf, tol, lo, hi):
-    """Shrink (lo, hi], which isolates one root of the squarefree sf, to width <= tol.
+    """Shrink (lo, hi] to width <= tol around the one root of the squarefree sf in it.
 
-    The root is simple, so sf changes sign across it and the sign at each
-    midpoint decides the step, one integer Horner evaluation. Returns either
-    a degenerate interval, when a midpoint is the root, or one of width <= tol.
+    Precondition: sf(0) != 0, sf has one simple root in (lo, hi] and none in
+    (0, lo], so the sign of sf at lo is the sign of sf(0). The result is the
+    interval that halving (lo, hi] by midpoint signs reaches: a degenerate
+    one when a midpoint is the root, else the first grid cell of width
+    <= tol (and, from lo = 0, not the first cell of its level).
+
+    The halving is not walked. A Newton estimate of the root names the cell
+    at the level where the halving stops (`_newton_cell`), and exact signs
+    at its two ends certify it, or one neighbour's. Only when neither
+    certifies does the halving run, one integer Horner sign per midpoint.
     """
     # on a common denominator, lo = a/d and hi = b/d, so the midpoint is
     # (a + b)/(2d) and every step stays in integers; a root below tol still
     # gets a positive lo
-    d = lo.denominator * hi.denominator
-    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    s_lo = sf.sign_at_ratio(a, d)
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    s_lo = 1 if sf.coeffs[0] > 0 else -1
+    # the first level whose cells are at most tol wide: 2^k >= width / tol
+    over = -(-(b - a) * tol.denominator // (tol.numerator * d))
+    k = (over - 1).bit_length()
+    a, b, d = _newton_cell(sf, s_lo, k, a, b, d) or (a, b, d)
     while a == 0 or (b - a) * tol.denominator > tol.numerator * d:
         m, d = a + b, 2 * d
         s_mid = sf.sign_at_ratio(m, d)
@@ -397,6 +411,197 @@ def _bisect(sf, tol, lo, hi):
         else:
             a, b = 2 * a, m
     return Fraction(a, d), Fraction(b, d)
+
+
+def _newton_cell(sf, s_lo, k_tol, a, b, d):
+    """The state (a', b', d') where `_bisect`'s halving of (a/d, b/d] stops, or None.
+
+    The state is degenerate, a' = b', at a grid point that is the root.
+
+    Level i of the halving has the cells (a + j w / 2^i, a + (j + 1) w / 2^i]
+    over d, w = b - a, held as a' = 2^i a + j w, b' = a' + w, d' = 2^i d.
+    The halving stops at level k_tol, or from a = 0 at the first level from
+    k_tol on whose cell is not the first, and it returns a grid point that
+    is the root if it meets one on the way.
+
+    The root estimate names a cell at level k_tol (from a = 0, at the level
+    where the estimate's cell stops being the first). It is certified when
+    sf has the sign s_lo of (0, lo] at its left end and not at its right
+    end; the ends lo and hi need no evaluation, and one neighbour is tried
+    on the side the signs point to. A certified cell holds the root inside,
+    so its ancestors are the halving's cells: the answer is the one at the
+    stop level, or the cell itself when the halving would still go on. A
+    grid point where sf vanishes is the root, the answer when the halving
+    reaches its level, else the ancestor cell holding it. At most three
+    exact signs, and None on a miss.
+    """
+    w = b - a
+    k = k_tol
+    est = _root_estimate(sf, s_lo, a, b, d, k + d.bit_length() - w.bit_length() + 1)
+    if est is None:
+        return None
+    # est = x / (y d), so lo < est < hi reads a y < x < b y
+    x, y = est.numerator * d, est.denominator
+    if not a * y < x < b * y:
+        return None
+    if not a:
+        # the first cell of level m is (0, hi / 2^m], so the halving leaves
+        # it at the first m with hi / 2^m < root
+        k = max(k, (b * y // x).bit_length())
+    top = 1 << k
+    j = min(((x - a * y) << k) // (w * y), top - 1)
+
+    def sign(i):
+        if i == 0:
+            return s_lo
+        if i == top:
+            return -s_lo  # the root is in (lo, hi], so not s_lo, and hi is never a midpoint
+        p, q = (a << k) + i * w, d << k
+        g = math.gcd(p, q)
+        return sf.sign_at_ratio(p // g, q // g)
+
+    # find j with sign(j) == s_lo != sign(j + 1), or a grid point that is the root
+    s = sign(j)
+    if s and s != s_lo:
+        j -= 1  # j > 0 here, since sign(0) is s_lo
+        s = sign(j)
+        if s == s_lo:
+            return _halving_state(j, k, k_tol, a, w, d)
+        if s:
+            return None
+    elif s:
+        s = sign(j + 1)
+        if s == s_lo:
+            j += 1
+            s = sign(j + 1)
+            if s == s_lo:
+                return None
+        if s:
+            return _halving_state(j, k, k_tol, a, w, d)
+        j += 1
+    # sign(j) == 0: the grid point j of level k is the root; it is the point
+    # t of level L with t odd, and the halving meets it unless it stops
+    # at a level below L
+    zeros = (j & -j).bit_length() - 1
+    t, level = j >> zeros, k - zeros
+    stop = k_tol if a else max(k_tol, level + 1 - t.bit_length())
+    if stop >= level:
+        p = (a << level) + t * w
+        return p, p, d << level
+    return _halving_state(t >> (level - stop), stop, k_tol, a, w, d)
+
+
+def _halving_state(j, k, k_tol, a, w, d):
+    """The halving's state from the cell j of level k that holds the root inside.
+
+    Its ancestor at level i is j >> (k - i). The halving stops at k_tol, or
+    from a = 0 at the first level from k_tol on where that ancestor is not
+    the first cell; when no level up to k qualifies, it goes on from cell j.
+    """
+    stop = k_tol if a else max(k_tol, k + 1 - j.bit_length())
+    if stop <= k:
+        j, k = j >> (k - stop), stop
+    left = (a << k) + j * w
+    return left, left + w, d << k
+
+
+# a float Newton iterate is trusted to this many bits below the root's
+# leading bit; a finer cell continues in fixed point
+_FLOAT_BITS = 48
+
+
+def _root_estimate(sf, s_lo, a, b, d, bits):
+    """An estimate, as a Fraction, of the root of sf in (a/d, b/d) to about 2^-bits, or None.
+
+    Safeguarded Newton (rtsafe): a step that would leave the bracket, or
+    that is not below half the step before, is replaced by the bracket's
+    midpoint, and the sign of each value narrows the bracket, which starts
+    as (a/d, b/d) with sf of sign s_lo at a/d. It runs in floats, on the
+    coefficients shifted into float range, while the bracket is wider than
+    float resolution; when 2^-bits is finer than the float iterate's
+    `_FLOAT_BITS`, it goes on in fixed point. The values here are not
+    exact, so the estimate is only a guess for `_newton_cell` to certify.
+    """
+    x = None
+    if (b - a) << 40 > b:
+        try:
+            x = _float_newton(sf.coeffs, s_lo, a / d, b / d)
+        except OverflowError:  # an end beyond float range
+            x = None
+        if x is not None and bits + math.frexp(x)[1] <= _FLOAT_BITS:
+            return Fraction(x)
+    # fixed point X / 2^P, with guard bits for the truncation in Horner
+    P = max(bits, 0) + 32 + sf.degree().bit_length()
+    A, B = (a << P) // d, (b << P) // d
+    if x is None:
+        X = (A + B) // 2
+    else:
+        n, q = x.as_integer_ratio()
+        X = min(max((n << P) // q, A + 1), B - 1)
+    return Fraction(_fixed_newton(sf.coeffs, s_lo, A, B, X, P, P - bits // 2 - 16), 1 << P)
+
+
+def _float_newton(coeffs, s_lo, xl, xh):
+    """Safeguarded float Newton on (xl, xh) for the integer coefficients (low degree first); None on NaN."""
+    shift = max(0, max(map(abs, coeffs)).bit_length() - 960)
+    c = [float(v >> shift) for v in reversed(coeffs)]
+    x, step = (xl + xh) / 2, xh - xl
+    for _ in range(200):
+        p = dp = 0.0
+        for v in c:
+            dp = dp * x + p
+            p = p * x + v
+        if p != p:
+            return None
+        if not p:
+            return x
+        if (p > 0) == (s_lo > 0):
+            xl = x
+        else:
+            xh = x
+        prev, step = step, p / dp if dp else math.inf
+        if xl < x - step < xh and 2 * abs(step) < abs(prev):
+            x -= step
+            if abs(step) <= x * 2**-26:
+                return x  # the next error is about step^2: below float resolution
+        else:
+            step = (xh - xl) / 2
+            x = xl + step
+            if step <= x * 2**-52:
+                return x
+    return x
+
+
+def _fixed_newton(coeffs, s_lo, A, B, X, P, done):
+    """Safeguarded Newton on x = X / 2^P in (A, B), by a truncating integer Horner.
+
+    Stops after a Newton step below 2^done units, whose square is far below
+    the 2^-bits the estimate needs, or when the bracket closes.
+    """
+    c = [v << P for v in reversed(coeffs)]
+    step = B - A
+    for _ in range(4 * P):
+        p = dp = 0
+        for v in c:
+            dp = (dp * X >> P) + p
+            p = (p * X >> P) + v
+        if not p:
+            return X
+        if (p > 0) == (s_lo > 0):
+            A = X
+        else:
+            B = X
+        prev, step = step, (p << P) // dp if dp else B - A
+        if A < X - step < B and 2 * abs(step) < abs(prev):
+            X -= step
+            if abs(step) >> done == 0:
+                return X
+        else:
+            step = (B - A) // 2
+            if not step:
+                return X
+            X = A + step
+    return X
 
 
 def _smallest_positive_rational_root(f: IntPolynomial) -> Fraction | None:
@@ -430,8 +635,10 @@ def _smallest_positive_rational_root(f: IntPolynomial) -> Fraction | None:
     return min(roots, default=None)
 
 
-# p = 2^61 - 1 is prime; one prime suffices, since a miss only costs a gcd
-_CERTIFICATE_PRIME = 2**61 - 1
+# the largest prime below 2^30, so each residue Euclid's loop keeps is one
+# 30-bit CPython digit (2^61 - 1 took two); one prime suffices, since a
+# miss only costs the gcd of `squarefree_part`
+_CERTIFICATE_PRIME = 1073741789
 
 
 def _squarefree_mod_p(f: IntPolynomial) -> bool:

@@ -296,6 +296,35 @@ def smallest_positive_rational_root(coeffs):
     return min(roots, default=None)
 
 
+def _sign_at_ratio(coeffs, p, q):
+    """Sign of f(p/q), q > 0: the sign of q^n f(p/q), summed term by term."""
+    n = len(coeffs) - 1
+    v = sum(c * p**i * q ** (n - i) for i, c in enumerate(coeffs))
+    return (v > 0) - (v < 0)
+
+
+def bisect_reference(coeffs, tol, lo, hi):
+    """Halve (lo, hi] by midpoint signs until it is at most tol wide.
+
+    The bisection loop as `series._bisect` ran it before it jumped to its
+    cell, with signs from `_sign_at_ratio`: it returns the midpoint when one
+    is the root, and keeps halving from lo = 0 while the cell is the first.
+    """
+    d = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    s_lo = _sign_at_ratio(coeffs, a, d)
+    while a == 0 or (b - a) * tol.denominator > tol.numerator * d:
+        m, d = a + b, 2 * d
+        s_mid = _sign_at_ratio(coeffs, m, d)
+        if s_mid == 0:
+            return Fraction(m, d), Fraction(m, d)
+        if s_mid == s_lo:
+            a, b = m, 2 * b
+        else:
+            a, b = 2 * a, m
+    return Fraction(a, d), Fraction(b, d)
+
+
 def _log_fraction(q):
     return log(q.numerator) - log(q.denominator)
 

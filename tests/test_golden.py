@@ -8,7 +8,8 @@ factor, the loop series of a twelve-sphere product and of a wedge of
 products, a cofiber whose series arithmetic cancels a common factor, one
 free-loop growth check per branch of its verdict, and the Witt counts and
 per-degree rates of free-loop, hm-census, torsion and log-index at larger
-truncations, and a report whose table has no rows. A case whose argv holds
+truncations, a report whose table has no rows, and a connected sum whose
+radii are refined for many rounds before they separate. A case whose argv holds
 "{file}" runs with the presentation file written to a temporary directory;
 the path is never echoed.
 
@@ -32,6 +33,12 @@ from test_cli import COMMANDS, JUST
 
 DATA = Path(__file__).with_name("golden_cli.json")
 PRESENTATION = {"kind": "cofiber", "A": "S2", "Z": "S2 x S3", "inert_justification": JUST}
+# a connected sum whose A is suspended 250 times: its verdict compares two
+# radii about rho^252 apart, so compare_radii refines both for many rounds
+DEEP_CONNSUM = [
+    "connsum", "--A", "Susp(" * 250 + "S2" + ")" * 250, "--M", "Susp(S2)",
+    "--N", "S3 v S3 v S3 v S3 v S3 v S3", "--inert", "assumed",
+]
 
 
 def cases():
@@ -100,6 +107,7 @@ def cases():
     out += [("log-index-tail-at-top", top)]
     # a report whose result list and table rows are both empty
     out += [("primes-empty-window", ["primes", "--d", "3", "--s", "1"])]
+    out += [("connsum-deep-suspension", DEEP_CONNSUM)]
     return out
 
 

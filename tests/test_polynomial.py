@@ -399,8 +399,8 @@ def no_positive_root(draw):
 def sturm_walk(f: IntPolynomial, tol: Fraction):
     """The smallest positive root of f by one Sturm chain on its squarefree
     part, walking the dyadic grid of (0, upper] that the Descartes search
-    walks, then sign bisection; upper is the smallest positive rational root
-    or the Cauchy bound.
+    walks, then the reference sign bisection (`oracles.bisect_reference`);
+    upper is the smallest positive rational root or the Cauchy bound.
 
     Returns None when f has no positive root, else (interval, cell): the
     refined interval, and the grid cell where the chain first isolated the
@@ -428,7 +428,7 @@ def sturm_walk(f: IntPolynomial, tol: Fraction):
             return (mid, mid), (mid, mid)
         else:
             hi, v_hi = mid, v_mid
-    return series._bisect(sf, tol, lo, hi), (lo, hi)
+    return oracles.bisect_reference(sf.coeffs, tol, lo, hi), (lo, hi)
 
 
 class TestDescartesPathAgainstOracles:
@@ -520,6 +520,149 @@ class TestDescartesPathAgainstOracles:
         assert chains == []
         assert rho.lo ** 2 < 2 < rho.hi ** 2
         assert rho.hi ** 2 < 2 + Fraction(1, 2**30)
+
+
+TOLERANCES = [Fraction(1, 2**t) for t in (16, 40, 64, 200, 400)] + [DEFAULT_POLE_TOLERANCE]
+BELOW_ONE = st.fractions(min_value=0, max_value=1, max_denominator=2**20).filter(lambda u: u < 1)
+
+
+@st.composite
+def bracketed_roots(draw):
+    """(sf, lo, hi): sf squarefree with positive leading coefficient, one
+    root in (lo, hi] and none in (0, lo]. The factors plant rational roots,
+    square roots and roots of small random factors; sympy's isolating
+    intervals place lo below the smallest positive root and hi below the
+    next one, hi possibly on the root itself."""
+    planted = st.one_of(
+        st.tuples(st.integers(1, 2**12), st.integers(1, 2**8)).map(lambda t: (-t[0], t[1])),
+        st.tuples(st.integers(1, 2**12), st.integers(1, 2**8)).map(lambda t: (-t[0], 0, t[1])),
+        st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[0] and c[-1]),
+    )
+    f = IntPolynomial((1,))
+    for c in draw(st.lists(planted, min_size=1, max_size=3)):
+        f = f * IntPolynomial(tuple(c))
+    sf = normalized(squarefree_part(f))
+    positive = sympy_positive_intervals(sf)
+    assume(positive)
+    (a, b), rest = positive[0], positive[1:]
+    upper = rest[0][0] if rest else b + 1
+    lo = draw(st.one_of(st.just(Fraction(0)), BELOW_ONE.map(lambda u: a * u)))
+    hi = b + (upper - b) * draw(BELOW_ONE)
+    return sf, lo, hi
+
+
+def count_signs(monkeypatch):
+    """A list that grows by one per exact sign `IntPolynomial.sign_at_ratio` takes."""
+    signs = []
+    real = IntPolynomial.sign_at_ratio
+    monkeypatch.setattr(IntPolynomial, "sign_at_ratio", lambda f, p, q: signs.append(p) or real(f, p, q))
+    return signs
+
+
+class TestBisectAgainstReference:
+    """`series._bisect` jumps to the cell a Newton estimate names and
+    certifies it by signs; it must return the interval of the reference
+    halving loop, `oracles.bisect_reference`, exactly."""
+
+    @given(bracketed_roots(), st.sampled_from(TOLERANCES))
+    @settings(max_examples=120, deadline=None)
+    def test_same_interval_as_the_halving_loop(self, bracket, tol):
+        sf, lo, hi = bracket
+        assert series._bisect(sf, tol, lo, hi) == oracles.bisect_reference(sf.coeffs, tol, lo, hi)
+
+    E = 10**400
+
+    @pytest.mark.parametrize(
+        "factors,lo,hi,tol",
+        [
+            # a root on a grid point above the stop level is returned exactly
+            ([(-5, 8), (1, 0, 1)], 0, 1, Fraction(1, 2**16)),
+            ([(-25, 48), (2, 0, 1)], Fraction(1, 3), Fraction(4, 3), Fraction(1, 2**40)),
+            # a grid point below the stop level is not reached
+            ([(-(2**20 + 9), 3 * 2**20)], Fraction(1, 3), Fraction(4, 3), Fraction(1, 2**10)),
+            # 5/8 +- 1/(3 2^50): within 2^-50 of a cell end, on either side
+            ([(-(15 * 2**50 + 8), 24 * 2**50)], 0, 1, Fraction(1, 2**16)),
+            ([(-(15 * 2**50 - 8), 24 * 2**50)], 0, 1, Fraction(1, 2**16)),
+            # from lo = 0 the halving goes on while its cell is the first:
+            # it meets 2^-30 at the end of the first cell, and stops at
+            # (2^-29, 2^-28] before its midpoint 3 2^-30
+            ([(-1, 2**30)], 0, 1, Fraction(1, 2**10)),
+            ([(-3, 2**30)], 0, 1, Fraction(1, 2**10)),
+            ([(-3, 0, 2**81)], 0, 1, Fraction(1, 2**16)),
+            # coefficients past float range
+            ([(1 - E, 3 * E)], 0, 1, Fraction(1, 2**400)),
+            ([(-(2 * E + 1), 0, E), (10**350, 1)], 1, 2, Fraction(1, 2**64)),
+            # the root on hi
+            ([(-1, 1)], 0, 1, Fraction(1, 2**16)),
+        ]
+        + [([(-2, 0, 1)], 1, 2, Fraction(1, 2**t)) for t in (16, 64, 200, 400)],
+        ids=[
+            "grid-root", "grid-root-off-zero", "grid-root-past-the-stop-level",
+            "just-right-of-a-cell-end", "just-left-of-a-cell-end",
+            "from-zero-first-cell-end", "from-zero-mid-second-cell", "from-zero-tiny-irrational",
+            "huge-linear", "huge-quadratic", "root-on-hi",
+        ] + [f"sqrt2-tol-2^-{t}" for t in (16, 64, 200, 400)],
+    )
+    def test_explicit_cases_in_at_most_three_signs(self, monkeypatch, factors, lo, hi, tol):
+        self.check(monkeypatch, factors, lo, hi, tol)
+
+    @staticmethod
+    def check(monkeypatch, factors, lo, hi, tol):
+        sf = IntPolynomial((1,))
+        for c in factors:
+            sf = sf * IntPolynomial(c)
+        lo, hi = Fraction(lo), Fraction(hi)
+        want = oracles.bisect_reference(sf.coeffs, tol, lo, hi)
+        signs = count_signs(monkeypatch)
+        assert series._bisect(sf, tol, lo, hi) == want
+        assert len(signs) <= 3
+
+    @staticmethod
+    def perturb(monkeypatch, shift):
+        """Move every root estimate by shift(estimate)."""
+        real = series._root_estimate
+
+        def moved(*args):
+            est = real(*args)
+            return None if est is None else est + shift(est)
+
+        monkeypatch.setattr(series, "_root_estimate", moved)
+
+    @pytest.mark.parametrize("cells", [Fraction(-3, 4), Fraction(3, 4)])
+    def test_an_estimate_in_a_neighbour_cell_is_certified_there(self, monkeypatch, cells):
+        # sqrt(2) on (1, 2]: the halving stops at level 64, in cells 2^-64 wide
+        self.perturb(monkeypatch, lambda est: cells / 2**64)
+        self.check(monkeypatch, [(-2, 0, 1)], 1, 2, Fraction(1, 2**64))
+
+    @pytest.mark.parametrize(
+        "root,shift",
+        [
+            # 2^-30 (1 + 2^-20 / 3) is just past the first cell of level 30:
+            # an estimate just below 2^-30 names a cell of level 31, and the
+            # halving stops at its parent
+            ((-(3 * 2**20 + 1), 3 * 2**50), lambda est: -est / 2**18),
+            # 3 2^-30 is the midpoint of the level-29 cell where the halving
+            # stops: an estimate just below 2^-29 names level 30, where the
+            # root is a grid point the halving never meets
+            ((-3, 2**30), lambda est: -est / 3 - est / 2**20),
+        ],
+        ids=["cell", "grid-point"],
+    )
+    def test_an_estimate_one_level_too_deep_gives_the_ancestor_cell(self, monkeypatch, root, shift):
+        self.perturb(monkeypatch, shift)
+        self.check(monkeypatch, [root], 0, 1, Fraction(1, 2**10))
+
+    @given(
+        bracketed_roots(), st.sampled_from(TOLERANCES),
+        st.sampled_from([Fraction(s, 2**e) for s in (-1, 1) for e in (8, 24, 50)]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_a_perturbed_estimate_changes_no_interval(self, bracket, tol, eps):
+        sf, lo, hi = bracket
+        with pytest.MonkeyPatch.context() as mp:
+            self.perturb(mp, lambda est: est * eps)
+            got = series._bisect(sf, tol, lo, hi)
+        assert got == oracles.bisect_reference(sf.coeffs, tol, lo, hi)
 
 
 COARSE = Fraction(1, 2)

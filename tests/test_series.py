@@ -34,6 +34,7 @@ from loopgrowth.series import (
 from loopgrowth.space import parse
 
 import oracles
+from test_golden import DEEP_CONNSUM
 
 
 def gf(num, den=(1,)):
@@ -477,7 +478,8 @@ class TestPoles:
 
 class TestBisectionWork:
     """Descartes counts isolate, on the raw denominator unless it has a
-    repeated factor, and sign bisection refines. No Sturm chain is built."""
+    repeated factor, and a certified Newton jump refines, in a few exact
+    signs. No Sturm chain is built."""
 
     @staticmethod
     def count_chain_work(monkeypatch):
@@ -496,7 +498,23 @@ class TestBisectionWork:
             counted(series, name)
         for name in ("sign_variations", "sturm_chain", "taylor_shift"):
             counted(polynomial, name)  # taylor_shift: the one inside descartes_count
+        counted(IntPolynomial, "sign_at_ratio")  # every exact sign, sign_at's too
         return calls
+
+    @staticmethod
+    def signs_per_bisect(monkeypatch, calls):
+        """The exact signs each `_bisect` call takes, from `count_chain_work`'s list."""
+        per_call = []
+        real = series._bisect
+
+        def wrapper(*args):
+            start = calls.count("sign_at_ratio")
+            out = real(*args)
+            per_call.append(calls.count("sign_at_ratio") - start)
+            return out
+
+        monkeypatch.setattr(series, "_bisect", wrapper)
+        return per_call
 
     @staticmethod
     def isolation_steps(sf, hi):
@@ -585,9 +603,71 @@ class TestBisectionWork:
         rho = smallest_positive_pole(loop_gf(parse(SUSP_EXPR)))
         calls = self.count_chain_work(monkeypatch)
         tight = rho.refined(Fraction(1, 10**40))
-        assert calls == []  # no chain, no Descartes count: signs only
+        # no chain, no Descartes count: the two signs of the jump's cell
+        assert calls == ["sign_at_ratio"] * 2
         assert tight.width() <= Fraction(1, 10**40)
         assert tight.certificate_holds()
+
+    # the fixed sphere sets of the benchmark's cofiber, connsum and yclass verdicts
+    VERDICTS = [
+        ["cofiber", "--A", "S3 v S4", "--Z", "S2 x S3 x S4 x S5", "--inert", "x", "--max-degree", "36"],
+        ["connsum", "--A", "S4", "--M", "S2 x S3 x S4", "--N", "S3 x S5", "--inert", "x",
+         "--max-degree", "36"],
+        ["yclass", "--m", "4", "--n", "11", "--J", "S2 v S3 v S5", "--inert", "x", "--max-degree", "36"],
+    ]
+
+    @pytest.mark.parametrize("argv", VERDICTS, ids=[argv[0] for argv in VERDICTS])
+    def test_a_verdict_refines_in_at_most_three_signs_per_bisection(self, monkeypatch, argv):
+        calls = self.count_chain_work(monkeypatch)
+        per_call = self.signs_per_bisect(monkeypatch, calls)
+        assert run(argv, io.StringIO()) == 0
+        assert per_call and max(per_call) <= 3  # the halving took about 42
+
+    @pytest.mark.parametrize(
+        "den", [lambda: loop_gf(parse(SUSP_EXPR)).den, lambda: MIDPOINT_ROOT_DEN],
+        ids=["susp-product-wedge", "midpoint-root"],
+    )
+    def test_a_pole_refines_in_at_most_three_signs(self, monkeypatch, den):
+        g = RationalGF(IntPolynomial((1,)), den())
+        calls = self.count_chain_work(monkeypatch)
+        per_call = self.signs_per_bisect(monkeypatch, calls)
+        rho = smallest_positive_pole(g)
+        assert rho.refined(Fraction(1, 2**300)).certificate_holds()
+        assert len(per_call) == 2 and max(per_call) <= 3
+
+    def test_the_deep_connsum_compares_radii_in_few_signs(self, monkeypatch):
+        # two radii about rho^252 apart, refined 8 bits per round until they
+        # separate; its bytes are a golden case
+        calls = self.count_chain_work(monkeypatch)
+        assert run(DEEP_CONNSUM, io.StringIO()) == 0
+        assert calls.count("sign_at_ratio") <= 450  # 886 when every refinement halved
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda sf, s_lo, a, b, d, bits: None,
+            # inside the bracket, but far from the root: a wrong cell
+            lambda sf, s_lo, a, b, d, bits: Fraction(a * 2**60 + (b - a), d * 2**60),
+            lambda sf, s_lo, a, b, d, bits: Fraction(b * 2**60 - (b - a), d * 2**60),
+        ],
+        ids=["no-estimate", "near-lo", "near-hi"],
+    )
+    @pytest.mark.parametrize(
+        "den", [lambda: loop_gf(parse(SUSP_EXPR)).den, lambda: MIDPOINT_ROOT_DEN],
+        ids=["susp-product-wedge", "midpoint-root"],
+    )
+    def test_a_missed_estimate_falls_back_to_the_halving(self, monkeypatch, estimate, den):
+        g = RationalGF(IntPolynomial((1,)), den())
+        want = smallest_positive_pole(g)
+        tol = Fraction(1, 2**100)
+        tight = oracles.bisect_reference(want._sqfree.coeffs, tol, want.lo, want.hi)
+        calls = self.count_chain_work(monkeypatch)
+        monkeypatch.setattr(series, "_root_estimate", estimate)
+        got = smallest_positive_pole(g)
+        assert got == want
+        assert calls.count("sign_at_ratio") > 30  # the halving ran
+        refined = got.refined(tol)
+        assert (refined.lo, refined.hi) == tight
 
 
 class TestSplitOnce:
@@ -810,6 +890,36 @@ class TestRationalRootScan:
         else:
             expected = oracles.smallest_positive_rational_root(f.primitive().coeffs)
         assert series._smallest_positive_rational_root(f) == expected
+
+
+class TestSquarefreeCertificate:
+    """`_squarefree_mod_p` proves squarefree over Q, never the converse: a
+    false answer only sends the search to the squarefree part."""
+
+    @given(
+        st.lists(st.integers(-50, 50), min_size=2, max_size=5).filter(lambda c: c[-1]),
+        st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=4).filter(lambda c: c[-1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_false_on_a_square_times_anything(self, g, h):
+        g, h = IntPolynomial(tuple(g)), IntPolynomial(tuple(h))
+        assert not series._squarefree_mod_p(g * g * h)
+
+    # (1 - z)(1 - (1 + p) z) is squarefree over Q, and (1 - z)^2 mod p
+    P = series._CERTIFICATE_PRIME
+    SQUARE_MOD_P = IntPolynomial((1, -1)) * IntPolynomial((1, -(1 + P)))
+
+    def test_false_on_a_polynomial_square_only_mod_p(self):
+        f = self.SQUARE_MOD_P
+        assert polynomial.squarefree_part(f) == f
+        assert not series._squarefree_mod_p(f)
+
+    def test_a_miss_gives_the_radius_of_the_squarefree_part(self, monkeypatch):
+        g = RationalGF(IntPolynomial((1,)), self.SQUARE_MOD_P)
+        rho = smallest_positive_pole(g)
+        monkeypatch.setattr(series, "_squarefree_mod_p", lambda f: False)
+        assert smallest_positive_pole(g) == rho
+        assert rho.lo < Fraction(1, 1 + self.P) < rho.hi and rho.certificate_holds()
 
 
 # -- log index ---------------------------------------------------------------
