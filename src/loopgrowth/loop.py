@@ -9,10 +9,30 @@ Closed rules for the based loop space of an expressible space:
     Omega (X ^ Y)        1/(1 - redX(z) redY(z) / z)  when the smash is
                          rationally a suspension; otherwise not expressible
 
+Every rule gives numerator 1, so a loop series is 1/D and is built as its
+denominator D alone, with no series arithmetic and no gcd.
+
 For a cofibration attaching a cone on A to produce Y with cofiber Z, an inert
 attaching map splits the loop space and forces
 
-    OmegaY(z) = OmegaZ(z) / (1 - redA(z) OmegaZ(z)).
+    OmegaY(z) = OmegaZ(z) / (1 - redA(z) OmegaZ(z)) = N_Z / (D_Z - redA N_Z),
+
+which is reduced, since gcd(N_Z, D_Z - redA N_Z) = gcd(N_Z, D_Z) = 1. With
+N_Z = 1 it is 1/(D_Z - redA).
+
+Each series built so carries guards that decide rho > x by exact signs at
+x. D = 1/Omega falls from 1 to 0 on (0, rho), because Omega has
+nonnegative coefficients, which gives one guard per node:
+- a product of spheres has rho = 1: the guard is 1 - x > 0;
+- a product's rho is the smaller factor radius: it keeps its factors' guards;
+- a wedge's D_X + D_Y - 1 falls from 1 to below 0 on (0, min(rho_X, rho_Y)),
+  so it has one root there, its radius (the series form of the Ganea-Gray
+  splitting of Omega(X v Y)): the guards are the children's and D(x) > 0;
+- a suspension's or a smash's D = 1 - W, with W nonzero with nonnegative
+  coefficients, has one positive root: the guard is D(x) > 0;
+- a cofiber's D_Z - redA falls from 1 to -redA(rho_Z) < 0 on (0, rho_Z), so
+  its one root there is rho(OmegaY) < rho(OmegaZ) (Halperin-Lemaire, inert
+  cells): the guards are Z's and D(x) > 0.
 
 Inertness itself is a homotopy-theoretic hypothesis the engine cannot decide;
 callers assert it and the assertion is threaded into every verdict trail.
@@ -23,7 +43,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import _Record, _set
-from .polynomial import IntPolynomial
+from .polynomial import ONE, IntPolynomial
 from .series import (
     RationalGF,
     TruncatedSeries,
@@ -40,9 +60,8 @@ from .space import (
     Sphere,
     Susp,
     Wedge,
+    homology_poly,
     is_rational_sphere_wedge,
-    profile,
-    reduced_gf,
     to_text,
 )
 
@@ -59,45 +78,78 @@ class NotExpressibleError(ValueError):
     report_kind = "not-expressible"
 
 
-_ONE = RationalGF.constant(1)
-
-
 def loop_gf(x: SpaceExpr) -> RationalGF:
-    """Hilbert series of H_*(Omega X; Q) by the closed rules.
+    """Hilbert series of H_*(Omega X; Q) by the closed rules: 1/D, with its guards.
 
     >>> loop_gf(Sphere(4)).den.coeffs
     (1, 0, 0, -1)
     >>> loop_gf(Wedge(Sphere(2), Sphere(2))).den.coeffs
     (1, -2)
     """
+    den, exponents, guards = _loop_den(x)
+    split = None if exponents is None else (exponents, ONE)
+    return RationalGF(ONE, den, split, guards)
+
+
+# the guard of a product of spheres, whose radius is 1
+_BELOW_ONE = IntPolynomial((1, -1))
+
+
+def _distinct(polys) -> tuple:
+    return tuple(dict.fromkeys(polys))
+
+
+def _loop_den(x: SpaceExpr):
+    """(D, exponents, guards) for OmegaX = 1/D.
+
+    exponents lists the a of D = prod (1 - z^a), sorted, for a product of
+    spheres, and is None otherwise. guards is (inner, top): top holds the
+    guards of the factors of D that products keep apart, inner the guards
+    of the nodes below them, each node after its children (see the module
+    docstring). Equal guards are kept once.
+    """
     if isinstance(x, Sphere):
-        return RationalGF.from_coeffs([1], [1] + [0] * (x.n - 2) + [-1])
+        return IntPolynomial((1,) + (0,) * (x.n - 2) + (-1,)), (x.n - 1,), ((), (_BELOW_ONE,))
     if isinstance(x, Product):
-        return loop_gf(x.left) * loop_gf(x.right)
-    if isinstance(x, Susp):
-        return (_ONE - reduced_gf(x.inner)).reciprocal()
+        dx, ex, (ix, tx) = _loop_den(x.left)
+        dy, ey, (iy, ty) = _loop_den(x.right)
+        exponents = None if ex is None or ey is None else tuple(sorted(ex + ey))
+        return dx * dy, exponents, (_distinct(ix + iy), _distinct(tx + ty))
     if isinstance(x, Wedge):
-        inv = loop_gf(x.left).reciprocal() + loop_gf(x.right).reciprocal() - _ONE
-        return inv.reciprocal()
-    if isinstance(x, Smash):
+        dx, _, (ix, tx) = _loop_den(x.left)
+        dy, _, (iy, ty) = _loop_den(x.right)
+        den = dx + dy - ONE
+        return den, None, (_distinct(ix + tx + iy + ty), (den,))
+    if isinstance(x, Susp):
+        den = ONE - _reduced(x.inner)
+    elif isinstance(x, Smash):
         if not is_rational_sphere_wedge(x):
             raise NotExpressibleError(
                 "loop series not expressible: smash has no suspension factor"
             )
-        return (_ONE - _desuspended(reduced_gf(x))).reciprocal()
-    raise TypeError(f"not a space expression: {x!r}")
+        den = ONE - _desuspended(_reduced(x))
+    else:
+        raise TypeError(f"not a space expression: {x!r}")
+    return den, None, ((), (den,))
 
 
-def _desuspended(red: RationalGF) -> RationalGF:
-    """red(z)/z for a reduced polynomial series with no degree-0 or 1 terms."""
-    num = red.num
-    if not num.is_zero() and num.constant_term() != 0:
+def _reduced(x: SpaceExpr) -> IntPolynomial:
+    """The reduced homology polynomial."""
+    return homology_poly(x) - ONE
+
+
+def _desuspended(red: IntPolynomial) -> IntPolynomial:
+    """red(z)/z for a reduced polynomial with no degree-0 or 1 terms."""
+    if not red.is_zero() and red.constant_term() != 0:
         raise ValueError("series has a degree-0 term; cannot desuspend")
-    return RationalGF(IntPolynomial(num.coeffs[1:]), red.den)
+    return IntPolynomial(red.coeffs[1:])
 
 
 def loop_smash_sphere(n_alpha: int, z: SpaceExpr) -> RationalGF:
-    """Series of Omega(S^n ^ Omega Z) via 1/(1 - z^(n-1) OmegaZ(z)).
+    """Series of Omega(S^n ^ Omega Z) via 1/(1 - z^(n-1) OmegaZ(z)) = D/(D - z^(n-1) N).
+
+    The pair is reduced, since gcd(D, D - z^(n-1) N) = gcd(D, N) = 1 with
+    D(0) != 0, so no gcd is taken.
 
     >>> loop_smash_sphere(3, Sphere(2)).den.coeffs
     (1, -1, -1)
@@ -106,14 +158,14 @@ def loop_smash_sphere(n_alpha: int, z: SpaceExpr) -> RationalGF:
         raise HypothesisError("smashing sphere must have dimension at least 2")
     _require_nontrivial(z, "Z")
     oz = loop_gf(z)
-    return (_ONE - oz.shifted(n_alpha - 1)).reciprocal()
+    return RationalGF._coprime(oz.den, oz.den - oz.num.shift(n_alpha - 1))
 
 
 # -- presentations ----------------------------------------------------------
 
 
 def _require_nontrivial(x: SpaceExpr, role: str):
-    if not profile(x).rationally_nontrivial:
+    if homology_poly(x).degree() <= 0:
         raise HypothesisError(f"{role} is rationally trivial; splitting needs red H != 0")
 
 
@@ -191,17 +243,23 @@ class YClassPresentation(_Record):
         )
 
 
-def inert_cofiber_loop_gf(c: CofiberPresentation) -> RationalGF:
+def inert_cofiber_loop_gf(c: CofiberPresentation, oz: RationalGF | None = None) -> RationalGF:
     """OmegaZ / (1 - redA * OmegaZ), the split loop series of the total space.
+
+    It is built as N_Z / (D_Z - redA N_Z), which is reduced. oz is OmegaZ =
+    loop_gf(c.Z), built here unless the caller has it. The result carries
+    Z's guards and its own denominator's.
 
     >>> inert_cofiber_loop_gf(CofiberPresentation(
     ...     Sphere(2), Product(Sphere(2), Sphere(2)), inert_asserted=True)).den.coeffs
     (1, -2)
     """
     _require_inert(c.inert_asserted)
-    oz = loop_gf(c.Z)
-    ra = reduced_gf(c.A)
-    return oz * (_ONE - ra * oz).reciprocal()
+    if oz is None:
+        oz = loop_gf(c.Z)
+    den = oz.den - _reduced(c.A) * oz.num
+    guards = None if oz._guards is None else (_distinct(oz._guards[0] + oz._guards[1]), (den,))
+    return RationalGF(oz.num, den, None, guards)
 
 
 # -- growth verdicts ----------------------------------------------------------
@@ -216,9 +274,10 @@ class StronglyInertResult(_Record):
 def strongly_inert_check(c: CofiberPresentation) -> StronglyInertResult:
     """Certified test of rho(OmegaY) < rho(OmegaZ) via disjoint pole intervals."""
     _require_inert(c.inert_asserted)
-    series = inert_cofiber_loop_gf(c)
+    oz = loop_gf(c.Z)
+    series = inert_cofiber_loop_gf(c, oz)
     ry = smallest_positive_pole(series)
-    rz = smallest_positive_pole(loop_gf(c.Z))
+    rz = smallest_positive_pole(oz)
     verdict, ry, rz = compare_radii(ry, rz)
     return StronglyInertResult(verdict == -1, ry, rz, series)
 

@@ -142,13 +142,23 @@ def _scaled_value(coeffs, p: int, q: int) -> int:
     """q^n f(p/q) for the coefficients of f (n = len - 1), by homogeneous Horner.
 
     With q > 0 it has the sign of f(p/q), and it is zero exactly at a root.
+    A run of r zero coefficients is one step by p^r and q^r, so a sparse f
+    of high degree costs a few big products, not one per degree.
     """
     acc = 0
     qk = 1
+    run = 0
     for c in reversed(coeffs):
+        if not c:
+            run += 1
+            continue
+        if run:
+            acc *= p**run
+            qk *= q**run
+            run = 0
         acc = acc * p + c * qk
         qk *= q
-    return acc
+    return acc * p**run
 
 
 def _primitive(coeffs: list) -> list:

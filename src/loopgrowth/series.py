@@ -6,23 +6,33 @@ are coprime, and the denominator has positive constant term. That form is
 unique, so two generating functions are equal iff their fields are equal.
 
 Every operation builds its unreduced fraction and the constructor reduces
-it. A gcd with a constant operand is 1 and is not taken, so a series built
-from spheres by products and wedges, where every fraction has a constant
-numerator or denominator, takes no polynomial gcd.
+it. A gcd with a constant operand is 1 and is not taken, so a loop series,
+which `loop` builds as 1/D, takes no polynomial gcd.
 
 Radii of convergence are certified, not sampled: the smallest positive root of
-the reduced denominator is found by root counting and rational bisection, so
+the reduced denominator f is found by root counting and rational bisection, so
 every Radius comes with an exact rational interval that provably contains
-exactly one denominator root. A denominator that splits exactly into
-binomials prod (1 - z^a), as every loop series of a product of spheres does,
-has the pole 1, certified by the split itself: every root of 1 - z^a is a
-root of unity. Otherwise Descartes counts isolate (Collins-Akritas): a
-count of 0 or 1 on an interval is exact, and each cell of the bisection grid
-is a Taylor shift of its parent, so a rational pole with no root below it
-is certified with no gcd.
-The search runs on the raw denominator when it is certified squarefree, and
-on its squarefree part otherwise; on a squarefree polynomial it always ends
-(Vincent's theorem). Refinement returns the interval that sign bisection
+exactly one denominator root. The certificate is read in this order:
+- no sign change in f's coefficients: no positive root;
+- a split of f into binomials prod (1 - z^a), as every loop series of a
+  product of spheres has: the pole 1, since every root of 1 - z^a is a
+  root of unity;
+- a rational root r with no root in (0, r): the pole r;
+- otherwise f, or its squarefree part when one prime does not prove f
+  squarefree, has its smallest positive root isolated on the dyadic grid
+  of (0, upper], upper = r or the Cauchy bound.
+A series built by the closed rules carries guards, polynomials whose
+signs at x decide rho > x (see `loop`): they decide "no root in (0, r)" by
+their signs at r, and one of them, bisected on the grid, gives the cell,
+which the others certify by their signs at its right end. Any other series,
+and a cell the guards do not isolate, is settled by Descartes counts
+(Collins-Akritas): a count of 0 or 1 on an interval is exact, and each cell
+of the bisection grid is a Taylor shift of its parent, so a rational pole
+with no root below it is certified with no gcd, and on a squarefree
+polynomial the search always ends (Vincent's theorem). Both walk the same
+grid to the same stop level, so they give the same interval (the Descartes
+search goes finer only where other roots lie within the tolerance of the
+pole). Refinement returns the interval that sign bisection
 reaches, without walking it: the root is simple, so the denominator changes
 sign across it; a Newton estimate of the root names the grid cell where
 bisection stops, and exact signs at the cell's two ends certify it. Only a
@@ -38,7 +48,8 @@ Only `Radius.certificate_holds` counts roots again, from scratch.
 All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
 the series expansion (a stride sum for each binomial factor, a recurrence
 for the rest of the denominator) run in integer arithmetic. Floats enter
-only the Newton estimate, which no certificate trusts. A series
+only the Newton estimate and the choice of the guard to bisect, which no
+certificate trusts. A series
 coefficient is an int whenever it is integral, as every dimension series
 here is; rationals appear only as interval endpoints and as the
 non-integral coefficients of a denominator whose constant term is not 1.
@@ -102,21 +113,34 @@ class RationalGF(_Record):
 
     The series carries the split of its denominator into binomials
     (`binomial_split`), made on first use, so `expand` and
-    `smallest_positive_pole` split one series once between them. It is
+    `smallest_positive_pole` split one series once between them. A loop
+    series of a product of spheres is built with its split. A loop series
+    built by the closed rules also carries its guards (`_guards`): the
+    polynomials whose signs at x > 0 decide rho > x, which
+    `smallest_positive_pole` reads in place of a Descartes search. Both are
     carried like `Radius._sqfree`: not compared, hashed or printed.
 
     >>> RationalGF.from_coeffs([1], [1, -2]).expand(4).coeffs
     (1, 2, 4, 8, 16)
     """
 
-    __slots__ = ("num", "den", "_split")
+    __slots__ = ("num", "den", "_split", "_guards")
     __match_args__ = __slots__[:2]
 
-    def __init__(self, num: IntPolynomial, den: IntPolynomial, _split=None):
+    def __init__(self, num: IntPolynomial, den: IntPolynomial, _split=None, _guards=None):
         num, den = _normalize(num, den)
         _set(self, "num", num)
         _set(self, "den", den)
         _set(self, "_split", _split)
+        _set(self, "_guards", _guards)
+
+    @classmethod
+    def _coprime(cls, num: IntPolynomial, den: IntPolynomial) -> "RationalGF":
+        """num/den as given, for a pair already in canonical form by proof: no gcd is taken."""
+        gf = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, (num, den, None, None)):
+            _set(gf, name, value)
+        return gf
 
     def binomial_split(self):
         """`binomial_factors(den)`: (exponents, cofactor), split on the first call only."""
@@ -292,7 +316,10 @@ class Radius(_Record):
     coefficient positive: the denominator itself when it is a product of
     binomials, is certified squarefree, or its pole is a rational root found
     before any gcd, else its squarefree part. Behind a non-exact interval it
-    is squarefree either way, so the root inside is simple.
+    is squarefree either way, so the root inside is simple. It is the same
+    polynomial whether guards or Descartes counts isolated the pole: guards
+    certify that the interval holds one root of it, so refinement and
+    comparison read its signs alone.
 
     The smallest positive pole equals the radius of convergence only for
     series with nonnegative coefficients; `pringsheim_ok` goes false when a
@@ -377,7 +404,7 @@ class Radius(_Record):
 
 # lo and hi stay the third and fourth positional arguments:
 # loopbench/spans.py reads args[2] and args[3] to count bisection steps
-def _bisect(sf, tol, lo, hi):
+def _bisect(sf, tol, lo, hi, estimate=None):
     """Shrink (lo, hi] to width <= tol around the one root of the squarefree sf in it.
 
     Precondition: sf(0) != 0, sf has one simple root in (lo, hi] and none in
@@ -390,6 +417,10 @@ def _bisect(sf, tol, lo, hi):
     at the level where the halving stops (`_newton_cell`), and exact signs
     at its two ends certify it, or one neighbour's. Only when neither
     certifies does the halving run, one integer Horner sign per midpoint.
+    estimate(a, b, d, bits), `_root_estimate` on sf by default, guesses the
+    root in (a/d, b/d) to about 2^-bits. `_tree_pole` passes an sf with more
+    roots in (lo, hi]: the cell still holds a sign change of sf, read from
+    evaluated signs unless the cell ends at hi, and it certifies the rest.
     """
     # on a common denominator, lo = a/d and hi = b/d, so the midpoint is
     # (a + b)/(2d) and every step stays in integers; a root below tol still
@@ -400,7 +431,10 @@ def _bisect(sf, tol, lo, hi):
     # the first level whose cells are at most tol wide: 2^k >= width / tol
     over = -(-(b - a) * tol.denominator // (tol.numerator * d))
     k = (over - 1).bit_length()
-    a, b, d = _newton_cell(sf, s_lo, k, a, b, d) or (a, b, d)
+    if estimate is None:
+        def estimate(a, b, d, bits):
+            return _root_estimate(sf, s_lo, a, b, d, bits)
+    a, b, d = _newton_cell(sf, s_lo, k, a, b, d, estimate) or (a, b, d)
     while a == 0 or (b - a) * tol.denominator > tol.numerator * d:
         m, d = a + b, 2 * d
         s_mid = sf.sign_at_ratio(m, d)
@@ -413,7 +447,7 @@ def _bisect(sf, tol, lo, hi):
     return Fraction(a, d), Fraction(b, d)
 
 
-def _newton_cell(sf, s_lo, k_tol, a, b, d):
+def _newton_cell(sf, s_lo, k_tol, a, b, d, estimate):
     """The state (a', b', d') where `_bisect`'s halving of (a/d, b/d] stops, or None.
 
     The state is degenerate, a' = b', at a grid point that is the root.
@@ -437,7 +471,7 @@ def _newton_cell(sf, s_lo, k_tol, a, b, d):
     """
     w = b - a
     k = k_tol
-    est = _root_estimate(sf, s_lo, a, b, d, k + d.bit_length() - w.bit_length() + 1)
+    est = estimate(a, b, d, k + d.bit_length() - w.bit_length() + 1)
     if est is None:
         return None
     # est = x / (y d), so lo < est < hi reads a y < x < b y
@@ -655,11 +689,20 @@ def _squarefree_mod_p(f: IntPolynomial) -> bool:
     while b:
         # a := a mod b, Euclid over Z/p; entries are reduced once per division
         inv, db = pow(b[-1], -1, p), len(b) - 1
-        for top in range(len(a) - 1, db - 1, -1):
-            c = a.pop() % p * inv % p
-            if c:
-                a[top - db:] = [x - c * y for x, y in zip(a[top - db:], b)]
-        a = [x % p for x in a]
+        if len(a) == db + 2 and db:
+            # the usual step, a quotient c1 z + c0: one pass over the remainder
+            c1 = a[-1] * inv % p
+            c0 = (a[-2] - c1 * b[-2]) * inv % p
+            a = [(x - c1 * y - c0 * z) % p for x, y, z in zip(a[:db], [0] + b, b)]
+        else:
+            # a long quotient: each term subtracts c z^k b at b's nonzero terms
+            terms = [(j, y) for j, y in enumerate(b[:-1]) if y]
+            for k in range(len(a) - len(b), -1, -1):
+                c = a.pop() % p * inv % p
+                if c:
+                    for j, y in terms:
+                        a[k + j] -= c * y
+            a = [x % p for x in a]
         while a and not a[-1]:
             a.pop()
         a, b = b, a
@@ -725,6 +768,84 @@ def _descartes_pole(f: IntPolynomial, r: Fraction | None, tol: Fraction, ok: boo
     return Radius(r, r, False, f, ok)
 
 
+def _guard_sign(polys, x: Fraction) -> int:
+    """The sign of rho - x for x > 0, from the signs of a tree-built series' guards at x."""
+    sign = 1
+    for g in polys:
+        s = g.sign_at(x)
+        if s < 0:
+            return -1
+        if s == 0:
+            sign = 0
+    return sign
+
+
+def _float_value(coeffs, x: float) -> float:
+    """The value at 0 <= x <= 1, in floats, of the coefficients scaled into float range."""
+    shift = max(0, max(map(abs, coeffs)).bit_length() - 960)
+    v = 0.0
+    for c in reversed(coeffs):
+        v = v * x + float(c >> shift)
+    return v
+
+
+def _pole_guard(polys, upper: Fraction):
+    """(j, x): polys[j] is the guard whose first positive root is rho, and x lies above that root.
+
+    A guess in floats. Each guard is 1 at 0 and falls to its first positive
+    root. In the carried order every node's guard follows its children's,
+    so it has at most one root below the least first root x of the guards
+    before it. x starts at min(upper, 1), since every loop radius is at
+    most 1; a guard that is not positive at x has its root there, which
+    becomes x. j is the last such guard, and the x before it brackets its
+    one root. None when no guard qualifies.
+    """
+    x = float(min(upper, 1))
+    found = None
+    for j, g in enumerate(polys):
+        v = _float_value(g.coeffs, x)
+        if v <= 0:
+            found = j, x
+            if v < 0:
+                x = _float_newton(g.coeffs, 1, 0.0, x)
+                if x is None:
+                    return None
+    return found
+
+
+def _tree_pole(f, polys, inner, r, tol, ok):
+    """The Radius that a tree-built series' guards certify, or None.
+
+    The grid is (0, upper], as in `_descartes_pole`, so the cell is the one
+    that path reaches. The top guard P that `_pole_guard` names, the
+    denominator of one factor of f, is bisected there, its estimate
+    bracketed below P's other roots, which gives a cell (lo, hi] with
+    P(lo) > 0 >= P(hi). Every other guard positive at hi certifies it: hi
+    lies below the radii of P's children, so P has one root in (0, hi],
+    which is rho, and below the radii of the other factors, which have no
+    root in (0, hi]. So the cell isolates rho among the roots of f.
+    Otherwise None, and the caller takes the Descartes path. polys are the
+    guards, the first `inner` of them below the factors of f.
+    """
+    if r is not None and _guard_sign(polys, r) == 0:
+        return Radius(r, r, False, f, ok)
+    upper = cauchy_root_bound(f) if r is None else r
+    found = _pole_guard(polys, upper)
+    if found is None or found[0] < inner:
+        return None
+    j, x = found
+    pole, others, x = polys[j], polys[:j] + polys[j + 1:], Fraction(x)
+
+    def estimate(a, b, d, bits):
+        return _root_estimate(pole, 1, 0, x.numerator, x.denominator, bits)
+
+    # P's sign at hi is known unless hi = upper, which no step evaluates
+    lo, hi = _bisect(pole, tol, Fraction(0), upper, estimate)
+    if (hi < upper or pole.sign_at(hi) <= 0) and all(g.sign_at(hi) > 0 for g in others):
+        return Radius(lo, hi, False, f, ok)
+    return None
+
+
 def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANCE) -> Radius:
     """Certified isolating interval for the smallest positive denominator root.
 
@@ -738,12 +859,18 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     cofactor 1 has the pole 1, with no root scan and no Taylor shift,
     because every root of 1 - z^a is a root of unity, so 1 is the only
     positive one (the split is the series' carried `binomial_split`, which
-    the Pringsheim guard's `expand` has already made); a rational root r
-    with Descartes count 0 on (0, r) is the pole, with no gcd; otherwise f
-    is replaced by its squarefree part, unless it is certified squarefree
-    mod one prime, and Descartes counts isolate its smallest positive root
-    below r or the Cauchy bound (`_descartes_pole`). A partial split into
+    the Pringsheim guard's `expand` has already read); a rational root r
+    is the pole when no root lies in (0, r); otherwise f is replaced by its
+    squarefree part, unless it is certified squarefree mod one prime, and
+    the pole is isolated below r or the Cauchy bound. A partial split into
     binomials is not used: the cofactor's pole may lie below 1.
+
+    A series built by the closed rules carries guards, which decide rho > x
+    by exact signs: "no root in (0, r)" is their sign at r, and they
+    certify the cell at the stop level of the grid that a Newton estimate
+    names (`_tree_pole`), with no Taylor shift. Any other series, and a
+    cell the guards do not isolate, takes the Descartes path: a Descartes
+    count 0 on (0, r), then `_descartes_pole`.
 
     >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
     >>> (r.lo, r.hi)
@@ -761,12 +888,21 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     # one positive root 1, and the exact division is the certificate
     if gf.binomial_split()[1] == ONE:
         return Radius(Fraction(1), Fraction(1), False, f, ok)
+    guards = gf._guards
+    polys = None if guards is None else guards[0] + guards[1]
     r = _smallest_positive_rational_root(f)
-    if r is not None and descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0:
+    if r is not None and (
+        _guard_sign(polys, r) == 0 if polys
+        else descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0
+    ):
         return Radius(r, r, False, f, ok)
     if not _squarefree_mod_p(f):
         f = squarefree_part(f)
         r = _smallest_positive_rational_root(f)
+    if polys:
+        radius = _tree_pole(f, polys, len(guards[0]), r, tol, ok)
+        if radius is not None:
+            return radius
     return _descartes_pole(f, r, tol, ok)
 
 

@@ -233,6 +233,17 @@ def _render(expr, parent_prec, is_right_child):
 # -- homology -----------------------------------------------------------------
 
 
+def homology_poly(x: SpaceExpr):
+    """The Poincare polynomial of the rational homology, an IntPolynomial with constant 1.
+
+    >>> homology_poly(parse("S2 x S3")).coeffs
+    (1, 0, 1, 1, 0, 1)
+    """
+    from .polynomial import ONE
+
+    return _homology_poly(x, ONE)
+
+
 def homology_gf(x: SpaceExpr):
     """Hilbert series of the rational homology (a polynomial with constant 1).
 

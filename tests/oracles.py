@@ -5,7 +5,16 @@ arithmetic, with no shared code with the package: rational-function results
 are checked against direct series manipulation, census counts against brute
 word enumeration, Hochschild tables against theta on tuple words with a
 fraction-free eliminator, and sparse ranks against dense elimination.
+
+Two references use the package's series arithmetic instead of its
+denominator rules: `loop_gf` and `inert_cofiber_loop_gf` combine normalized
+`RationalGF`s by `*`, `+`, `-` and `reciprocal`, each step reduced by a
+gcd. `count_calls` counts the calls of a package function wherever a
+module binds it.
 """
+
+import importlib
+import pkgutil
 
 from fractions import Fraction
 from math import gcd, log
@@ -374,3 +383,54 @@ def controlled_growth_check(s, target, lam, epsilon, k_min):
     if passed and lam * seq[-1] < s.trunc_degree:
         passed = False
     return passed, tuple(seq), tuple(alphas)
+
+
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call of module.name, at each package module that binds it."""
+    import loopgrowth
+
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(loopgrowth.__path__):
+        owner = importlib.import_module(f"loopgrowth.{info.name}")
+        if owner.__dict__.get(name) is original:
+            monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def loop_gf(x):
+    """The loop series by the closed rules, in normalized `RationalGF` arithmetic."""
+    from loopgrowth.loop import NotExpressibleError
+    from loopgrowth.series import RationalGF
+    from loopgrowth.space import Product, Smash, Sphere, Susp, Wedge, is_rational_sphere_wedge
+    from loopgrowth.space import reduced_gf
+
+    one = RationalGF.constant(1)
+    if isinstance(x, Sphere):
+        return RationalGF.from_coeffs([1], [1] + [0] * (x.n - 2) + [-1])
+    if isinstance(x, Product):
+        return loop_gf(x.left) * loop_gf(x.right)
+    if isinstance(x, Susp):
+        return (one - reduced_gf(x.inner)).reciprocal()
+    if isinstance(x, Wedge):
+        return (loop_gf(x.left).reciprocal() + loop_gf(x.right).reciprocal() - one).reciprocal()
+    if isinstance(x, Smash):
+        if not is_rational_sphere_wedge(x):
+            raise NotExpressibleError("loop series not expressible: smash has no suspension factor")
+        red = reduced_gf(x)
+        return (one - RationalGF.from_coeffs(red.num.coeffs[1:], red.den.coeffs)).reciprocal()
+    raise TypeError(f"not a space expression: {x!r}")
+
+
+def inert_cofiber_loop_gf(c):
+    """OmegaZ * (1 - redA * OmegaZ)^-1, in normalized `RationalGF` arithmetic."""
+    from loopgrowth.series import RationalGF
+    from loopgrowth.space import reduced_gf
+
+    oz = loop_gf(c.Z)
+    return oz * (RationalGF.constant(1) - reduced_gf(c.A) * oz).reciprocal()

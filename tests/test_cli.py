@@ -18,11 +18,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopgrowth import cli, freeloop, loop, series, space, torsion
+from loopgrowth import cli, freeloop, loop, polynomial, series, space
 from loopgrowth.cli import run
 from loopgrowth.loop import CofiberPresentation, good_growth_verdict, inert_cofiber_loop_gf
 from loopgrowth.polynomial import IntPolynomial
 from loopgrowth.space import Sphere, parse
+
+import oracles
 
 
 SCHEMA = json.loads(
@@ -399,24 +401,9 @@ class TestDeepExpressions:
             assert code == 0, report
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count the calls of module.name, at every package module that binds it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for owner in (cli, freeloop, loop, series, space, torsion):
-        if owner.__dict__.get(name) is original:
-            monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 class TestWorkPerVerdict:
     def test_a_verdict_takes_one_pole_per_series(self, monkeypatch):
-        poles = _count_calls(monkeypatch, series, "smallest_positive_pole")
+        poles = oracles.count_calls(monkeypatch, series, "smallest_positive_pole")
         pres = CofiberPresentation(Sphere(2), parse("S2 x S3"), inert_asserted=True)
         verdict = good_growth_verdict(pres)
         assert len(poles) == 2
@@ -424,11 +411,29 @@ class TestWorkPerVerdict:
         assert verdict.omega_divergent
 
     def test_a_cofiber_report_builds_the_split_series_once(self, monkeypatch):
-        calls = _count_calls(monkeypatch, loop, "inert_cofiber_loop_gf")
+        calls = oracles.count_calls(monkeypatch, loop, "inert_cofiber_loop_gf")
         code, report = run_json(["cofiber", "--A", "S2", "--Z", "S2 x S2", "--inert", JUST])
         assert code == 0
         assert len(calls) == 1
         assert report["result"]["series"] == {"numerator": [1], "denominator": [1, -2]}
+
+    # the fixed sphere sets of the benchmark's verdicts, and seven radii of
+    # Susp(S2 x ... x Sk) v S3 x S5: six with k = 6, in rotated order, and k = 7
+    FIXED = [
+        ["cofiber", "--A", "S3 v S4", "--Z", "S2 x S3 x S4 x S5", "--inert", JUST],
+        ["connsum", "--A", "S4", "--M", "S2 x S3 x S4", "--N", "S3 x S5", "--inert", JUST],
+        ["yclass", "--m", "4", "--n", "11", "--J", "S2 v S3 v S5", "--inert", JUST],
+    ] + [
+        ["rho", f"Susp({' x '.join(f'S{n}' for n in dims)}) v S3 x S5"]
+        for dims in [[*range(2 + i, 8), *range(2, 2 + i)] for i in range(6)] + [list(range(2, 9))]
+    ]
+
+    def test_fixed_requests_take_no_gcd_and_no_taylor_shift(self, monkeypatch):
+        gcds = oracles.count_calls(monkeypatch, polynomial, "poly_gcd")
+        shifts = oracles.count_calls(monkeypatch, polynomial, "taylor_shift")
+        for argv in self.FIXED:
+            assert run_json(argv)[0] == 0
+        assert gcds == [] and shifts == []
 
 
 class TestSphereProductScaling:

@@ -5,11 +5,12 @@ The cases cover every command of test_cli.COMMANDS in both formats, the
 brute-force free-loop path, a presentation read from a file, one argv per
 error kind, four requests whose loop-series denominator has a repeated
 factor, the loop series of a twelve-sphere product and of a wedge of
-products, a cofiber whose series arithmetic cancels a common factor, one
-free-loop growth check per branch of its verdict, and the Witt counts and
-per-degree rates of free-loop, hm-census, torsion and log-index at larger
-truncations, a report whose table has no rows, and a connected sum whose
-radii are refined for many rounds before they separate. A case whose argv holds
+products, a cofiber whose redA shares a factor with the loop denominator
+of Z, one free-loop growth check per branch of its verdict, and the Witt
+counts and per-degree rates of free-loop, hm-census, torsion and log-index
+at larger truncations, a report whose table has no rows, a connected sum
+whose radii are refined for many rounds before they separate, and the
+poles of spheres near the dimension limit in mixed shapes. A case whose argv holds
 "{file}" runs with the presentation file written to a temporary directory;
 the path is never echoed.
 
@@ -18,17 +19,19 @@ After an intentional output change, refreeze with
 """
 
 import gc
-import importlib
 import io
 import json
-import pkgutil
+import time
 from pathlib import Path
 
 import pytest
 
-import loopgrowth
+import oracles
 from loopgrowth import polynomial
 from loopgrowth.cli import run
+from loopgrowth.loop import CofiberPresentation, strongly_inert_check
+from loopgrowth.polynomial import IntPolynomial
+from loopgrowth.space import parse
 from test_cli import COMMANDS, JUST
 
 DATA = Path(__file__).with_name("golden_cli.json")
@@ -39,6 +42,17 @@ DEEP_CONNSUM = [
     "connsum", "--A", "Susp(" * 250 + "S2" + ")" * 250, "--M", "Susp(S2)",
     "--N", "S3 v S3 v S3 v S3 v S3 v S3", "--inert", "assumed",
 ]
+# spheres near the dimension limit in mixed shapes: loop denominators of
+# degree about 1,000 to 3,000 whose poles are not products of binomials
+BIG_SPHERES = {
+    "cofiber-big-spheres": [
+        "cofiber", "--A", "S1000 x S999 x S998", "--Z", "S997 x S996 x S995", "--inert", "assumed",
+    ],
+    "rho-suspended-big-product": ["rho", "Susp(S1000 x S999 x S998)"],
+    "rho-big-sphere-wedge-product": ["rho", "S1000 v (S999 x S998 x S997)"],
+    "rho-wedge-of-big-products": ["rho", "(S1000 x S999 x S998) v (S997 x S996 x S995)"],
+    "rho-product-of-big-wedges": ["rho", "(S1000 v S999) x (S998 v S997)"],
+}
 
 
 def cases():
@@ -63,7 +77,7 @@ def cases():
     out += [("cofiber-repeated-factor", ["cofiber", "--A", "S3", "--Z", square, "--inert", "x"])]
     # series built from spheres by products and wedges, which take no gcd,
     # and a cofiber whose redA = z^2 + z^3 shares the factor 1 + z with the
-    # loop denominator 1 - z^2 of Z, which does
+    # loop denominator 1 - z^2 of Z, which 1/(D_Z - redA) never forms
     product = " x ".join(f"S{n}" for n in range(2, 14))
     big = ["loop-series", product, "--max-degree", "200"]
     out += [("loop-series-sphere-product-json", big)]
@@ -108,6 +122,7 @@ def cases():
     # a report whose result list and table rows are both empty
     out += [("primes-empty-window", ["primes", "--d", "3", "--s", "1"])]
     out += [("connsum-deep-suspension", DEEP_CONNSUM)]
+    out += [(name, argv) for name, argv in BIG_SPHERES.items()]
     return out
 
 
@@ -130,20 +145,14 @@ def test_golden_bytes(name, argv, tmp_path):
 
 
 def test_no_report_builds_a_sturm_chain(tmp_path, monkeypatch):
-    # Descartes counts isolate every pole, on the squarefree part when the
-    # denominator has a repeated factor; a Sturm chain is left to the
-    # independent recheck of Radius.certificate_holds
-    def refused(f):
-        raise AssertionError("a report built a Sturm chain")
-
-    real = polynomial.sturm_chain
-    for info in pkgutil.iter_modules(loopgrowth.__path__):
-        module = importlib.import_module(f"loopgrowth.{info.name}")
-        if getattr(module, "sturm_chain", None) is real:
-            monkeypatch.setattr(module, "sturm_chain", refused)
+    # guard signs or Descartes counts isolate every pole, on the squarefree
+    # part when the denominator has a repeated factor; a Sturm chain is left
+    # to the independent recheck of Radius.certificate_holds
+    chains = oracles.count_calls(monkeypatch, polynomial, "sturm_chain")
     for name, argv in cases():
         want = GOLDEN[name]
         assert run_case(argv, tmp_path) == (want["exit"], want["stdout"]), name
+    assert chains == []
 
 
 def test_reports_leave_no_reference_cycles(tmp_path):
@@ -157,6 +166,47 @@ def test_reports_leave_no_reference_cycles(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class TestBigSpheres:
+    """Spheres near the dimension limit in mixed shapes: poles that no
+    binomial split certifies, on denominators of degree up to 3,990."""
+
+    @pytest.mark.parametrize("name", list(BIG_SPHERES))
+    def test_a_frozen_case_answers_within_a_second(self, monkeypatch, tmp_path, name):
+        case = GOLDEN[name]
+        shifts = oracles.count_calls(monkeypatch, polynomial, "taylor_shift")
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert run_case(case["argv"], tmp_path) == (case["exit"], case["stdout"])
+            seconds.append(time.perf_counter() - start)
+        assert sorted(seconds)[1] < 1
+        assert shifts == []
+
+    def test_a_cofiber_of_degree_3990_answers_within_a_second(self, tmp_path):
+        argv = ["cofiber", "--A", "S500 v S400", "--Z", "S1000 x S999 x S998 x S997"]
+        argv += ["--inert", "x"]
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code, stdout = run_case(argv, tmp_path)
+            seconds.append(time.perf_counter() - start)
+        assert code == 0 and sorted(seconds)[1] < 1
+        assert json.loads(stdout)["result"]["verdict"] == "certified-strongly-inert"
+        # certificate_holds would recount roots by Taylor shifts of a degree-3,990
+        # polynomial; the shape of the series certifies the interval instead.
+        # D_Z = prod (1 - z^a) is positive and falling on (0, 1) and redA = z^400 + z^500
+        # rises, so D_Y = D_Z - redA has one root there, inside (lo, hi]
+        rho = strongly_inert_check(
+            CofiberPresentation(parse(argv[2]), parse(argv[4]), inert_asserted=True)
+        ).rho_y
+        d_z = IntPolynomial((1,))
+        for a in (996, 997, 998, 999):
+            d_z = d_z * IntPolynomial((1,) + (0,) * (a - 1) + (-1,))
+        d_y = d_z - IntPolynomial((0,) * 400 + (1,) + (0,) * 99 + (1,))
+        assert rho._sqfree in (d_y, -d_y)
+        assert d_y.sign_at(rho.lo) > 0 > d_y.sign_at(rho.hi) and rho.hi < 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopgrowth.loop import (
@@ -21,7 +21,7 @@ from loopgrowth.loop import (
     pi_ranks,
     strongly_inert_check,
 )
-from loopgrowth import series
+from loopgrowth import polynomial, series
 from loopgrowth.polynomial import IntPolynomial
 from loopgrowth.series import (
     RationalGF,
@@ -29,7 +29,7 @@ from loopgrowth.series import (
     expand,
     smallest_positive_pole,
 )
-from loopgrowth.space import Product, Sphere, Susp, Wedge, homology_gf, parse
+from loopgrowth.space import Product, Smash, Sphere, Susp, Wedge, homology_gf, parse
 
 import oracles
 from test_golden import GOLDEN, run_case
@@ -109,18 +109,19 @@ class TestWorkPerSeries:
         assert (got.num, got.den) == (want.num, want.den)
 
     def test_a_shared_factor_is_still_cancelled(self, monkeypatch, tmp_path):
-        # redA = z^2 + z^3 for A = S2 v S3 shares 1 + z with 1 - z^2 from Z = S3
-        real, gcds = series.poly_gcd, []
-
-        def recorded(a, b):
-            gcds.append(real(a, b))
-            return gcds[-1]
-
-        monkeypatch.setattr(series, "poly_gcd", recorded)
+        # redA = z^2 + z^3 for A = S2 v S3 shares 1 + z with 1 - z^2 from Z = S3;
+        # the split series is built as 1/(D_Z - redA), where no factor is shared
+        sympy = pytest.importorskip("sympy")
+        gcds = oracles.count_calls(monkeypatch, polynomial, "poly_gcd")
         case = GOLDEN["cofiber-shared-factor"]
         assert case["argv"] == ["cofiber", "--A", "S2 v S3", "--Z", "S3", "--inert", "x"]
         assert run_case(case["argv"], tmp_path) == (case["exit"], case["stdout"])
-        assert IntPolynomial((1, 1)) in gcds
+        y = inert_cofiber_loop_gf(CofiberPresentation(parse("S2 v S3"), Sphere(3), True))
+        assert gcds == []
+        assert y == gf([1], [1, 0, -2, -1])
+        z = sympy.Symbol("z")
+        num, den = (sympy.Poly(p.coeffs[::-1], z) for p in (y.num, y.den))
+        assert sympy.gcd(num, den) == 1
 
 
 class TestLoopSmashSphere:
@@ -324,6 +325,103 @@ class TestGrowthVerdict:
                 smallest_positive_pole(fiber), smallest_positive_pole(loop_gf(c.Z))
             )
             assert verdict == -1
+
+
+# -- the tree certificate ----------------------------------------------------------
+
+
+def expressions(depth=3):
+    """Expressions over S2..S9 with all five operators, at most `depth` operators deep."""
+    leaves = st.integers(2, 9).map(Sphere)
+    if depth == 0:
+        return leaves
+    inner = expressions(depth - 1)
+    pairs = st.tuples(inner, inner)
+    return st.one_of(
+        leaves,
+        pairs.map(lambda t: Wedge(*t)),
+        pairs.map(lambda t: Product(*t)),
+        pairs.map(lambda t: Smash(*t)),
+        inner.map(Susp),
+    )
+
+
+@st.composite
+def presentations(draw):
+    """An inert cofiber, connected-sum or two-cone presentation, as its cofiber."""
+    space = expressions(2)
+    kind = draw(st.sampled_from(["cofiber", "connsum", "yclass"]))
+    if kind == "cofiber":
+        return CofiberPresentation(draw(space), draw(space), inert_asserted=True)
+    if kind == "connsum":
+        return ConnSumPresentation(draw(space), draw(space), draw(space), True).as_cofiber()
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(2 * m, 2 * m + 4))
+    return YClassPresentation(m, n, draw(space), inert_asserted=True).as_cofiber()
+
+
+def built(make):
+    """make(), or a skipped example when its loop series is outside the closed rules."""
+    try:
+        return make()
+    except NotExpressibleError:
+        assume(False)
+
+
+class TestTreeCertificate:
+    """A series built as 1/D carries guards that certify its pole. The series
+    equals the one `RationalGF` arithmetic builds, and the pole its guards
+    certify equals the one the Descartes path finds on the bare series."""
+
+    @staticmethod
+    def check(series, reference):
+        sympy = pytest.importorskip("sympy")
+        assert (series.num, series.den) == (reference.num, reference.den)
+        assert series._guards is not None and reference._guards is None
+        rho = smallest_positive_pole(series)
+        assert rho == smallest_positive_pole(reference)
+        assert rho.certificate_holds()
+        z = sympy.Symbol("z")
+        den = sympy.Poly(series.den.coeffs[::-1], z)
+        lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in (rho.lo, rho.hi))
+        if rho.is_exact:
+            assert den.count_roots(0, lo) == 1 and den.eval(lo) == 0
+        else:
+            assert den.count_roots(0, lo) == 0 and den.count_roots(lo, hi) == 1
+
+    @given(expressions())
+    @settings(max_examples=60, deadline=None)
+    def test_loop_series(self, x):
+        self.check(built(lambda: loop_gf(x)), built(lambda: oracles.loop_gf(x)))
+
+    @given(presentations())
+    @settings(max_examples=40, deadline=None)
+    def test_split_series(self, c):
+        reference = built(lambda: oracles.inert_cofiber_loop_gf(c))
+        self.check(built(lambda: inert_cofiber_loop_gf(c)), reference)
+
+    def test_a_cell_the_guards_cannot_isolate_takes_the_descartes_path(self, monkeypatch):
+        # rho(OmegaY) of 1/(1 - 2z - z^43) lies about 2^-45 below rho(OmegaZ) = 1/2,
+        # so the cell around it reaches past 1/2, where Z's guard 1 - 2z is negative
+        c = CofiberPresentation(Sphere(43), parse("S2 v S2"), inert_asserted=True)
+        y = inert_cofiber_loop_gf(c)
+        shifts = oracles.count_calls(monkeypatch, polynomial, "taylor_shift")
+        rho = smallest_positive_pole(y)
+        assert shifts  # the Descartes search ran
+        assert rho.lo < Fraction(1, 2) < rho.hi and rho.certificate_holds()
+        assert rho == smallest_positive_pole(RationalGF(y.num, y.den))
+
+    @given(presentations())
+    @settings(max_examples=40, deadline=None)
+    def test_the_total_space_grows_faster_than_the_cofiber(self, c):
+        # D_Z - redA falls from 1 to -redA(rho_Z) < 0 on (0, rho_Z), and every
+        # loop radius is at most 1, so rho(OmegaY) < rho(OmegaZ) <= 1
+        check = built(lambda: strongly_inert_check(c))
+        verdict = good_growth_verdict(c)
+        assert check.strongly_inert
+        assert not check.rho_z.is_infinite and check.rho_z.hi <= 1
+        assert verdict.good_growth is GoodGrowth.CERTIFIED_STRONGLY_INERT
+        assert verdict.strongly_inert and verdict.omega_divergent and not verdict.elliptic
 
 
 # -- homotopy ranks ----------------------------------------------------------------

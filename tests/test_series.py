@@ -1,18 +1,15 @@
 """Exact rational generating functions: arithmetic, poles, growth checks."""
 
 import copy
-import importlib
 import io
 import math
 import pickle
-import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import loopgrowth
 from loopgrowth import polynomial, series
 from loopgrowth.cli import run
 from loopgrowth.loop import loop_gf
@@ -39,6 +36,11 @@ from test_golden import DEEP_CONNSUM
 
 def gf(num, den=(1,)):
     return RationalGF.from_coeffs(num, den)
+
+
+def bare(g):
+    """The series without its carried split and guards, as the public API builds it."""
+    return RationalGF(g.num, g.den)
 
 
 # Cauchy bound 2, so the second bisection midpoint is the root 1/2; the leading
@@ -571,7 +573,7 @@ class TestBisectionWork:
         [
             # (1 - z)(1 - z^2) split off; the cofactor
             # (1 - z - z^2)(1 + z + 2z^2 + z^3 + z^4) keeps the pole
-            (lambda: loop_gf(parse("(S2 v S3) x S4 x S5")), *_GOLDEN_PHI,
+            (lambda: bare(loop_gf(parse("(S2 v S3) x S4 x S5"))), *_GOLDEN_PHI,
              (1, 0, -1, -2, -2, 0, 1, 2, 1)),
             # (1 - z) splits off, the cofactor 1 - z - z^2 does not
             (lambda: gf([1], [1, -2, 0, 1]), *_GOLDEN_PHI, (1, -2, 0, 1)),
@@ -671,56 +673,56 @@ class TestBisectionWork:
 
 
 class TestSplitOnce:
-    """A series carries the split of its denominator into binomials, so one
-    request splits one denominator once: in the first `expand` or pole step
-    that reads it."""
-
-    @staticmethod
-    def count_splits(monkeypatch):
-        calls = []
-        real = polynomial.binomial_factors
-
-        def counted(f):
-            calls.append(f)
-            return real(f)
-
-        for info in pkgutil.iter_modules(loopgrowth.__path__):
-            module = importlib.import_module(f"loopgrowth.{info.name}")
-            if getattr(module, "binomial_factors", None) is real:
-                monkeypatch.setattr(module, "binomial_factors", counted)
-        return calls
+    """A loop series of a product of spheres carries the split of its
+    denominator into binomials from construction. Any other series splits
+    its denominator once, in the first `expand` or pole step that reads it."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,splits",
         [
-            ["loop-series", "S2 x S3 x S5 x S7", "--max-degree", "100"],
-            ["log-index", "S2 x S3 x S5 x S7", "--max-degree", "100"],
-            ["rho", "S2 x S3 x S5 x S7"],
-            ["loop-series", "(S2 v S3) x S4 x S5"],
+            (["loop-series", "S2 x S3 x S5 x S7", "--max-degree", "100"], 0),
+            (["log-index", "S2 x S3 x S5 x S7", "--max-degree", "100"], 0),
+            (["rho", "S2 x S3 x S5 x S7"], 0),
+            (["loop-series", "(S2 v S3) x S4 x S5"], 1),
         ],
         ids=["loop-series", "log-index", "rho", "partial-split"],
     )
-    def test_a_request_splits_its_denominator_once(self, monkeypatch, argv):
-        calls = self.count_splits(monkeypatch)
+    def test_a_request_splits_its_denominator_once(self, monkeypatch, argv, splits):
+        calls = oracles.count_calls(monkeypatch, polynomial, "binomial_factors")
         assert run(argv, io.StringIO()) == 0
-        assert len(calls) == 1
+        assert len(calls) == splits
+
+    CLONES = (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g)))
 
     def test_a_filled_split_is_carried_not_compared(self):
-        fresh = loop_gf(parse("S2 x S3 x S5"))
-        used = loop_gf(parse("S2 x S3 x S5"))
+        den = loop_gf(parse("S2 x S3 x S5")).den.coeffs
+        fresh = RationalGF.from_coeffs([1], den)
+        used = RationalGF.from_coeffs([1], den)
         split = used.binomial_split()
         assert split == ((1, 2, 4), IntPolynomial((1,)))
         assert used.binomial_split() is split
         assert fresh._split is None
+        assert loop_gf(parse("S2 x S3 x S5"))._split == split  # carried from construction
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
-        clones = (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g)))
-        for clone in clones:
+        for clone in self.CLONES:
             for g in (fresh, used):
                 twin = clone(g)
                 assert twin == g and hash(twin) == hash(g)
                 assert twin._split == g._split
             assert clone(used).expand(12) == fresh.expand(12)
+
+    def test_guards_are_carried_not_compared(self):
+        built = loop_gf(parse("(S2 v S3) x S4"))
+        bare = RationalGF(built.num, built.den)
+        wedge = IntPolynomial((1, -1, -1))
+        assert built._guards == ((IntPolynomial((1, -1)),), (wedge, IntPolynomial((1, -1))))
+        assert bare._guards is None
+        assert built == bare and hash(built) == hash(bare) and repr(built) == repr(bare)
+        for clone in self.CLONES:
+            twin = clone(built)
+            assert twin == built and twin._guards == built._guards
+            assert smallest_positive_pole(twin) == smallest_positive_pole(bare)
 
 
 class TestCompareRadii:
@@ -812,20 +814,7 @@ class TestRootQuestionsBySign:
         assert rho.at_least(1) is at_least_one
 
     def test_no_root_counts_outside_the_certificate_recheck(self, monkeypatch):
-        import importlib
-        import io
-        import pkgutil
-
-        import loopgrowth
-        from loopgrowth.cli import run
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("root count outside certificate_holds")
-
-        for info in pkgutil.iter_modules(loopgrowth.__path__):
-            module = importlib.import_module(f"loopgrowth.{info.name}")
-            if hasattr(module, "count_roots_halfopen"):
-                monkeypatch.setattr(module, "count_roots_halfopen", refuse)
+        counts = oracles.count_calls(monkeypatch, polynomial, "count_roots_halfopen")
         for argv in (
             ["rho", SUSP_EXPR],
             ["cofiber", "--A", "S2", "--Z", "S2 x S3", "--inert", "assumed"],
@@ -835,6 +824,7 @@ class TestRootQuestionsBySign:
         ra = coarse_pole(golden * IntPolynomial((1, 1)))
         rb = coarse_pole(golden * IntPolynomial((5, 0, -6)))
         assert compare_radii(ra, rb, COARSE)[0] == 0
+        assert counts == []
 
     def test_no_positive_root_is_decided_before_the_rational_scan(self, monkeypatch):
         def refuse(sf):
