@@ -647,23 +647,32 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    """The parser, and each command's echoed arguments as argparse actions."""
+    """The parser, each command's subparser, and each command's echoed
+    arguments as argparse actions."""
     top = _ArgumentParser(
         prog="loopgrowth",
         description="growth invariants of loop spaces and free loop spaces",
     )
     top.add_argument("--version", action="version", version=f"loopgrowth {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-    echo = {}
+    parsers, echo = {}, {}
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = parsers[name] = sub.add_parser(name, help=command.help)
         actions = [p.add_argument(*flags, **kwargs) for flags, kwargs in command.arguments]
         echo[name] = [a for a in actions if a.dest != "file"]
         p.add_argument(*FORMAT[0], **FORMAT[1])
-    return top, echo
+        p.set_defaults(command=name)
+    return top, parsers, echo
 
 
-_PARSER, _ECHO = _build_parser()
+_PARSER, _SUBPARSERS, _ECHO = _build_parser()
+
+
+def _parse(argv):
+    """`_PARSER.parse_args(argv)`, parsed by the command's own subparser when
+    argv[0] names a command; anything else goes through `_PARSER`."""
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    return _PARSER.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
 
 
 # -- report assembly -----------------------------------------------------------
@@ -697,8 +706,8 @@ def _json(value, indent: str = "") -> str:
     directly. A list is written as a whole where it can be: items all of one
     such exact type are one join of that encoder, and a table (rows of one
     length whose every column holds one such type) is encoded column by
-    column and each row filled into one row template, so neither costs a
-    Python call per item. Anything else (dicts, mixed or ragged lists, bool
+    column and joined row by row, then all rows at once, so neither costs
+    a Python call per item. Anything else (dicts, mixed or ragged lists, bool
     and None items, subclasses) takes the isinstance chain, whose text is
     the same as `json.dumps`'s.
     """
@@ -733,7 +742,8 @@ def _column_encoder(items):
 
 
 def _json_items(items, indent: str):
-    """The JSON text of each item of a nonempty list, at this indent."""
+    """JSON texts for the items of a nonempty list, at this indent, to be
+    joined by the list's item separator; a table comes back as one text."""
     encode = _column_encoder(items)
     if encode is not None:
         return map(encode, items)
@@ -742,8 +752,9 @@ def _json_items(items, indent: str):
         encoders = [_column_encoder(column) for column in columns]
         if columns and None not in encoders:
             inner = indent + "  "
-            row = "[\n" + inner + (",\n" + inner).join(["%s"] * len(columns)) + "\n" + indent + "]"
-            return map(row.__mod__, zip(*map(map, encoders, columns)))
+            prefix, suffix = "[\n" + inner, "\n" + indent + "]"
+            rows = map((",\n" + inner).join, zip(*map(map, encoders, columns)))
+            return [prefix + (suffix + ",\n" + indent + prefix).join(rows) + suffix]
     return [_json(v, indent) for v in items]
 
 
@@ -763,7 +774,7 @@ def _error_report(command, kind, message, **extra) -> dict:
 
 def run(argv, out) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except UsageError as e:
         command = argv[0] if argv and argv[0] in _COMMANDS else ""
         _emit(_error_report(command, KIND_USAGE, str(e)), "json", out)

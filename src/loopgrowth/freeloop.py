@@ -17,15 +17,18 @@ definition. In degree k >= 1 every word is a v for exactly one letter v (its
 last) and v a' for exactly one (its first), so theta's rows e_{av} - sign
 e_{va} are those of a signed permutation sigma(av) = va of the words. Its
 rank over Q is the number of words minus the number of cycles of sigma whose
-signs multiply to +1, found by walking each cycle once. The necklace path
-builds no words: it counts coinvariants of the signed cyclic rotation action
-on degree-k words. A cyclic class survives unless some rotation carries the
-word to minus itself, which happens exactly when w0 * (k-1) is odd for w0 the
-weight of the word's minimal period (rotating a letter of degree d past the
-rest contributes (-1)^(d*(k-d)), and summing over one period collapses to that
-parity). The aperiodic classes of each weight come from the weighted Witt
-formula. In degree k >= 1 theta maps a space of dimension dim A_k to
-itself, so rank-nullity gives hh1[k] = hh0[k] there, and hh1[0] = 0.
+signs multiply to +1, found by walking each cycle once. Degree k's
+permutation is assembled from blocks of the permutations of degrees k - d,
+so no word is spelled out, and only the last max(d) degrees' permutations
+are kept. The necklace path builds no words: it counts coinvariants of the
+signed cyclic rotation action on degree-k words. A cyclic class survives
+unless some rotation carries the word to minus itself, which happens exactly
+when w0 * (k-1) is odd for w0 the weight of the word's minimal period
+(rotating a letter of degree d past the rest contributes (-1)^(d*(k-d)), and
+summing over one period collapses to that parity). The aperiodic classes of
+each weight come from the weighted Witt formula. In degree k >= 1 theta maps
+a space of dimension dim A_k to itself, so rank-nullity gives
+hh1[k] = hh0[k] there, and hh1[0] = 0.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ def tensor_algebra_dims(a: GradedAlphabet, trunc_degree: int) -> tuple:
     dims = [0] * (trunc_degree + 1)
     dims[0] = 1
     for k in range(1, trunc_degree + 1):
-        dims[k] = sum(dims[k - d] for d in a.degrees if k >= d)
+        dims[k] = sum([dims[k - d] for d in a.degrees if k >= d])
     return tuple(dims)
 
 
@@ -104,7 +107,7 @@ class HHDimTable(_Record):
     def __init__(self, alphabet: GradedAlphabet, hh0: tuple, hh1: tuple, lx: tuple, trunc_degree):
         if not (len(hh0) == len(hh1) == len(lx) == trunc_degree + 1):
             raise ValueError("table lengths must match the truncation degree")
-        if any(v < 0 for v in hh0 + hh1 + lx):
+        if min(hh0 + hh1 + lx) < 0:
             raise ValueError("negative dimension in the table")
         for k in range(trunc_degree + 1):
             if hh0[k] - hh1[k] != (k == 0):
@@ -137,39 +140,42 @@ def exact_rank(perm, neg) -> int:
     so the rank is len(perm) minus the number of cycles with an even count
     of negative signs. A walk that reaches a visited word other than its
     start raises ValueError, so a map that is not a bijection is refused.
+    Neither argument is changed: the walk marks visited words in a copy.
 
     >>> exact_rank([1, 2, 0], [0, 1, 1])
     2
     >>> exact_rank([1, 2, 0, 3], [0, 0, 1, 0])
     3
     """
-    seen = bytearray(len(perm))
+    nxt = list(perm)  # nxt[u] = -1 once u is visited
     balanced = 0
-    start = seen.find(0)
-    while start >= 0:
+    for start in range(len(nxt)):
+        if nxt[start] < 0:
+            continue
         parity = 0
         u = start
-        while not seen[u]:
-            seen[u] = 1
+        while (v := nxt[u]) >= 0:
+            nxt[u] = -1
             parity ^= neg[u]
-            u = perm[u]
+            u = v
         if u != start:
             raise ValueError(f"not a permutation: word {u} is reached twice")
         balanced += not parity
-        start = seen.find(0, start + 1)
-    return len(perm) - balanced
+    return len(nxt) - balanced
 
 
 def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
     """HH table by materializing theta on numbered words and ranking it.
 
     The words of degree k are numbered in blocks by last letter: word w
-    followed by letter j has number off[k][j] + number(w). The number of
-    j followed by w comes from the prepend table pre[k][j], listed in the
-    order of words[k - d_j]; splitting off the last letter l of w gives
-    pre[k][j] = concat over l of (off[k][l] + pre[k - d_l][j]), with
-    pre[d_j][j] = [off[d_j][j]] for the empty w. In block order, the tables
-    are theta's permutation, with sign (-1)^{(k - d_j) d_j} on block j.
+    followed by letter j has number off_k[j] + number(w). Block j of theta's
+    permutation lists the numbers of the words j w, for w in the order of
+    the words of degree k - d_j, with sign (-1)^{(k - d_j) d_j}. It is read
+    off lower degrees' permutations: for w = w' l, the word j w = (j w') l
+    has number off_k[l] + perm_m[off_m[j] + number(w')] with m = k - d_l, so
+    block j is [off_k[j]] for the empty w (k = d_j) followed, letter l by
+    letter l, by off_k[l] plus block j of perm_m. Only the last max(d)
+    degrees' permutations are kept.
 
     >>> hh_bruteforce(GradedAlphabet((1,)), 6).lx
     (1, 1, 1, 1, 1, 1, 1)
@@ -183,26 +189,29 @@ def hh_bruteforce(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
             f"{sum(dims)} basis words exceeds the {BRUTE_FORCE_WORD_LIMIT} limit"
         )
     top = degrees[-1]
-    pre = [[[] for _ in degrees] for _ in range(n + 1)]
+    letters = list(enumerate(degrees))
+    perms, offs = [None] * (n + 1), [None] * (n + 1)
     hh0, hh1 = [], []
     for k in range(n + 1):
         off, start = [], 0
         for d in degrees:
             off.append(start)
             start += dims[k - d] if k >= d else 0
-        perm, neg = [], bytearray()
-        for j, d in enumerate(degrees):
+        perm, neg = [], []
+        for j, d in letters:
             if k < d:
                 continue
-            table = [off[j]] if k == d else []
-            for l, dl in enumerate(degrees):
-                if k - dl >= d:
-                    table += map(off[l].__add__, pre[k - dl][j])
-            pre[k][j] = table
-            perm += table
-            neg += (b"\1" if (k - d) * d % 2 else b"\0") * len(table)
+            if k == d:
+                perm.append(off[j])
+            for l, dl in letters:
+                m = k - dl
+                if m >= d:
+                    o, lo = off[l], offs[m][j]
+                    perm += [o + x for x in perms[m][lo:lo + dims[m - d]]]
+            neg += [(k - d) * d % 2] * dims[k - d]
+        perms[k], offs[k] = perm, off
         if k >= top:
-            pre[k - top] = None  # later degrees read from k + 1 - top on
+            perms[k - top] = offs[k - top] = None  # later degrees read from k + 1 - top on
         rank = exact_rank(perm, neg)
         hh0.append(dims[k] - rank)
         hh1.append(len(perm) - rank)
@@ -227,7 +236,9 @@ def _lyndon_class_counts(degrees, trunc_degree):
     [0, 2, 1, 2, 3, 6, 9]
     """
     dims = tensor_algebra_dims(GradedAlphabet(degrees), trunc_degree)
-    t = [sum(d * dims[e - d] for d in degrees if e >= d) for e in range(trunc_degree + 1)]
+    t = [0] * (trunc_degree + 1)
+    for d in degrees:
+        t[d:] = [x + d * y for x, y in zip(t[d:], dims)]
     moebius_invert(t)
     return [0] + [t[w] // w for w in range(1, trunc_degree + 1)]
 

@@ -735,3 +735,45 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli, "_build_parser", fail)
         assert run_cli(["primes", "--d", "7", "--s", "1"])[0] == 0
+
+
+# argvs that both parsers must refuse with the same message
+PARSER_USAGE_ERRORS = [argv for argv, _, _ in USAGE_ERRORS] + [
+    ["hm-census", "--m", "2", "--max-degree", "12"],  # missing required flag
+    ["free-loop", "--degrees", "1,2", "--method", "fast"],  # invalid choice
+    ["no-such-command", "S2"],
+    ["--format", "csv", "rho", "S2"],
+    ["rho", "S2", "--", "S3"],
+    ["rho", "--version"],
+]
+# and argvs that both must parse, or exit on, alike
+PARSER_ARGVS = PARSER_USAGE_ERRORS + [
+    ["rho", "--", "S2"], ["--version"], ["-h"], ["rho", "-h"],
+] + COMMANDS
+
+
+class TestSubparserDispatch:
+    """`run` parses a known command's argv with that command's own subparser;
+    the outcome must be what `_PARSER.parse_args` gives on the same argv."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            return "args", vars(parse(argv))
+        except cli.UsageError as e:
+            return "usage-error", str(e)
+        except SystemExit as e:
+            return "exit", e.code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(a[:3]) or "empty")
+    def test_same_outcome_as_the_top_parser(self, argv, capsys):
+        want = self.outcome(cli._PARSER.parse_args, argv, capsys)
+        assert self.outcome(cli._parse, argv, capsys) == want
+
+    @pytest.mark.parametrize("argv", PARSER_USAGE_ERRORS, ids=lambda a: " ".join(a[:3]) or "empty")
+    def test_usage_error_report_is_the_top_parsers(self, argv):
+        with pytest.raises(cli.UsageError) as exc:
+            cli._PARSER.parse_args(argv)
+        command = argv[0] if argv and argv[0] in cli._COMMANDS else ""
+        report = cli._error_report(command, "usage-error", str(exc.value))
+        assert run_cli(argv) == (2, cli._json(report) + "\n")

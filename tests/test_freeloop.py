@@ -4,7 +4,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loopgrowth import freeloop
@@ -162,6 +162,30 @@ class TestSignedGraphRank:
             exact_rank([0, 0], [0, 0])
 
 
+class TestExactRankInputs:
+    """The walk marks visited words in its own copy: slices of one degree's
+    permutation feed the next degrees, so the arguments must survive."""
+
+    @given(signed_permutations)
+    @settings(max_examples=100, deadline=None)
+    def test_random_inputs_are_left_unchanged(self, signed):
+        perm, neg = list(signed[0]), list(signed[1])
+        exact_rank(perm, neg)
+        assert (perm, neg) == (list(signed[0]), list(signed[1]))
+
+    @pytest.mark.parametrize("perm", [[1, 2, 1], [0, 0]])
+    def test_refusal_leaves_the_input_unchanged(self, perm):
+        before = list(perm)
+        with pytest.raises(ValueError, match="not a permutation"):
+            exact_rank(perm, [0] * len(perm))
+        assert perm == before
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, list])
+    def test_signs_may_be_bytes(self, kind):
+        neg = kind([1, 0, 1, 1, 0, 0, 1])
+        assert exact_rank([3, 4, 1, 0, 2, 5, 6], neg) == 5
+
+
 # -- Hochschild tables -------------------------------------------------------------
 
 
@@ -180,6 +204,34 @@ class TestEllipticTables:
         for degs in ((1,), (2,)):
             a = GradedAlphabet(degs)
             assert hh_necklace(a, 10) == hh_bruteforce(a, 10)
+
+
+class TestPermutationOracle:
+    """theta's signed permutation itself, not only its rank: sigma(w j) = j w
+    with sign (-1)^((k - d_j) d_j), numbered as `oracles.words_by_degree`
+    numbers words (in blocks by last letter)."""
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 10))
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_each_degree_permutes_words_by_rotation(self, monkeypatch, degs, n):
+        seen = []
+
+        def capture(perm, neg):
+            seen.append((perm, list(neg)))
+            return exact_rank(perm, neg)
+
+        monkeypatch.setattr(freeloop, "exact_rank", capture)
+        a = GradedAlphabet(tuple(degs))
+        hh_bruteforce(a, n)
+        words = oracles.words_by_degree(a.degrees, n)
+        assert len(seen) == n + 1
+        for k, (perm, neg) in enumerate(seen):
+            index = {w: i for i, w in enumerate(words[k])}
+            rotated = [w for w in words[k] if w]  # degree 0's empty word has no row
+            assert perm == [index[w[-1:] + w[:-1]] for w in rotated]
+            assert neg == [(k - a.degrees[w[-1]]) * a.degrees[w[-1]] % 2 for w in rotated]
 
 
 class TestOracleEquivalence:
