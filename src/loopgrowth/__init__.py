@@ -109,7 +109,6 @@ _EXPORTS = {
         "inert_cofiber_loop_gf",
         "loop_gf",
         "loop_smash_sphere",
-        "omega_at_rho_infinite",
         "pi_ranks",
         "strongly_inert_check",
     ),

@@ -278,19 +278,6 @@ def _cmd_log_index(args):
     return result, table, prov
 
 
-# the theorem a certified verdict rests on, by GoodGrowth value
-_VERDICT_CITATIONS = {
-    "certified-strongly-inert": (
-        "good exponential growth of the free loops on the total space",
-        "log-index transfer for strongly inert attachments",
-    ),
-    "certified-divergent-loop-series": (
-        "good exponential growth from divergence at the radius",
-        "divergence criterion for good growth of free loops",
-    ),
-}
-
-
 def _cmd_presentation(kind, fields, args):
     """Growth verdict for a presentation of the `loop` class named `kind`
     with these fields; the request echoes each field in canonical form."""
@@ -326,9 +313,11 @@ def _cmd_presentation(kind, fields, args):
             "loop-space splitting for inert attachments",
         ),
         _computed("radius and log index certified by root counting and bisection"),
+        _cited(
+            "good exponential growth of the free loops on the total space",
+            "log-index transfer for strongly inert attachments",
+        ),
     ]
-    if verdict.good_growth.value in _VERDICT_CITATIONS:
-        prov.append(_cited(*_VERDICT_CITATIONS[verdict.good_growth.value]))
     if kind == "ConnSumPresentation":
         prov.insert(
             1,

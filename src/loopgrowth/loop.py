@@ -282,22 +282,8 @@ def strongly_inert_check(c: CofiberPresentation) -> StronglyInertResult:
     return StronglyInertResult(verdict == -1, ry, rz, series)
 
 
-def omega_at_rho_infinite(z: SpaceExpr) -> bool:
-    """Whether OmegaZ(z) diverges at its radius of convergence.
-
-    The reduced series has nonnegative coefficients, so its radius is its
-    smallest positive pole when one exists, and the value there is infinite.
-    A polynomial-free denominator root cannot cancel: numerator and
-    denominator are coprime after normalization.
-    """
-    rho = smallest_positive_pole(loop_gf(z))
-    return not rho.is_infinite
-
-
 class GoodGrowth(Enum):
     CERTIFIED_STRONGLY_INERT = "certified-strongly-inert"
-    CERTIFIED_DIVERGENT_LOOP_SERIES = "certified-divergent-loop-series"
-    NOT_CERTIFIED = "not-certified"
 
 
 class GrowthVerdict(_Record):
@@ -312,48 +298,33 @@ class GrowthVerdict(_Record):
 def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
     """Decide good exponential growth for the loops of the cofibration's total space.
 
-    Strong inertness (a certified radius gap) gives the strongest verdict;
-    failing that, divergence of OmegaZ at its radius still certifies growth;
-    otherwise the question is left open. Each series and pole is computed
-    once: divergence of OmegaZ (as in `omega_at_rho_infinite`) is read off
-    the radius the comparison already certified.
+    An inert attachment gives rho(OmegaY) < rho(OmegaZ) <= 1 (the cofiber
+    case of the module docstring; Halperin-Lemaire, inert cells), so Y is
+    strongly inert, not elliptic, and OmegaZ diverges at its radius. The gap
+    is certified by disjoint isolating intervals; a ValueError is raised if
+    it is not.
     """
-    _require_inert(c.inert_asserted)
-    trail = [
-        f"attaching map asserted inert: {c.justification or 'no justification given'}",
-    ]
     check = strongly_inert_check(c)
-    ry = check.rho_y
-    divergent = not check.rho_z.is_infinite
-    if check.strongly_inert:
-        verdict = GoodGrowth.CERTIFIED_STRONGLY_INERT
-        trail.append(
-            "certified rho(OmegaY) < rho(OmegaZ) by disjoint isolating intervals; "
-            "strongly inert splitting gives controlled growth at the loop log index"
+    if not check.strongly_inert:
+        raise ValueError(
+            "radius gap rho(OmegaY) < rho(OmegaZ) not certified by disjoint isolating intervals"
         )
-    elif divergent:
-        verdict = GoodGrowth.CERTIFIED_DIVERGENT_LOOP_SERIES
-        trail.append(
-            "rho(OmegaY) = rho(OmegaZ) not certified apart, but OmegaZ diverges at "
-            "its radius; the divergence criterion certifies good growth"
-        )
-    else:
-        verdict = GoodGrowth.NOT_CERTIFIED
-        trail.append("no certificate: radii not separated and OmegaZ stays finite")
-    li = log_index_exact(ry)
-    trail.append(
+    trail = (
+        f"attaching map asserted inert: {c.justification or 'no justification given'}",
+        "certified rho(OmegaY) < rho(OmegaZ) by disjoint isolating intervals; "
+        "strongly inert splitting gives controlled growth at the loop log index",
         f"log index certified by the splitting theorem for Z = {to_text(c.Z)}; "
-        "free-loop homology is not recomputed here"
+        "free-loop homology is not recomputed here",
     )
     return GrowthVerdict(
         series=check.series,
-        rho=ry,
-        log_index=li,
-        elliptic=ry.at_least(1),
-        strongly_inert=check.strongly_inert,
-        omega_divergent=divergent,
-        good_growth=verdict,
-        trail=tuple(trail),
+        rho=check.rho_y,
+        log_index=log_index_exact(check.rho_y),
+        elliptic=False,
+        strongly_inert=True,
+        omega_divergent=True,
+        good_growth=GoodGrowth.CERTIFIED_STRONGLY_INERT,
+        trail=trail,
     )
 
 

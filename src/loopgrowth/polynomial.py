@@ -102,9 +102,6 @@ class IntPolynomial(_Record):
                 out[i:i + n] = [x + c * y for x, y in zip(out[i:i + n], b)]
         return IntPolynomial(tuple(out))
 
-    def scale(self, k: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(k * c for c in self.coeffs))
-
     def shift(self, k: int) -> "IntPolynomial":
         """Multiply by z^k."""
         if k < 0:

@@ -40,9 +40,9 @@ missed estimate walks the bisection, one sign per midpoint.
 
 Every later root question is answered by signs alone, because each interval
 holds one simple root and the ends of a non-exact one are not roots.
-`Radius.at_least` decides rho >= x from the signs at x and lo. `compare_radii`
-refines both intervals until they are disjoint, or finds the common root of
-the two denominators in the overlap from the signs of their gcd at its ends.
+`compare_radii` refines both intervals until they are disjoint, or finds the
+common root of the two denominators in the overlap from the signs of their
+gcd at its ends.
 Only `Radius.certificate_holds` counts roots again, from scratch.
 
 All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
@@ -176,12 +176,6 @@ class RationalGF(_Record):
     def shifted(self, k: int) -> "RationalGF":
         return RationalGF(self.num.shift(k), self.den)
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
-
-    def constant_coefficient(self):
-        return self.expand(0)[0]
-
     def expand(self, trunc_degree: int) -> "TruncatedSeries":
         return expand(self, trunc_degree)
 
@@ -308,9 +302,9 @@ class Radius(_Record):
     exactly one root in [lo, hi] and none in (0, lo). A degenerate interval
     (lo == hi) pins a rational pole exactly. Otherwise the denominator has
     opposite signs at lo and hi, so `refined` narrows the interval by signs
-    alone (`_bisect`), and `at_least` decides rho >= x by sign, with no root
-    count. Infinite: no positive pole; `polynomial` records whether the
-    series is a polynomial (so dimensions are eventually zero).
+    alone (`_bisect`), with no root count. Infinite: no positive pole;
+    `polynomial` records whether the series is a polynomial (so dimensions
+    are eventually zero).
 
     `_sqfree` is the polynomial the certificate is about, leading
     coefficient positive: the denominator itself when it is a product of
@@ -357,19 +351,6 @@ class Radius(_Record):
             return self
         lo, hi = _bisect(self._sqfree, tol, self.lo, self.hi)
         return Radius(lo, hi, self.polynomial, self._sqfree, self.pringsheim_ok)
-
-    def at_least(self, x: Fraction) -> bool:
-        """Certified rho >= x, from at most two signs of the denominator.
-
-        Inside (lo, hi], rho >= x iff x is the root or no root lies in
-        (lo, x), that is, iff sf(x) = 0 or sf(x) has the sign of sf(lo).
-        """
-        if self.is_infinite or x <= self.lo:
-            return True
-        if x > self.hi:
-            return False
-        s = self._sqfree.sign_at(x)
-        return s == 0 or s == self._sqfree.sign_at(self.lo)
 
     def certificate_holds(self) -> bool:
         """Recheck the defining properties from scratch (used by tests).

@@ -378,6 +378,20 @@ class TestErrors:
         assert report["error"]["kind"] == "validation-error"
         assert "did not resolve" in report["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["cofiber", "--A", "S2", "--Z", "S2 x S2", "--inert", JUST],
+         ["connsum", "--A", "S2", "--M", "S2 x S2", "--N", "S3", "--inert", JUST]],
+        ids=["cofiber", "connsum"],
+    )
+    def test_an_uncertified_radius_gap_is_a_validation_error(self, monkeypatch, argv):
+        # a comparison that reads the radii as equal leaves no certified gap
+        monkeypatch.setattr(loop, "compare_radii", lambda a, b: (0, a, b))
+        code, report = run_json(argv)
+        assert code == 1
+        assert report["error"]["kind"] == "validation-error"
+        assert "not certified" in report["error"]["message"]
+
 
 class TestDeepExpressions:
     def test_three_thousand_brackets_answer(self):

@@ -155,3 +155,9 @@ def test_every_argv_gets_one_schema_valid_report(argv):
     assert ("error" in report) == (code != 0)
     if code == 2:
         assert report["error"]["kind"] == "parse-error"
+    if code == 0 and report["command"] in ("cofiber", "connsum", "yclass"):
+        # an inert attachment gives rho(OmegaY) < rho(OmegaZ) <= 1
+        result = report["result"]
+        assert result["verdict"] == "certified-strongly-inert"
+        assert result["strongly_inert"] and result["omega_divergent"]
+        assert not result["elliptic"]

@@ -17,7 +17,6 @@ from loopgrowth.loop import (
     inert_cofiber_loop_gf,
     loop_gf,
     loop_smash_sphere,
-    omega_at_rho_infinite,
     pi_ranks,
     strongly_inert_check,
 )
@@ -279,11 +278,6 @@ class TestStronglyInert:
 class TestGrowthVerdict:
     def test_enum_values(self):
         assert GoodGrowth.CERTIFIED_STRONGLY_INERT.value == "certified-strongly-inert"
-        assert (
-            GoodGrowth.CERTIFIED_DIVERGENT_LOOP_SERIES.value
-            == "certified-divergent-loop-series"
-        )
-        assert GoodGrowth.NOT_CERTIFIED.value == "not-certified"
 
     def test_deleted_manifold_verdict(self):
         import math
@@ -308,11 +302,6 @@ class TestGrowthVerdict:
         )
         v = good_growth_verdict(c)
         assert any("top cell" in line for line in v.trail)
-
-    def test_omega_divergence(self):
-        assert omega_at_rho_infinite(Sphere(2))
-        assert omega_at_rho_infinite(parse("S2 x S3"))
-        assert omega_at_rho_infinite(Susp(parse("S2 x S2")))
 
     def test_fiber_series_certified_below_base(self):
         # the splitting's second factor must blow up strictly before OmegaZ

@@ -121,7 +121,7 @@ class TestDivexact:
     def test_exact_over_q_but_not_over_z_raises(self, g, h, k):
         h = h.primitive()
         with pytest.raises(ValueError):
-            poly_divexact(g * h, g.scale(k))
+            poly_divexact(g * h, g * IntPolynomial((k,)))
 
     @given(nonzero(4), nonzero(3), nonzero(3))
     @settings(max_examples=100, deadline=None)
@@ -707,21 +707,7 @@ def first_positive_roots(polys) -> list:
 
 
 class TestRootQuestionsAgainstSympy:
-    """rho >= x and radius equality, decided by signs, on coarse intervals."""
-
-    @given(small_factors(1), st.booleans(), st.fractions(0, 1).filter(lambda t: t > 0))
-    @settings(max_examples=200, deadline=None)
-    def test_at_least_agrees_with_root_counts(self, factors, no_scan, t):
-        f = product(factors, no_scan)
-        rho = coarse_radius(f)
-        sf = to_sympy(f)
-        # 1, and a point of the interval itself, so that lo < x <= hi is common
-        points = [Fraction(1)] if rho.is_infinite else [Fraction(1), rho.lo + t * rho.width()]
-        for x in points:
-            x_sym = sympy.Rational(x.numerator, x.denominator)
-            # roots in (0, x): the closed count minus a root at x (none at 0)
-            below = sf.count_roots(0, x_sym) - (sf.eval(x_sym) == 0)
-            assert rho.at_least(x) == (below == 0)
+    """Radius equality, decided by signs, on coarse intervals."""
 
     @given(small_factors(1), small_factors(0), small_factors(0), st.booleans(), st.booleans())
     @settings(max_examples=200, deadline=None)
