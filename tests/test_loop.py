@@ -303,6 +303,12 @@ class TestGrowthVerdict:
         v = good_growth_verdict(c)
         assert any("top cell" in line for line in v.trail)
 
+    def test_omega_divergence(self):
+        # OmegaZ has a finite radius, so its series diverges there: the
+        # omega_divergent flag every verdict sets
+        for z in (Sphere(2), parse("S2 x S3"), Susp(parse("S2 x S2"))):
+            assert not smallest_positive_pole(loop_gf(z)).is_infinite
+
     def test_fiber_series_certified_below_base(self):
         # the splitting's second factor must blow up strictly before OmegaZ
         from loopgrowth.space import reduced_gf

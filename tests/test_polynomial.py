@@ -707,7 +707,23 @@ def first_positive_roots(polys) -> list:
 
 
 class TestRootQuestionsAgainstSympy:
-    """Radius equality, decided by signs, on coarse intervals."""
+    """rho >= x and radius equality, decided by signs, on coarse intervals."""
+
+    @given(small_factors(1), st.booleans(), st.fractions(0, 1).filter(lambda t: t > 0))
+    @settings(max_examples=200, deadline=None)
+    def test_at_least_agrees_with_root_counts(self, factors, no_scan, t):
+        f = product(factors, no_scan)
+        rho = coarse_radius(f)
+        sf = to_sympy(f)
+        # 1, and a point of the interval itself, so that lo < x <= hi is common
+        points = [Fraction(1)] if rho.is_infinite else [Fraction(1), rho.lo + t * rho.width()]
+        for x in points:
+            x_sym = sympy.Rational(x.numerator, x.denominator)
+            # roots in (0, x): the closed count minus a root at x (none at 0)
+            below = sf.count_roots(0, x_sym) - (sf.eval(x_sym) == 0)
+            # the exact pole of 1/(p - q z) sits at x = p/q
+            at_x = coarse_radius(IntPolynomial((x.numerator, -x.denominator)))
+            assert (compare_radii(rho, at_x, COARSE)[0] >= 0) == (below == 0)
 
     @given(small_factors(1), small_factors(0), small_factors(0), st.booleans(), st.booleans())
     @settings(max_examples=200, deadline=None)

@@ -777,7 +777,7 @@ def coarse_pole(den: IntPolynomial):
 
 
 class TestRootQuestionsBySign:
-    """Radius equality read off signs of the denominators."""
+    """rho >= x and radius equality read off signs of the denominators."""
 
     def test_exact_radius_equals_an_interval_around_it(self):
         exact = coarse_pole(IntPolynomial((2, -3)))
@@ -801,6 +801,18 @@ class TestRootQuestionsBySign:
         rb = coarse_pole(golden * IntPolynomial((5, 0, -6)))
         assert max(ra.lo, rb.lo) < min(ra.hi, rb.hi)
         assert compare_radii(ra, rb, COARSE)[0] == 0
+
+    @pytest.mark.parametrize(
+        "den, at_least_one",
+        [((1, -1, -1), False), ((6, 0, -5), True), ((1, 0, -1), True), ((2, -3), False)],
+        ids=["golden-below", "sqrt-6/5-above", "exact-one", "exact-below"],
+    )
+    def test_at_least_one(self, den, at_least_one):
+        rho = coarse_pole(IntPolynomial(den))
+        if not rho.is_exact:
+            assert rho.lo < 1 <= rho.hi
+        one = coarse_pole(IntPolynomial((1, -1)))
+        assert (compare_radii(rho, one, COARSE)[0] >= 0) is at_least_one
 
     def test_no_root_counts_outside_the_certificate_recheck(self, monkeypatch):
         counts = oracles.count_calls(monkeypatch, polynomial, "count_roots_halfopen")
