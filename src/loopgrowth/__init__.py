@@ -135,11 +135,11 @@ _EXPORTS = {
         "SphereList",
         "Susp",
         "Wedge",
-        "homology_gf",
+        "homology_poly",
         "is_rational_sphere_wedge",
         "parse",
         "profile",
-        "reduced_gf",
+        "reduced_poly",
         "to_text",
         "wedge_decomposition",
     ),

@@ -204,9 +204,8 @@ def _cmd_homology(args):
 
     n = _check_degree(args.max_degree)
     x = space.parse(args.expr)
-    gf = space.homology_gf(x)
     pr = space.profile(x)
-    coeffs = gf.expand(min(n, max(gf.num.degree(), 0))).coeffs
+    coeffs = space.homology_poly(x).coeffs[: n + 1]
     result = {
         "polynomial": _coeffs_json(coeffs),
         "profile": {"connectivity": pr.connectivity, "dimension": pr.dimension},

@@ -37,6 +37,7 @@ import math
 
 from . import _Record, _set
 from .arith import moebius_invert
+from .polynomial import ONE, IntPolynomial
 from .series import (
     RationalGF,
     TruncatedSeries,
@@ -69,13 +70,18 @@ class GradedAlphabet(_Record):
         return cls(tuple(n - 1 for n in dims))
 
     def loop_gf(self) -> RationalGF:
-        """1/(1 - sum z^d): the loop series of the corresponding sphere wedge."""
+        """1/D, D = 1 - sum z^d: the loop series of the corresponding sphere wedge.
+
+        D falls from 1 and has one positive root, like a suspension's
+        denominator in `loop`, so the series carries the guard D(x) > 0.
+        """
         if self.degrees[-1] >= MAX_SPHERE_DIMENSION:  # degree d is the sphere S^(d+1)
             raise ValueError(f"generator degree exceeds the {MAX_SPHERE_DIMENSION - 1} limit")
         den = [1] + [0] * max(self.degrees)
         for d in self.degrees:
             den[d] -= 1
-        return RationalGF.from_coeffs([1], den)
+        den = IntPolynomial(tuple(den))
+        return RationalGF(ONE, den, None, ((), (den,)))
 
 
 def tensor_algebra_dims(a: GradedAlphabet, trunc_degree: int) -> tuple:

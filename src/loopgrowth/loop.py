@@ -60,8 +60,8 @@ from .space import (
     Sphere,
     Susp,
     Wedge,
-    homology_poly,
     is_rational_sphere_wedge,
+    reduced_poly,
     to_text,
 )
 
@@ -121,52 +121,35 @@ def _loop_den(x: SpaceExpr):
         den = dx + dy - ONE
         return den, None, (_distinct(ix + tx + iy + ty), (den,))
     if isinstance(x, Susp):
-        den = ONE - _reduced(x.inner)
+        den = ONE - reduced_poly(x.inner)
     elif isinstance(x, Smash):
         if not is_rational_sphere_wedge(x):
             raise NotExpressibleError(
                 "loop series not expressible: smash has no suspension factor"
             )
-        den = ONE - _desuspended(_reduced(x))
+        # red(z)/z: the reduced homology of a smash starts in degree 4
+        den = ONE - IntPolynomial(reduced_poly(x).coeffs[1:])
     else:
         raise TypeError(f"not a space expression: {x!r}")
     return den, None, ((), (den,))
-
-
-def _reduced(x: SpaceExpr) -> IntPolynomial:
-    """The reduced homology polynomial."""
-    return homology_poly(x) - ONE
-
-
-def _desuspended(red: IntPolynomial) -> IntPolynomial:
-    """red(z)/z for a reduced polynomial with no degree-0 or 1 terms."""
-    if not red.is_zero() and red.constant_term() != 0:
-        raise ValueError("series has a degree-0 term; cannot desuspend")
-    return IntPolynomial(red.coeffs[1:])
 
 
 def loop_smash_sphere(n_alpha: int, z: SpaceExpr) -> RationalGF:
     """Series of Omega(S^n ^ Omega Z) via 1/(1 - z^(n-1) OmegaZ(z)) = D/(D - z^(n-1) N).
 
     The pair is reduced, since gcd(D, D - z^(n-1) N) = gcd(D, N) = 1 with
-    D(0) != 0, so no gcd is taken.
+    D(0) != 0, so the constructor's gcd is 1.
 
     >>> loop_smash_sphere(3, Sphere(2)).den.coeffs
     (1, -1, -1)
     """
     if n_alpha < 2:
         raise HypothesisError("smashing sphere must have dimension at least 2")
-    _require_nontrivial(z, "Z")
     oz = loop_gf(z)
-    return RationalGF._coprime(oz.den, oz.den - oz.num.shift(n_alpha - 1))
+    return RationalGF(oz.den, oz.den - oz.num.shift(n_alpha - 1))
 
 
 # -- presentations ----------------------------------------------------------
-
-
-def _require_nontrivial(x: SpaceExpr, role: str):
-    if homology_poly(x).degree() <= 0:
-        raise HypothesisError(f"{role} is rationally trivial; splitting needs red H != 0")
 
 
 def _require_inert(asserted: bool):
@@ -185,32 +168,14 @@ class CofiberPresentation(_Record):
     """
 
     __slots__ = __match_args__ = ("A", "Z", "inert_asserted", "justification")
-
-    def __init__(self, A: SpaceExpr, Z: SpaceExpr, inert_asserted=False, justification=""):
-        _require_nontrivial(A, "A")
-        _require_nontrivial(Z, "Z")
-        _set(self, "A", A)
-        _set(self, "Z", Z)
-        _set(self, "inert_asserted", inert_asserted)
-        _set(self, "justification", justification)
+    _defaults = {"inert_asserted": False, "justification": ""}
 
 
 class ConnSumPresentation(_Record):
     """Connected-sum presentation: summands M and N glued over the collar Sigma A."""
 
     __slots__ = __match_args__ = ("A", "M", "N", "inert_asserted", "justification")
-
-    def __init__(
-        self, A: SpaceExpr, M: SpaceExpr, N: SpaceExpr, inert_asserted=False, justification=""
-    ):
-        _require_nontrivial(A, "A")
-        _require_nontrivial(M, "M")
-        _require_nontrivial(N, "N")
-        _set(self, "A", A)
-        _set(self, "M", M)
-        _set(self, "N", N)
-        _set(self, "inert_asserted", inert_asserted)
-        _set(self, "justification", justification)
+    _defaults = CofiberPresentation._defaults
 
     def as_cofiber(self) -> CofiberPresentation:
         return CofiberPresentation(
@@ -227,7 +192,6 @@ class YClassPresentation(_Record):
     def __init__(self, m: int, n: int, J: SpaceExpr, inert_asserted=False, justification=""):
         if not 1 < m <= n - m:
             raise HypothesisError("class constraint violated: need 1 < m <= n - m")
-        _require_nontrivial(J, "J")
         _set(self, "m", m)
         _set(self, "n", n)
         _set(self, "J", J)
@@ -257,7 +221,7 @@ def inert_cofiber_loop_gf(c: CofiberPresentation, oz: RationalGF | None = None) 
     _require_inert(c.inert_asserted)
     if oz is None:
         oz = loop_gf(c.Z)
-    den = oz.den - _reduced(c.A) * oz.num
+    den = oz.den - reduced_poly(c.A) * oz.num
     guards = None if oz._guards is None else (_distinct(oz._guards[0] + oz._guards[1]), (den,))
     return RationalGF(oz.num, den, None, guards)
 

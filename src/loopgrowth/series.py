@@ -134,14 +134,6 @@ class RationalGF(_Record):
         _set(self, "_split", _split)
         _set(self, "_guards", _guards)
 
-    @classmethod
-    def _coprime(cls, num: IntPolynomial, den: IntPolynomial) -> "RationalGF":
-        """num/den as given, for a pair already in canonical form by proof: no gcd is taken."""
-        gf = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, (num, den, None, None)):
-            _set(gf, name, value)
-        return gf
-
     def binomial_split(self):
         """`binomial_factors(den)`: (exponents, cofactor), split on the first call only."""
         if self._split is None:
@@ -795,7 +787,7 @@ def _pole_guard(polys, upper: Fraction):
 
 
 def _tree_pole(f, polys, inner, r, tol, ok):
-    """The Radius that a tree-built series' guards certify, or None.
+    """The Radius that a tree-built series' guards certify below r, or None.
 
     The grid is (0, upper], as in `_descartes_pole`, so the cell is the one
     that path reaches. The top guard P that `_pole_guard` names, the
@@ -806,10 +798,9 @@ def _tree_pole(f, polys, inner, r, tol, ok):
     which is rho, and below the radii of the other factors, which have no
     root in (0, hi]. So the cell isolates rho among the roots of f.
     Otherwise None, and the caller takes the Descartes path. polys are the
-    guards, the first `inner` of them below the factors of f.
+    guards, the first `inner` of them below the factors of f; the caller has
+    found that r, when given, is not the pole.
     """
-    if r is not None and _guard_sign(polys, r) == 0:
-        return Radius(r, r, False, f, ok)
     upper = cauchy_root_bound(f) if r is None else r
     found = _pole_guard(polys, upper)
     if found is None or found[0] < inner:
@@ -878,8 +869,14 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     ):
         return Radius(r, r, False, f, ok)
     if not _squarefree_mod_p(f):
+        # the squarefree part has f's roots, and its smaller coefficients
+        # may pass the root scan's bound where f's did not; a root found on
+        # f was tested above
         f = squarefree_part(f)
-        r = _smallest_positive_rational_root(f)
+        if r is None:
+            r = _smallest_positive_rational_root(f)
+            if r is not None and polys and _guard_sign(polys, r) == 0:
+                return Radius(r, r, False, f, ok)
     if polys:
         radius = _tree_pole(f, polys, len(guards[0]), r, tol, ok)
         if radius is not None:

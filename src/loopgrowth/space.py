@@ -15,11 +15,13 @@ a tree deeper than MAX_DEPTH levels is a ValueError, which keeps every
 recursive tree walk (homology, profile, printing, loop series) inside the
 default stack. So is a sphere past MAX_SPHERE_DIMENSION, which bounds the
 series one sphere contributes. Every expressible space is simply connected with
-finite-dimensional total homology, so homology generating functions are
-polynomials and connectivity/dimension bounds are computed structurally.
+finite-dimensional total homology, so its homology is an IntPolynomial with
+constant term 1, nonnegative coefficients and a nonzero reduced part (each
+rule keeps all three), and connectivity/dimension bounds are computed
+structurally.
 
 Parsing and printing need no other module of the package: the homology
-functions import `polynomial` and `series` when they are called.
+functions import `polynomial` when they are called.
 """
 
 from __future__ import annotations
@@ -241,40 +243,29 @@ def homology_poly(x: SpaceExpr):
     """
     from .polynomial import ONE
 
-    return _homology_poly(x, ONE)
+    return ONE + _reduced(x, ONE)
 
 
-def homology_gf(x: SpaceExpr):
-    """Hilbert series of the rational homology (a polynomial with constant 1).
-
-    >>> homology_gf(parse("S2 ^ S3")).num.coeffs
-    (1, 0, 0, 0, 0, 1)
-    """
+def reduced_poly(x: SpaceExpr):
+    """The reduced homology polynomial, homology_poly(x) - 1: nonzero, coefficients >= 0."""
     from .polynomial import ONE
-    from .series import RationalGF
 
-    return RationalGF(_homology_poly(x, ONE), ONE)
-
-
-def reduced_gf(x: SpaceExpr):
-    """Reduced homology series: homology_gf minus 1."""
-    from .series import RationalGF
-
-    return homology_gf(x) - RationalGF.constant(1)
+    return _reduced(x, ONE)
 
 
-def _homology_poly(x: SpaceExpr, one):
-    """The homology polynomial; `one` is the constant IntPolynomial 1."""
+def _reduced(x: SpaceExpr, one):
+    """The reduced homology polynomial; `one` is the constant IntPolynomial 1."""
     if isinstance(x, Sphere):
-        return one + one.shift(x.n)
+        return one.shift(x.n)
     if isinstance(x, Wedge):
-        return _homology_poly(x.left, one) + _homology_poly(x.right, one) - one
+        return _reduced(x.left, one) + _reduced(x.right, one)
     if isinstance(x, Product):
-        return _homology_poly(x.left, one) * _homology_poly(x.right, one)
+        left, right = _reduced(x.left, one), _reduced(x.right, one)
+        return left + right + left * right
     if isinstance(x, Smash):
-        return (_homology_poly(x.left, one) - one) * (_homology_poly(x.right, one) - one) + one
+        return _reduced(x.left, one) * _reduced(x.right, one)
     if isinstance(x, Susp):
-        return (_homology_poly(x.inner, one) - one).shift(1) + one
+        return _reduced(x.inner, one).shift(1)
     raise TypeError(f"not a space expression: {x!r}")
 
 
@@ -282,27 +273,18 @@ def _homology_poly(x: SpaceExpr, one):
 
 
 class Profile(_Record):
-    """Connectivity s (s-connected), top nonzero degree d, nontriviality flag."""
+    """Connectivity s (s-connected) and top nonzero degree d."""
 
-    __slots__ = __match_args__ = ("connectivity", "dimension", "rationally_nontrivial")
-
-    def __init__(self, connectivity: int, dimension: int, rationally_nontrivial: bool):
-        _set(self, "connectivity", connectivity)
-        _set(self, "dimension", dimension)
-        _set(self, "rationally_nontrivial", rationally_nontrivial)
+    __slots__ = __match_args__ = ("connectivity", "dimension")
 
 
 def profile(x: SpaceExpr) -> Profile:
     """Structural connectivity and dimension bounds; 1 <= s < d always holds.
 
     >>> profile(parse("Susp(S2 ^ S2)"))
-    Profile(connectivity=4, dimension=5, rationally_nontrivial=True)
+    Profile(connectivity=4, dimension=5)
     """
-    from .polynomial import ONE
-
-    s, d = _profile_bounds(x)
-    red = _homology_poly(x, ONE) - ONE
-    return Profile(s, d, not red.is_zero())
+    return Profile(*_profile_bounds(x))
 
 
 def _profile_bounds(x: SpaceExpr):
@@ -338,17 +320,6 @@ class SphereList(_Record):
     def __init__(self, spheres: tuple):
         _set(self, "spheres", spheres)
 
-    def series(self):
-        """Homology series of the corresponding sphere wedge."""
-        from .series import RationalGF
-
-        coeffs = [1]
-        for dim, mult in self.spheres:
-            while len(coeffs) <= dim:
-                coeffs.append(0)
-            coeffs[dim] += mult
-        return RationalGF.from_coeffs(coeffs)
-
     def least_dimension(self) -> int:
         return self.spheres[0][0]
 
@@ -375,10 +346,7 @@ def wedge_decomposition(x: SpaceExpr) -> SphereList:
     >>> wedge_decomposition(parse("Susp(S2 ^ (S2 v S3))")).spheres
     ((5, 1), (6, 1))
     """
-    from .polynomial import ONE
-
     if not is_rational_sphere_wedge(x):
         raise ValueError("not rationally a wedge of spheres: product detected")
-    red = _homology_poly(x, ONE) - ONE
-    spheres = tuple((dim, mult) for dim, mult in enumerate(red.coeffs) if mult)
+    spheres = tuple((dim, mult) for dim, mult in enumerate(reduced_poly(x).coeffs) if mult)
     return SphereList(spheres)

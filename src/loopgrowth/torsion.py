@@ -263,14 +263,8 @@ def retraction_report(A, Z) -> RetractionReport:
     >>> retraction_report(parse("S2"), parse("S2 x S2"))
     RetractionReport(m=3, n=4, excluded=(2,))
     """
-    from .space import Susp, reduced_gf, wedge_decomposition
+    from .space import Susp, reduced_poly, wedge_decomposition
 
-    red_a = reduced_gf(A)
-    red_z = reduced_gf(Z)
-    if red_a.num.is_zero():
-        raise ValueError("A is rationally trivial")
-    if red_z.num.is_zero():
-        raise ValueError("Z is rationally trivial")
     m = wedge_decomposition(Susp(A)).least_dimension()
-    n = (m - 1) + red_z.num.low_degree()
+    n = (m - 1) + reduced_poly(Z).low_degree()
     return RetractionReport(m, n, primes_set_of(A) | primes_set_of(Z))

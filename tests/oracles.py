@@ -403,12 +403,20 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def reduced_gf(x):
+    """The reduced homology series, homology_poly(x) - 1, as a `RationalGF`."""
+    from loopgrowth.polynomial import ONE
+    from loopgrowth.series import RationalGF
+    from loopgrowth.space import homology_poly
+
+    return RationalGF(homology_poly(x) - ONE, ONE)
+
+
 def loop_gf(x):
     """The loop series by the closed rules, in normalized `RationalGF` arithmetic."""
     from loopgrowth.loop import NotExpressibleError
     from loopgrowth.series import RationalGF
     from loopgrowth.space import Product, Smash, Sphere, Susp, Wedge, is_rational_sphere_wedge
-    from loopgrowth.space import reduced_gf
 
     one = RationalGF.constant(1)
     if isinstance(x, Sphere):
@@ -430,7 +438,6 @@ def loop_gf(x):
 def inert_cofiber_loop_gf(c):
     """OmegaZ * (1 - redA * OmegaZ)^-1, in normalized `RationalGF` arithmetic."""
     from loopgrowth.series import RationalGF
-    from loopgrowth.space import reduced_gf
 
     oz = loop_gf(c.Z)
     return oz * (RationalGF.constant(1) - reduced_gf(c.A) * oz).reciprocal()

@@ -93,7 +93,15 @@ def test_retraction_loads_no_loop_space_module(tmp_path):
     body = "from loopgrowth.cli import main\nmain(['retraction', '--A', 'S2', '--Z', 'S2 x S2'])"
     modules = loaded_after(body, tmp_path)
     assert "loopgrowth.torsion" in modules
-    assert not modules & {"loopgrowth.freeloop", "loopgrowth.loop"}
+    assert not modules & {"loopgrowth.freeloop", "loopgrowth.loop", "loopgrowth.series"}
+
+
+def test_homology_reads_only_the_polynomial(tmp_path):
+    body = "from loopgrowth.cli import main\nmain(['homology', 'S2 x S3'])"
+    modules = loaded_after(body, tmp_path)
+    assert package_modules(modules) == {
+        "loopgrowth", "loopgrowth.cli", "loopgrowth.space", "loopgrowth.polynomial",
+    }
 
 
 def test_the_census_loads_no_loop_space_module(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from loopgrowth import freeloop
+from loopgrowth import freeloop, series
 from loopgrowth.freeloop import (
     BRUTE_FORCE_WORD_LIMIT,
     FreeLoopGrowthResult,
@@ -56,6 +56,22 @@ class TestAlphabet:
         assert GradedAlphabet((2, 2)).loop_gf() == RationalGF.from_coeffs(
             [1], [1, 0, -2]
         )
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_the_guard_certifies_the_pole(self, monkeypatch, degrees):
+        # 1 - sum z^d has one positive root, so its own sign decides rho > x
+        def refused(*args):
+            raise AssertionError("the Descartes search ran")
+
+        gf = GradedAlphabet(degrees).loop_gf()
+        want = smallest_positive_pole(RationalGF(gf.num, gf.den))
+        with monkeypatch.context() as patched:
+            patched.setattr(series, "_descartes_pole", refused)
+            got = smallest_positive_pole(gf)
+        assert got == want and got.certificate_holds()
 
 
 class TestTensorAlgebraDims:

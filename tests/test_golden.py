@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from loopgrowth import polynomial
+from loopgrowth import polynomial, series
 from loopgrowth.cli import run
 from loopgrowth.loop import CofiberPresentation, strongly_inert_check
 from loopgrowth.polynomial import IntPolynomial
@@ -153,6 +153,24 @@ def test_no_report_builds_a_sturm_chain(tmp_path, monkeypatch):
         want = GOLDEN[name]
         assert run_case(argv, tmp_path) == (want["exit"], want["stdout"]), name
     assert chains == []
+
+
+def test_guards_certify_every_pole_but_the_deep_connsum(tmp_path, monkeypatch):
+    # every series a report isolates a pole of carries its guards, the
+    # free-loop alphabet's 1/(1 - sum z^d) too, so no report runs the
+    # Descartes search but the deep-suspension connsum, whose tree cell
+    # straddles rho(OmegaZ)
+    def refused(*args):
+        raise AssertionError("the Descartes search ran")
+
+    monkeypatch.setattr(series, "_descartes_pole", refused)
+    for name, argv in cases():
+        want = GOLDEN[name]
+        if name == "connsum-deep-suspension":
+            with pytest.raises(AssertionError, match="Descartes"):
+                run_case(argv, tmp_path)
+        else:
+            assert run_case(argv, tmp_path) == (want["exit"], want["stdout"]), name
 
 
 def test_reports_leave_no_reference_cycles(tmp_path):

@@ -28,7 +28,7 @@ from loopgrowth.series import (
     expand,
     smallest_positive_pole,
 )
-from loopgrowth.space import Product, Smash, Sphere, Susp, Wedge, homology_gf, parse
+from loopgrowth.space import Product, Smash, Sphere, Susp, Wedge, homology_poly, parse
 
 import oracles
 from test_golden import GOLDEN, run_case
@@ -311,11 +311,9 @@ class TestGrowthVerdict:
 
     def test_fiber_series_certified_below_base(self):
         # the splitting's second factor must blow up strictly before OmegaZ
-        from loopgrowth.space import reduced_gf
-
         one = RationalGF.constant(1)
         for c in BATTERY:
-            fiber = (one - reduced_gf(c.A) * loop_gf(c.Z)).reciprocal()
+            fiber = (one - oracles.reduced_gf(c.A) * loop_gf(c.Z)).reciprocal()
             verdict, _, _ = compare_radii(
                 smallest_positive_pole(fiber), smallest_positive_pole(loop_gf(c.Z))
             )
@@ -406,6 +404,24 @@ class TestTreeCertificate:
         assert rho.lo < Fraction(1, 2) < rho.hi and rho.certificate_holds()
         assert rho == smallest_positive_pole(RationalGF(y.num, y.den))
 
+    @pytest.mark.parametrize(
+        "expr,r,exact",
+        [
+            # D = (1 - z^2)(1 - z - z^2): the rational root 1 lies above the pole
+            ("S3 x (S2 v S3)", Fraction(1), False),
+            # D = (1 - 2z)^25: its coefficients pass the root scan's bound only
+            # on the squarefree part, where the rational root 1/2 is the pole
+            (" x ".join(["(S2 v S2)"] * 25), Fraction(1, 2), True),
+        ],
+    )
+    def test_the_guards_are_read_at_a_rational_root_once(self, monkeypatch, expr, r, exact):
+        gf = loop_gf(parse(expr))
+        signs = oracles.count_calls(monkeypatch, series, "_guard_sign")
+        rho = smallest_positive_pole(gf)
+        assert [args[1] for args in signs] == [r]
+        assert rho.is_exact == exact and rho.certificate_holds()
+        assert rho == smallest_positive_pole(RationalGF(gf.num, gf.den))
+
     @given(presentations())
     @settings(max_examples=40, deadline=None)
     def test_the_total_space_grows_faster_than_the_cofiber(self, c):
@@ -451,7 +467,7 @@ class TestPiRanks:
         got = table.reconstruct().coeffs
         assert got == want
         # dimension series are ints end to end, homology included
-        homology = expand(homology_gf(z), 14).coeffs
+        homology = homology_poly(z).coeffs
         assert all(type(c) is int for c in got + want + homology)
 
     def test_lyndon_cross_check_two_even_letters(self):

@@ -373,7 +373,8 @@ class TestReducedArithmetic:
         n, d = sympy.Poly(n, z, domain="QQ"), sympy.Poly(d, z, domain="QQ")
         # scale to coprime integer coefficients with den(0) > 0
         coeffs = n.all_coeffs() + d.all_coeffs()
-        scale = sympy.ilcm(*(c.q for c in coeffs)) / sympy.igcd(*(c.p for c in coeffs))
+        lcm, gcd = sympy.ilcm(*(c.q for c in coeffs)), sympy.igcd(*(c.p for c in coeffs))
+        scale = sympy.Rational(lcm, gcd)  # exact: a float scale rounds 715/81 * 81 to 714.99...
         n, d = n * scale, d * scale
         if d.eval(0) < 0:
             n, d = -n, -d
