@@ -61,8 +61,7 @@ def _rational(q) -> dict:
 
 
 def _interval(r) -> dict:
-    if r.is_infinite:
-        return {"infinite": True, "polynomial": r.polynomial}
+    """A finite radius: every loop series here has integer coefficients, infinitely many nonzero."""
     return {"infinite": False, "exact": r.is_exact, "lo": _rational(r.lo), "hi": _rational(r.hi)}
 
 
@@ -247,14 +246,11 @@ def _cmd_rho(args):
     x = space.parse(args.expr)
     rho = series.smallest_positive_pole(loop.loop_gf(x))
     result = {"rho": _interval(rho)}
-    if rho.is_infinite:
-        rows = [("infinite", "true"), ("polynomial", str(rho.polynomial).lower())]
-    else:
-        rows = [
-            ("rho_lo", _decimal_str(rho.lo)),
-            ("rho_hi", _decimal_str(rho.hi)),
-            ("exact", str(rho.is_exact).lower()),
-        ]
+    rows = [
+        ("rho_lo", _decimal_str(rho.lo)),
+        ("rho_hi", _decimal_str(rho.hi)),
+        ("exact", str(rho.is_exact).lower()),
+    ]
     prov = [_computed("radius certified by root counting and rational bisection")]
     return result, _kv_table(rows), prov
 

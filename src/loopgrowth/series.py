@@ -12,31 +12,34 @@ which `loop` builds as 1/D, takes no polynomial gcd.
 Radii of convergence are certified, not sampled: the smallest positive root of
 the reduced denominator f is found by root counting and rational bisection, so
 every Radius comes with an exact rational interval that provably contains
-exactly one denominator root. The certificate is read in this order:
+exactly one denominator root. `smallest_positive_pole` reads the
+certificate in one pass, in this order:
 - no sign change in f's coefficients: no positive root;
 - a split of f into binomials prod (1 - z^a), as every loop series of a
   product of spheres has: the pole 1, since every root of 1 - z^a is a
   root of unity;
-- a rational root r with no root in (0, r): the pole r;
-- otherwise f, or its squarefree part when one prime does not prove f
-  squarefree, has its smallest positive root isolated on the dyadic grid
-  of (0, upper], upper = r or the Cauchy bound.
-A series built by the closed rules carries guards, polynomials whose
-signs at x decide rho > x (see `loop`): they decide "no root in (0, r)" by
-their signs at r, and one of them, bisected on the grid, gives the cell,
-which the others certify by their signs at its right end. Any other series,
-and a cell the guards do not isolate, is settled by Descartes counts
-(Collins-Akritas): a count of 0 or 1 on an interval is exact, and each cell
-of the bisection grid is a Taylor shift of its parent, so a rational pole
-with no root below it is certified with no gcd, and on a squarefree
-polynomial the search always ends (Vincent's theorem). Both walk the same
-grid to the same stop level, so they give the same interval (the Descartes
-search goes finer only where other roots lie within the tolerance of the
-pole). Refinement returns the interval that sign bisection
-reaches, without walking it: the root is simple, so the denominator changes
-sign across it; a Newton estimate of the root names the grid cell where
-bisection stops, and exact signs at the cell's two ends certify it. Only a
-missed estimate walks the bisection, one sign per midpoint.
+- a rational root r with no root in (0, r): the pole r; then f becomes its
+  squarefree part unless one prime proves it squarefree, and a rational
+  root of that part, when f had none, is tested the same way;
+- the cell of the dyadic grid of (0, upper], upper = r or the Cauchy
+  bound, that isolates the smallest positive root; with none below upper,
+  the pole is r, or there is none.
+A series built by the closed rules carries guards, polynomials whose signs
+at x decide rho > x (see `loop`): "no root in (0, r)" is the least of
+their signs at r being 0, and the pole's guard, bisected on the grid,
+gives the cell, which the others certify by their signs at its right end.
+A bare series, one with no guards, and a cell the guards do not isolate
+are settled by Descartes counts (Collins-Akritas): a count of 0 or 1 on an
+interval is exact, and each cell of the bisection grid is a Taylor shift
+of its parent, so on a squarefree polynomial the search always ends
+(Vincent's theorem). Both walk the same grid to the same stop level, so
+they give the same interval (the Descartes search goes finer only where
+other roots lie within the tolerance of the pole). Refinement returns the
+interval that sign bisection reaches, without walking it: the root is
+simple, so the denominator changes sign across it; a Newton estimate of
+the root names the grid cell where bisection stops, and exact signs at the
+cell's two ends certify it. Only a missed estimate walks the bisection,
+one sign per midpoint.
 
 Every later root question is answered by signs alone, because each interval
 holds one simple root and the ends of a non-exact one are not roots.
@@ -699,23 +702,22 @@ def _cell_polynomial(f: IntPolynomial, a: Fraction, b: Fraction) -> list:
     return [c * (t - s) ** j for j, c in enumerate(g)]
 
 
-def _descartes_pole(f: IntPolynomial, r: Fraction | None, tol: Fraction, ok: bool) -> Radius:
-    """The Radius of the squarefree f, leading coefficient positive, by Descartes counts.
+def _descartes_pole(f: IntPolynomial, upper: Fraction, tol: Fraction):
+    """The cell of f's smallest root in (0, upper] by Descartes counts, or None.
 
     The search walks the dyadic grid of (0, upper] that `_bisect` walks,
-    depth first and left first, where upper is the rational root r or the
-    Cauchy bound. A cell (lo, hi] is held as g(x) = f(lo + (hi - lo) x) made
-    integral: its left child is 2^n g(x/2), its right child that shifted by
-    one, whose constant term vanishes exactly when the grid midpoint between
-    them is a root. A cell is isolated when its count is 1 and f(hi) != 0.
-    Every cell left of it was excluded, so it holds the smallest root, and
-    sign bisection refines it down the same grid. Since f is squarefree, a
-    cell small enough against the root separation counts 0 or 1 (Vincent's
+    depth first and left first; f is squarefree, leading coefficient
+    positive. A cell (lo, hi] is held as
+    g(x) = f(lo + (hi - lo) x) made integral: its left child is 2^n g(x/2),
+    its right child that shifted by one, whose constant term vanishes
+    exactly when the grid midpoint between them is a root, returned as
+    (x, x). A cell is isolated when its count is 1 and f(hi) != 0. Every
+    cell left of it was excluded, so it holds the smallest root, and sign
+    bisection refines it down the same grid. Since f is squarefree, a cell
+    small enough against the root separation counts 0 or 1 (Vincent's
     theorem), so the search ends, below the tolerance when two roots are
-    closer than it. When no root turns up below upper, the pole is r, or
-    there is none.
+    closer than it. None when no root turns up below upper.
     """
-    upper = cauchy_root_bound(f) if r is None else r
     n = f.degree()
     # (index j, level k, coefficients, shift pending): the cell is
     # (j, j + 1] times upper / 2^k, and a right child is shifted when popped
@@ -726,31 +728,16 @@ def _descartes_pole(f: IntPolynomial, r: Fraction | None, tol: Fraction, ok: boo
         if pending:
             g = taylor_shift(g[::-1])[::-1]
             if g[0] == 0:
-                return Radius(width * j, width * j, False, f, ok)
+                return width * j, width * j
         count = descartes_count(g)
         if count == 0:
             continue
         if count == 1 and sum(g) != 0:
-            lo, hi = _bisect(f, tol, width * j, width * (j + 1))
-            return Radius(lo, hi, False, f, ok)
+            return _bisect(f, tol, width * j, width * (j + 1))
         left = [c << (n - i) for i, c in enumerate(g)]
         stack.append((2 * j + 1, k + 1, left, True))
         stack.append((2 * j, k + 1, left, False))
-    if r is None:
-        return Radius(None, None, polynomial=False, pringsheim_ok=ok)
-    return Radius(r, r, False, f, ok)
-
-
-def _guard_sign(polys, x: Fraction) -> int:
-    """The sign of rho - x for x > 0, from the signs of a tree-built series' guards at x."""
-    sign = 1
-    for g in polys:
-        s = g.sign_at(x)
-        if s < 0:
-            return -1
-        if s == 0:
-            sign = 0
-    return sign
+    return None
 
 
 def _float_value(coeffs, x: float) -> float:
@@ -762,59 +749,47 @@ def _float_value(coeffs, x: float) -> float:
     return v
 
 
-def _pole_guard(polys, upper: Fraction):
-    """(j, x): polys[j] is the guard whose first positive root is rho, and x lies above that root.
+def _tree_pole(polys, inner: int, upper: Fraction, tol: Fraction):
+    """The cell of (0, upper] that a tree-built series' guards certify, or None.
 
-    A guess in floats. Each guard is 1 at 0 and falls to its first positive
-    root. In the carried order every node's guard follows its children's,
-    so it has at most one root below the least first root x of the guards
-    before it. x starts at min(upper, 1), since every loop radius is at
-    most 1; a guard that is not positive at x has its root there, which
-    becomes x. j is the last such guard, and the x before it brackets its
-    one root. None when no guard qualifies.
+    polys are the guards, the first `inner` of them below the factors of
+    the denominator f, and the grid is the one `_descartes_pole` walks. A
+    guess in floats names the top guard P whose first positive root is rho:
+    each guard is 1 at 0 and falls to its first positive root, and in the
+    carried order every node's guard follows its children's, so it has at
+    most one root below the least first root x of the guards before it. x
+    starts at min(upper, 1), since every loop radius is at most 1; a guard
+    that is not positive at x has its root there, which becomes x. P is
+    the last such guard, one of the factors', and the x before it brackets
+    its one root. P is bisected on the grid from that estimate, which
+    gives a cell (lo, hi] with P(lo) > 0 >= P(hi). Every other guard
+    positive at hi certifies it: hi lies below the radii of P's children,
+    so P has one root in (0, hi], which is rho, and below the radii of the
+    other factors, which have no root in (0, hi]. So the cell isolates rho
+    among the roots of f. Otherwise None, and the caller takes the
+    Descartes path.
     """
     x = float(min(upper, 1))
-    found = None
-    for j, g in enumerate(polys):
+    top = None
+    for i, g in enumerate(polys):
         v = _float_value(g.coeffs, x)
         if v <= 0:
-            found = j, x
+            top, bracket = i, x
             if v < 0:
                 x = _float_newton(g.coeffs, 1, 0.0, x)
                 if x is None:
                     return None
-    return found
-
-
-def _tree_pole(f, polys, inner, r, tol, ok):
-    """The Radius that a tree-built series' guards certify below r, or None.
-
-    The grid is (0, upper], as in `_descartes_pole`, so the cell is the one
-    that path reaches. The top guard P that `_pole_guard` names, the
-    denominator of one factor of f, is bisected there, its estimate
-    bracketed below P's other roots, which gives a cell (lo, hi] with
-    P(lo) > 0 >= P(hi). Every other guard positive at hi certifies it: hi
-    lies below the radii of P's children, so P has one root in (0, hi],
-    which is rho, and below the radii of the other factors, which have no
-    root in (0, hi]. So the cell isolates rho among the roots of f.
-    Otherwise None, and the caller takes the Descartes path. polys are the
-    guards, the first `inner` of them below the factors of f; the caller has
-    found that r, when given, is not the pole.
-    """
-    upper = cauchy_root_bound(f) if r is None else r
-    found = _pole_guard(polys, upper)
-    if found is None or found[0] < inner:
+    if top is None or top < inner:
         return None
-    j, x = found
-    pole, others, x = polys[j], polys[:j] + polys[j + 1:], Fraction(x)
+    pole, others, bracket = polys[top], polys[:top] + polys[top + 1:], Fraction(bracket)
 
     def estimate(a, b, d, bits):
-        return _root_estimate(pole, 1, 0, x.numerator, x.denominator, bits)
+        return _root_estimate(pole, 1, 0, bracket.numerator, bracket.denominator, bits)
 
     # P's sign at hi is known unless hi = upper, which no step evaluates
     lo, hi = _bisect(pole, tol, Fraction(0), upper, estimate)
     if (hi < upper or pole.sign_at(hi) <= 0) and all(g.sign_at(hi) > 0 for g in others):
-        return Radius(lo, hi, False, f, ok)
+        return lo, hi
     return None
 
 
@@ -825,24 +800,16 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     Rational poles are pinned exactly (degenerate interval); irrational ones
     get a bisection interval of width <= tol.
 
-    The certificate is read off the denominator f, leading coefficient made
-    positive, in this order: no sign change in its coefficients means no
-    positive root; a denominator that splits into binomials 1 - z^a with
-    cofactor 1 has the pole 1, with no root scan and no Taylor shift,
-    because every root of 1 - z^a is a root of unity, so 1 is the only
-    positive one (the split is the series' carried `binomial_split`, which
-    the Pringsheim guard's `expand` has already read); a rational root r
-    is the pole when no root lies in (0, r); otherwise f is replaced by its
-    squarefree part, unless it is certified squarefree mod one prime, and
-    the pole is isolated below r or the Cauchy bound. A partial split into
-    binomials is not used: the cofactor's pole may lie below 1.
-
-    A series built by the closed rules carries guards, which decide rho > x
-    by exact signs: "no root in (0, r)" is their sign at r, and they
-    certify the cell at the stop level of the grid that a Newton estimate
-    names (`_tree_pole`), with no Taylor shift. Any other series, and a
-    cell the guards do not isolate, takes the Descartes path: a Descartes
-    count 0 on (0, r), then `_descartes_pole`.
+    One pass reads the certificate off the denominator f, leading
+    coefficient made positive, in the order of the module docstring, and
+    builds every Radius here. The binomial split is the series' carried
+    `binomial_split`, which the Pringsheim guard's `expand` has already
+    read; a partial split is not used, since the cofactor's pole may lie
+    below 1. "No root in (0, r)" is one test, `is_pole`: the least of the
+    guards' signs at r is 0, or, for a bare series, f has Descartes count
+    0 on (0, r). It comes before the squarefree test, so a rational pole is
+    found before any gcd. The cell comes from the guards (`_tree_pole`),
+    else from Descartes counts (`_descartes_pole`).
 
     >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
     >>> (r.lo, r.hi)
@@ -862,11 +829,15 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
         return Radius(Fraction(1), Fraction(1), False, f, ok)
     guards = gf._guards
     polys = None if guards is None else guards[0] + guards[1]
+
+    def is_pole(r):
+        # no root of f in (0, r); f is read when called, as it may be its squarefree part
+        if polys:
+            return min(g.sign_at(r) for g in polys) == 0
+        return descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0
+
     r = _smallest_positive_rational_root(f)
-    if r is not None and (
-        _guard_sign(polys, r) == 0 if polys
-        else descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0
-    ):
+    if r is not None and is_pole(r):
         return Radius(r, r, False, f, ok)
     if not _squarefree_mod_p(f):
         # the squarefree part has f's roots, and its smaller coefficients
@@ -875,13 +846,15 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
         f = squarefree_part(f)
         if r is None:
             r = _smallest_positive_rational_root(f)
-            if r is not None and polys and _guard_sign(polys, r) == 0:
+            if r is not None and is_pole(r):
                 return Radius(r, r, False, f, ok)
-    if polys:
-        radius = _tree_pole(f, polys, len(guards[0]), r, tol, ok)
-        if radius is not None:
-            return radius
-    return _descartes_pole(f, r, tol, ok)
+    upper = cauchy_root_bound(f) if r is None else r
+    cell = polys and _tree_pole(polys, len(guards[0]), upper, tol) or _descartes_pole(f, upper, tol)
+    if cell is not None:
+        return Radius(*cell, False, f, ok)
+    if r is None:
+        return Radius(None, None, polynomial=False, pringsheim_ok=ok)
+    return Radius(r, r, False, f, ok)
 
 
 def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):

@@ -14,15 +14,18 @@ limit (a generator of degree d is the sphere S^(d+1)).
 
 Each argv goes through `cli.run`. No exception may escape, the exit code is
 0, 1 or 2, and stdout is one strict JSON report (no NaN or Infinity) that
-validates against `report_schema.json`, within the per-example deadline.
+validates against `report_schema.json`, within the per-example deadline. A
+loop series has integer coefficients, infinitely many of them nonzero, so
+every `rho`, `loop-series` and presentation report gives a finite rho <= 1.
 
 Sphere dimension is limited to `space.MAX_SPHERE_DIMENSION`, but loop-series
-denominator degree has no declared limit yet: `rho` of a product or smash of
-a few hundred small spheres, or of three spheres near the dimension limit,
-runs for minutes, and a verdict on a suspension nested 250 deep (rationally a
-250-dimensional sphere) takes seconds. So spheres within the limit stay within
-S2..S9, and long product and smash chains and deep suspension nests are drawn
-only past the depth limit. Past either limit, the parser refuses the
+denominator degree has no declared limit yet. Three spheres near the dimension
+limit answer in 0.04 s, but a product of wedges whose denominator has a
+repeated factor, such as
+`(S189 v S7) x ((S284 ^ Susp(S231)) x (S257 x (S3 v S4)))`, spends about a
+minute in `squarefree_part` (ROADMAP item 5). So spheres within the limit stay
+within S2..S9, and long product and smash chains and deep suspension nests are
+drawn only past the depth limit. Past either limit, the parser refuses the
 expression before any series is built. Tests in `test_space.py` and
 `test_cli.py` cover trees at the depth limit and spheres at the dimension
 limit.
@@ -31,6 +34,7 @@ limit.
 import io
 import json
 from datetime import timedelta
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -155,6 +159,10 @@ def test_every_argv_gets_one_schema_valid_report(argv):
     assert ("error" in report) == (code != 0)
     if code == 2:
         assert report["error"]["kind"] == "parse-error"
+    if code == 0 and report["command"] in ("rho", "loop-series", "cofiber", "connsum", "yclass"):
+        rho = report["result"]["rho"]
+        assert not rho["infinite"]
+        assert Fraction(int(rho["hi"]["num"]), int(rho["hi"]["den"])) <= 1
     if code == 0 and report["command"] in ("cofiber", "connsum", "yclass"):
         # an inert attachment gives rho(OmegaY) < rho(OmegaZ) <= 1
         result = report["result"]

@@ -416,11 +416,27 @@ class TestTreeCertificate:
     )
     def test_the_guards_are_read_at_a_rational_root_once(self, monkeypatch, expr, r, exact):
         gf = loop_gf(parse(expr))
-        signs = oracles.count_calls(monkeypatch, series, "_guard_sign")
+        signs = []
+        sign_at = IntPolynomial.sign_at
+
+        def counted(p, x):
+            signs.append((p, x))
+            return sign_at(p, x)
+
+        monkeypatch.setattr(IntPolynomial, "sign_at", counted)
         rho = smallest_positive_pole(gf)
-        assert [args[1] for args in signs] == [r]
+        assert [p for p, x in signs if x == r] == list(gf._guards[0] + gf._guards[1])
         assert rho.is_exact == exact and rho.certificate_holds()
         assert rho == smallest_positive_pole(RationalGF(gf.num, gf.den))
+
+    def test_a_rational_pole_is_found_before_the_squarefree_part(self, monkeypatch):
+        # the degree-963 denominator is not squarefree, and its squarefree
+        # part takes over a minute; its pole is its rational root 1/2
+        x = parse("(S2 v S2) x ((S189 v S7) x ((S284 ^ Susp(S231)) x (S257 x (S3 v S4))))")
+        parts = oracles.count_calls(monkeypatch, polynomial, "squarefree_part")
+        rho = smallest_positive_pole(loop_gf(x))
+        assert (rho.lo, rho.hi) == (Fraction(1, 2), Fraction(1, 2))
+        assert parts == []
 
     @given(presentations())
     @settings(max_examples=40, deadline=None)
