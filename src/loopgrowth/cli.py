@@ -261,9 +261,10 @@ def _cmd_log_index(args):
     n = _check_degree(args.max_degree)
     x = space.parse(args.expr)
     gf = loop.loop_gf(x)
+    expansion = series.expand(gf, n)
     li = series.log_index_exact(series.smallest_positive_pole(gf))
     tail = max(1, min(args.k_min, n))
-    empirical = series.log_index_empirical(series.expand(gf, n), tail)
+    empirical = series.log_index_empirical(expansion, tail)
     result = {"log_index": _log_index(li), "empirical": empirical, "tail_start": tail}
     table = _kv_table([("log_index", repr(li.value)), ("empirical", repr(empirical))])
     prov = [

@@ -10,7 +10,10 @@ Closed rules for the based loop space of an expressible space:
                          rationally a suspension; otherwise not expressible
 
 Every rule gives numerator 1, so a loop series is 1/D and is built as its
-denominator D alone, with no series arithmetic and no gcd.
+denominator D alone, with no series arithmetic and no gcd. A product of
+spheres is carried as the exponents a of D = prod (1 - z^a) and multiplied
+out once, one stride difference per exponent, where a wedge, a product
+with another factor, or the series itself first needs D.
 
 For a cofibration attaching a cone on A to produce Y with cofiber Z, an inert
 attaching map splits the loop space and forces
@@ -43,7 +46,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import _Record, _set
-from .polynomial import ONE, IntPolynomial
+from .polynomial import ONE, IntPolynomial, binomial_product
 from .series import (
     RationalGF,
     TruncatedSeries,
@@ -81,44 +84,59 @@ class NotExpressibleError(ValueError):
 def loop_gf(x: SpaceExpr) -> RationalGF:
     """Hilbert series of H_*(Omega X; Q) by the closed rules: 1/D, with its guards.
 
+    A product of spheres comes back from `_loop_den` as its exponents
+    alone; they are sorted here, carried as the series' binomial split, and
+    multiplied out once into D.
+
     >>> loop_gf(Sphere(4)).den.coeffs
     (1, 0, 0, -1)
     >>> loop_gf(Wedge(Sphere(2), Sphere(2))).den.coeffs
     (1, -2)
     """
     den, exponents, guards = _loop_den(x)
-    split = None if exponents is None else (exponents, ONE)
-    return RationalGF(ONE, den, split, guards)
+    if den is None:
+        exponents = tuple(sorted(exponents))
+        return RationalGF(ONE, binomial_product(exponents), (exponents, ONE), guards)
+    return RationalGF(ONE, den, None, guards)
 
 
-# the guard of a product of spheres, whose radius is 1
-_BELOW_ONE = IntPolynomial((1, -1))
+# the guards of every product of spheres, whose radius is 1: (inner, top)
+# with the one top guard 1 - x > 0
+_SPHERE_GUARDS = ((), (IntPolynomial((1, -1)),))
 
 
 def _distinct(polys) -> tuple:
     return tuple(dict.fromkeys(polys))
 
 
+def _multiplied_out(den, exponents) -> IntPolynomial:
+    return binomial_product(exponents) if den is None else den
+
+
 def _loop_den(x: SpaceExpr):
     """(D, exponents, guards) for OmegaX = 1/D.
 
-    exponents lists the a of D = prod (1 - z^a), sorted, for a product of
-    spheres, and is None otherwise. guards is (inner, top): top holds the
-    guards of the factors of D that products keep apart, inner the guards
-    of the nodes below them, each node after its children (see the module
-    docstring). Equal guards are kept once.
+    A product of spheres, a lone sphere too, returns D = None and the a of
+    D = prod (1 - z^a) as exponents, unsorted; any other tree returns D and
+    no exponents. A wedge, or a product with another factor, multiplies
+    the exponents out where it first needs D. guards is (inner, top): top
+    holds the guards of the factors of D that products keep apart, inner
+    the guards of the nodes below them, each node after its children (see
+    the module docstring). Equal guards are kept once.
     """
     if isinstance(x, Sphere):
-        return IntPolynomial((1,) + (0,) * (x.n - 2) + (-1,)), (x.n - 1,), ((), (_BELOW_ONE,))
+        return None, (x.n - 1,), _SPHERE_GUARDS
     if isinstance(x, Product):
         dx, ex, (ix, tx) = _loop_den(x.left)
         dy, ey, (iy, ty) = _loop_den(x.right)
-        exponents = None if ex is None or ey is None else tuple(sorted(ex + ey))
-        return dx * dy, exponents, (_distinct(ix + iy), _distinct(tx + ty))
+        if dx is None and dy is None:
+            return None, ex + ey, _SPHERE_GUARDS
+        den = _multiplied_out(dx, ex) * _multiplied_out(dy, ey)
+        return den, None, (_distinct(ix + iy), _distinct(tx + ty))
     if isinstance(x, Wedge):
-        dx, _, (ix, tx) = _loop_den(x.left)
-        dy, _, (iy, ty) = _loop_den(x.right)
-        den = dx + dy - ONE
+        dx, ex, (ix, tx) = _loop_den(x.left)
+        dy, ey, (iy, ty) = _loop_den(x.right)
+        den = _multiplied_out(dx, ex) + _multiplied_out(dy, ey) - ONE
         return den, None, (_distinct(ix + tx + iy + ty), (den,))
     if isinstance(x, Susp):
         den = ONE - reduced_poly(x.inner)

@@ -3,12 +3,13 @@
 Coefficients are arbitrary-precision ints stored low degree first, and every
 operation stays in integers: gcd by a primitive pseudo-remainder sequence over
 Z, exact division, the split of a denominator into binomials 1 - z^a by
-stride sums, Taylor shifts for Descartes counts, and signs at a rational
-point p/q read off the homogeneous value q^n f(p/q), so no floating point
-enters any certificate. Descartes counts isolate the poles; Sturm sequences,
-whose rows are primitive integer polynomials, count roots on half-open
-intervals (a, b] exactly from scratch, and serve only as the independent
-recheck of a certificate (`series.Radius.certificate_holds`).
+stride sums and their product by stride differences, Taylor shifts for
+Descartes counts, and signs at a rational point p/q read off the homogeneous
+value q^n f(p/q), so no floating point enters any certificate. Descartes
+counts isolate the poles; Sturm sequences, whose rows are primitive integer
+polynomials, count roots on half-open intervals (a, b] exactly from scratch,
+and serve only as the independent recheck of a certificate
+(`series.Radius.certificate_holds`).
 """
 
 from __future__ import annotations
@@ -286,6 +287,22 @@ def stride_sums(c: list, a: int) -> list:
     for r in range(a):
         c[r::a] = accumulate(c[r::a])
     return c
+
+
+def binomial_product(exponents) -> IntPolynomial:
+    """prod (1 - z^a) over the exponents, by one stride difference per exponent.
+
+    The inverse of `stride_sums`: multiplying by 1 - z^a subtracts from each
+    coefficient the one a places below it.
+
+    >>> binomial_product((1, 2)).coeffs
+    (1, -1, -1, 1)
+    """
+    p = [1]
+    for a in exponents:
+        p += [0] * a
+        p[a:] = map(sub, p[a:], p[:-a])
+    return IntPolynomial(p)
 
 
 def binomial_factors(f: IntPolynomial):

@@ -120,22 +120,28 @@ class RationalGF(_Record):
     series of a product of spheres is built with its split. A loop series
     built by the closed rules also carries its guards (`_guards`): the
     polynomials whose signs at x > 0 decide rho > x, which
-    `smallest_positive_pole` reads in place of a Descartes search. Both are
-    carried like `Radius._sqfree`: not compared, hashed or printed.
+    `smallest_positive_pole` reads in place of a Descartes search. And it
+    keeps its longest expansion (`_expansion`, filled by `expand`), so of
+    the two expansions a report and the Pringsheim guard take of one
+    series, a second that is no longer than the first is a prefix of it.
+    All three are carried like `Radius._sqfree`: not compared, hashed or
+    printed.
 
     >>> RationalGF.from_coeffs([1], [1, -2]).expand(4).coeffs
     (1, 2, 4, 8, 16)
     """
 
-    __slots__ = ("num", "den", "_split", "_guards")
+    __slots__ = ("num", "den", "_split", "_guards", "_expansion")
     __match_args__ = __slots__[:2]
 
-    def __init__(self, num: IntPolynomial, den: IntPolynomial, _split=None, _guards=None):
+    def __init__(self, num: IntPolynomial, den: IntPolynomial, _split=None, _guards=None,
+                 _expansion=None):
         num, den = _normalize(num, den)
         _set(self, "num", num)
         _set(self, "den", den)
         _set(self, "_split", _split)
         _set(self, "_guards", _guards)
+        _set(self, "_expansion", _expansion)
 
     def binomial_split(self):
         """`binomial_factors(den)`: (exponents, cofactor), split on the first call only."""
@@ -233,6 +239,9 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     for d0 = 1, and a Fraction only when it is not. Then each 1 - z^a with
     a <= trunc_degree divides the series by one stride-a running sum.
 
+    The series keeps its longest expansion: a request for no more terms
+    than it holds is a prefix of it, and a longer one replaces it.
+
     >>> expand(RationalGF.from_coeffs([2], [2, -1]), 3).coeffs
     (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
     >>> expand(RationalGF.from_coeffs([1], [1, -1, -1, 1]), 5).coeffs
@@ -240,6 +249,9 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     """
     if trunc_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
+    kept = gf._expansion
+    if kept is not None and kept.trunc_degree >= trunc_degree:
+        return TruncatedSeries(kept.coeffs[:trunc_degree + 1])
     exponents, cofactor = gf.binomial_split()
     den = cofactor.coeffs
     num = list(gf.num.coeffs[:trunc_degree + 1])
@@ -263,7 +275,9 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     for a in exponents:
         if a <= trunc_degree:
             stride_sums(out, a)
-    return TruncatedSeries(tuple(out))
+    kept = TruncatedSeries(tuple(out))
+    _set(gf, "_expansion", kept)
+    return kept
 
 
 def mul_binomial_power(coeffs, t: int, sign: int, e: int) -> list:
@@ -802,14 +816,16 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
 
     One pass reads the certificate off the denominator f, leading
     coefficient made positive, in the order of the module docstring, and
-    builds every Radius here. The binomial split is the series' carried
-    `binomial_split`, which the Pringsheim guard's `expand` has already
-    read; a partial split is not used, since the cofactor's pole may lie
-    below 1. "No root in (0, r)" is one test, `is_pole`: the least of the
-    guards' signs at r is 0, or, for a bare series, f has Descartes count
-    0 on (0, r). It comes before the squarefree test, so a rational pole is
-    found before any gcd. The cell comes from the guards (`_tree_pole`),
-    else from Descartes counts (`_descartes_pole`).
+    builds every Radius here. The Pringsheim guard's `expand` reads a
+    prefix of the series' kept expansion when the caller has expanded
+    through z^64 or further. The binomial split is the series' carried
+    `binomial_split`, made on first use; a partial split is not used,
+    since the cofactor's pole may lie below 1. "No root in (0, r)" is one
+    test, `is_pole`: the least of the guards' signs at r is 0, or, for a
+    bare series, f has Descartes count 0 on (0, r). It comes before the
+    squarefree test, so a rational pole is found before any gcd. The cell
+    comes from the guards (`_tree_pole`), else from Descartes counts
+    (`_descartes_pole`).
 
     >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
     >>> (r.lo, r.hi)
@@ -934,14 +950,18 @@ def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _rates(s: TruncatedSeries, start: int):
-    """Yield (n, log(c_n)/n) for each nonzero coefficient c_n with n >= start."""
-    for n in range(start, s.trunc_degree + 1):
-        c = s[n]
+def _rates(s: TruncatedSeries, start: int) -> list:
+    """(n, log(c_n)/n) for each nonzero coefficient c_n with n >= start.
+
+    An int is read by one log; only a Fraction takes two.
+    """
+    rates = []
+    for n, c in enumerate(s.coeffs[start:], start):
         if c:
             if c < 0:
                 raise ValueError("series has negative coefficients; growth undefined")
-            yield n, _log_fraction(c) / n
+            rates.append((n, (math.log(c) if isinstance(c, int) else _log_fraction(c)) / n))
+    return rates
 
 
 def log_index_empirical(s: TruncatedSeries, tail_start: int) -> float:

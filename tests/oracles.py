@@ -435,6 +435,37 @@ def loop_gf(x):
     raise TypeError(f"not a space expression: {x!r}")
 
 
+def loop_den(x):
+    """(D, exponents, guards) of the loop series 1/D, every product taken dense.
+
+    exponents are the a of D = prod (1 - z^a), sorted, for a product of
+    spheres, and None otherwise. guards are (inner, top) by the rules of
+    the `loop` module docstring, each kept once: a sphere has the top guard
+    1 - x, a product keeps its factors' guards apart from their nodes', and
+    any other node's top guard is its own D.
+    """
+    from loopgrowth.polynomial import ONE, IntPolynomial
+    from loopgrowth.space import Product, Sphere, Wedge
+
+    def distinct(polys):
+        return tuple(dict.fromkeys(polys))
+
+    if isinstance(x, Sphere):
+        den = IntPolynomial((1,) + (0,) * (x.n - 2) + (-1,))
+        return den, (x.n - 1,), ((), (IntPolynomial((1, -1)),))
+    if isinstance(x, (Product, Wedge)):
+        dx, ex, (ix, tx) = loop_den(x.left)
+        dy, ey, (iy, ty) = loop_den(x.right)
+        if isinstance(x, Product):
+            exponents = None if ex is None or ey is None else tuple(sorted(ex + ey))
+            den = IntPolynomial(dense_product(dx.coeffs, dy.coeffs))
+            return den, exponents, (distinct(ix + iy), distinct(tx + ty))
+        den = dx + dy - ONE
+        return den, None, (distinct(ix + tx + iy + ty), (den,))
+    den = loop_gf(x).den
+    return den, None, ((), (den,))
+
+
 def inert_cofiber_loop_gf(c):
     """OmegaZ * (1 - redA * OmegaZ)^-1, in normalized `RationalGF` arithmetic."""
     from loopgrowth.series import RationalGF

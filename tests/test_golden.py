@@ -5,7 +5,8 @@ The cases cover every command of test_cli.COMMANDS in both formats, the
 brute-force free-loop path, a presentation read from a file, one argv per
 error kind, four requests whose loop-series denominator has a repeated
 factor, the loop series of a twelve-sphere product and of a wedge of
-products, a cofiber whose redA shares a factor with the loop denominator
+products, sphere products alone, under and around wedges and as a
+cofiber's Z, a cofiber whose redA shares a factor with the loop denominator
 of Z, one free-loop growth check per branch of its verdict, and the Witt
 counts and per-degree rates of free-loop, hm-census, torsion and log-index
 at larger truncations, a report whose table has no rows, a connected sum
@@ -98,6 +99,18 @@ def cases():
     out += [("loop-series-wedge-times-spheres", mixed)]
     repeated = ["log-index", "S2 x S2 x S3 x S3 x S5 x S7 x S7", "--max-degree", "200"]
     out += [("log-index-repeated-spheres", repeated)]
+    # sphere products alone, under a wedge, around a wedge and as the
+    # cofiber, whose denominators are built from their exponents; the
+    # 30-term log index reads fewer terms than the Pringsheim guard's 64
+    four = "S2 x S3 x S5 x S5"
+    out += [(f"log-index-four-spheres-{n}", ["log-index", four, "--max-degree", n])
+            for n in ("30", "200")]
+    wedge = ["loop-series", "(S2 x S3) v (S4 x S5 x S5)"]
+    out += [("loop-series-wedge-of-sphere-products", wedge)]
+    out += [("rho-spheres-around-a-wedge", ["rho", "S2 x (S3 v S4) x S5"])]
+    out += [("loop-series-lone-sphere", ["loop-series", "S7"])]
+    cofiber = ["cofiber", "--A", "S3", "--Z", "S2 x S4 x (S3 v S3)", "--inert", "assumed"]
+    out += [("cofiber-spheres-around-a-wedge", cofiber)]
     # one free-loop growth check per branch of its verdict: no admissible
     # degree, a first degree too far past k_min, a ratio gap, a last degree
     # too far below N, and a pass

@@ -1,5 +1,6 @@
 """Loop space series, inert attachments, growth verdicts, homotopy ranks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,61 @@ class TestWorkPerSeries:
         z = sympy.Symbol("z")
         num, den = (sympy.Poly(p.coeffs[::-1], z) for p in (y.num, y.den))
         assert sympy.gcd(num, den) == 1
+
+
+def random_tree(rng, depth):
+    """A seeded random expression: spheres, products, wedges, suspensions and smashes."""
+    if depth == 0 or rng.random() < 0.3:
+        return Sphere(rng.randint(2, 9))
+    kind = rng.choice([Product, Product, Wedge, Susp, Smash])
+    if kind is Susp:
+        return Susp(random_tree(rng, depth - 1))
+    if kind is Smash:
+        return Smash(Sphere(rng.randint(2, 5)), random_tree(rng, depth - 1))
+    return kind(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+
+
+class TestSphereProductDenominators:
+    """A product of spheres is carried as its exponents and multiplied out
+    where a wedge, another factor or the series needs its denominator. The
+    series, its split and its guards equal those of the dense oracle."""
+
+    SHAPES = [
+        "S7",
+        "S2 x S3 x S5 x S5",
+        "(S2 x S3) v (S4 x S5 x S5)",
+        "S2 x (S3 v S4) x S5",
+        "S2 x Susp(S3 x S4) x S5",
+        "(S2 ^ (S3 x S4)) x S3 x S3",
+        "Susp(S2 x S3) v (S2 ^ (S3 x S5))",
+    ]
+
+    @staticmethod
+    def check(x):
+        den, exponents, guards = oracles.loop_den(x)
+        got = loop_gf(x)
+        assert got.den == den and got.num == IntPolynomial((1,))
+        assert got._split == (None if exponents is None else (exponents, IntPolynomial((1,))))
+        assert got._guards == guards
+
+    @pytest.mark.parametrize("expr", SHAPES)
+    def test_a_shape(self, expr):
+        self.check(parse(expr))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_random_trees(self, seed):
+        # a smash has a sphere factor, so every tree is expressible
+        rng = random.Random(seed)
+        for _ in range(25):
+            self.check(random_tree(rng, 4))
+
+    def test_a_product_of_spheres_takes_no_polynomial_product(self, monkeypatch):
+        def refused(a, b):
+            raise AssertionError("a polynomial product was taken")
+
+        monkeypatch.setattr(IntPolynomial, "__mul__", refused)
+        got = loop_gf(parse("S9 x (S2 x S3) x (S5 x S5)"))
+        assert got._split == ((1, 2, 4, 4, 8), IntPolynomial((1,)))
 
 
 class TestLoopSmashSphere:

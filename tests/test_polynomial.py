@@ -24,6 +24,7 @@ from loopgrowth.polynomial import (  # noqa: E402
     poly_gcd,
     sign_variations,
     squarefree_part,
+    stride_sums,
     sturm_chain,
 )
 from loopgrowth.series import (  # noqa: E402
@@ -230,6 +231,17 @@ class TestBinomialFactors:
     )
     def test_degree_200_products_split_as_sympy_factors_them(self, exponents):
         self.check_against_sympy(exponents)
+
+    @given(st.lists(st.integers(1, 12), max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_stride_differences_multiply_out_the_binomials(self, exponents):
+        # the kernel's product equals the dense one, and stride sums undo it
+        f = polynomial.binomial_product(exponents)
+        assert f == binomial_product(exponents)
+        q = list(f.coeffs)
+        for a in exponents:
+            stride_sums(q, a)
+        assert q == [1] + [0] * sum(exponents)
 
     def test_a_failed_division_ends_the_split(self):
         # (1 - z)(1 - z - z^2): 1 - z splits off, then 1 - z does not divide

@@ -39,7 +39,7 @@ def gf(num, den=(1,)):
 
 
 def bare(g):
-    """The series without its carried split and guards, as the public API builds it."""
+    """The series without its carried split, guards and expansion, as the public API builds it."""
     return RationalGF(g.num, g.den)
 
 
@@ -724,6 +724,69 @@ class TestSplitOnce:
             twin = clone(built)
             assert twin == built and twin._guards == built._guards
             assert smallest_positive_pole(twin) == smallest_positive_pole(bare)
+
+
+class TestExpansionKept:
+    """A series keeps its longest expansion: a shorter request reads a
+    prefix of it and a longer one replaces it. The kept expansion is carried
+    like the split: not compared, hashed or printed."""
+
+    SERIES = {
+        "sphere-product": lambda: loop_gf(parse("S2 x S3 x S5 x S5")),
+        "wedge": lambda: loop_gf(parse("(S2 x S3) v S4")),
+        "fractions": lambda: gf([1, 1], [2, -1, -1]),
+    }
+
+    @pytest.mark.parametrize("name", list(SERIES))
+    @pytest.mark.parametrize("m,n", [(40, 10), (40, 40), (10, 40), (0, 64), (64, 0)])
+    def test_a_second_expansion_equals_a_fresh_one(self, name, m, n):
+        make = self.SERIES[name]
+        g = make()
+        assert expand(g, m) == expand(make(), m)
+        assert expand(g, n) == expand(make(), n)
+        assert g._expansion == expand(make(), max(m, n))
+
+    def test_the_fraction_series_has_fraction_coefficients(self):
+        assert isinstance(expand(self.SERIES["fractions"](), 3)[1], Fraction)
+
+    def test_a_kept_expansion_is_carried_not_compared(self):
+        fresh = loop_gf(parse("(S2 x S3) v S4"))
+        used = loop_gf(parse("(S2 x S3) v S4"))
+        kept = expand(used, 30)
+        assert used._expansion is kept and fresh._expansion is None
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        for clone in TestSplitOnce.CLONES:
+            twin = clone(used)
+            assert twin == used and hash(twin) == hash(used)
+            assert twin._expansion == kept
+            assert expand(twin, 20) == expand(fresh, 20)
+
+    @pytest.mark.parametrize("negative_at", [40, 80])
+    @pytest.mark.parametrize("prior", [None, 30, 64, 100])
+    def test_the_pringsheim_flag_ignores_a_prior_expansion(self, negative_at, prior):
+        # (1 - 3z^k)/(1 - z) has coefficients 1 below degree k and -2 from
+        # degree k on; the guard reads 64 terms, whatever was expanded before
+        make = lambda: gf([1] + [0] * (negative_at - 1) + [-3], [1, -1])  # noqa: E731
+        g = make()
+        if prior is not None:
+            expand(g, prior)
+        assert smallest_positive_pole(g).pringsheim_ok == (negative_at > 64)
+        assert smallest_positive_pole(g) == smallest_positive_pole(make())
+
+    @pytest.mark.parametrize("command", ["loop-series", "log-index"])
+    def test_a_sphere_product_is_multiplied_out_by_stride_differences(self, monkeypatch, command):
+        # the denominator is built from its exponents 1, 2, 4, 4 with no
+        # polynomial product, and the report's 200-term expansion is the
+        # only one: one stride sum per exponent
+        def refused(a, b):
+            raise AssertionError("a polynomial product was taken")
+
+        monkeypatch.setattr(IntPolynomial, "__mul__", refused)
+        sums = oracles.count_calls(monkeypatch, polynomial, "stride_sums")
+        argv = [command, "S2 x S3 x S5 x S5", "--max-degree", "200"]
+        assert run(argv, io.StringIO()) == 0
+        assert sorted(a for _, a in sums) == [1, 2, 4, 4]
 
 
 class TestCompareRadii:
