@@ -12,9 +12,12 @@ and its handler. A flag is attached only to the commands whose handler reads
 it, so a flag a command would ignore is a usage error. The same arguments
 are the report's `request`: it echoes every argument but `--file`, keyed by
 its `dest`, in declaration order, with the value the handler normalized it
-to. The parser is built once per process. Usage errors (unknown or
-malformed flags, a missing subcommand) print a `usage-error` report and
-exit 2; `--help` and `--version` print to stdout and exit 0.
+to. A plain argv (exact flags, each with its value, and the positionals)
+is read straight off the table; any other goes to argparse, which is
+imported and built from the same table once per process, on first need,
+and is the one source of usage-error wording and of help. Usage errors
+(unknown or malformed flags, a missing subcommand) print a `usage-error`
+report and exit 2; `--help` and `--version` print to stdout and exit 0.
 
 Output is byte-identical across repeated runs. This module imports no
 library module at load time: each handler imports the modules it reads when
@@ -25,12 +28,11 @@ its report kind as the class attribute `report_kind`; any other ValueError
 is a `validation-error`.
 """
 
-import argparse
 import io
-import json
 import sys
-from functools import partial
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
+from functools import cache, partial
+from types import SimpleNamespace
 
 from . import __version__, _Record
 
@@ -149,6 +151,8 @@ def _file_value(name, value, kind):
             pass
     elif kind is None and type(value) is str:
         return value
+    import json
+
     want = "an integer" if kind is int else "a string"
     raise ValueError(f"presentation field {name!r} must be {want}, not {json.dumps(value)}")
 
@@ -157,6 +161,8 @@ def _load_presentation(args, fields):
     """Merge a presentation file into `args`, field by field; flags win."""
     data = {}
     if args.file:
+        import json
+
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -170,7 +176,7 @@ def _load_presentation(args, fields):
             raise ValueError(
                 f"presentation kind {data['kind']!r} does not match command {args.command!r}"
             )
-    types = {a.dest: a.type for a in _ECHO[args.command]}
+    types = {dest: kind for dest, _, kind, *_ in _SPECS[args.command]}
     for name in fields + ("inert_justification",):
         if getattr(args, name) is None and data.get(name) is not None:
             setattr(args, name, _file_value(name, data[name], types[name]))
@@ -497,6 +503,9 @@ class Command(_Record):
     The arguments are the command's whole request: the report echoes each
     one but `--file` under its `dest`, in this order, with the value the
     handler leaves in `args`. A handler writes back only what it normalizes.
+    `_read` reads argv by each argument's first flag and its `dest`, `type`,
+    `choices`, `required` and `default` keywords; argparse, for help and
+    other argv, reads them all.
     """
 
     __slots__ = __match_args__ = ("help", "handler", "arguments")
@@ -626,38 +635,121 @@ class UsageError(Exception):
     """An argv the parser rejects; run() reports it as a usage error."""
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+def _entry(flags, kwargs) -> tuple:
+    """(dest, flag, type, choices, required, default) of a declared argument.
+
+    flag is None for a positional, which is required. The dest is argparse's:
+    the declared one, else the flag without its dashes, - read as _.
+    """
+    flag = flags[0]
+    positional = not flag.startswith("-")
+    return (
+        kwargs.get("dest") or flag.lstrip("-").replace("-", "_"),
+        None if positional else flag,
+        kwargs.get("type"),
+        kwargs.get("choices"),
+        positional or kwargs.get("required", False),
+        kwargs.get("default"),
+    )
 
 
-def _build_parser():
-    """The parser, each command's subparser, and each command's echoed
-    arguments as argparse actions."""
-    top = _ArgumentParser(
+# each command's arguments, then --format, as `_entry` tuples
+_SPECS = {
+    name: tuple(_entry(*arg) for arg in command.arguments + (FORMAT,))
+    for name, command in _COMMANDS.items()
+}
+# the dests a report's request echoes, in order: every argument but --file
+_ECHO = {
+    name: tuple(dest for dest, *_ in spec[:-1] if dest != "file")
+    for name, spec in _SPECS.items()
+}
+
+
+def _read(argv):
+    """argparse's namespace for argv, as a dict, read off the command table,
+    or None when argv is not plain.
+
+    Plain is: argv[0] a command, then its declared flags, each exactly and
+    once, each followed by a value that does not start with "-", and one
+    such word for each declared positional, in any order. Each value is
+    converted by its type and held to its choices, and a flag left out takes
+    its default. Anything else (a missing or unknown flag, a short or
+    abbreviated one, --flag=value, --, a negative number, a value argparse
+    would refuse) is None: argparse parses it, or words its error.
+    """
+    spec = _SPECS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    flags, words = {}, []
+    rest = iter(argv[1:])
+    for word in rest:
+        if word[:1] != "-":
+            words.append(word)
+            continue
+        value = next(rest, "-")  # a flag that ends argv has no value
+        if word in flags or value[:1] == "-":
+            return None
+        flags[word] = value
+    words.reverse()
+    args = {"command": argv[0]}
+    for dest, flag, kind, choices, required, default in spec:
+        if flag is None:
+            if not words:
+                return None
+            value = words.pop()
+        elif flag in flags:
+            value = flags.pop(flag)
+        elif required:
+            return None
+        else:
+            args[dest] = default
+            continue
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    return None if flags or words else args
+
+
+@cache
+def _parsers():
+    """argparse's parser and each command's subparser, built from the command
+    table on first need, once per process."""
+    import argparse
+
+    class ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    top = ArgumentParser(
         prog="loopgrowth",
         description="growth invariants of loop spaces and free loop spaces",
     )
     top.add_argument("--version", action="version", version=f"loopgrowth {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-    parsers, echo = {}, {}
+    parsers = {}
     for name, command in _COMMANDS.items():
         p = parsers[name] = sub.add_parser(name, help=command.help)
-        actions = [p.add_argument(*flags, **kwargs) for flags, kwargs in command.arguments]
-        echo[name] = [a for a in actions if a.dest != "file"]
-        p.add_argument(*FORMAT[0], **FORMAT[1])
+        for flags, kwargs in command.arguments + (FORMAT,):
+            p.add_argument(*flags, **kwargs)
         p.set_defaults(command=name)
-    return top, parsers, echo
-
-
-_PARSER, _SUBPARSERS, _ECHO = _build_parser()
+    return top, parsers
 
 
 def _parse(argv):
-    """`_PARSER.parse_args(argv)`, parsed by the command's own subparser when
-    argv[0] names a command; anything else goes through `_PARSER`."""
-    sub = _SUBPARSERS.get(argv[0]) if argv else None
-    return _PARSER.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
+    """The namespace `_parsers()[0].parse_args(argv)` gives: read by `_read`
+    when argv is plain, else parsed by the command's own subparser when
+    argv[0] names a command, and by the top parser otherwise."""
+    args = _read(argv)
+    if args is not None:
+        return SimpleNamespace(**args)
+    top, parsers = _parsers()
+    sub = parsers.get(argv[0]) if argv else None
+    return top.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
 
 
 # -- report assembly -----------------------------------------------------------
@@ -775,7 +867,7 @@ def run(argv, out) -> int:
         "schema": SCHEMA_ID,
         "command": args.command,
         "engine": {"name": "loopgrowth", "version": __version__},
-        "request": {a.dest: getattr(args, a.dest) for a in _ECHO[args.command]},
+        "request": {dest: getattr(args, dest) for dest in _ECHO[args.command]},
         "result": result,
         "table": table,
         "provenance": provenance,

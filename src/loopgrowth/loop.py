@@ -12,8 +12,9 @@ Closed rules for the based loop space of an expressible space:
 Every rule gives numerator 1, so a loop series is 1/D and is built as its
 denominator D alone, with no series arithmetic and no gcd. A product of
 spheres is carried as the exponents a of D = prod (1 - z^a) and multiplied
-out once, one stride difference per exponent, where a wedge, a product
-with another factor, or the series itself first needs D.
+out once, one stride difference per exponent, where a wedge or the series
+itself first needs D; a product with another factor applies the same
+differences to that factor's D.
 
 For a cofibration attaching a cone on A to produce Y with cofiber Z, an inert
 attaching map splits the loop space and forces
@@ -118,11 +119,12 @@ def _loop_den(x: SpaceExpr):
 
     A product of spheres, a lone sphere too, returns D = None and the a of
     D = prod (1 - z^a) as exponents, unsorted; any other tree returns D and
-    no exponents. A wedge, or a product with another factor, multiplies
-    the exponents out where it first needs D. guards is (inner, top): top
-    holds the guards of the factors of D that products keep apart, inner
-    the guards of the nodes below them, each node after its children (see
-    the module docstring). Equal guards are kept once.
+    no exponents. A wedge multiplies the exponents out where it first needs
+    D, and a product with another factor multiplies that factor's D by each
+    1 - z^a, one stride difference per exponent. guards is (inner, top):
+    top holds the guards of the factors of D that products keep apart,
+    inner the guards of the nodes below them, each node after its children
+    (see the module docstring). Equal guards are kept once.
     """
     if isinstance(x, Sphere):
         return None, (x.n - 1,), _SPHERE_GUARDS
@@ -131,7 +133,12 @@ def _loop_den(x: SpaceExpr):
         dy, ey, (iy, ty) = _loop_den(x.right)
         if dx is None and dy is None:
             return None, ex + ey, _SPHERE_GUARDS
-        den = _multiplied_out(dx, ex) * _multiplied_out(dy, ey)
+        if dx is None:
+            den = binomial_product(ex, dy.coeffs)
+        elif dy is None:
+            den = binomial_product(ey, dx.coeffs)
+        else:
+            den = dx * dy
         return den, None, (_distinct(ix + iy), _distinct(tx + ty))
     if isinstance(x, Wedge):
         dx, ex, (ix, tx) = _loop_den(x.left)

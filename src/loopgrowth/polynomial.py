@@ -289,16 +289,19 @@ def stride_sums(c: list, a: int) -> list:
     return c
 
 
-def binomial_product(exponents) -> IntPolynomial:
-    """prod (1 - z^a) over the exponents, by one stride difference per exponent.
+def binomial_product(exponents, start=(1,)) -> IntPolynomial:
+    """start * prod (1 - z^a) over the exponents, by one stride difference per exponent.
 
-    The inverse of `stride_sums`: multiplying by 1 - z^a subtracts from each
-    coefficient the one a places below it.
+    start is a coefficient list, low degree first. The inverse of
+    `stride_sums`: multiplying by 1 - z^a subtracts from each coefficient
+    the one a places below it.
 
     >>> binomial_product((1, 2)).coeffs
     (1, -1, -1, 1)
+    >>> binomial_product((2,), (1, -1)).coeffs
+    (1, -1, -1, 1)
     """
-    p = [1]
+    p = list(start)
     for a in exponents:
         p += [0] * a
         p[a:] = map(sub, p[a:], p[:-a])

@@ -534,7 +534,7 @@ def _halving_state(j, k, k_tol, a, w, d):
 _FLOAT_BITS = 48
 
 
-def _root_estimate(sf, s_lo, a, b, d, bits):
+def _root_estimate(sf, s_lo, a, b, d, bits, x=None):
     """An estimate, as a Fraction, of the root of sf in (a/d, b/d) to about 2^-bits, or None.
 
     Safeguarded Newton (rtsafe): a step that would leave the bracket, or
@@ -543,17 +543,17 @@ def _root_estimate(sf, s_lo, a, b, d, bits):
     as (a/d, b/d) with sf of sign s_lo at a/d. It runs in floats, on the
     coefficients shifted into float range, while the bracket is wider than
     float resolution; when 2^-bits is finer than the float iterate's
-    `_FLOAT_BITS`, it goes on in fixed point. The values here are not
-    exact, so the estimate is only a guess for `_newton_cell` to certify.
+    `_FLOAT_BITS`, it goes on in fixed point. A given x is that float
+    iterate, already run by the caller. The values here are not exact, so
+    the estimate is only a guess for `_newton_cell` to certify.
     """
-    x = None
-    if (b - a) << 40 > b:
+    if x is None and (b - a) << 40 > b:
         try:
             x = _float_newton(sf.coeffs, s_lo, a / d, b / d)
         except OverflowError:  # an end beyond float range
             x = None
-        if x is not None and bits + math.frexp(x)[1] <= _FLOAT_BITS:
-            return Fraction(x)
+    if x is not None and bits + math.frexp(x)[1] <= _FLOAT_BITS:
+        return Fraction(x)
     # fixed point X / 2^P, with guard bits for the truncation in Horner
     P = max(bits, 0) + 32 + sf.degree().bit_length()
     A, B = (a << P) // d, (b << P) // d
@@ -788,9 +788,9 @@ def _tree_pole(polys, inner: int, upper: Fraction, tol: Fraction):
     for i, g in enumerate(polys):
         v = _float_value(g.coeffs, x)
         if v <= 0:
-            top, bracket = i, x
+            top, bracket, root = i, x, None
             if v < 0:
-                x = _float_newton(g.coeffs, 1, 0.0, x)
+                x = root = _float_newton(g.coeffs, 1, 0.0, x)
                 if x is None:
                     return None
     if top is None or top < inner:
@@ -798,7 +798,8 @@ def _tree_pole(polys, inner: int, upper: Fraction, tol: Fraction):
     pole, others, bracket = polys[top], polys[:top] + polys[top + 1:], Fraction(bracket)
 
     def estimate(a, b, d, bits):
-        return _root_estimate(pole, 1, 0, bracket.numerator, bracket.denominator, bits)
+        # the scan's float Newton on P over (0, bracket) is the float iterate
+        return _root_estimate(pole, 1, 0, bracket.numerator, bracket.denominator, bits, root)
 
     # P's sign at hi is known unless hi = upper, which no step evaluates
     lo, hi = _bisect(pole, tol, Fraction(0), upper, estimate)

@@ -3,6 +3,7 @@ the request echo read off each command's declared arguments."""
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -745,9 +746,9 @@ class TestUsageErrors:
         import loopgrowth.cli as cli
 
         def fail():
-            raise AssertionError("parser rebuilt inside run()")
+            raise AssertionError("argparse built for a plain argv")
 
-        monkeypatch.setattr(cli, "_build_parser", fail)
+        monkeypatch.setattr(cli, "_parsers", fail)
         assert run_cli(["primes", "--d", "7", "--s", "1"])[0] == 0
 
 
@@ -767,8 +768,9 @@ PARSER_ARGVS = PARSER_USAGE_ERRORS + [
 
 
 class TestSubparserDispatch:
-    """`run` parses a known command's argv with that command's own subparser;
-    the outcome must be what `_PARSER.parse_args` gives on the same argv."""
+    """`run` reads a plain argv off the command table and parses any other
+    with the command's own subparser; the outcome must be what the top
+    parser's `parse_args` gives on the same argv."""
 
     @staticmethod
     def outcome(parse, argv, capsys):
@@ -781,13 +783,122 @@ class TestSubparserDispatch:
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(a[:3]) or "empty")
     def test_same_outcome_as_the_top_parser(self, argv, capsys):
-        want = self.outcome(cli._PARSER.parse_args, argv, capsys)
+        want = self.outcome(cli._parsers()[0].parse_args, argv, capsys)
         assert self.outcome(cli._parse, argv, capsys) == want
 
     @pytest.mark.parametrize("argv", PARSER_USAGE_ERRORS, ids=lambda a: " ".join(a[:3]) or "empty")
     def test_usage_error_report_is_the_top_parsers(self, argv):
         with pytest.raises(cli.UsageError) as exc:
-            cli._PARSER.parse_args(argv)
+            cli._parsers()[0].parse_args(argv)
         command = argv[0] if argv and argv[0] in cli._COMMANDS else ""
         report = cli._error_report(command, "usage-error", str(exc.value))
         assert run_cli(argv) == (2, cli._json(report) + "\n")
+
+
+# argvs whose form the table reader passes on to argparse
+FALLBACK_FORMS = {
+    "flag=value": ["rho", "S2", "--format=csv"],
+    "abbreviation": ["homology", "S2", "--max-deg", "5"],
+    "double-dash": ["rho", "--", "S2"],
+    "short-help": ["rho", "S2", "-h"],
+    "help": ["homology", "--help"],
+    "version": ["--version"],
+    "command-version": ["rho", "--version"],
+    "negative-number": ["homology", "S2", "--max-degree", "-3"],
+    "unknown-flag": ["parse", "S2", "--no-such-flag"],
+    "other-command-flag": ["rho", "S2", "--max-degree", "5"],
+    "bad-int": ["loop-series", "S2", "--max-degree", "abc"],
+    "bad-choice": ["free-loop", "--degrees", "1,2", "--method", "fast"],
+    "missing-required": ["hm-census", "--m", "2"],
+    "missing-positional": ["rho"],
+    "extra-positional": ["rho", "S2", "S3"],
+    "flag-without-value": ["rho", "S2", "--format"],
+    "repeated-flag": ["homology", "S2", "--max-degree", "3", "--max-degree", "4"],
+    "unknown-command": ["no-such-command", "S2"],
+    "flag-first": ["--format", "csv", "rho", "S2"],
+    "empty-command": ["", "S2"],
+    "empty": [],
+}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def argparse_vars(argv):
+    return vars(cli._parsers()[0].parse_args(argv))
+
+
+@st.composite
+def table_argvs(draw):
+    """A command and a shuffle of pieces: its declared flags and positionals
+    with good and bad values, and the forms the reader passes on."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    values = {
+        int: st.one_of(st.integers(-3, 60).map(str), st.sampled_from([" 7 ", "x", "1.5", ""])),
+        float: st.one_of(
+            st.floats(-2, 5, allow_nan=False).map(repr), st.sampled_from(["nan", "1e3", "x"])
+        ),
+        None: st.sampled_from(["S2", "S3 v S4", "S2 x S3", "2,3", "", "S2 v", "-S2", "a=b"]),
+    }
+    pieces = []
+    for flags, kwargs in cli._COMMANDS[name].arguments + (cli.FORMAT,):
+        value = values[kwargs.get("type")]
+        if "choices" in kwargs:
+            value = st.sampled_from(kwargs["choices"] + ("bad",))
+        flag = flags[0]
+        form = draw(st.sampled_from(["plain", "plain", "plain", "absent", "twice", "odd"]))
+        if form == "absent":
+            continue
+        words = [draw(value)] if not flag.startswith("-") else [flag, draw(value)]
+        if form == "twice":
+            words += words
+        elif form == "odd":
+            words = draw(st.sampled_from([
+                [f"{flag}={words[-1]}"], [flag[:4], words[-1]], [flag], ["--", *words],
+                [flag, "-1"], ["-h"], ["--version"], ["--no-such-flag", "1"],
+            ]))
+        pieces.append(words)
+    pieces = draw(st.permutations(pieces))
+    return [name] + [word for words in pieces for word in words]
+
+
+class TestTableReader:
+    """`_read` reads a plain argv off the command table, as argparse would,
+    and passes every other form on to argparse."""
+
+    @given(table_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_a_read_argv_is_what_argparse_gives(self, argv):
+        args = cli._read(argv)
+        if args is not None:
+            assert args == argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_a_plain_argv_is_read(self, argv):
+        for extra in ([], ["--format", "csv"]):
+            assert cli._read(argv + extra) == argparse_vars(argv + extra)
+
+    @pytest.mark.parametrize("form", FALLBACK_FORMS)
+    def test_every_other_form_is_passed_on(self, form):
+        assert cli._read(FALLBACK_FORMS[form]) is None
+
+    def test_no_workload_argv_is_passed_on(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "loopbench"))
+        import workloads
+
+        for name in workloads.WORKLOADS:
+            for seed in (1, 2):
+                for req in workloads.build(name, seed):
+                    assert cli._read(req.argv) is not None, req.argv
+
+    def test_argparse_is_built_on_first_need_and_once(self, monkeypatch):
+        monkeypatch.setattr(cli, "_parsers", functools.cache(cli._parsers.__wrapped__))
+        assert run_cli(["primes", "--d", "7", "--s", "1"])[0] == 0
+        assert cli._parsers.cache_info().currsize == 0
+        assert run_cli(["primes", "--d=7", "--s", "1"])[0] == 0
+        assert run_cli(["rho"])[0] == 2
+        assert cli._parsers.cache_info()[:2] == (1, 1)  # one hit, one miss
+
+    def test_declared_dests_are_argparses(self):
+        for name in cli._COMMANDS:
+            dests = [entry[0] for entry in cli._SPECS[name][:-1]]
+            assert dests == [dest for dest, _ in declared_flags(name)]

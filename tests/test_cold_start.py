@@ -10,6 +10,7 @@ process. The import checks read `sys.modules`, never a clock.
 """
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import loopgrowth
+from loopgrowth import cli
 from loopgrowth.cli import run
 from test_cli import COMMANDS, JUST
 
@@ -79,6 +81,21 @@ def test_parse_loads_only_the_parser(tmp_path):
     modules = loaded_after("from loopgrowth.cli import main\nmain(['parse', 'S2'])", tmp_path)
     assert package_modules(modules) == {"loopgrowth", "loopgrowth.cli", "loopgrowth.space"}
     assert not modules & HEAVY
+
+
+def test_parse_loads_neither_argparse_nor_the_json_decoder(tmp_path):
+    modules = loaded_after("from loopgrowth.cli import main\nmain(['parse', 'S2'])", tmp_path)
+    assert not modules & {"argparse", "json", "json.decoder"}
+
+
+def test_a_cold_usage_error_prints_argparses_message(tmp_path):
+    argv = ERRORS["usage-error"]
+    proc = fresh(["-m", "loopgrowth.cli", *argv], tmp_path)
+    with pytest.raises(cli.UsageError) as exc:
+        cli._parsers()[0].parse_args(argv)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["message"] == str(exc.value)
+    assert str(exc.value) == "unrecognized arguments: --max-degree 5"
 
 
 def test_primes_loads_only_the_prime_window(tmp_path):

@@ -1,5 +1,6 @@
 """Loop space series, inert attachments, growth verdicts, homotopy ranks."""
 
+import io
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from loopgrowth.loop import (
     pi_ranks,
     strongly_inert_check,
 )
-from loopgrowth import polynomial, series
+from loopgrowth import cli, polynomial, series
 from loopgrowth.polynomial import IntPolynomial
 from loopgrowth.series import (
     RationalGF,
@@ -145,6 +146,7 @@ class TestSphereProductDenominators:
         "S7",
         "S2 x S3 x S5 x S5",
         "(S2 x S3) v (S4 x S5 x S5)",
+        "(S2 v S3) x S4 x S5",
         "S2 x (S3 v S4) x S5",
         "S2 x Susp(S3 x S4) x S5",
         "(S2 ^ (S3 x S4)) x S3 x S3",
@@ -177,6 +179,19 @@ class TestSphereProductDenominators:
         monkeypatch.setattr(IntPolynomial, "__mul__", refused)
         got = loop_gf(parse("S9 x (S2 x S3) x (S5 x S5)"))
         assert got._split == ((1, 2, 4, 4, 8), IntPolynomial((1,)))
+
+    @pytest.mark.parametrize(
+        "argv", [["loop-series", "(S2 v S3) x S4 x S5"], ["rho", "S2 x (S3 v S4) x S5"]]
+    )
+    def test_a_sphere_factor_of_another_takes_no_polynomial_product(self, argv, monkeypatch):
+        # each 1 - z^a is one stride difference on the other factor's D
+        self.check(parse(argv[1]))
+
+        def refused(a, b):
+            raise AssertionError("a polynomial product was taken")
+
+        monkeypatch.setattr(IntPolynomial, "__mul__", refused)
+        assert cli.run(argv, io.StringIO()) == 0
 
 
 class TestLoopSmashSphere:

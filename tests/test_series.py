@@ -673,6 +673,33 @@ class TestBisectionWork:
         assert (refined.lo, refined.hi) == tight
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "S2 v S3"],
+            ["cofiber", "--A", "S3", "--Z", "S2 x S3", "--inert", "assumed"],
+            ["connsum", "--A", "S3", "--M", "S2 x S2", "--N", "S2 x S2", "--inert", "assumed"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_tree_pole_runs_each_float_newton_once(self, monkeypatch, argv):
+        # the estimate starts from the guard scan's Newton root of the pole's guard
+        calls = oracles.count_calls(monkeypatch, series, "_float_newton")
+        real, per_pole = series._tree_pole, []
+
+        def tree_pole(*args):
+            start = len(calls)
+            cell = real(*args)
+            per_pole.append(calls[start:])
+            return cell
+
+        monkeypatch.setattr(series, "_tree_pole", tree_pole)
+        assert run(argv, io.StringIO()) == 0
+        assert any(per_pole)
+        for newtons in per_pole:
+            assert len(set(newtons)) == len(newtons)
+
+
 class TestSplitOnce:
     """A loop series of a product of spheres carries the split of its
     denominator into binomials from construction. Any other series splits
