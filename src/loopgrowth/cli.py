@@ -166,9 +166,11 @@ def _load_presentation(args, fields):
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except OSError as e:
+        # a decode error does not name the file, and arrays nested past the
+        # decoder's depth raise RecursionError
+        except (OSError, ValueError, RecursionError) as e:
             raise ValueError(
-                f"cannot read presentation file {args.file!r}: {e.strerror or e}"
+                f"cannot read presentation file {args.file!r}: {getattr(e, 'strerror', None) or e}"
             ) from None
         if not isinstance(data, dict):
             raise ValueError("presentation file must hold a JSON object")

@@ -10,11 +10,14 @@ Closed rules for the based loop space of an expressible space:
                          rationally a suspension; otherwise not expressible
 
 Every rule gives numerator 1, so a loop series is 1/D and is built as its
-denominator D alone, with no series arithmetic and no gcd. A product of
-spheres is carried as the exponents a of D = prod (1 - z^a) and multiplied
-out once, one stride difference per exponent, where a wedge or the series
-itself first needs D; a product with another factor applies the same
-differences to that factor's D.
+denominator D alone, with no series arithmetic and no gcd. Each node's D is
+carried split, as a cofactor times prod (1 - z^a): a sphere S^n is the one
+binomial a = n - 1 over the cofactor 1, a product joins its factors'
+exponents and multiplies their cofactors, and a wedge, a suspension or a
+smash is its D with no binomials. The binomials are multiplied out once,
+one stride difference per exponent, where a wedge or the series itself
+first needs D, and the series carries the split for `expand` and the pole
+search.
 
 For a cofibration attaching a cone on A to produce Y with cofiber Z, an inert
 attaching map splits the loop space and forces
@@ -85,8 +88,8 @@ class NotExpressibleError(ValueError):
 def loop_gf(x: SpaceExpr) -> RationalGF:
     """Hilbert series of H_*(Omega X; Q) by the closed rules: 1/D, with its guards.
 
-    A product of spheres comes back from `_loop_den` as its exponents
-    alone; they are sorted here, carried as the series' binomial split, and
+    `_loop_den` gives D as a cofactor times prod (1 - z^a); the exponents
+    are sorted here, carried with the cofactor as the series' split, and
     multiplied out once into D.
 
     >>> loop_gf(Sphere(4)).den.coeffs
@@ -94,11 +97,10 @@ def loop_gf(x: SpaceExpr) -> RationalGF:
     >>> loop_gf(Wedge(Sphere(2), Sphere(2))).den.coeffs
     (1, -2)
     """
-    den, exponents, guards = _loop_den(x)
-    if den is None:
-        exponents = tuple(sorted(exponents))
-        return RationalGF(ONE, binomial_product(exponents), (exponents, ONE), guards)
-    return RationalGF(ONE, den, None, guards)
+    cofactor, exponents, guards = _loop_den(x)
+    exponents = tuple(sorted(exponents))
+    den = binomial_product(exponents, cofactor.coeffs)
+    return RationalGF(ONE, den, (exponents, cofactor), guards)
 
 
 # the guards of every product of spheres, whose radius is 1: (inner, top)
@@ -110,41 +112,34 @@ def _distinct(polys) -> tuple:
     return tuple(dict.fromkeys(polys))
 
 
-def _multiplied_out(den, exponents) -> IntPolynomial:
-    return binomial_product(exponents) if den is None else den
-
-
 def _loop_den(x: SpaceExpr):
-    """(D, exponents, guards) for OmegaX = 1/D.
+    """(cofactor, exponents, guards) for OmegaX = 1/D, D = cofactor * prod (1 - z^a).
 
-    A product of spheres, a lone sphere too, returns D = None and the a of
-    D = prod (1 - z^a) as exponents, unsorted; any other tree returns D and
-    no exponents. A wedge multiplies the exponents out where it first needs
-    D, and a product with another factor multiplies that factor's D by each
-    1 - z^a, one stride difference per exponent. guards is (inner, top):
-    top holds the guards of the factors of D that products keep apart,
-    inner the guards of the nodes below them, each node after its children
-    (see the module docstring). Equal guards are kept once.
+    The exponents are the a, unsorted: a sphere S^n gives the cofactor ONE
+    and the exponent n - 1, and a product joins its factors' exponents and
+    multiplies their cofactors, so a product of spheres keeps the cofactor
+    ONE, the same object. A wedge multiplies each side out, one stride
+    difference per exponent, and a wedge, a suspension or a smash returns
+    its D as the cofactor, with no exponents. guards is (inner, top): top
+    holds the guards of the factors of D that products keep apart, inner
+    the guards of the nodes below them, each node after its children (see
+    the module docstring). Equal guards are kept once.
     """
     if isinstance(x, Sphere):
-        return None, (x.n - 1,), _SPHERE_GUARDS
+        return ONE, (x.n - 1,), _SPHERE_GUARDS
     if isinstance(x, Product):
-        dx, ex, (ix, tx) = _loop_den(x.left)
-        dy, ey, (iy, ty) = _loop_den(x.right)
-        if dx is None and dy is None:
-            return None, ex + ey, _SPHERE_GUARDS
-        if dx is None:
-            den = binomial_product(ex, dy.coeffs)
-        elif dy is None:
-            den = binomial_product(ey, dx.coeffs)
-        else:
-            den = dx * dy
-        return den, None, (_distinct(ix + iy), _distinct(tx + ty))
+        cx, ex, (ix, tx) = _loop_den(x.left)
+        cy, ey, (iy, ty) = _loop_den(x.right)
+        # identity, not ==: a product of spheres is the hot case
+        if cx is ONE and cy is ONE:
+            return ONE, ex + ey, _SPHERE_GUARDS
+        cofactor = cy if cx is ONE else cx if cy is ONE else cx * cy
+        return cofactor, ex + ey, (_distinct(ix + iy), _distinct(tx + ty))
     if isinstance(x, Wedge):
-        dx, ex, (ix, tx) = _loop_den(x.left)
-        dy, ey, (iy, ty) = _loop_den(x.right)
-        den = _multiplied_out(dx, ex) + _multiplied_out(dy, ey) - ONE
-        return den, None, (_distinct(ix + tx + iy + ty), (den,))
+        cx, ex, (ix, tx) = _loop_den(x.left)
+        cy, ey, (iy, ty) = _loop_den(x.right)
+        den = binomial_product(ex, cx.coeffs) + binomial_product(ey, cy.coeffs) - ONE
+        return den, (), (_distinct(ix + tx + iy + ty), (den,))
     if isinstance(x, Susp):
         den = ONE - reduced_poly(x.inner)
     elif isinstance(x, Smash):
@@ -156,7 +151,7 @@ def _loop_den(x: SpaceExpr):
         den = ONE - IntPolynomial(reduced_poly(x).coeffs[1:])
     else:
         raise TypeError(f"not a space expression: {x!r}")
-    return den, None, ((), (den,))
+    return den, (), ((), (den,))
 
 
 def loop_smash_sphere(n_alpha: int, z: SpaceExpr) -> RationalGF:

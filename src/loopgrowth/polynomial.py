@@ -2,8 +2,8 @@
 
 Coefficients are arbitrary-precision ints stored low degree first, and every
 operation stays in integers: gcd by a primitive pseudo-remainder sequence over
-Z, exact division, the split of a denominator into binomials 1 - z^a by
-stride sums and their product by stride differences, Taylor shifts for
+Z, exact division, division by binomials 1 - z^a by stride sums and
+multiplication by them by stride differences, Taylor shifts for
 Descartes counts, and signs at a rational point p/q read off the homogeneous
 value q^n f(p/q), so no floating point enters any certificate. Descartes
 counts isolate the poles; Sturm sequences, whose rows are primitive integer
@@ -306,39 +306,6 @@ def binomial_product(exponents, start=(1,)) -> IntPolynomial:
         p += [0] * a
         p[a:] = map(sub, p[a:], p[:-a])
     return IntPolynomial(p)
-
-
-def binomial_factors(f: IntPolynomial):
-    """(exponents, cofactor) with f = cofactor * prod(1 - z^a), split greedily.
-
-    Only an f with f(0) = 1 is split; any other comes back whole. The next
-    exponent tried is a, the lowest degree of a nonzero term past z^0, when
-    that term is negative; the quotient by 1 - z^a is the stride-a running
-    sums of f, and the division is exact iff the top a of them vanish. The
-    first division that fails ends the split. A product of binomials always
-    splits down to the cofactor 1: the lowest term of prod(1 - z^(a_i)) past
-    z^0 is -m z^a, with a the least a_i and m its multiplicity.
-
-    >>> binomial_factors(IntPolynomial((1, -1, -1, 1)))
-    ((1, 2), IntPolynomial(coeffs=(1,)))
-    """
-    c = list(f.coeffs)
-    exponents = []
-    a = 1
-    if c[:1] == [1]:
-        while len(c) > 1:
-            # a quotient by 1 - z^a keeps the terms of degree 1 .. a - 1 at
-            # zero, so the search resumes at a; it stops at the top term
-            while not c[a]:
-                a += 1
-            if c[a] > 0:
-                break
-            q = stride_sums(c[:], a)
-            if any(q[-a:]):
-                break
-            c = q[:-a]
-            exponents.append(a)
-    return tuple(exponents), IntPolynomial(tuple(c))
 
 
 def taylor_shift(coeffs) -> list:

@@ -15,9 +15,9 @@ every Radius comes with an exact rational interval that provably contains
 exactly one denominator root. `smallest_positive_pole` reads the
 certificate in one pass, in this order:
 - no sign change in f's coefficients: no positive root;
-- a split of f into binomials prod (1 - z^a), as every loop series of a
-  product of spheres has: the pole 1, since every root of 1 - z^a is a
-  root of unity;
+- a carried split of f into binomials prod (1 - z^a) with cofactor 1, as
+  the loop series of a product of spheres has: the pole 1, since every
+  root of 1 - z^a is a root of unity;
 - a rational root r with no root in (0, r): the pole r; then f becomes its
   squarefree part unless one prime proves it squarefree, and a rational
   root of that part, when f had none, is tested the same way;
@@ -71,7 +71,6 @@ from .polynomial import (
     IntPolynomial,
     ONE,
     ZERO,
-    binomial_factors,
     cauchy_root_bound,
     descartes_count,
     poly_divexact,
@@ -114,13 +113,13 @@ class RationalGF(_Record):
     positive. Each operation passes it the unreduced result (`a/b * c/d` is
     ac/bd, `a/b + c/d` is (ad + cb)/bd), so operations take no gcd of their own.
 
-    The series carries the split of its denominator into binomials
-    (`binomial_split`), made on first use, so `expand` and
-    `smallest_positive_pole` split one series once between them. A loop
-    series of a product of spheres is built with its split. A loop series
-    built by the closed rules also carries its guards (`_guards`): the
-    polynomials whose signs at x > 0 decide rho > x, which
-    `smallest_positive_pole` reads in place of a Descartes search. And it
+    A loop series built by the closed rules carries the split of its
+    denominator (`_split`), (exponents, cofactor) with den = cofactor *
+    prod (1 - z^a), as the expression tree built it; `expand` and
+    `smallest_positive_pole` read it, and any other series has none. Such
+    a series also carries its guards (`_guards`): the polynomials whose
+    signs at x > 0 decide rho > x, which `smallest_positive_pole` reads in
+    place of a Descartes search. And it
     keeps its longest expansion (`_expansion`, filled by `expand`), so of
     the two expansions a report and the Pringsheim guard take of one
     series, a second that is no longer than the first is a prefix of it.
@@ -142,12 +141,6 @@ class RationalGF(_Record):
         _set(self, "_split", _split)
         _set(self, "_guards", _guards)
         _set(self, "_expansion", _expansion)
-
-    def binomial_split(self):
-        """`binomial_factors(den)`: (exponents, cofactor), split on the first call only."""
-        if self._split is None:
-            _set(self, "_split", binomial_factors(self.den))
-        return self._split
 
     @classmethod
     def from_coeffs(cls, num, den=(1,)) -> "RationalGF":
@@ -228,12 +221,12 @@ def gf_shift(a: RationalGF, k: int) -> RationalGF:
 def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     """Power series coefficients through z^trunc_degree.
 
-    The denominator splits as cofactor * prod(1 - z^a) (the series' carried
-    `binomial_split`, only when its constant term is 1). With the cofactor 1,
-    as for every loop series of a product of spheres, the series starts as
-    the numerator, zero-padded. Otherwise a linear recurrence divides the
-    numerator by the cofactor, on the integers e_k = d0^(k+1) c_k, where d0
-    is the cofactor's constant term:
+    The denominator splits as cofactor * prod(1 - z^a) by the series'
+    carried split; a series with none is its whole denominator with no
+    binomials. With the cofactor 1, as for every loop series of a product
+    of spheres, the series starts as the numerator, zero-padded. Otherwise
+    a linear recurrence divides the numerator by the cofactor, on the
+    integers e_k = d0^(k+1) c_k, where d0 is the cofactor's constant term:
     e_k = d0^k n_k - sum_{j>=1} d_j d0^(j-1) e_(k-j).
     c_k is the int e_k / d0^(k+1) when the division is exact, as it always is
     for d0 = 1, and a Fraction only when it is not. Then each 1 - z^a with
@@ -252,7 +245,7 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     kept = gf._expansion
     if kept is not None and kept.trunc_degree >= trunc_degree:
         return TruncatedSeries(kept.coeffs[:trunc_degree + 1])
-    exponents, cofactor = gf.binomial_split()
+    exponents, cofactor = gf._split or ((), gf.den)
     den = cofactor.coeffs
     num = list(gf.num.coeffs[:trunc_degree + 1])
     num += [0] * (trunc_degree + 1 - len(num))
@@ -819,11 +812,12 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     coefficient made positive, in the order of the module docstring, and
     builds every Radius here. The Pringsheim guard's `expand` reads a
     prefix of the series' kept expansion when the caller has expanded
-    through z^64 or further. The binomial split is the series' carried
-    `binomial_split`, made on first use; a partial split is not used,
-    since the cofactor's pole may lie below 1. "No root in (0, r)" is one
-    test, `is_pole`: the least of the guards' signs at r is 0, or, for a
-    bare series, f has Descartes count 0 on (0, r). It comes before the
+    through z^64 or further. The binomial exit reads the series' carried
+    split only: a cofactor other than 1 is not used, since its pole may lie
+    below 1, and a bare product of binomials is pinned at 1 by the
+    rational-root exit. "No root in (0, r)" is one test, `is_pole`: the
+    least of the guards' signs at r is 0, or, for a bare series, f has
+    Descartes count 0 on (0, r). It comes before the
     squarefree test, so a rational pole is found before any gcd. The cell
     comes from the guards (`_tree_pole`), else from Descartes counts
     (`_descartes_pole`).
@@ -842,7 +836,7 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
         return Radius(None, None, polynomial=False, pringsheim_ok=ok)
     # every root of 1 - z^a is a root of unity, so a product of them has the
     # one positive root 1, and the exact division is the certificate
-    if gf.binomial_split()[1] == ONE:
+    if (gf._split or ((), den))[1] == ONE:
         return Radius(Fraction(1), Fraction(1), False, f, ok)
     guards = gf._guards
     polys = None if guards is None else guards[0] + guards[1]

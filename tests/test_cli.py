@@ -326,6 +326,21 @@ class TestErrors:
         report = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
         assert report["error"]["kind"] == "validation-error"
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"[" * 200000 + b"]" * 200000, "recursion"), (b"\xff\xfe{", "utf-8"), (b"", "Expecting")],
+        ids=["deeply-nested", "not-utf-8", "empty"],
+    )
+    def test_undecodable_presentation_file_is_a_validation_error(self, tmp_path, content, reason):
+        path = tmp_path / "pres.json"
+        path.write_bytes(content)
+        code, report = run_json(["cofiber", "--file", str(path)])
+        assert code == 1
+        assert report["error"]["kind"] == "validation-error"
+        message = report["error"]["message"]
+        assert message.startswith(f"cannot read presentation file {str(path)!r}: ")
+        assert reason in message
+
     @pytest.mark.parametrize("flag", ["--p", "--excluded"])
     def test_huge_prime_is_a_validation_error(self, flag):
         argv = ["torsion", "--m", "3", "--n", "3", "--p", "5", "--r", "1"]
@@ -827,6 +842,10 @@ def argparse_vars(argv):
     return vars(cli._parsers()[0].parse_args(argv))
 
 
+def is_nan(value) -> bool:
+    return isinstance(value, float) and math.isnan(value)
+
+
 @st.composite
 def table_argvs(draw):
     """A command and a shuffle of pieces: its declared flags and positionals
@@ -866,11 +885,16 @@ class TestTableReader:
     and passes every other form on to argparse."""
 
     @given(table_argvs())
+    @example(["free-loop", "--degrees", "S2", "--epsilon", "nan"])
     @settings(max_examples=400, deadline=None)
     def test_a_read_argv_is_what_argparse_gives(self, argv):
         args = cli._read(argv)
         if args is not None:
-            assert args == argparse_vars(argv)
+            want = argparse_vars(argv)
+            # nan != nan: a value matches when equal, or when both are nan
+            assert args.keys() == want.keys()
+            for key, value in args.items():
+                assert value == want[key] or is_nan(value) and is_nan(want[key]), key
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
     def test_a_plain_argv_is_read(self, argv):

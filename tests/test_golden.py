@@ -10,10 +10,11 @@ cofiber's Z, a cofiber whose redA shares a factor with the loop denominator
 of Z, one free-loop growth check per branch of its verdict, and the Witt
 counts and per-degree rates of free-loop, hm-census, torsion and log-index
 at larger truncations, a report whose table has no rows, a connected sum
-whose radii are refined for many rounds before they separate, and the
-poles of spheres near the dimension limit in mixed shapes. A case whose argv holds
-"{file}" runs with the presentation file written to a temporary directory;
-the path is never echoed.
+whose radii are refined for many rounds before they separate, the poles of
+spheres near the dimension limit in mixed shapes, and denominators with
+binomial factors times a cofactor, built on the expression tree and not. A
+case whose argv holds "{file}" runs with the presentation file written to a
+temporary directory; the path is never echoed.
 
 After an intentional output change, refreeze with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -136,6 +137,15 @@ def cases():
     out += [("primes-empty-window", ["primes", "--d", "3", "--s", "1"])]
     out += [("connsum-deep-suspension", DEEP_CONNSUM)]
     out += [(name, argv) for name, argv in BIG_SPHERES.items()]
+    # denominators that split into binomials times a cofactor: a cofiber's
+    # (1 - 3z)(1 - z), which no expression tree splits, and wedges under
+    # and around sphere products, which the tree splits as it builds them
+    partial = ["cofiber", "--A", "S2", "--Z", "(S2 v S2) x (S2 v S2)", "--inert", "assumed"]
+    out += [("cofiber-binomial-times-cofactor", partial)]
+    two_wedges = ["loop-series", "(S2 v S3) x (S4 v S5) x S6 x S7", "--max-degree", "100"]
+    out += [("loop-series-two-wedges-times-spheres", two_wedges)]
+    nested = ["log-index", "((S2 v S3) x S4) v S5 x S6", "--max-degree", "200"]
+    out += [("log-index-wedge-around-a-product", nested)]
     return out
 
 
@@ -184,6 +194,16 @@ def test_guards_certify_every_pole_but_the_deep_connsum(tmp_path, monkeypatch):
                 run_case(argv, tmp_path)
         else:
             assert run_case(argv, tmp_path) == (want["exit"], want["stdout"]), name
+
+
+def test_every_pole_is_taken_on_a_guarded_series(tmp_path, monkeypatch):
+    # every series a report takes a pole of is built on the expression tree,
+    # so the pole search's binomial exit needs no split but the carried one
+    calls = oracles.count_calls(monkeypatch, series, "smallest_positive_pole")
+    for _, argv in cases():
+        run_case(argv, tmp_path)
+    assert calls
+    assert all(gf._guards is not None for gf, *_ in calls)
 
 
 def test_reports_leave_no_reference_cycles(tmp_path):

@@ -139,8 +139,9 @@ def random_tree(rng, depth):
 
 class TestSphereProductDenominators:
     """A product of spheres is carried as its exponents and multiplied out
-    where a wedge, another factor or the series needs its denominator. The
-    series, its split and its guards equal those of the dense oracle."""
+    where a wedge or the series needs its denominator. The series and its
+    guards equal those of the dense oracle, and its carried split multiplies
+    out to its denominator, over the cofactor ONE for a product of spheres."""
 
     SHAPES = [
         "S7",
@@ -158,7 +159,11 @@ class TestSphereProductDenominators:
         den, exponents, guards = oracles.loop_den(x)
         got = loop_gf(x)
         assert got.den == den and got.num == IntPolynomial((1,))
-        assert got._split == (None if exponents is None else (exponents, IntPolynomial((1,))))
+        found, cofactor = got._split
+        assert polynomial.binomial_product(found, cofactor.coeffs) == den
+        assert list(found) == sorted(found)
+        assert (cofactor is polynomial.ONE) == (exponents is not None)
+        assert exponents in (None, found)
         assert got._guards == guards
 
     @pytest.mark.parametrize("expr", SHAPES)

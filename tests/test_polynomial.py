@@ -16,7 +16,6 @@ from loopgrowth import polynomial, series  # noqa: E402
 from loopgrowth.loop import loop_gf  # noqa: E402
 from loopgrowth.polynomial import (  # noqa: E402
     IntPolynomial,
-    binomial_factors,
     cauchy_root_bound,
     count_roots_halfopen,
     descartes_count,
@@ -193,32 +192,39 @@ def binomial_product(exponents) -> IntPolynomial:
     return out
 
 
+def spheres(exponents) -> str:
+    """The product of the spheres S^(a + 1), whose loop denominator is prod (1 - z^a)."""
+    return " x ".join(f"S{a + 1}" for a in exponents)
+
+
 class TestBinomialFactors:
-    @given(st.lists(st.integers(1, 12), max_size=6), st.sampled_from([1, -1, 2, 5]),
-           st.lists(st.integers(-4, 4), max_size=5))
-    @settings(max_examples=200, deadline=None)
-    def test_factors_and_cofactor_rebuild_the_input(self, exponents, c0, rest):
-        f = binomial_product(exponents) * IntPolynomial((c0, *rest))
-        found, cofactor = binomial_factors(f)
-        assert binomial_product(found) * cofactor == f
-        assert list(found) == sorted(found)
-        if c0 != 1:
-            assert (found, cofactor) == ((), f)
-        elif not any(rest):
-            assert sorted(found) == sorted(exponents) and cofactor == IntPolynomial((1,))
+    """The split a loop series carries, (exponents, cofactor), multiplies out
+    to its denominator, and the binomials are the ones sympy factors out."""
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           st.sampled_from(["S2 v S3", "Susp(S2 x S3)", "S3 ^ (S2 v S4)", "(S2 v S2) x (S3 v S3)"]))
+    @settings(max_examples=100, deadline=None)
+    def test_the_carried_split_rebuilds_the_denominator(self, exponents, other):
+        # spheres times a factor of another kind: the spheres' binomials
+        # over that factor's denominator
+        g = loop_gf(parse(f"{spheres(exponents)} x ({other})"))
+        found, cofactor = g._split
+        assert found == tuple(sorted(exponents))
+        assert cofactor == loop_gf(parse(other)).den
+        assert binomial_product(found) * cofactor == g.den
 
     @staticmethod
     def check_against_sympy(exponents):
-        f = binomial_product(exponents)
-        found, cofactor = binomial_factors(f)
-        assert sorted(found) == sorted(exponents) and cofactor == IntPolynomial((1,))
+        g = loop_gf(parse(spheres(exponents)))
+        found, cofactor = g._split
+        assert found == tuple(sorted(exponents)) and cofactor == IntPolynomial((1,))
         # 1 - z^a is -prod over d | a of Phi_d, so Phi_d appears once per a it divides
-        _, factors = to_sympy(f).factor_list()
-        got = {normalized(from_sympy(g)): e for g, e in factors}
-        counts = {d: sum(a % d == 0 for a in found) for d in range(1, max(found, default=1) + 1)}
+        _, factors = to_sympy(g.den).factor_list()
+        got = {normalized(from_sympy(h)): e for h, e in factors}
+        counts = {d: sum(a % d == 0 for a in found) for d in range(1, max(found) + 1)}
         assert got == {cyclotomic(d): e for d, e in counts.items() if e}
 
-    @given(st.lists(st.integers(1, 12), max_size=6))
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_a_product_splits_whole_as_sympy_factors_it(self, exponents):
         self.check_against_sympy(exponents)
@@ -242,14 +248,6 @@ class TestBinomialFactors:
         for a in exponents:
             stride_sums(q, a)
         assert q == [1] + [0] * sum(exponents)
-
-    def test_a_failed_division_ends_the_split(self):
-        # (1 - z)(1 - z - z^2): 1 - z splits off, then 1 - z does not divide
-        found, cofactor = binomial_factors(IntPolynomial((1, -2, 0, 1)))
-        assert (found, cofactor.coeffs) == ((1,), (1, -1, -1))
-        # a positive lowest term is never tried
-        f = cyclotomic(3) * binomial(2)
-        assert binomial_factors(f) == ((), f)
 
 
 class TestExpand:

@@ -562,6 +562,21 @@ class TestBisectionWork:
         assert rho.lo == rho.hi == 1
         assert rho.certificate_holds()
 
+    def test_a_bare_product_of_binomials_is_pinned_by_its_rational_root(self, monkeypatch):
+        # with no carried split, the scan finds the root 1 and a Descartes
+        # count of 0 on (0, 1) makes it the pole: the Radius of the split exit
+        carried = loop_gf(parse("S2 x S3 x S5 x S5 x S9"))
+        g = bare(carried)
+        calls = self.count_chain_work(monkeypatch)
+        rho = smallest_positive_pole(g)
+        assert calls.count("_smallest_positive_rational_root") == 1
+        assert calls.count("squarefree_part") == 0
+        assert (rho.lo, rho.hi, rho.polynomial) == (1, 1, False)
+        assert rho.certificate_holds()
+        want = smallest_positive_pole(carried)
+        assert rho == want and rho._sqfree == want._sqfree
+        assert g.den == polynomial.binomial_product((1, 2, 4, 4, 8))
+
     # (lo, hi, certificate polynomial) as the Descartes path gave them before
     # the binomial step existed
     _GOLDEN_PHI = (
@@ -572,13 +587,14 @@ class TestBisectionWork:
     @pytest.mark.parametrize(
         "make_gf,lo,hi,sqfree",
         [
-            # (1 - z)(1 - z^2) split off; the cofactor
-            # (1 - z - z^2)(1 + z + 2z^2 + z^3 + z^4) keeps the pole
+            # bare series with binomial factors and a cofactor: no split is
+            # carried, so each takes the rational-root scan and Descartes
+            # counts; (1 - z^3)(1 - z^4) times the wedge's 1 - z - z^2
             (lambda: bare(loop_gf(parse("(S2 v S3) x S4 x S5"))), *_GOLDEN_PHI,
              (1, 0, -1, -2, -2, 0, 1, 2, 1)),
-            # (1 - z) splits off, the cofactor 1 - z - z^2 does not
+            # (1 - z)(1 - z - z^2)
             (lambda: gf([1], [1, -2, 0, 1]), *_GOLDEN_PHI, (1, -2, 0, 1)),
-            # Phi_3 (1 - z^2)(1 - z^5): the lowest term is +z, so nothing splits
+            # Phi_3 (1 - z^2)(1 - z^5), whose pole is 1
             (lambda: gf([1], [1, 1, 0, -1, -1, -1, -1, 0, 1, 1]),
              Fraction(1), Fraction(1), (1, 1, 0, -1, -1, -1, -1, 0, 1, 1)),
         ],
@@ -586,7 +602,6 @@ class TestBisectionWork:
     )
     def test_a_partial_split_takes_the_descartes_path(self, monkeypatch, make_gf, lo, hi, sqfree):
         g = make_gf()
-        assert polynomial.binomial_factors(g.den)[1].degree() > 0
         calls = self.count_chain_work(monkeypatch)
         rho = smallest_positive_pole(g)
         assert "_smallest_positive_rational_root" in calls and "taylor_shift" in calls
@@ -700,45 +715,31 @@ class TestBisectionWork:
             assert len(set(newtons)) == len(newtons)
 
 
-class TestSplitOnce:
-    """A loop series of a product of spheres carries the split of its
-    denominator into binomials from construction. Any other series splits
-    its denominator once, in the first `expand` or pole step that reads it."""
-
-    @pytest.mark.parametrize(
-        "argv,splits",
-        [
-            (["loop-series", "S2 x S3 x S5 x S7", "--max-degree", "100"], 0),
-            (["log-index", "S2 x S3 x S5 x S7", "--max-degree", "100"], 0),
-            (["rho", "S2 x S3 x S5 x S7"], 0),
-            (["loop-series", "(S2 v S3) x S4 x S5"], 1),
-        ],
-        ids=["loop-series", "log-index", "rho", "partial-split"],
-    )
-    def test_a_request_splits_its_denominator_once(self, monkeypatch, argv, splits):
-        calls = oracles.count_calls(monkeypatch, polynomial, "binomial_factors")
-        assert run(argv, io.StringIO()) == 0
-        assert len(calls) == splits
+class TestCarriedSplit:
+    """A loop series carries the split of its denominator into binomials
+    times a cofactor from construction; any other series carries none."""
 
     CLONES = (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g)))
 
-    def test_a_filled_split_is_carried_not_compared(self):
-        den = loop_gf(parse("S2 x S3 x S5")).den.coeffs
-        fresh = RationalGF.from_coeffs([1], den)
-        used = RationalGF.from_coeffs([1], den)
-        split = used.binomial_split()
-        assert split == ((1, 2, 4), IntPolynomial((1,)))
-        assert used.binomial_split() is split
+    @pytest.mark.parametrize("expr,split", [
+        ("S2 x S3 x S5", ((1, 2, 4), (1,))),
+        ("(S2 v S3) x S4 x S5", ((3, 4), (1, -1, -1))),
+        ("S2 v S3", ((), (1, -1, -1))),
+    ])
+    def test_a_carried_split_is_not_compared(self, expr, split):
+        built = loop_gf(parse(expr))
+        fresh = bare(built)
+        assert (built._split[0], built._split[1].coeffs) == split
         assert fresh._split is None
-        assert loop_gf(parse("S2 x S3 x S5"))._split == split  # carried from construction
-        assert used == fresh and hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
         for clone in self.CLONES:
-            for g in (fresh, used):
+            for g in (fresh, built):
                 twin = clone(g)
                 assert twin == g and hash(twin) == hash(g)
                 assert twin._split == g._split
-            assert clone(used).expand(12) == fresh.expand(12)
+            assert clone(built).expand(12) == fresh.expand(12)
+            assert smallest_positive_pole(clone(built)) == smallest_positive_pole(fresh)
 
     def test_guards_are_carried_not_compared(self):
         built = loop_gf(parse("(S2 v S3) x S4"))
@@ -783,7 +784,7 @@ class TestExpansionKept:
         assert used._expansion is kept and fresh._expansion is None
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
-        for clone in TestSplitOnce.CLONES:
+        for clone in TestCarriedSplit.CLONES:
             twin = clone(used)
             assert twin == used and hash(twin) == hash(used)
             assert twin._expansion == kept
