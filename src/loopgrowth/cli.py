@@ -99,6 +99,20 @@ def _computed(claim: str) -> dict:
     return {"claim": claim, "source": "COMPUTED"}
 
 
+# how a radius was certified (`Radius.method`) -> the wording of its claim
+_RADIUS_METHODS = {
+    "binomial split": "the split of the loop denominator into binomials 1 - z^a",
+    "rational root": "a rational root with no root below it",
+    "guard signs": "guard signs",
+    "Descartes counts": "Descartes counts",
+}
+
+
+def _radius_claim(what: str, rho) -> dict:
+    claim = f"{what} certified by {_RADIUS_METHODS[rho.method]}"
+    return _computed(claim if rho.is_exact else claim + " and rational bisection")
+
+
 def _asserted(claim: str) -> dict:
     return {"claim": claim, "source": "ASSERTED"}
 
@@ -243,7 +257,7 @@ def _cmd_loop_series(args):
             "loop-suspension splitting and the free-product identity for wedges",
         ),
         _computed("coefficients by linear recurrence on the reduced fraction"),
-        _computed("radius certified by root counting and rational bisection"),
+        _radius_claim("radius", rho),
     ]
     return result, _series_table(coeffs), prov
 
@@ -259,7 +273,7 @@ def _cmd_rho(args):
         ("rho_hi", _decimal_str(rho.hi)),
         ("exact", str(rho.is_exact).lower()),
     ]
-    prov = [_computed("radius certified by root counting and rational bisection")]
+    prov = [_radius_claim("radius", rho)]
     return result, _kv_table(rows), prov
 
 
@@ -316,7 +330,7 @@ def _cmd_presentation(kind, fields, args):
             "loop series of the total space from the splitting of the cofiber fibration",
             "loop-space splitting for inert attachments",
         ),
-        _computed("radius and log index certified by root counting and bisection"),
+        _radius_claim("radius and log index", verdict.rho),
         _cited(
             "good exponential growth of the free loops on the total space",
             "log-index transfer for strongly inert attachments",

@@ -295,8 +295,9 @@ def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
         )
     trail = (
         f"attaching map asserted inert: {c.justification or 'no justification given'}",
-        "certified rho(OmegaY) < rho(OmegaZ) by disjoint isolating intervals; "
-        "strongly inert splitting gives controlled growth at the loop log index",
+        "the verdict rests on rho(OmegaY) < rho(OmegaZ) <= 1: the gap certified by disjoint "
+        "isolating intervals, and rho(OmegaZ) <= 1 as for every loop series; strongly inert "
+        "splitting gives controlled growth at the loop log index",
         f"log index certified by the splitting theorem for Z = {to_text(c.Z)}; "
         "free-loop homology is not recomputed here",
     )

@@ -18,23 +18,33 @@ certificate in one pass, in this order:
 - a carried split of f into binomials prod (1 - z^a) with cofactor 1, as
   the loop series of a product of spheres has: the pole 1, since every
   root of 1 - z^a is a root of unity;
-- a rational root r with no root in (0, r): the pole r; then f becomes its
-  squarefree part unless one prime proves it squarefree, and a rational
-  root of that part, when f had none, is tested the same way;
-- the cell of the dyadic grid of (0, upper], upper = r or the Cauchy
-  bound, that isolates the smallest positive root; with none below upper,
-  the pole is r, or there is none.
-A series built by the closed rules carries guards, polynomials whose signs
-at x decide rho > x (see `loop`): "no root in (0, r)" is the least of
+- a rational root r with no root in (0, r): the pole r;
+- for a series built by the closed rules, the cell of the dyadic grid of
+  (0, 1] that its guards isolate, pinned exactly when f had no rational
+  root to scan and the pole's guard has a rational root in the cell;
+- otherwise f becomes its squarefree part unless one prime proves it
+  squarefree, a rational root of that part, when f had none, is tested
+  as above, and the cell of the dyadic grid of (0, upper], upper = r or
+  the Cauchy bound, that isolates the smallest positive root is found by
+  Descartes counts; with none below upper, the pole is r, or there is
+  none.
+The guards of a series built by the closed rules are polynomials whose
+signs at x decide rho > x (see `loop`): "no root in (0, r)" is the least of
 their signs at r being 0, and the pole's guard, bisected on the grid,
 gives the cell, which the others certify by their signs at its right end.
+Every loop radius is at most 1, so their grid is (0, 1], and they are the
+whole certificate: that path takes no squarefree test, no squarefree part
+and no Cauchy bound. The Radius reduces f to its squarefree part only
+when it is first refined, compared or rechecked.
 A bare series, one with no guards, and a cell the guards do not isolate
 are settled by Descartes counts (Collins-Akritas): a count of 0 or 1 on an
 interval is exact, and each cell of the bisection grid is a Taylor shift
 of its parent, so on a squarefree polynomial the search always ends
-(Vincent's theorem). Both walk the same grid to the same stop level, so
-they give the same interval (the Descartes search goes finer only where
-other roots lie within the tolerance of the pole). Refinement returns the
+(Vincent's theorem). On the same grid both searches reach the same
+interval (the Descartes search goes finer only where other roots lie
+within the tolerance of the pole), but a guarded series walks (0, 1] and
+a bare one (0, r] or (0, Cauchy bound], so the two may report different
+cells of one pole. Refinement returns the
 interval that sign bisection reaches, without walking it: the root is
 simple, so the denominator changes sign across it; a Newton estimate of
 the root names the grid cell where bisection stops, and exact signs at the
@@ -123,7 +133,7 @@ class RationalGF(_Record):
     keeps its longest expansion (`_expansion`, filled by `expand`), so of
     the two expansions a report and the Pringsheim guard take of one
     series, a second that is no longer than the first is a prefix of it.
-    All three are carried like `Radius._sqfree`: not compared, hashed or
+    All three are carried like `Radius._den`: not compared, hashed or
     printed.
 
     >>> RationalGF.from_coeffs([1], [1, -2]).expand(4).coeffs
@@ -308,26 +318,35 @@ class Radius(_Record):
     `polynomial` records whether the series is a polynomial (so dimensions
     are eventually zero).
 
-    `_sqfree` is the polynomial the certificate is about, leading
-    coefficient positive: the denominator itself when it is a product of
-    binomials, is certified squarefree, or its pole is a rational root found
-    before any gcd, else its squarefree part. Behind a non-exact interval it
-    is squarefree either way, so the root inside is simple. It is the same
-    polynomial whether guards or Descartes counts isolated the pole: guards
-    certify that the interval holds one root of it, so refinement and
-    comparison read its signs alone.
+    `_den` is the denominator as the pole search found it, leading
+    coefficient positive. `_sqfree` is the polynomial the certificate is
+    about, read by `refined`, `compare_radii` and `certificate_holds`: for
+    an exact radius `_den` itself, else `_den` unless one prime fails to
+    prove it squarefree, and then its squarefree part. The first read
+    reduces `_den` and keeps the result in its place (`_reduced` marks it
+    done), so a radius that nothing refines, compares or rechecks takes
+    no squarefree step. Behind a non-exact interval it is squarefree, so
+    the root inside is simple. It is the same polynomial whether guards or
+    Descartes counts isolated the pole: guards certify that the interval
+    holds one root of it, so refinement and comparison read its signs
+    alone.
+
+    `method` names how a finite pole was certified: "binomial split",
+    "rational root", "guard signs" or "Descartes counts".
 
     The smallest positive pole equals the radius of convergence only for
     series with nonnegative coefficients; `pringsheim_ok` goes false when a
     negative coefficient was spotted in a desk-scale expansion of the source.
 
-    Two radii are equal when lo, hi and `polynomial` are; `_sqfree` and
-    `pringsheim_ok` are carried along, not compared.
+    Two radii are equal when lo, hi and `polynomial` are; `_den`,
+    `pringsheim_ok` and `method` are carried along, not compared.
     """
 
-    __slots__ = ("lo", "hi", "polynomial", "_sqfree", "pringsheim_ok")
+    __slots__ = ("lo", "hi", "polynomial", "_den", "pringsheim_ok", "method", "_reduced")
     __match_args__ = __slots__[:3]
-    _defaults = {"polynomial": False, "_sqfree": None, "pringsheim_ok": True}
+    _defaults = {
+        "polynomial": False, "_den": None, "pringsheim_ok": True, "method": None, "_reduced": False,
+    }
 
     @property
     def is_infinite(self) -> bool:
@@ -336,6 +355,16 @@ class Radius(_Record):
     @property
     def is_exact(self) -> bool:
         return self.lo is not None and self.lo == self.hi
+
+    @property
+    def _sqfree(self) -> IntPolynomial | None:
+        f = self._den
+        if not self._reduced:
+            if f is not None and not self.is_exact and not _squarefree_mod_p(f):
+                f = squarefree_part(f)
+                _set(self, "_den", f)
+            _set(self, "_reduced", True)
+        return f
 
     def width(self) -> Fraction:
         if self.is_infinite:
@@ -351,8 +380,9 @@ class Radius(_Record):
         """Shrink the isolating interval to width <= tol (no-op when exact)."""
         if self.is_infinite or self.is_exact or self.width() <= tol:
             return self
-        lo, hi = _bisect(self._sqfree, tol, self.lo, self.hi)
-        return Radius(lo, hi, self.polynomial, self._sqfree, self.pringsheim_ok)
+        sf = self._sqfree
+        lo, hi = _bisect(sf, tol, self.lo, self.hi)
+        return Radius(lo, hi, self.polynomial, sf, self.pringsheim_ok, self.method, True)
 
     def certificate_holds(self) -> bool:
         """Recheck the defining properties from scratch (used by tests).
@@ -756,16 +786,16 @@ def _float_value(coeffs, x: float) -> float:
     return v
 
 
-def _tree_pole(polys, inner: int, upper: Fraction, tol: Fraction):
-    """The cell of (0, upper] that a tree-built series' guards certify, or None.
+def _tree_pole(polys, inner: int, tol: Fraction):
+    """(lo, hi, P): the cell of (0, 1] that a tree-built series' guards certify, and its pole guard P; or None.
 
     polys are the guards, the first `inner` of them below the factors of
-    the denominator f, and the grid is the one `_descartes_pole` walks. A
-    guess in floats names the top guard P whose first positive root is rho:
-    each guard is 1 at 0 and falls to its first positive root, and in the
-    carried order every node's guard follows its children's, so it has at
-    most one root below the least first root x of the guards before it. x
-    starts at min(upper, 1), since every loop radius is at most 1; a guard
+    the denominator f, and the grid is the one `_descartes_pole` walks on
+    (0, 1], since every loop radius is at most 1. A guess in floats names
+    the top guard P whose first positive root is rho: each guard is 1 at 0
+    and falls to its first positive root, and in the carried order every
+    node's guard follows its children's, so it has at most one root below
+    the least first root x of the guards before it. x starts at 1; a guard
     that is not positive at x has its root there, which becomes x. P is
     the last such guard, one of the factors', and the x before it brackets
     its one root. P is bisected on the grid from that estimate, which
@@ -773,11 +803,10 @@ def _tree_pole(polys, inner: int, upper: Fraction, tol: Fraction):
     positive at hi certifies it: hi lies below the radii of P's children,
     so P has one root in (0, hi], which is rho, and below the radii of the
     other factors, which have no root in (0, hi]. So the cell isolates rho
-    among the roots of f. Otherwise None, and the caller takes the
-    Descartes path.
+    among the roots of f; when hi = 1, the grid end, and P(1) = 0, rho is
+    pinned at 1. Otherwise None, and the caller takes the Descartes path.
     """
-    x = float(min(upper, 1))
-    top = None
+    x, top = 1.0, None
     for i, g in enumerate(polys):
         v = _float_value(g.coeffs, x)
         if v <= 0:
@@ -794,10 +823,11 @@ def _tree_pole(polys, inner: int, upper: Fraction, tol: Fraction):
         # the scan's float Newton on P over (0, bracket) is the float iterate
         return _root_estimate(pole, 1, 0, bracket.numerator, bracket.denominator, bits, root)
 
-    # P's sign at hi is known unless hi = upper, which no step evaluates
-    lo, hi = _bisect(pole, tol, Fraction(0), upper, estimate)
-    if (hi < upper or pole.sign_at(hi) <= 0) and all(g.sign_at(hi) > 0 for g in others):
-        return lo, hi
+    # P's sign at hi is known unless hi = 1, which no step evaluates
+    lo, hi = _bisect(pole, tol, Fraction(0), Fraction(1), estimate)
+    s_hi = -1 if hi < 1 else pole.sign_at(hi)
+    if s_hi <= 0 and all(g.sign_at(hi) > 0 for g in others):
+        return (hi if s_hi == 0 else lo), hi, pole
     return None
 
 
@@ -810,21 +840,28 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
 
     One pass reads the certificate off the denominator f, leading
     coefficient made positive, in the order of the module docstring, and
-    builds every Radius here. The Pringsheim guard's `expand` reads a
-    prefix of the series' kept expansion when the caller has expanded
-    through z^64 or further. The binomial exit reads the series' carried
-    split only: a cofactor other than 1 is not used, since its pole may lie
-    below 1, and a bare product of binomials is pinned at 1 by the
-    rational-root exit. "No root in (0, r)" is one test, `is_pole`: the
-    least of the guards' signs at r is 0, or, for a bare series, f has
-    Descartes count 0 on (0, r). It comes before the
-    squarefree test, so a rational pole is found before any gcd. The cell
-    comes from the guards (`_tree_pole`), else from Descartes counts
-    (`_descartes_pole`).
+    builds every Radius here, naming the method that certified it. The
+    Pringsheim guard's `expand` reads a prefix of the series' kept
+    expansion when the caller has expanded through z^64 or further. The
+    binomial exit reads the series' carried split only: a cofactor other
+    than 1 is not used, since its pole may lie below 1, and a bare product
+    of binomials is pinned at 1 by the rational-root exit. "No root in
+    (0, r)" is one test, `is_pole`: the least of the guards' signs at r is
+    0, or, for a bare series, f has Descartes count 0 on (0, r).
+
+    A guarded series takes its cell from the guards (`_tree_pole`) on
+    (0, 1]. When f had no rational root to scan, the pole guard P is
+    scanned: P has rho as its one root in (0, hi], so a rational root of P
+    at most hi is rho. The guards are the whole certificate, so this path
+    takes no squarefree step; the Radius reduces f on first read. A bare
+    series, or a cell the guards do not isolate, takes the Descartes path:
+    f becomes its squarefree part unless one prime proves it squarefree, a
+    rational root of that part, when f had none, is tested by `is_pole`,
+    and `_descartes_pole` searches (0, r] or (0, Cauchy bound].
 
     >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
-    >>> (r.lo, r.hi)
-    (Fraction(1, 2), Fraction(1, 2))
+    >>> (r.lo, r.hi, r.method)
+    (Fraction(1, 2), Fraction(1, 2), 'rational root')
     """
     # Pringsheim guard: pole = radius only for nonnegative series
     ok = all(c >= 0 for c in gf.expand(64).coeffs)
@@ -837,7 +874,7 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     # every root of 1 - z^a is a root of unity, so a product of them has the
     # one positive root 1, and the exact division is the certificate
     if (gf._split or ((), den))[1] == ONE:
-        return Radius(Fraction(1), Fraction(1), False, f, ok)
+        return Radius(Fraction(1), Fraction(1), False, f, ok, "binomial split")
     guards = gf._guards
     polys = None if guards is None else guards[0] + guards[1]
 
@@ -849,7 +886,14 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
 
     r = _smallest_positive_rational_root(f)
     if r is not None and is_pole(r):
-        return Radius(r, r, False, f, ok)
+        return Radius(r, r, False, f, ok, "rational root")
+    found = polys and _tree_pole(polys, len(guards[0]), tol)
+    if found:
+        lo, hi, pole = found
+        q = None if r is not None else _smallest_positive_rational_root(pole)
+        if q is not None and q <= hi:
+            return Radius(q, q, False, f, ok, "rational root")
+        return Radius(lo, hi, False, f, ok, "guard signs")
     if not _squarefree_mod_p(f):
         # the squarefree part has f's roots, and its smaller coefficients
         # may pass the root scan's bound where f's did not; a root found on
@@ -858,14 +902,13 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
         if r is None:
             r = _smallest_positive_rational_root(f)
             if r is not None and is_pole(r):
-                return Radius(r, r, False, f, ok)
-    upper = cauchy_root_bound(f) if r is None else r
-    cell = polys and _tree_pole(polys, len(guards[0]), upper, tol) or _descartes_pole(f, upper, tol)
+                return Radius(r, r, False, f, ok, "rational root")
+    cell = _descartes_pole(f, cauchy_root_bound(f) if r is None else r, tol)
     if cell is not None:
-        return Radius(*cell, False, f, ok)
+        return Radius(*cell, False, f, ok, "Descartes counts", True)
     if r is None:
         return Radius(None, None, polynomial=False, pringsheim_ok=ok)
-    return Radius(r, r, False, f, ok)
+    return Radius(r, r, False, f, ok, "rational root")
 
 
 def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):

@@ -10,7 +10,8 @@ Two references use the package's series arithmetic instead of its
 denominator rules: `loop_gf` and `inert_cofiber_loop_gf` combine normalized
 `RationalGF`s by `*`, `+`, `-` and `reciprocal`, each step reduced by a
 gcd. `count_calls` counts the calls of a package function wherever a
-module binds it.
+module binds it. `unit_grid_pole` finds a pole by the bare Descartes
+search on the grid that a guarded series walks.
 """
 
 import importlib
@@ -401,6 +402,23 @@ def count_calls(monkeypatch, module, name):
         if owner.__dict__.get(name) is original:
             monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def unit_grid_pole(gf):
+    """(lo, hi) of gf's pole by the bare search, on the grid of (0, 1] that a guarded series walks.
+
+    A rational pole is pinned by the bare series' rational-root exit; any
+    other is the Descartes cell of the denominator's squarefree part, so
+    no guard is read.
+    """
+    from loopgrowth import series
+    from loopgrowth.polynomial import squarefree_part
+
+    bare = series.smallest_positive_pole(series.RationalGF(gf.num, gf.den))
+    if bare.is_exact:
+        return bare.lo, bare.hi
+    f = squarefree_part(gf.den if gf.den.leading() > 0 else -gf.den)
+    return series._descartes_pole(f, Fraction(1), series.DEFAULT_POLE_TOLERANCE)
 
 
 def reduced_gf(x):

@@ -207,6 +207,26 @@ class TestCommands:
         _, report = run_json(["retraction", "--A", "S2", "--Z", "S2 x S2"])
         assert report["result"] == {"m": 3, "n": 4, "excluded": [2]}
 
+    @pytest.mark.parametrize(
+        "argv,method",
+        [
+            (["rho", "S2 x S3"], "the split of the loop denominator into binomials 1 - z^a"),
+            (["loop-series", "S2 v S2"], "a rational root with no root below it"),
+            (["rho", "S2 v S3"], "guard signs and rational bisection"),
+            (["cofiber", "--A", "S3", "--Z", "S2 x S3", "--inert", "x"],
+             "guard signs and rational bisection"),
+        ],
+    )
+    def test_the_radius_claim_names_its_method(self, argv, method):
+        _, report = run_json(argv)
+        what = "radius and log index" if argv[0] == "cofiber" else "radius"
+        claim = {"claim": f"{what} certified by {method}", "source": "COMPUTED"}
+        assert claim in report["provenance"]
+
+    def test_the_trail_names_the_radius_gap_behind_the_verdict(self):
+        _, report = run_json(["connsum", "--A", "S3", "--M", "S2 x S2", "--N", "S2 x S2", "--inert", "x"])
+        assert any("rests on rho(OmegaY) < rho(OmegaZ) <= 1" in step for step in report["result"]["trail"])
+
 
 class TestErrors:
     def test_parse_error_exits_two(self):

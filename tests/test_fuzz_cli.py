@@ -2,7 +2,9 @@
 
 The expression and presentation commands get expressions from four sources:
 
-- random trees over the spheres S2..S9, bracketed at random;
+- random trees over the spheres S2..S9, bracketed at random, and, for
+  `rho`, `loop-series` and `log-index`, over S2..S60 with repeated operands
+  (a subtree times itself), whose denominators have repeated factors;
 - token soup: the language's tokens, a few foreign characters, no grammar;
 - deep nests: up to 3,000 brackets, suspensions nested just past the
   parser's depth limit, and operator chains of up to 400 operands;
@@ -19,13 +21,11 @@ loop series has integer coefficients, infinitely many of them nonzero, so
 every `rho`, `loop-series` and presentation report gives a finite rho <= 1.
 
 Sphere dimension is limited to `space.MAX_SPHERE_DIMENSION`, but loop-series
-denominator degree has no declared limit yet. Three spheres near the dimension
-limit answer in 0.04 s, but a product of wedges whose denominator has a
-repeated factor, such as
-`(S189 v S7) x ((S284 ^ Susp(S231)) x (S257 x (S3 v S4)))`, spends about a
-minute in `squarefree_part` (ROADMAP item 5). So spheres within the limit stay
-within S2..S9, and long product and smash chains and deep suspension nests are
-drawn only past the depth limit. Past either limit, the parser refuses the
+denominator degree has no declared limit yet (ROADMAP item 5). The guards of a
+loop series certify its pole with no squarefree step, so a repeated factor
+costs nothing extra. The presentation commands keep their spheres within
+S2..S9, and long product and smash chains and deep suspension nests are drawn
+only past the depth limit. Past either limit, the parser refuses the
 expression before any series is built. Tests in `test_space.py` and
 `test_cli.py` cover trees at the depth limit and spheres at the dimension
 limit.
@@ -63,6 +63,21 @@ trees = st.recursive(
     SPHERES,
     lambda inner: st.one_of(
         st.tuples(inner, OPERATORS, inner, st.booleans()).map(_binary),
+        inner.map(lambda x: f"Susp({x})"),
+    ),
+    max_leaves=6,
+)
+
+
+def _squared(x):
+    return f"({x} x {x})"
+
+
+wide_trees = st.recursive(
+    st.integers(2, 60).map(lambda n: f"S{n}"),
+    lambda inner: st.one_of(
+        st.tuples(inner, OPERATORS, inner, st.booleans()).map(_binary),
+        inner.map(_squared),
         inner.map(lambda x: f"Susp({x})"),
     ),
     max_leaves=6,
@@ -111,10 +126,13 @@ def argvs(draw):
         ["parse", "homology", "loop-series", "rho", "log-index", "retraction",
          "cofiber", "connsum", "yclass", "free-loop"]
     ))
-    if command in ("parse", "rho"):
+    if command == "parse":
         return [command, draw(expressions)]
+    if command == "rho":
+        return [command, draw(st.one_of(expressions, wide_trees))]
     if command in ("homology", "loop-series", "log-index"):
-        argv = [command, draw(expressions), "--max-degree", str(draw(st.integers(-1, 201)))]
+        expr = draw(expressions if command == "homology" else st.one_of(expressions, wide_trees))
+        argv = [command, expr, "--max-degree", str(draw(st.integers(-1, 201)))]
         if command == "log-index":
             argv += ["--k-min", str(draw(st.integers(-1, 50)))]
         return argv

@@ -11,7 +11,8 @@ of Z, one free-loop growth check per branch of its verdict, and the Witt
 counts and per-degree rates of free-loop, hm-census, torsion and log-index
 at larger truncations, a report whose table has no rows, a connected sum
 whose radii are refined for many rounds before they separate, the poles of
-spheres near the dimension limit in mixed shapes, and denominators with
+spheres near the dimension limit in mixed shapes and of denominators with
+repeated factors of degree up to 962, and denominators with
 binomial factors times a cofactor, built on the expression tree and not. A
 case whose argv holds "{file}" runs with the presentation file written to a
 temporary directory; the path is never echoed.
@@ -54,6 +55,19 @@ BIG_SPHERES = {
     "rho-big-sphere-wedge-product": ["rho", "S1000 v (S999 x S998 x S997)"],
     "rho-wedge-of-big-products": ["rho", "(S1000 x S999 x S998) v (S997 x S996 x S995)"],
     "rho-product-of-big-wedges": ["rho", "(S1000 v S999) x (S998 v S997)"],
+    # denominators with repeated factors, of degree 962 and 628, whose
+    # squarefree part and Cauchy bound the guarded pole search never takes,
+    # and a cofiber of degree 3,990
+    "rho-repeated-factor-blow-up": [
+        "rho", "((S189 v S7) x ((S284 ^ Susp(S231)) x (S257 x (S3 v S4))))",
+    ],
+    "log-index-repeated-factor-blow-up": [
+        "log-index",
+        "((S7 v ((S222 v S7) ^ (S4 x S267))) x ((Susp(S2) ^ (S5 ^ S2)) ^ ((S115 x S7) x (S5 v S3))))",
+    ],
+    "cofiber-degree-3990": [
+        "cofiber", "--A", "S500 v S400", "--Z", "S1000 x S999 x S998 x S997", "--inert", "x",
+    ],
 }
 
 
@@ -220,35 +234,33 @@ def test_reports_leave_no_reference_cycles(tmp_path):
 
 
 class TestBigSpheres:
-    """Spheres near the dimension limit in mixed shapes: poles that no
-    binomial split certifies, on denominators of degree up to 3,990."""
+    """Spheres near the dimension limit in mixed shapes, and products of
+    wedges with repeated factors: poles that no binomial split certifies,
+    on denominators of degree up to 3,990."""
 
     @pytest.mark.parametrize("name", list(BIG_SPHERES))
     def test_a_frozen_case_answers_within_a_second(self, monkeypatch, tmp_path, name):
+        # the guards are the whole certificate: no Descartes search and no
+        # squarefree step, which the blow-ups once spent their time in
         case = GOLDEN[name]
         shifts = oracles.count_calls(monkeypatch, polynomial, "taylor_shift")
+        parts = oracles.count_calls(monkeypatch, polynomial, "squarefree_part")
+        tests = oracles.count_calls(monkeypatch, series, "_squarefree_mod_p")
         seconds = []
         for _ in range(3):
             start = time.perf_counter()
             assert run_case(case["argv"], tmp_path) == (case["exit"], case["stdout"])
             seconds.append(time.perf_counter() - start)
         assert sorted(seconds)[1] < 1
-        assert shifts == []
+        assert shifts == parts == tests == []
 
-    def test_a_cofiber_of_degree_3990_answers_within_a_second(self, tmp_path):
-        argv = ["cofiber", "--A", "S500 v S400", "--Z", "S1000 x S999 x S998 x S997"]
-        argv += ["--inert", "x"]
-        seconds = []
-        for _ in range(3):
-            start = time.perf_counter()
-            code, stdout = run_case(argv, tmp_path)
-            seconds.append(time.perf_counter() - start)
-        assert code == 0 and sorted(seconds)[1] < 1
-        assert json.loads(stdout)["result"]["verdict"] == "certified-strongly-inert"
-        # certificate_holds would recount roots by Taylor shifts of a degree-3,990
-        # polynomial; the shape of the series certifies the interval instead.
-        # D_Z = prod (1 - z^a) is positive and falling on (0, 1) and redA = z^400 + z^500
-        # rises, so D_Y = D_Z - redA has one root there, inside (lo, hi]
+    def test_the_degree_3990_cell_is_certified_by_the_series_shape(self):
+        # certificate_holds recounts roots by Taylor shifts of a degree-3,990
+        # polynomial, which takes minutes; the shape of the series certifies
+        # the interval instead. D_Z = prod (1 - z^a) is positive and falling
+        # on (0, 1) and redA = z^400 + z^500 rises, so D_Y = D_Z - redA has
+        # one root there, inside (lo, hi]
+        argv = GOLDEN["cofiber-degree-3990"]["argv"]
         rho = strongly_inert_check(
             CofiberPresentation(parse(argv[2]), parse(argv[4]), inert_asserted=True)
         ).rho_y

@@ -440,7 +440,8 @@ def built(make):
 class TestTreeCertificate:
     """A series built as 1/D carries guards that certify its pole. The series
     equals the one `RationalGF` arithmetic builds, and the pole its guards
-    certify equals the one the Descartes path finds on the bare series."""
+    certify equals the one the Descartes path finds on the bare series, on
+    the same grid of (0, 1]."""
 
     @staticmethod
     def check(series, reference):
@@ -448,7 +449,7 @@ class TestTreeCertificate:
         assert (series.num, series.den) == (reference.num, reference.den)
         assert series._guards is not None and reference._guards is None
         rho = smallest_positive_pole(series)
-        assert rho == smallest_positive_pole(reference)
+        assert (rho.lo, rho.hi) == oracles.unit_grid_pole(reference)
         assert rho.certificate_holds()
         z = sympy.Symbol("z")
         den = sympy.Poly(series.den.coeffs[::-1], z)
@@ -485,13 +486,15 @@ class TestTreeCertificate:
         [
             # D = (1 - z^2)(1 - z - z^2): the rational root 1 lies above the pole
             ("S3 x (S2 v S3)", Fraction(1), False),
-            # D = (1 - 2z)^25: its coefficients pass the root scan's bound only
-            # on the squarefree part, where the rational root 1/2 is the pole
+            # D = (1 - 2z)^25: its coefficients are past the root scan's bound,
+            # and the bisection of the pole guard 1 - 2z on (0, 1] meets the
+            # rational root 1/2, where the other guards certify it
             (" x ".join(["(S2 v S2)"] * 25), Fraction(1, 2), True),
         ],
     )
     def test_the_guards_are_read_at_a_rational_root_once(self, monkeypatch, expr, r, exact):
         gf = loop_gf(parse(expr))
+        guards = list(gf._guards[0] + gf._guards[1])
         signs = []
         sign_at = IntPolynomial.sign_at
 
@@ -501,9 +504,34 @@ class TestTreeCertificate:
 
         monkeypatch.setattr(IntPolynomial, "sign_at", counted)
         rho = smallest_positive_pole(gf)
-        assert [p for p, x in signs if x == r] == list(gf._guards[0] + gf._guards[1])
+        read = [p for p, x in signs if x == r]
+        if exact:
+            # the bisection meets the pole guard's root 1/2 as a grid point, and the
+            # other guards, which do not vanish there, are read at it once
+            assert read == [g for g in guards if sign_at(g, r)]
+        else:
+            assert read == guards  # "no root in (0, r)" for the scan's root r
         assert rho.is_exact == exact and rho.certificate_holds()
         assert rho == smallest_positive_pole(RationalGF(gf.num, gf.den))
+
+    def test_a_rational_pole_past_the_scan_bound_is_pinned_on_its_guard(self, monkeypatch):
+        # D = (1 - 3z)^15: f's coefficients are past the root scan's bound
+        # and 1/3 is no grid point, so the scan of the pole guard 1 - 3z pins it
+        gf = loop_gf(parse(" x ".join(["(S2 v S2 v S2)"] * 15)))
+        parts = oracles.count_calls(monkeypatch, polynomial, "squarefree_part")
+        rho = smallest_positive_pole(gf)
+        assert (rho.lo, rho.hi, rho.method) == (Fraction(1, 3), Fraction(1, 3), "rational root")
+        assert parts == [] and rho.certificate_holds()
+
+    def test_a_pole_at_the_grid_end_is_pinned_by_its_guard(self, monkeypatch):
+        # D = (1 - z^2)^30 with the rational-root scans patched out: the pole
+        # guard 1 - z^2 vanishes at 1, the end of (0, 1] that no bisection
+        # step evaluates, so its sign there pins the pole
+        gf = loop_gf(parse(" x ".join(["Susp(S2)"] * 30)))
+        monkeypatch.setattr(series, "_smallest_positive_rational_root", lambda f: None)
+        rho = smallest_positive_pole(gf)
+        assert (rho.lo, rho.hi, rho.method) == (1, 1, "guard signs")
+        assert rho.certificate_holds()
 
     def test_a_rational_pole_is_found_before_the_squarefree_part(self, monkeypatch):
         # the degree-963 denominator is not squarefree, and its squarefree

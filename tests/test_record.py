@@ -66,6 +66,12 @@ class TestComparedAndCarriedFields:
             "Radius(lo=Fraction(1, 2), hi=Fraction(1, 2), polynomial=False)"
         )
 
+    def test_radius_carries_its_method(self):
+        half = Fraction(1, 2)
+        found = Radius(half, half, False, None, True, "rational root")
+        other = Radius(half, half, False, None, True, "guard signs")
+        assert found == other and hash(found) == hash(other) and repr(found) == repr(other)
+
     def test_the_census_carries_its_factors(self):
         census = hilton_milnor_census(2, 2, 6)
         assert census == HiltonMilnorCensus(census.generators, {}, census.trunc_degree)
@@ -107,6 +113,13 @@ def test_a_copied_radius_keeps_its_polynomial_and_still_refines(clone):
     narrow = twin.refined(tol)
     assert narrow.width() <= tol < rho.width()
     assert narrow.certificate_holds()
+
+
+def test_a_refined_or_copied_radius_keeps_its_method():
+    rho = irrational_radius()
+    assert rho.method == "Descartes counts"  # a bare series
+    for twin in (copy.deepcopy(rho), pickle.loads(pickle.dumps(rho)), rho.refined(Fraction(1, 10**30))):
+        assert twin.method == rho.method
 
 
 def test_a_copied_record_keeps_every_slot():

@@ -612,10 +612,13 @@ class TestBisectionWork:
         gf = loop_gf(parse("(S2 v S3) x (S2 v S3)"))
         calls = self.count_chain_work(monkeypatch)
         rho = smallest_positive_pole(gf)
+        # the guards isolate the pole; the certificate is reduced on its first read
+        assert calls.count("squarefree_part") == 0
+        assert not rho.is_exact and rho.certificate_holds()
         assert calls.count("squarefree_part") == 1
         assert calls.count("sturm_chain") == calls.count("sign_variations") == 0
-        assert not rho.is_exact and rho.certificate_holds()
         assert rho._sqfree.coeffs == (-1, 1, 1)  # the squarefree part of (1 - z - z^2)^2
+        assert calls.count("squarefree_part") == 1
 
     def test_refined_builds_and_evaluates_no_chain(self, monkeypatch):
         rho = smallest_positive_pole(loop_gf(parse(SUSP_EXPR)))
