@@ -83,7 +83,7 @@ def _gf_json(gf) -> dict:
 def _series_table(coeffs) -> dict:
     return {
         "columns": ["degree", "coefficient"],
-        "rows": list(map(list, zip(range(len(coeffs)), map(str, coeffs)))),
+        "rows": list(zip(range(len(coeffs)), map(str, coeffs))),
     }
 
 

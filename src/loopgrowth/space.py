@@ -10,7 +10,9 @@ The expression language is
 
 with sphere dimension >= 2, precedence ^ over x over v, all operators left
 associative, whitespace ignored. One table, `_OPERATORS`, drives `parse` and
-`to_text`. The parser keeps explicit stacks, so brackets nest to any depth;
+`to_text`. `parse` lexes the text in one regex scan and keeps no offsets; an
+error scans the text again for the offset it reports. The parser keeps
+explicit stacks, so brackets nest to any depth;
 a tree deeper than MAX_DEPTH levels is a ValueError, which keeps every
 recursive tree walk (homology, profile, printing, loop series) inside the
 default stack. So is a sphere past MAX_SPHERE_DIMENSION, which bounds the
@@ -27,6 +29,7 @@ functions import `polynomial` when they are called.
 from __future__ import annotations
 
 import re
+import sys
 
 from . import _Record, _set
 
@@ -101,56 +104,75 @@ MAX_DEPTH = 256  # deepest tree parse builds; every tree walk here recurses once
 # symbol -> (precedence, node); all three operators are left associative
 _OPERATORS = {"v": (1, Wedge), "x": (2, Product), "^": (3, Smash)}
 
-_TOKEN_RE = re.compile(r"Susp|S(\d+)|[vx^()]")
+# One scan cuts a text into lexemes and skips the whitespace between them. A
+# `\S` match is one character, and one that is not an operator or a bracket
+# is unexpected. A sphere lexeme is "S" and its index; "" marks the end.
+# _VALID matches a text up to its first unexpected character; `re` compiles
+# it on the first error, so a fresh process that parses compiles one pattern.
+_LEXEME = re.compile(r"Susp|S\d+|[vx^()]|\S")
+_VALID = r"(?:\s*(?:Susp|S\d+|[vx^()]))*\s*"
 _ATOM_EXPECTED = ("S<int>", "Susp", "(")
+# the most digits int() converts, 0 for no limit (none before Python 3.10.7)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        lexeme, digits = m.group(0, 1)
-        if digits is not None:
-            try:
-                index = int(digits)
-            except ValueError:  # past the interpreter's integer digit limit
-                raise ParseError("sphere index has too many digits", pos) from None
-            tokens.append(("SPHERE", index, pos))
-        else:
-            tokens.append(("SUSP" if lexeme == "Susp" else lexeme, None, pos))
-        pos = m.end()
-    tokens.append(("END", None, n))
-    return tokens
+def _offset(text: str, i: int) -> int:
+    """The offset of lexeme i of the text, or the text's length for the end."""
+    offsets = list(map(re.Match.start, _LEXEME.finditer(text)))
+    return offsets[i] if i < len(offsets) else len(text)
+
+
+def _lexical_error(text: str):
+    """The ParseError of the text's first invalid lexeme, or None if all are valid.
+
+    A lexeme is invalid when it is an unexpected character, or a sphere
+    index with more digits than int() converts. Every "S" of a text starts
+    a lexeme, so the first such index is the first "S" followed by more
+    digits than the limit.
+    """
+    bad = re.match(_VALID, text).end()
+    limit = _max_str_digits()
+    too_long = limit and re.compile(rf"S\d{{{limit + 1}}}").search(text, 0, bad)
+    if too_long:
+        return ParseError("sphere index has too many digits", too_long.start())
+    if bad < len(text):
+        return ParseError(f"unexpected character {text[bad]!r}", bad)
+    return None
 
 
 def parse(text: str) -> SpaceExpr:
     """Parse an expression; raises ParseError with offset and expected tokens.
 
-    Operator precedence parsing (Floyd 1963) in one loop: an operand is open
+    One regex scan cuts the text into lexemes, and operator precedence
+    parsing (Floyd 1963) reads them in one loop: an operand is open
     brackets, a sphere, then closing brackets; an operator first reduces the
-    pending operators that bind at least as tightly.
+    pending operators that bind at least as tightly. The loop meets every
+    lexeme before it returns and raises at any invalid one. Only then is the
+    text checked for its first invalid lexeme in text order, which is raised
+    before any grammar or depth error, and no offset is kept: an error scans
+    the text again for its offset.
 
     >>> parse("S2 v S3 x S4")
     Wedge(left=Sphere(n=2), right=Product(left=Sphere(n=3), right=Sphere(n=4)))
     """
-    tokens = _tokenize(text)
+    try:
+        return _parse(_LEXEME.findall(text), text)
+    except ValueError as error:
+        raise _lexical_error(text) or error from None
+
+
+def _parse(lexemes: list, text: str) -> SpaceExpr:
+    """The tree of the text's lexemes; a ValueError at the first error in parse order."""
+    lexemes.append("")
     operands = []  # (tree, depth) pairs; a sphere has depth 0
-    pending = []  # operator symbols, "(" and "SUSP" (an open "Susp(")
+    pending = []  # operator symbols, "(" and "Susp" (an open "Susp(")
     opened = 0
     i = 0
 
     def fail(expected):
-        kind, _, offset = tokens[i]
-        what = "end of input" if kind == "END" else f"{text[offset]!r}"
+        what = f"{lexemes[i][0]!r}" if lexemes[i] else "end of input"
         message = f"unexpected {what}; expected one of {', '.join(expected)}"
-        raise ParseError(message, offset, expected)
+        raise ParseError(message, _offset(text, i), expected)
 
     def push(node, depth):
         if depth > MAX_DEPTH:
@@ -162,42 +184,43 @@ def parse(text: str) -> SpaceExpr:
         push(_OPERATORS[pending.pop()][1](left, right), max(dl, dr) + 1)
 
     while True:
-        kind, value, offset = tokens[i]
-        while kind in ("(", "SUSP"):
-            if kind == "SUSP":
+        lexeme = lexemes[i]
+        while lexeme in ("(", "Susp"):
+            if lexeme == "Susp":
                 i += 1
-                if tokens[i][0] != "(":
+                if lexemes[i] != "(":
                     fail(("(",))
-            pending.append(kind)
+            pending.append(lexeme)
             opened += 1
             i += 1
-            kind, value, offset = tokens[i]
-        if kind != "SPHERE":
+            lexeme = lexemes[i]
+        if lexeme[:1] != "S":
             fail(_ATOM_EXPECTED)
-        if value < 2:
-            raise ParseError("spheres must be simply connected (n >= 2)", offset)
-        push(Sphere(value), 0)
+        index = int(lexeme[1:])  # a lone "S" raises, and parse reports it as unexpected
+        if index < 2:
+            raise ParseError("spheres must be simply connected (n >= 2)", _offset(text, i))
+        push(Sphere(index), 0)
         i += 1
-        kind = tokens[i][0]
-        while kind == ")" and opened:
+        lexeme = lexemes[i]
+        while lexeme == ")" and opened:
             while pending[-1] in _OPERATORS:
                 reduce()
-            if pending.pop() == "SUSP":
+            if pending.pop() == "Susp":
                 inner, depth = operands.pop()
                 push(Susp(inner), depth + 1)
             opened -= 1
             i += 1
-            kind = tokens[i][0]
-        if kind in _OPERATORS:
-            prec = _OPERATORS[kind][0]
+            lexeme = lexemes[i]
+        if lexeme in _OPERATORS:
+            prec = _OPERATORS[lexeme][0]
             while pending and pending[-1] in _OPERATORS and _OPERATORS[pending[-1]][0] >= prec:
                 reduce()
-            pending.append(kind)
+            pending.append(lexeme)
             i += 1
             continue
         if opened:
             fail((")",))
-        if kind != "END":
+        if lexeme:
             fail((*_OPERATORS, "end of input"))
         while pending:
             reduce()

@@ -11,14 +11,20 @@ denominator rules: `loop_gf` and `inert_cofiber_loop_gf` combine normalized
 `RationalGF`s by `*`, `+`, `-` and `reciprocal`, each step reduced by a
 gcd. `count_calls` counts the calls of a package function wherever a
 module binds it. `unit_grid_pole` finds a pole by the bare Descartes
-search on the grid that a guarded series walks.
+search on the grid that a guarded series walks. `parse` is the expression
+parser as it was before the one-scan lexer: a loop over the text that
+skips whitespace one character at a time and matches one token at a time,
+keeping each token's offset.
 """
 
 import importlib
 import pkgutil
+import re
 
 from fractions import Fraction
 from math import gcd, log
+
+from loopgrowth.space import MAX_DEPTH, ParseError, Product, Smash, Sphere, Susp, Wedge
 
 
 def tadd(a, b, n):
@@ -490,3 +496,102 @@ def inert_cofiber_loop_gf(c):
 
     oz = loop_gf(c.Z)
     return oz * (RationalGF.constant(1) - reduced_gf(c.A) * oz).reciprocal()
+
+
+# -- the expression parser, token by token ----------------------------------------
+
+_OPERATORS = {"v": (1, Wedge), "x": (2, Product), "^": (3, Smash)}
+
+_TOKEN_RE = re.compile(r"Susp|S(\d+)|[vx^()]")
+_ATOM_EXPECTED = ("S<int>", "Susp", "(")
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        lexeme, digits = m.group(0, 1)
+        if digits is not None:
+            try:
+                index = int(digits)
+            except ValueError:  # past the interpreter's integer digit limit
+                raise ParseError("sphere index has too many digits", pos) from None
+            tokens.append(("SPHERE", index, pos))
+        else:
+            tokens.append(("SUSP" if lexeme == "Susp" else lexeme, None, pos))
+        pos = m.end()
+    tokens.append(("END", None, n))
+    return tokens
+
+
+def parse(text: str):
+    """The tree of an expression, or its ParseError or depth ValueError, token by token."""
+    tokens = _tokenize(text)
+    operands = []  # (tree, depth) pairs; a sphere has depth 0
+    pending = []  # operator symbols, "(" and "SUSP" (an open "Susp(")
+    opened = 0
+    i = 0
+
+    def fail(expected):
+        kind, _, offset = tokens[i]
+        what = "end of input" if kind == "END" else f"{text[offset]!r}"
+        message = f"unexpected {what}; expected one of {', '.join(expected)}"
+        raise ParseError(message, offset, expected)
+
+    def push(node, depth):
+        if depth > MAX_DEPTH:
+            raise ValueError(f"expression tree deeper than the {MAX_DEPTH} level limit")
+        operands.append((node, depth))
+
+    def reduce():
+        (right, dr), (left, dl) = operands.pop(), operands.pop()
+        push(_OPERATORS[pending.pop()][1](left, right), max(dl, dr) + 1)
+
+    while True:
+        kind, value, offset = tokens[i]
+        while kind in ("(", "SUSP"):
+            if kind == "SUSP":
+                i += 1
+                if tokens[i][0] != "(":
+                    fail(("(",))
+            pending.append(kind)
+            opened += 1
+            i += 1
+            kind, value, offset = tokens[i]
+        if kind != "SPHERE":
+            fail(_ATOM_EXPECTED)
+        if value < 2:
+            raise ParseError("spheres must be simply connected (n >= 2)", offset)
+        push(Sphere(value), 0)
+        i += 1
+        kind = tokens[i][0]
+        while kind == ")" and opened:
+            while pending[-1] in _OPERATORS:
+                reduce()
+            if pending.pop() == "SUSP":
+                inner, depth = operands.pop()
+                push(Susp(inner), depth + 1)
+            opened -= 1
+            i += 1
+            kind = tokens[i][0]
+        if kind in _OPERATORS:
+            prec = _OPERATORS[kind][0]
+            while pending and pending[-1] in _OPERATORS and _OPERATORS[pending[-1]][0] >= prec:
+                reduce()
+            pending.append(kind)
+            i += 1
+            continue
+        if opened:
+            fail((")",))
+        if kind != "END":
+            fail((*_OPERATORS, "end of input"))
+        while pending:
+            reduce()
+        return operands[0][0]

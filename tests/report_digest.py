@@ -5,7 +5,9 @@ Prints one line `sha256 exit argv` per distinct argv: every request that
 `golden_cli.json`, then a seeded random family of `rho`, `loop-series`,
 `log-index`, `cofiber`, `connsum` and `yclass` argvs over expressions of depth
 at most 3 and spheres up to S60, with repeated factors and wedges of
-products. The sha256 is over stdout. Two checkouts print the
+products, and last a `parse` and a `rho` argv for every text of
+`test_space.FROZEN_ERRORS`, so each parse error's offset, message and
+expected tokens sit in its report. The sha256 is over stdout. Two checkouts print the
 same reports byte for byte, with the same exit codes, exactly when their
 digests are equal, so checking that is one diff:
 
@@ -32,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "loopbench")]
 
 import workloads  # noqa: E402
 from test_golden import cases, run_case  # noqa: E402
+from test_space import FROZEN_ERRORS  # noqa: E402
 
 SEEDS = (1, 2, 3)
 RANDOM_SEED = 11
@@ -82,7 +85,8 @@ def random_argvs() -> list:
 
 
 def argvs() -> list:
-    """Distinct argvs in first-seen order: the workloads, the golden cases, the random family."""
+    """Distinct argvs in first-seen order: the workloads, the golden cases, the random family,
+    the frozen parse errors."""
     seen = {}
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -92,6 +96,9 @@ def argvs() -> list:
         seen.setdefault(json.dumps(argv), argv)
     for argv in random_argvs():
         seen.setdefault(json.dumps(argv), argv)
+    for text, *_ in FROZEN_ERRORS:
+        for command in ("parse", "rho"):
+            seen.setdefault(json.dumps([command, text]), [command, text])
     return list(seen.values())
 
 

@@ -11,6 +11,10 @@ The expression and presentation commands get expressions from four sources:
 - a random tree joined to one sphere past the sphere dimension limit, with up
   to 4,000 digits.
 
+`parse` and `rho` also get long texts: a random tree in up to 5,000
+brackets, balanced or one short or one over, and wedge or product chains
+of 200 to 1,500 spheres with a stray character at a drawn position.
+
 `free-loop` gets a few small generator degrees, sometimes with one past the
 limit (a generator of degree d is the sphere S^(d+1)).
 
@@ -114,6 +118,23 @@ nests = st.one_of(
     ).map(_chain),
 )
 
+
+def _stray(parts):
+    op, length, sphere, stray, where = parts
+    text = f" {op} ".join([sphere] * length)
+    at = where % (len(text) + 1)
+    return text[:at] + stray + text[at:]
+
+
+long_texts = st.one_of(
+    st.tuples(st.integers(0, 5000), trees, st.sampled_from([0, 1, -1])).map(_brackets),
+    st.tuples(
+        st.sampled_from(["v", "x"]), st.integers(200, 1500), SPHERES,
+        st.sampled_from(["%", "S", "Su", "\x00", "(", ")", "v", "9" * 4301, ""]),
+        st.integers(0, 10**6),
+    ).map(_stray),
+)
+
 PAST_LIMIT = st.integers(MAX_SPHERE_DIMENSION + 1, 10**4000)
 past_limit = st.tuples(trees, OPERATORS, PAST_LIMIT).map(lambda t: f"{t[0]} {t[1]} S{t[2]}")
 
@@ -127,9 +148,9 @@ def argvs(draw):
          "cofiber", "connsum", "yclass", "free-loop"]
     ))
     if command == "parse":
-        return [command, draw(expressions)]
+        return [command, draw(st.one_of(expressions, long_texts))]
     if command == "rho":
-        return [command, draw(st.one_of(expressions, wide_trees))]
+        return [command, draw(st.one_of(expressions, wide_trees, long_texts))]
     if command in ("homology", "loop-series", "log-index"):
         expr = draw(expressions if command == "homology" else st.one_of(expressions, wide_trees))
         argv = [command, expr, "--max-degree", str(draw(st.integers(-1, 201)))]

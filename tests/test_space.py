@@ -1,9 +1,12 @@
 """Space expressions: grammar, homology series, profiles, wedge decompositions."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from loopgrowth.polynomial import ONE, IntPolynomial
 from loopgrowth.space import (
     MAX_DEPTH,
@@ -30,6 +33,9 @@ from loopgrowth.space import (
 class TestParse:
     def test_sphere(self):
         assert parse("S3") == Sphere(3)
+        # any Unicode decimal digits, as int() reads them
+        assert parse("S\u0663 v S2") == parse("S\uff13 v S2") == Wedge(Sphere(3), Sphere(2))
+        assert parse("S1\u0662") == Sphere(12)
 
     def test_wedge(self):
         assert parse("S2 v S2") == Wedge(Sphere(2), Sphere(2))
@@ -51,6 +57,8 @@ class TestParse:
 
     def test_whitespace_insensitive(self):
         assert parse(" S2\tv\nS3 ") == parse("S2vS3") == Wedge(Sphere(2), Sphere(3))
+        for space in ("\u2003", "\x85", "\u3000", "\x1c"):
+            assert parse(f"S2{space}v S3") == Wedge(Sphere(2), Sphere(3))
 
     def test_sphere_must_be_simply_connected(self):
         with pytest.raises(ParseError, match="simply connected") as err:
@@ -112,7 +120,8 @@ class TestParse:
 
 
 # every error input of this file and of the benchmark's invalid requests, with
-# (message, offset, expected) as the recursive-descent parser reported them
+# (message, offset, expected) as the recursive-descent parser reported them;
+# from "S2 v v S3 %" on, as the token-by-token parser (`oracles.parse`) did
 FROZEN_ERRORS = [
     ("S2 v", "unexpected end of input; expected one of S<int>, Susp, ( at offset 4", 4,
      ("S<int>", "Susp", "(")),
@@ -136,6 +145,18 @@ FROZEN_ERRORS = [
     ("S2 S3", "unexpected 'S'; expected one of v, x, ^, end of input at offset 3", 3,
      ("v", "x", "^", "end of input")),
     ("S2 & S3", "unexpected character '&' at offset 3", 3, ()),
+    # a lexical error anywhere comes before any grammar or depth error
+    ("S2 v v S3 %", "unexpected character '%' at offset 10", 10, ()),
+    (" v ".join(["S2"] * 300) + " %", "unexpected character '%' at offset 1498", 1498, ()),
+    ("S" + "9" * 5000 + " v %", "sphere index has too many digits at offset 0", 0, ()),
+    ("% v S" + "9" * 5000, "unexpected character '%' at offset 0", 0, ()),
+    ("S2 v v S" + "9" * 5000, "sphere index has too many digits at offset 7", 7, ()),
+    ("S2 v S", "unexpected character 'S' at offset 5", 5, ()),
+    ("S2 v Su", "unexpected character 'S' at offset 5", 5, ()),
+    ("S2 v 2", "unexpected character '2' at offset 5", 5, ()),
+    ("S2 \x00", "unexpected character '\\x00' at offset 3", 3, ()),
+    ("S2 v (", "unexpected end of input; expected one of S<int>, Susp, ( at offset 6", 6,
+     ("S<int>", "Susp", "(")),
 ]
 
 
@@ -146,6 +167,45 @@ class TestParseErrorsFrozen:
             parse(text)
         assert (str(err.value), err.value.offset, err.value.expected) == (
             message, offset, expected)
+
+
+def _outcome(parser, text):
+    """The tree, or the class, message, offset and expected tokens of the error."""
+    try:
+        return parser(text)
+    except ParseError as e:
+        return ParseError, str(e), e.offset, e.expected
+    except ValueError as e:
+        return type(e), str(e)
+
+
+PAST_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
+PIECES = ["S2", "S3", "S12", "S0", "S1", "S02", "S1001", "Susp", "Susp(", "(", ")", "v", "x",
+          "^", " ", "\t", "%", "\x00", "S", "Su", "Sus", "2", "\u0663", "S\uff13",
+          "\uff13", "\x85", "\u3000", "S" + PAST_DIGITS, PAST_DIGITS]
+
+
+def _nest(parts):
+    opening, depth, inner, missing = parts
+    return opening * depth + inner + ")" * max(depth - missing, 0)
+
+
+lexeme_soup = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
+deep = st.tuples(
+    st.sampled_from(["(", "Susp("]), st.integers(MAX_DEPTH - 2, MAX_DEPTH + 3), lexeme_soup,
+    st.sampled_from([0, 0, 1, -1]),
+).map(_nest)
+chains = st.tuples(
+    st.sampled_from([" v ", "x", " ^ "]), st.integers(MAX_DEPTH - 1, MAX_DEPTH + 3)
+).map(lambda t: t[0].join(["S2"] * t[1]))
+parser_inputs = st.lists(st.one_of(lexeme_soup, deep, chains), min_size=1, max_size=3).map("".join)
+
+
+class TestParserOracle:
+    @given(parser_inputs)
+    @settings(max_examples=300, deadline=None)
+    def test_same_tree_or_same_error_as_token_by_token(self, text):
+        assert _outcome(parse, text) == _outcome(oracles.parse, text)
 
 
 class TestDepth:
