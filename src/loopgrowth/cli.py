@@ -50,12 +50,16 @@ KIND_USAGE = "usage-error"
 # -- serialization helpers -----------------------------------------------------
 
 
-def _decimal_str(q) -> str:
-    from decimal import Decimal, localcontext
+@cache
+def _decimal_context():
+    """The context of DECIMAL_DIGITS digits, built on first use, so `decimal` loads only then."""
+    from decimal import Context
 
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
+    return Context(prec=DECIMAL_DIGITS)
+
+
+def _decimal_str(q) -> str:
+    return str(_decimal_context().divide(q.numerator, q.denominator))
 
 
 def _rational(q) -> dict:
@@ -893,7 +897,26 @@ def run(argv, out) -> int:
 
 
 def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else argv, sys.stdout)
+    """`run` on the process's argv and stdout; a stdout that cannot be written exits 1.
+
+    A closed pipe means the reader has left, so it is quiet; any other
+    write error is one line on stderr. Either way stdout is then pointed at
+    os.devnull, so the flush at exit writes nothing and raises nothing. A
+    process started with no stdout at all exits 1 quietly too.
+    """
+    if sys.stdout is None:
+        return 1
+    try:
+        code = run(sys.argv[1:] if argv is None else argv, sys.stdout)
+        sys.stdout.flush()
+    except OSError as e:
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(e, BrokenPipeError):
+            print(f"loopgrowth: cannot write the report: {e}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

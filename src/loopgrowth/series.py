@@ -60,7 +60,8 @@ Only `Radius.certificate_holds` counts roots again, from scratch.
 
 All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
 the series expansion (a stride sum for each binomial factor, a recurrence
-for the rest of the denominator) run in integer arithmetic. Floats enter
+for the rest of the denominator, with no division when its constant term
+is 1, as for every loop series) run in integer arithmetic. Floats enter
 only the Newton estimate and the choice of the guard to bisect, which no
 certificate trusts. A series
 coefficient is an int whenever it is integral, as every dimension series
@@ -71,6 +72,7 @@ non-integral coefficients of a denominator whose constant term is not 1.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from math import gcd as int_gcd
 from operator import mul
@@ -235,12 +237,14 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     carried split; a series with none is its whole denominator with no
     binomials. With the cofactor 1, as for every loop series of a product
     of spheres, the series starts as the numerator, zero-padded. Otherwise
-    a linear recurrence divides the numerator by the cofactor, on the
-    integers e_k = d0^(k+1) c_k, where d0 is the cofactor's constant term:
-    e_k = d0^k n_k - sum_{j>=1} d_j d0^(j-1) e_(k-j).
-    c_k is the int e_k / d0^(k+1) when the division is exact, as it always is
-    for d0 = 1, and a Fraction only when it is not. Then each 1 - z^a with
-    a <= trunc_degree divides the series by one stride-a running sum.
+    a linear recurrence divides the numerator by the cofactor d_0 + d_1 z
+    + ..., reading the last deg(cofactor) coefficients from a sliding
+    window: c_k = n_k - sum_{j>=1} d_j c_(k-j) when d_0 = 1, as for every
+    loop series, so each c_k is an int with no division. A cofactor with
+    another constant term runs the same recurrence on n_k / d_0 and
+    d_j / d_0 as Fractions, and a coefficient that comes out integral is
+    made an int. Each 1 - z^a with a <= trunc_degree divides the series by
+    one stride-a running sum.
 
     The series keeps its longest expansion: a request for no more terms
     than it holds is a prefix of it, and a longer one replaces it.
@@ -259,25 +263,26 @@ def expand(gf: RationalGF, trunc_degree: int) -> TruncatedSeries:
     den = cofactor.coeffs
     num = list(gf.num.coeffs[:trunc_degree + 1])
     num += [0] * (trunc_degree + 1 - len(num))
-    if den == (1,):
+    d0, tail = den[0], den[1:]
+    if d0 != 1:
+        num = [Fraction(n, d0) for n in num]
+        tail = [Fraction(d, d0) for d in tail]
+    if not tail:
         out = num
     else:
-        d0 = den[0]
-        # weights d_j d0^(j-1) for j = 1, 2, .. against e_(k-1), e_(k-2), ..
-        # read backwards; map stops at the shorter, so no window is padded
-        weights = [d * d0**j for j, d in enumerate(den[1:])]
-        e = []
+        # d_1, d_2, .. against c_(k-1), c_(k-2), ..: the window holds the
+        # newest coefficient first, and map stops at the shorter of the two
         out = []
-        d0k = 1
+        window = deque(maxlen=len(tail))
         for nk in num:
-            ek = d0k * nk - sum(map(mul, weights, reversed(e)))
-            e.append(ek)
-            d0k *= d0
-            c, r = divmod(ek, d0k)
-            out.append(Fraction(ek, d0k) if r else c)
+            ck = nk - sum(map(mul, tail, window))
+            window.appendleft(ck)
+            out.append(ck)
     for a in exponents:
         if a <= trunc_degree:
             stride_sums(out, a)
+    if d0 != 1:
+        out = [c.numerator if c.denominator == 1 else c for c in out]
     kept = TruncatedSeries(tuple(out))
     _set(gf, "_expansion", kept)
     return kept
@@ -851,10 +856,12 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
 
     A guarded series takes its cell from the guards (`_tree_pole`) on
     (0, 1]. When f had no rational root to scan, the pole guard P is
-    scanned: P has rho as its one root in (0, hi], so a rational root of P
-    at most hi is rho. The guards are the whole certificate, so this path
-    takes no squarefree step; the Radius reduces f on first read. A bare
-    series, or a cell the guards do not isolate, takes the Descartes path:
+    scanned, unless P is f up to sign, as the last guard of a wedge's or a
+    split series is, since f's scan has answered: P has rho as its one
+    root in (0, hi], so a rational root of P at most hi is rho. The guards
+    are the whole certificate, so this path takes no squarefree step; the
+    Radius reduces f on first read. A bare series, or a cell the guards do
+    not isolate, takes the Descartes path:
     f becomes its squarefree part unless one prime proves it squarefree, a
     rational root of that part, when f had none, is tested by `is_pole`,
     and `_descartes_pole` searches (0, r] or (0, Cauchy bound].
@@ -864,7 +871,7 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     (Fraction(1, 2), Fraction(1, 2), 'rational root')
     """
     # Pringsheim guard: pole = radius only for nonnegative series
-    ok = all(c >= 0 for c in gf.expand(64).coeffs)
+    ok = min(gf.expand(64).coeffs) >= 0
     den = gf.den
     if den.degree() == 0:
         return Radius(None, None, polynomial=True, pringsheim_ok=ok)
@@ -890,7 +897,8 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     found = polys and _tree_pole(polys, len(guards[0]), tol)
     if found:
         lo, hi, pole = found
-        q = None if r is not None else _smallest_positive_rational_root(pole)
+        # every guard is 1 at 0, as den is, so P is f up to sign just when P is den
+        q = None if r is not None or pole == den else _smallest_positive_rational_root(pole)
         if q is not None and q <= hi:
             return Radius(q, q, False, f, ok, "rational root")
         return Radius(lo, hi, False, f, ok, "guard signs")

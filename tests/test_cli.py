@@ -721,6 +721,24 @@ class TestEmission:
     def test_json_matches_json_dumps(self, value):
         assert cli._json(value) == json.dumps(value, indent=2)
 
+    # exponent notation, integers, 40-digit ratios, then any nonnegative ratio
+    @given(st.builds(Fraction, st.integers(0, 10**60), st.integers(1, 10**60)))
+    @example(Fraction(1, 2**60))
+    @example(Fraction(2**60))
+    @example(Fraction(0))
+    @example(Fraction(7))
+    @example(Fraction(10**45 + 1))
+    @example(Fraction(10**40 - 1, 3 * 10**39 + 7))
+    @example(Fraction(10**39 + 3, 10**40 - 17))
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_str_matches_a_local_context(self, q):
+        from decimal import Decimal, localcontext
+
+        with localcontext() as ctx:
+            ctx.prec = cli.DECIMAL_DIGITS
+            want = str(Decimal(q.numerator) / Decimal(q.denominator))
+        assert cli._decimal_str(q) == want
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -38,11 +38,12 @@ CASES += [("csv", ["primes", "--d", "7", "--s", "1", "--format", "csv"])]
 CASES += list(ERRORS.items())
 
 
-def fresh(args, tmp_path):
+def fresh(args, tmp_path, stdout=subprocess.PIPE):
     """Run `python *args` in a new interpreter with only src/ on the path."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, *args], env=env, cwd=tmp_path, capture_output=True, timeout=60
+        [sys.executable, *args], env=env, cwd=tmp_path, stdout=stdout, stderr=subprocess.PIPE,
+        timeout=60,
     )
 
 
@@ -53,6 +54,37 @@ def test_a_cold_process_prints_the_in_process_report(name, argv, tmp_path):
     proc = fresh(["-m", "loopgrowth.cli", *argv], tmp_path)
     assert proc.stderr == b""
     assert (proc.returncode, proc.stdout.decode()) == (code, out.getvalue())
+
+
+def test_a_closed_pipe_exits_1_quietly(tmp_path):
+    # the read end is closed before the child starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = fresh(["-m", "loopgrowth.cli", "parse", "S2"], tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_a_process_started_with_no_stdout_exits_1_quietly(tmp_path):
+    # with descriptor 1 closed before the interpreter starts, sys.stdout is None
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        ["/bin/sh", "-c", 'exec "$0" -m loopgrowth.cli parse S2 >&-', sys.executable],
+        env=env, cwd=tmp_path, stderr=subprocess.PIPE, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_1_with_one_line(tmp_path):
+    with open("/dev/full", "wb") as full:
+        proc = fresh(["-m", "loopgrowth.cli", "parse", "S2"], tmp_path, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines() == [
+        "loopgrowth: cannot write the report: [Errno 28] No space left on device"
+    ]
 
 
 # site is skipped (-S) so that sys.modules holds only what the probe and

@@ -3,6 +3,7 @@
 import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -123,6 +124,32 @@ class TestWorkPerSeries:
         z = sympy.Symbol("z")
         num, den = (sympy.Poly(p.coeffs[::-1], z) for p in (y.num, y.den))
         assert sympy.gcd(num, den) == 1
+
+    # each pole is irrational, so the guarded pole path meets a pole guard
+    # that is its own denominator up to sign
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cofiber", "--A", "S3", "--Z", "S2 v S3", "--inert", "assumed"],
+            ["connsum", "--A", "S3", "--M", "S2 x S2", "--N", "S2 x S2", "--inert", "assumed"],
+            ["rho", "S2 v S3 v S5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_polynomial_is_scanned_for_a_rational_root_twice(self, monkeypatch, argv):
+        scans = oracles.count_calls(monkeypatch, series, "_smallest_positive_rational_root")
+        assert cli.run(argv, io.StringIO()) == 0
+        up_to_sign = [(f if f.leading() > 0 else -f).coeffs for (f,) in scans]
+        assert scans and len(set(up_to_sign)) == len(up_to_sign)
+
+    def test_a_pass_of_the_verdict_workload_takes_33_rational_root_scans(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "loopbench"))
+        import workloads
+
+        scans = oracles.count_calls(monkeypatch, series, "_smallest_positive_rational_root")
+        for req in workloads.build("inert-verdicts", 1):
+            cli.run(req.argv, io.StringIO())
+        assert len(scans) == 33
 
 
 def random_tree(rng, depth):

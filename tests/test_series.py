@@ -176,6 +176,26 @@ class TestExpand:
         assert got == tuple(want)
         assert [type(c) is int for c in got] == [c.denominator == 1 for c in want]
 
+    @given(
+        st.lists(st.integers(-9, 9), max_size=8),
+        st.lists(st.integers(1, 9), max_size=4),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=50),
+        st.integers(0, 40),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_cofactor_with_constant_term_1_gives_ints(self, rest, exponents, num, n, split):
+        # the integer recurrence, with the binomials carried as a split or
+        # left in the denominator; the numerator may run past the truncation
+        cofactor = IntPolynomial((1, *rest))
+        den = polynomial.binomial_product(exponents, cofactor.coeffs)
+        a = RationalGF(IntPolynomial(tuple(num)), den)
+        if split and a.den == den:
+            a = RationalGF(a.num, den, (tuple(sorted(exponents)), cofactor))
+        got = expand(a, n).coeffs
+        assert got == tuple(oracles.texpand(a.num.coeffs, a.den.coeffs, n))
+        assert all(type(c) is int for c in got)
+
     def test_truncation_below_the_numerator_degree(self):
         num = (1, 2, 3, 4, 5, 6, 7, 8)
         assert expand(gf(num, [1, -1]), 3).coeffs == (1, 3, 6, 10)
