@@ -34,8 +34,8 @@ their signs at r being 0, and the pole's guard, bisected on the grid,
 gives the cell, which the others certify by their signs at its right end.
 Every loop radius is at most 1, so their grid is (0, 1], and they are the
 whole certificate: that path takes no squarefree test, no squarefree part
-and no Cauchy bound. The Radius reduces f to its squarefree part only
-when it is first refined, compared or rechecked.
+and no Cauchy bound. The Radius carries the pole's guard, and refinement
+and comparison read its signs.
 A bare series, one with no guards, and a cell the guards do not isolate
 are settled by Descartes counts (Collins-Akritas): a count of 0 or 1 on an
 interval is exact, and each cell of the bisection grid is a Taylor shift
@@ -52,11 +52,11 @@ cell's two ends certify it. Only a missed estimate walks the bisection,
 one sign per midpoint.
 
 Every later root question is answered by signs alone, because each interval
-holds one simple root and the ends of a non-exact one are not roots.
-`compare_radii` refines both intervals until they are disjoint, or finds the
-common root of the two denominators in the overlap from the signs of their
-gcd at its ends.
-Only `Radius.certificate_holds` counts roots again, from scratch.
+holds one simple root of the polynomial its Radius carries and the ends of a
+non-exact one are not roots. `compare_radii` refines both intervals until
+they are disjoint, or finds a common root in the overlap from the signs of
+the two polynomials' gcd at its ends. Only `Radius.certificate_holds`
+counts roots again, from scratch, on the squarefree part of the denominator.
 
 All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
 the series expansion (a stride sum for each binomial factor, a recurrence
@@ -324,17 +324,15 @@ class Radius(_Record):
     are eventually zero).
 
     `_den` is the denominator as the pole search found it, leading
-    coefficient positive. `_sqfree` is the polynomial the certificate is
-    about, read by `refined`, `compare_radii` and `certificate_holds`: for
-    an exact radius `_den` itself, else `_den` unless one prime fails to
-    prove it squarefree, and then its squarefree part. The first read
-    reduces `_den` and keeps the result in its place (`_reduced` marks it
-    done), so a radius that nothing refines, compares or rechecks takes
-    no squarefree step. Behind a non-exact interval it is squarefree, so
-    the root inside is simple. It is the same polynomial whether guards or
-    Descartes counts isolated the pole: guards certify that the interval
-    holds one root of it, so refinement and comparison read its signs
-    alone.
+    coefficient positive; `certificate_holds` rechecks it through `_sqfree`,
+    its squarefree part unless the radius is exact or one prime proves it
+    squarefree, reduced on each call. `_bracketed` is the polynomial whose
+    sign change the interval brackets, set with the certificate: the pole's
+    guard for "guard signs", the squarefree denominator for "Descartes
+    counts", the denominator when exact. A non-exact interval holds one
+    root of it, simple, so `refined` and `compare_radii` read its signs
+    alone, and halving by them walks the cells that halving by the
+    squarefree part of `_den` walks.
 
     `method` names how a finite pole was certified: "binomial split",
     "rational root", "guard signs" or "Descartes counts".
@@ -343,14 +341,14 @@ class Radius(_Record):
     series with nonnegative coefficients; `pringsheim_ok` goes false when a
     negative coefficient was spotted in a desk-scale expansion of the source.
 
-    Two radii are equal when lo, hi and `polynomial` are; `_den`,
-    `pringsheim_ok` and `method` are carried along, not compared.
+    Two radii are equal when lo, hi and `polynomial` are; the other fields
+    are carried along, not compared.
     """
 
-    __slots__ = ("lo", "hi", "polynomial", "_den", "pringsheim_ok", "method", "_reduced")
+    __slots__ = ("lo", "hi", "polynomial", "_den", "pringsheim_ok", "method", "_bracketed")
     __match_args__ = __slots__[:3]
     _defaults = {
-        "polynomial": False, "_den": None, "pringsheim_ok": True, "method": None, "_reduced": False,
+        "polynomial": False, "_den": None, "pringsheim_ok": True, "method": None, "_bracketed": None,
     }
 
     @property
@@ -364,12 +362,9 @@ class Radius(_Record):
     @property
     def _sqfree(self) -> IntPolynomial | None:
         f = self._den
-        if not self._reduced:
-            if f is not None and not self.is_exact and not _squarefree_mod_p(f):
-                f = squarefree_part(f)
-                _set(self, "_den", f)
-            _set(self, "_reduced", True)
-        return f
+        if f is None or self.is_exact or _squarefree_mod_p(f):
+            return f
+        return squarefree_part(f)
 
     def width(self) -> Fraction:
         if self.is_infinite:
@@ -385,12 +380,12 @@ class Radius(_Record):
         """Shrink the isolating interval to width <= tol (no-op when exact)."""
         if self.is_infinite or self.is_exact or self.width() <= tol:
             return self
-        sf = self._sqfree
-        lo, hi = _bisect(sf, tol, self.lo, self.hi)
-        return Radius(lo, hi, self.polynomial, sf, self.pringsheim_ok, self.method, True)
+        p = self._bracketed
+        lo, hi = _bisect(p, tol, self.lo, self.hi)
+        return Radius(lo, hi, self.polynomial, self._den, self.pringsheim_ok, self.method, p)
 
     def certificate_holds(self) -> bool:
-        """Recheck the defining properties from scratch (used by tests).
+        """Recheck the defining properties from scratch on `_den` (used by tests).
 
         A root count is settled by Descartes' rule when it reads 0 or 1, with
         no gcd, and by a Sturm count on the squarefree part otherwise: the
@@ -859,9 +854,9 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     scanned, unless P is f up to sign, as the last guard of a wedge's or a
     split series is, since f's scan has answered: P has rho as its one
     root in (0, hi], so a rational root of P at most hi is rho. The guards
-    are the whole certificate, so this path takes no squarefree step; the
-    Radius reduces f on first read. A bare series, or a cell the guards do
-    not isolate, takes the Descartes path:
+    are the whole certificate, so this path takes no squarefree step, and
+    the Radius carries P for refinement and comparison. A bare series, or a
+    cell the guards do not isolate, takes the Descartes path:
     f becomes its squarefree part unless one prime proves it squarefree, a
     rational root of that part, when f had none, is tested by `is_pole`,
     and `_descartes_pole` searches (0, r] or (0, Cauchy bound].
@@ -881,7 +876,7 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     # every root of 1 - z^a is a root of unity, so a product of them has the
     # one positive root 1, and the exact division is the certificate
     if (gf._split or ((), den))[1] == ONE:
-        return Radius(Fraction(1), Fraction(1), False, f, ok, "binomial split")
+        return Radius(Fraction(1), Fraction(1), False, f, ok, "binomial split", f)
     guards = gf._guards
     polys = None if guards is None else guards[0] + guards[1]
 
@@ -893,15 +888,15 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
 
     r = _smallest_positive_rational_root(f)
     if r is not None and is_pole(r):
-        return Radius(r, r, False, f, ok, "rational root")
+        return Radius(r, r, False, f, ok, "rational root", f)
     found = polys and _tree_pole(polys, len(guards[0]), tol)
     if found:
         lo, hi, pole = found
         # every guard is 1 at 0, as den is, so P is f up to sign just when P is den
         q = None if r is not None or pole == den else _smallest_positive_rational_root(pole)
         if q is not None and q <= hi:
-            return Radius(q, q, False, f, ok, "rational root")
-        return Radius(lo, hi, False, f, ok, "guard signs")
+            return Radius(q, q, False, f, ok, "rational root", f)
+        return Radius(lo, hi, False, f, ok, "guard signs", pole)
     if not _squarefree_mod_p(f):
         # the squarefree part has f's roots, and its smaller coefficients
         # may pass the root scan's bound where f's did not; a root found on
@@ -910,13 +905,13 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
         if r is None:
             r = _smallest_positive_rational_root(f)
             if r is not None and is_pole(r):
-                return Radius(r, r, False, f, ok, "rational root")
+                return Radius(r, r, False, f, ok, "rational root", f)
     cell = _descartes_pole(f, cauchy_root_bound(f) if r is None else r, tol)
     if cell is not None:
-        return Radius(*cell, False, f, ok, "Descartes counts", True)
+        return Radius(*cell, False, f, ok, "Descartes counts", f)
     if r is None:
         return Radius(None, None, polynomial=False, pringsheim_ok=ok)
-    return Radius(r, r, False, f, ok, "rational root")
+    return Radius(r, r, False, f, ok, "rational root", f)
 
 
 def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
@@ -924,13 +919,13 @@ def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
 
     Returns (cmp, a_refined, b_refined) with cmp in {-1, 0, 1}. Strict answers
     come from disjoint isolating intervals. Equality is certified by a root
-    of g = gcd of the two certificate polynomials (`Radius._sqfree`) in the
-    overlap [lo, hi]. Two exact radii never get this far, and the polynomial
-    of a non-exact one is squarefree, so g is squarefree too. Each interval
-    holds one simple root, and the ends of a non-exact one are not roots, so
-    g has a root there iff g(hi) = 0 or g(lo) g(hi) < 0. The gcd is taken
-    only once the intervals first overlap. Intervals that still overlap
-    after 300 rounds of refinement raise ValueError.
+    of g = gcd of the two carried polynomials (`Radius._bracketed`) in the
+    overlap [lo, hi]. Two exact radii never get this far. A non-exact
+    interval holds one simple root of its polynomial and its ends are not
+    roots, so g has at most one root there, simple: one iff g(hi) = 0 or
+    g(lo) g(hi) < 0. The gcd is taken only once the intervals first overlap.
+    Intervals that still overlap after 300 rounds of refinement raise
+    ValueError.
     """
     if a.is_infinite or b.is_infinite:
         return a.is_infinite - b.is_infinite, a, b
@@ -944,7 +939,7 @@ def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
         # overlapping intervals: either the radii share a denominator root
         # (equality) or refinement will separate them
         if common is None:
-            common = poly_gcd(a._sqfree, b._sqfree)
+            common = poly_gcd(a._bracketed, b._bracketed)
         s_hi = common.sign_at(min(ra.hi, rb.hi))
         if s_hi == 0 or s_hi * common.sign_at(max(ra.lo, rb.lo)) < 0:
             return 0, ra, rb

@@ -28,11 +28,18 @@ Sphere dimension is limited to `space.MAX_SPHERE_DIMENSION`, but loop-series
 denominator degree has no declared limit yet (ROADMAP item 5). The guards of a
 loop series certify its pole with no squarefree step, so a repeated factor
 costs nothing extra. The presentation commands keep their spheres within
-S2..S9, and long product and smash chains and deep suspension nests are drawn
-only past the depth limit. Past either limit, the parser refuses the
+S2..S9 here, and long product and smash chains and deep suspension nests are
+drawn only past the depth limit. Past either limit, the parser refuses the
 expression before any series is built. Tests in `test_space.py` and
 `test_cli.py` cover trees at the depth limit and spheres at the dimension
 limit.
+
+Valid `cofiber`, `connsum` and `yclass` presentations are drawn wider, over
+S2..S60 with wedges, products and suspensions, sometimes with a squared
+factor in Z and an A suspended up to 250 times. Each must exit 0 with a
+certified verdict, its `strongly_inert_check` giving disjoint cells. That
+test has no per-example deadline: a squared wedge of low spheres under a
+deep A sends Y's pole to a slow Descartes search (up to about 17 s).
 """
 
 import io
@@ -40,12 +47,15 @@ import json
 from datetime import timedelta
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from loopgrowth import loop
 from loopgrowth.cli import run
+from loopgrowth.loop import strongly_inert_check
 from loopgrowth.space import MAX_DEPTH, MAX_SPHERE_DIMENSION
 
 VALIDATOR = jsonschema.Draft7Validator(
@@ -178,6 +188,43 @@ def argvs(draw):
     return argv + ["--max-degree", str(draw(st.integers(0, 60)))]
 
 
+# presentations whose verdict must certify: spheres up to S60 under wedges,
+# products and suspensions (a smash need not be expressible); sometimes a Z
+# with a repeated product factor, so that D_Z is not squarefree; sometimes an
+# A = Susp^k(S2), k <= 250, whose rho(OmegaY) lies so close to rho(OmegaZ)
+# that the first cells overlap and `compare_radii` takes its gcd
+WIDE_SPHERES = st.integers(2, 60).map(lambda n: f"S{n}")
+wide_spaces = st.recursive(
+    WIDE_SPHERES,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["v", "x"]), inner, st.booleans()).map(_binary),
+        inner.map(lambda x: f"Susp({x})"),
+    ),
+    max_leaves=3,
+)
+# a squared wedge has a double root at rho(OmegaZ) < 1
+wide_wedges = st.tuples(wide_spaces, st.just("v"), wide_spaces, st.just(True)).map(_binary)
+repeated_factor = st.tuples(st.one_of(wide_spaces, wide_wedges), wide_spaces).map(
+    lambda t: f"{_squared(t[0])} x {t[1]}"
+)
+deep_suspensions = st.integers(0, 250).map(lambda k: "Susp(" * k + "S2" + ")" * k)
+
+
+@st.composite
+def presentations(draw):
+    command = draw(st.sampled_from(["cofiber", "connsum", "yclass"]))
+    a = draw(st.one_of(wide_spaces, deep_suspensions))
+    z = draw(st.one_of(wide_spaces, repeated_factor))
+    if command == "cofiber":
+        argv = [command, "--A", a, "--Z", z]
+    elif command == "connsum":
+        argv = [command, "--A", a, "--M", z, "--N", draw(wide_spaces)]
+    else:
+        m = draw(st.integers(2, 30))
+        argv = [command, "--m", str(m), "--n", str(draw(st.integers(2 * m, 60))), "--J", a]
+    return argv + ["--inert", JUST, "--max-degree", str(draw(st.integers(0, 60)))]
+
+
 def _strict(constant):
     raise ValueError(f"non-JSON constant {constant}")
 
@@ -208,3 +255,25 @@ def test_every_argv_gets_one_schema_valid_report(argv):
         assert result["verdict"] == "certified-strongly-inert"
         assert result["strongly_inert"] and result["omega_divergent"]
         assert not result["elliptic"]
+
+
+@given(presentations())
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_every_wide_presentation_certifies_disjoint_cells(argv):
+    checks = []
+
+    def recorded(c):
+        checks.append(strongly_inert_check(c))
+        return checks[-1]
+
+    out = io.StringIO()
+    with mock.patch.object(loop, "strongly_inert_check", recorded):
+        code = run(argv, out)
+    assert code == 0, out.getvalue()
+    assert json.loads(out.getvalue())["result"]["verdict"] == "certified-strongly-inert"
+    (check,) = checks
+    assert check.strongly_inert and check.rho_y.hi <= check.rho_z.lo

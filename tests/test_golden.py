@@ -10,10 +10,12 @@ cofiber's Z, a cofiber whose redA shares a factor with the loop denominator
 of Z, one free-loop growth check per branch of its verdict, and the Witt
 counts and per-degree rates of free-loop, hm-census, torsion and log-index
 at larger truncations, a report whose table has no rows, a connected sum
-whose radii are refined for many rounds before they separate, the poles of
-spheres near the dimension limit in mixed shapes and of denominators with
-repeated factors of degree up to 962, and denominators with
-binomial factors times a cofactor, built on the expression tree and not. A
+whose radii are refined for many rounds before they separate, a cofiber
+whose first cells overlap, over a Z whose denominator has a repeated
+factor, the poles of spheres near the dimension limit in mixed shapes and
+of denominators with repeated factors of degree up to 962, and
+denominators with binomial factors times a cofactor, built on the
+expression tree and not. A
 case whose argv holds "{file}" runs with the presentation file written to a
 temporary directory; the path is never echoed.
 
@@ -45,6 +47,18 @@ DEEP_CONNSUM = [
     "connsum", "--A", "Susp(" * 250 + "S2" + ")" * 250, "--M", "Susp(S2)",
     "--N", "S3 v S3 v S3 v S3 v S3 v S3", "--inert", "assumed",
 ]
+# a cofiber over the rho blow-up's Z, whose A is suspended 250 times: its
+# first cells overlap, so compare_radii takes the gcd of Z's pole guard and
+# Y's squarefree denominator; reducing D_Z, of degree 962, takes about 40 s
+DEEP_COFIBER = [
+    "cofiber", "--A", "Susp(" * 250 + "S2" + ")" * 250,
+    "--Z", "((S189 v S7) x ((S284 ^ Susp(S231)) x (S257 x (S3 v S4))))",
+    "--inert", "x", "--max-degree", "5",
+]
+# the cases whose tree cell straddles rho(OmegaZ), so Y's pole takes the
+# Descartes search
+DESCARTES_CASES = ("connsum-deep-suspension", "cofiber-deep-suspension-json",
+                   "cofiber-deep-suspension-csv")
 # spheres near the dimension limit in mixed shapes: loop denominators of
 # degree about 1,000 to 3,000 whose poles are not products of binomials
 BIG_SPHERES = {
@@ -150,6 +164,8 @@ def cases():
     # a report whose result list and table rows are both empty
     out += [("primes-empty-window", ["primes", "--d", "3", "--s", "1"])]
     out += [("connsum-deep-suspension", DEEP_CONNSUM)]
+    out += [(f"cofiber-deep-suspension-{fmt}", DEEP_COFIBER + ["--format", fmt])
+            for fmt in ("json", "csv")]
     out += [(name, argv) for name, argv in BIG_SPHERES.items()]
     # denominators that split into binomials times a cofactor: a cofiber's
     # (1 - 3z)(1 - z), which no expression tree splits, and wedges under
@@ -195,15 +211,15 @@ def test_no_report_builds_a_sturm_chain(tmp_path, monkeypatch):
 def test_guards_certify_every_pole_but_the_deep_connsum(tmp_path, monkeypatch):
     # every series a report isolates a pole of carries its guards, the
     # free-loop alphabet's 1/(1 - sum z^d) too, so no report runs the
-    # Descartes search but the deep-suspension connsum, whose tree cell
-    # straddles rho(OmegaZ)
+    # Descartes search but the deep-suspension connsum and cofiber, whose
+    # tree cells straddle rho(OmegaZ)
     def refused(*args):
         raise AssertionError("the Descartes search ran")
 
     monkeypatch.setattr(series, "_descartes_pole", refused)
     for name, argv in cases():
         want = GOLDEN[name]
-        if name == "connsum-deep-suspension":
+        if name in DESCARTES_CASES:
             with pytest.raises(AssertionError, match="Descartes"):
                 run_case(argv, tmp_path)
         else:
@@ -218,6 +234,22 @@ def test_every_pole_is_taken_on_a_guarded_series(tmp_path, monkeypatch):
         run_case(argv, tmp_path)
     assert calls
     assert all(gf._guards is not None for gf, *_ in calls)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_the_deep_cofiber_answers_within_a_second(monkeypatch, tmp_path, fmt):
+    # its Descartes search still runs, but neither its pole nor the
+    # comparison takes a squarefree part: the gcd is of the carried pole
+    # guard and Y's denominator, which one prime proves squarefree
+    case = GOLDEN[f"cofiber-deep-suspension-{fmt}"]
+    parts = oracles.count_calls(monkeypatch, polynomial, "squarefree_part")
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert run_case(case["argv"], tmp_path) == (case["exit"], case["stdout"])
+        seconds.append(time.perf_counter() - start)
+    assert sorted(seconds)[1] < 1
+    assert parts == []
 
 
 def test_reports_leave_no_reference_cycles(tmp_path):

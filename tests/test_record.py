@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from loopgrowth import _Record
-from loopgrowth.series import LogIndex, Radius, RationalGF, smallest_positive_pole
+from loopgrowth.loop import loop_gf
+from loopgrowth.series import LogIndex, Radius, RationalGF, compare_radii, smallest_positive_pole
 from loopgrowth.space import parse
 from loopgrowth.torsion import HiltonMilnorCensus, hilton_milnor_census
 
@@ -120,6 +121,19 @@ def test_a_refined_or_copied_radius_keeps_its_method():
     assert rho.method == "Descartes counts"  # a bare series
     for twin in (copy.deepcopy(rho), pickle.loads(pickle.dumps(rho)), rho.refined(Fraction(1, 10**30))):
         assert twin.method == rho.method
+
+
+def test_a_guard_radius_is_not_rewritten_by_reading_it():
+    # (1 - z - z^2)^2: the guards isolate the pole, and neither refinement,
+    # an overlapping comparison nor the recheck replaces a field
+    gf = loop_gf(parse("(S2 v S3) x (S2 v S3)"))
+    rho = smallest_positive_pole(gf)
+    assert rho.method == "guard signs" and not rho.is_exact
+    before = [getattr(rho, name) for name in Radius.__slots__]
+    rho.refined(Fraction(1, 10**30))
+    assert compare_radii(rho, smallest_positive_pole(gf))[0] == 0
+    assert rho.certificate_holds()
+    assert all(getattr(rho, name) is was for name, was in zip(Radius.__slots__, before))
 
 
 def test_a_copied_record_keeps_every_slot():

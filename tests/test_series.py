@@ -632,13 +632,22 @@ class TestBisectionWork:
         gf = loop_gf(parse("(S2 v S3) x (S2 v S3)"))
         calls = self.count_chain_work(monkeypatch)
         rho = smallest_positive_pole(gf)
-        # the guards isolate the pole; the certificate is reduced on its first read
+        # the guards isolate the pole; only the recheck reduces the denominator
         assert calls.count("squarefree_part") == 0
         assert not rho.is_exact and rho.certificate_holds()
         assert calls.count("squarefree_part") == 1
         assert calls.count("sturm_chain") == calls.count("sign_variations") == 0
         assert rho._sqfree.coeffs == (-1, 1, 1)  # the squarefree part of (1 - z - z^2)^2
-        assert calls.count("squarefree_part") == 1
+        # refinement and an overlapping comparison read the carried pole
+        # guard, and each recheck reduces the denominator once, with no cache
+        tests = oracles.count_calls(monkeypatch, series, "_squarefree_mod_p")
+        calls.clear()
+        tight = rho.refined(Fraction(1, 10**40))
+        twin = smallest_positive_pole(gf)
+        assert compare_radii(rho, twin)[0] == 0
+        assert calls.count("squarefree_part") == 0 and tests == []
+        assert tight.certificate_holds() and rho.certificate_holds()
+        assert calls.count("squarefree_part") == len(tests) == 2
 
     def test_refined_builds_and_evaluates_no_chain(self, monkeypatch):
         rho = smallest_positive_pole(loop_gf(parse(SUSP_EXPR)))

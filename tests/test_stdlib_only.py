@@ -1,7 +1,8 @@
 """The runtime is stdlib-only: every import in the package is the standard
 library or the package itself, and every name a module imports is used there.
-Records are `_Record` slot classes, never dataclasses or named tuples. Sturm
-root counts serve only as the independent recheck of a certificate."""
+Records are `_Record` slot classes, never dataclasses or named tuples, and
+are not written after construction. Sturm root counts serve only as the
+independent recheck of a certificate."""
 
 import ast
 import sys
@@ -91,6 +92,57 @@ def test_unused_import_check_sees_dead_names():
 def test_every_imported_name_is_used(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+# a record's fields are written in its __init__ and never after, but for the
+# longest expansion a series keeps (`series.expand`)
+SET_ALLOWED = {("series", "expand")}
+
+
+def field_writes(source: str):
+    """(line, enclosing function) of every `_set(` or `__setattr__(` call
+    outside an `__init__`."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and function != "__init__":
+                called = child.func
+                name = called.id if isinstance(called, ast.Name) else getattr(called, "attr", None)
+                if name in ("_set", "__setattr__"):
+                    found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_field_write_check_sees_every_write_after_construction():
+    source = (
+        "class R:\n"
+        "    def __init__(self, x):\n"
+        "        _set(self, 'x', x)\n"
+        "    @property\n"
+        "    def cached(self):\n"
+        "        _set(self, 'x', 1)\n"
+        "        object.__setattr__(self, 'x', 2)\n"
+        "def expand(r):\n"
+        "    _set(r, 'x', 3)\n"
+        "_set(R, 'y', 4)\n"
+    )
+    assert field_writes(source) == [(6, "cached"), (7, "cached"), (9, "expand"), (10, None)]
+
+
+def test_records_are_written_only_in_their_constructor():
+    allowed = []
+    for path in SOURCES:
+        for line, function in field_writes(path.read_text()):
+            assert (path.stem, function) in SET_ALLOWED, f"{path.name}:{line} writes a field in {function}"
+            allowed.append((path.stem, function))
+    assert allowed == [("series", "expand")]
 
 
 # Descartes counts isolate every pole; a Sturm count is only the recheck
