@@ -20,31 +20,31 @@ certificate in one pass, in this order:
   root of 1 - z^a is a root of unity;
 - a rational root r with no root in (0, r): the pole r;
 - for a series built by the closed rules, the cell of the dyadic grid of
-  (0, 1] that its guards isolate, pinned exactly when f had no rational
-  root to scan and the pole's guard has a rational root in the cell;
-- otherwise f becomes its squarefree part unless one prime proves it
-  squarefree, a rational root of that part, when f had none, is tested
-  as above, and the cell of the dyadic grid of (0, upper], upper = r or
-  the Cauchy bound, that isolates the smallest positive root is found by
-  Descartes counts; with none below upper, the pole is r, or there is
-  none.
+  (0, 1] that its guards certify, pinned exactly when f had no rational
+  root to scan and the cell's polynomial has a rational root in the cell;
+- for a bare series, one with no guards, f becomes its squarefree part
+  unless one prime proves it squarefree, a rational root of that part,
+  when f had none, is tested as above, and the cell of the dyadic grid of
+  (0, upper], upper = r or the Cauchy bound, that isolates the smallest
+  positive root is found by Descartes counts; with none below upper, the
+  pole is r, or there is none.
 The guards of a series built by the closed rules are polynomials whose
-signs at x decide rho > x (see `loop`): "no root in (0, r)" is the least of
-their signs at r being 0, and the pole's guard, bisected on the grid,
-gives the cell, which the others certify by their signs at its right end.
-Every loop radius is at most 1, so their grid is (0, 1], and they are the
-whole certificate: that path takes no squarefree test, no squarefree part
-and no Cauchy bound. The Radius carries the pole's guard, and refinement
-and comparison read its signs.
-A bare series, one with no guards, and a cell the guards do not isolate
-are settled by Descartes counts (Collins-Akritas): a count of 0 or 1 on an
-interval is exact, and each cell of the bisection grid is a Taylor shift
-of its parent, so on a squarefree polynomial the search always ends
-(Vincent's theorem). On the same grid both searches reach the same
-interval (the Descartes search goes finer only where other roots lie
-within the tolerance of the pole), but a guarded series walks (0, 1] and
-a bare one (0, r] or (0, Cauchy bound], so the two may report different
-cells of one pole. Refinement returns the
+signs at x decide rho > x (see `loop`): their least sign is positive
+exactly on (0, rho), so "no root in (0, r)" is the least sign at r being
+0. The pole's guard, bisected on the grid, gives the first cell, which the
+others certify by their signs at its right end; when they do not, as when
+another guard's root lies within the tolerance of rho, halving by the least
+sign refines the cell until its right end certifies. Every loop radius is
+at most 1, so their grid is (0, 1], and they are the whole certificate:
+that path takes no squarefree test, no squarefree part, no Cauchy bound
+and no Descartes count. The Radius carries the polynomial whose sign
+change its cell brackets, and refinement and comparison read its signs.
+A bare series is settled by Descartes counts (Collins-Akritas): a count of
+0 or 1 on an interval is exact, and each cell of the bisection grid is a
+Taylor shift of its parent, so on a squarefree polynomial the search always
+ends (Vincent's theorem). A bare series walks (0, r] or (0, Cauchy bound],
+so it may report another cell of a pole than the loop series it equals.
+Refinement returns the
 interval that sign bisection reaches, without walking it: the root is
 simple, so the denominator changes sign across it; a Newton estimate of
 the root names the grid cell where bisection stops, and exact signs at the
@@ -74,8 +74,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from math import gcd as int_gcd
 from operator import mul
+from types import SimpleNamespace
 
 from . import _Record, _set
 from .arith import divisors
@@ -317,9 +319,9 @@ class Radius(_Record):
 
     Finite: lo <= hi are positive rationals, the reduced denominator has
     exactly one root in [lo, hi] and none in (0, lo). A degenerate interval
-    (lo == hi) pins a rational pole exactly. Otherwise the denominator has
-    opposite signs at lo and hi, so `refined` narrows the interval by signs
-    alone (`_bisect`), with no root count. Infinite: no positive pole;
+    (lo == hi) pins a rational pole exactly. Otherwise the carried
+    polynomial below has opposite signs at lo and hi, so `refined` narrows
+    the interval by signs alone (`_bisect`), with no root count. Infinite: no positive pole;
     `polynomial` records whether the series is a polynomial (so dimensions
     are eventually zero).
 
@@ -328,8 +330,9 @@ class Radius(_Record):
     its squarefree part unless the radius is exact or one prime proves it
     squarefree, reduced on each call. `_bracketed` is the polynomial whose
     sign change the interval brackets, set with the certificate: the pole's
-    guard for "guard signs", the squarefree denominator for "Descartes
-    counts", the denominator when exact. A non-exact interval holds one
+    guard, or the gcd of the guards that share the pole, for "guard signs",
+    the squarefree denominator for "Descartes counts", and the denominator
+    for any other exact radius. A non-exact interval holds one
     root of it, simple, so `refined` and `compare_radii` read its signs
     alone, and halving by them walks the cells that halving by the
     squarefree part of `_den` walks.
@@ -431,9 +434,11 @@ def _bisect(sf, tol, lo, hi, estimate=None):
     at its two ends certify it, or one neighbour's. Only when neither
     certifies does the halving run, one integer Horner sign per midpoint.
     estimate(a, b, d, bits), `_root_estimate` on sf by default, guesses the
-    root in (a/d, b/d) to about 2^-bits. `_tree_pole` passes an sf with more
-    roots in (lo, hi]: the cell still holds a sign change of sf, read from
-    evaluated signs unless the cell ends at hi, and it certifies the rest.
+    root in (a/d, b/d) to about 2^-bits. With more roots in (lo, hi], the
+    halving still ends at a sign change of sf, read from evaluated signs
+    unless the cell ends at hi: `_tree_pole` passes such a pole guard and
+    certifies its cell, and `_guard_walk` passes the least guard sign,
+    which changes sign only at rho.
     """
     # on a common denominator, lo = a/d and hi = b/d, so the midpoint is
     # (a + b)/(2d) and every step stays in integers; a root below tol still
@@ -623,7 +628,8 @@ def _fixed_newton(coeffs, s_lo, A, B, X, P, done):
     """Safeguarded Newton on x = X / 2^P in (A, B), by a truncating integer Horner.
 
     Stops after a Newton step below 2^done units, whose square is far below
-    the 2^-bits the estimate needs, or when the bracket closes.
+    the 2^-bits the estimate needs, at a step that rounds to 0, or when the
+    bracket closes.
     """
     c = [v << P for v in reversed(coeffs)]
     step = B - A
@@ -639,6 +645,8 @@ def _fixed_newton(coeffs, s_lo, A, B, X, P, done):
         else:
             B = X
         prev, step = step, (p << P) // dp if dp else B - A
+        if not step:
+            return X  # within a unit of the root
         if A < X - step < B and 2 * abs(step) < abs(prev):
             X -= step
             if abs(step) >> done == 0:
@@ -787,24 +795,25 @@ def _float_value(coeffs, x: float) -> float:
 
 
 def _tree_pole(polys, inner: int, tol: Fraction):
-    """(lo, hi, P): the cell of (0, 1] that a tree-built series' guards certify, and its pole guard P; or None.
+    """(lo, hi, P): the cell of (0, 1] that a tree-built series' guards certify, and its polynomial P.
 
     polys are the guards, the first `inner` of them below the factors of
-    the denominator f, and the grid is the one `_descartes_pole` walks on
+    the denominator f (the top guards), and the grid is the dyadic grid of
     (0, 1], since every loop radius is at most 1. A guess in floats names
     the top guard P whose first positive root is rho: each guard is 1 at 0
     and falls to its first positive root, and in the carried order every
     node's guard follows its children's, so it has at most one root below
     the least first root x of the guards before it. x starts at 1; a guard
     that is not positive at x has its root there, which becomes x. P is
-    the last such guard, one of the factors', and the x before it brackets
-    its one root. P is bisected on the grid from that estimate, which
-    gives a cell (lo, hi] with P(lo) > 0 >= P(hi). Every other guard
-    positive at hi certifies it: hi lies below the radii of P's children,
-    so P has one root in (0, hi], which is rho, and below the radii of the
-    other factors, which have no root in (0, hi]. So the cell isolates rho
-    among the roots of f; when hi = 1, the grid end, and P(1) = 0, rho is
-    pinned at 1. Otherwise None, and the caller takes the Descartes path.
+    the last such guard, and the x before it brackets its one root. P is
+    bisected on the grid from that estimate, which gives a cell (lo, hi]
+    with P(lo) > 0 >= P(hi). Every other guard positive at hi certifies it:
+    hi lies below the radii of P's children, so P has one root in (0, hi],
+    which is rho, and below the radii of the other factors, which have no
+    root in (0, hi]. So the cell isolates rho among the roots of f; when
+    hi = 1, the grid end, and P(1) = 0, rho is pinned at 1. Otherwise, as
+    when another guard's root lies within tol of rho, `_guard_walk`
+    certifies a cell, so every tree-built series answers here.
     """
     x, top = 1.0, None
     for i, g in enumerate(polys):
@@ -814,21 +823,95 @@ def _tree_pole(polys, inner: int, tol: Fraction):
             if v < 0:
                 x = root = _float_newton(g.coeffs, 1, 0.0, x)
                 if x is None:
-                    return None
-    if top is None or top < inner:
-        return None
-    pole, others, bracket = polys[top], polys[:top] + polys[top + 1:], Fraction(bracket)
+                    break
+    if x is not None and top is not None and top >= inner:
+        pole, others, bracket = polys[top], polys[:top] + polys[top + 1:], Fraction(bracket)
+
+        def estimate(a, b, d, bits):
+            # the scan's float Newton on P over (0, bracket) is the float iterate
+            return _root_estimate(pole, 1, 0, bracket.numerator, bracket.denominator, bits, root)
+
+        # P's sign at hi is known unless hi = 1, which no step evaluates
+        lo, hi = _bisect(pole, tol, Fraction(0), Fraction(1), estimate)
+        s_hi = -1 if hi < 1 else pole.sign_at(hi)
+        if s_hi <= 0 and all(g.sign_at(hi) > 0 for g in others):
+            return (hi if s_hi == 0 else lo), hi, pole
+    return _guard_walk(polys, inner, tol)
+
+
+def _guard_walk(polys, inner: int, tol: Fraction):
+    """(lo, hi, G): the coarsest cell of (0, 1] at or below tol that the guards certify, and G.
+
+    The least guard sign S is positive exactly on (0, rho) and, on (0, 1],
+    zero only at rho, by induction over `loop`'s rules: each node's guard
+    is negative between its first root and its children's radius, where a
+    child's guard takes over, and a sphere's 1 - x up to the grid end. So
+    `_bisect` halving by S walks the cells that hold rho.
+
+    Such a cell (lo, hi] is certified when every inner guard is positive at
+    hi and the top guards that are not share one root in the cell, where
+    their gcd G vanishes at hi or changes sign. Then hi lies below the
+    children's radii, where each top guard falls through at most one root,
+    so G's one root in the cell is rho and f has no other in (0, hi]. The
+    subcells of a certified cell are certified, so the level is found by an
+    exponential search, each level twice the last and its cell halved from
+    the last by a Newton estimate, and then a binary search among the
+    ancestors of the first certified cell. The estimate is `_tree_pole`'s
+    scan, in fixed point from the cell's right end.
+    """
+    cheapest = sorted(polys, key=IntPolynomial.degree)
+
+    def least(p, q):
+        # a negative sign decides, so the cheapest guards are read first
+        s = 1
+        for g in cheapest:
+            s = min(s, g.sign_at_ratio(p, q))
+            if s < 0:
+                break
+        return s
 
     def estimate(a, b, d, bits):
-        # the scan's float Newton on P over (0, bracket) is the float iterate
-        return _root_estimate(pole, 1, 0, bracket.numerator, bracket.denominator, bits, root)
+        # X / 2^P with twice `_root_estimate`'s bits, since a guard's value
+        # near a double root of f is about the square of the distance; a
+        # guard not positive at X to the bits asked for has its root below X
+        P = 2 * bits + 32 + max(g.degree() for g in polys).bit_length()
+        A, X = (a << P) // d, (b << P) // d
+        for g in polys:
+            if g.sign_at_ratio(X >> (P - bits), 1 << bits) <= 0:
+                X = _fixed_newton(g.coeffs, 1, A, X, X, P, P - bits - 16)
+        return Fraction(X, 1 << P)
 
-    # P's sign at hi is known unless hi = 1, which no step evaluates
-    lo, hi = _bisect(pole, tol, Fraction(0), Fraction(1), estimate)
-    s_hi = -1 if hi < 1 else pole.sign_at(hi)
-    if s_hi <= 0 and all(g.sign_at(hi) > 0 for g in others):
-        return (hi if s_hi == 0 else lo), hi, pole
-    return None
+    def certified(lo, hi):
+        if any(g.sign_at(hi) <= 0 for g in reversed(polys[:inner])):
+            return None
+        top = polys[inner:]
+        if len(top) == 1 and hi < 1:
+            return lo, hi, top[0]  # S(lo) > 0 > S(hi), since hi < 1 is not rho
+        common = reduce(poly_gcd, [g for g in top if g.sign_at(hi) <= 0])
+        s_hi = common.sign_at(hi)
+        if s_hi == 0:
+            return hi, hi, common
+        return (lo, hi, common) if s_hi * common.sign_at(lo) < 0 else None
+
+    # `_bisect` reads S's sign at 0 off a constant term
+    halving = SimpleNamespace(coeffs=(1,), sign_at_ratio=least)
+    lo, hi = _bisect(halving, tol, Fraction(0), Fraction(1), estimate)
+    failed = k = (hi - lo).denominator.bit_length() - 1
+    found = certified(lo, hi)
+    while found is None:
+        failed, k = k, 2 * k
+        lo, hi = _bisect(halving, Fraction(1, 1 << k), lo, hi, estimate)
+        found = certified(lo, hi)
+    j = (lo * (1 << k)).numerator
+    while k - failed > 1 and lo < hi:
+        mid = (failed + k) // 2
+        up = j >> (k - mid)
+        cell = up and certified(Fraction(up, 1 << mid), Fraction(up + 1, 1 << mid))
+        if cell:
+            found, j, k = cell, up, mid
+        else:
+            failed = mid
+    return found
 
 
 def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANCE) -> Radius:
@@ -845,21 +928,23 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     expansion when the caller has expanded through z^64 or further. The
     binomial exit reads the series' carried split only: a cofactor other
     than 1 is not used, since its pole may lie below 1, and a bare product
-    of binomials is pinned at 1 by the rational-root exit. "No root in
-    (0, r)" is one test, `is_pole`: the least of the guards' signs at r is
-    0, or, for a bare series, f has Descartes count 0 on (0, r).
+    of binomials is pinned at 1 by the rational-root exit.
 
-    A guarded series takes its cell from the guards (`_tree_pole`) on
-    (0, 1]. When f had no rational root to scan, the pole guard P is
-    scanned, unless P is f up to sign, as the last guard of a wedge's or a
-    split series is, since f's scan has answered: P has rho as its one
-    root in (0, hi], so a rational root of P at most hi is rho. The guards
-    are the whole certificate, so this path takes no squarefree step, and
-    the Radius carries P for refinement and comparison. A bare series, or a
-    cell the guards do not isolate, takes the Descartes path:
-    f becomes its squarefree part unless one prime proves it squarefree, a
-    rational root of that part, when f had none, is tested by `is_pole`,
-    and `_descartes_pole` searches (0, r] or (0, Cauchy bound].
+    A guarded series then takes one branch: a rational root r of f is the
+    pole when the least of the guards' signs at r is 0, and otherwise the
+    guards certify a cell of (0, 1] (`_tree_pole`). When f had no rational
+    root to scan, the cell's polynomial P is scanned, unless P is f up to
+    sign, as the last guard of a wedge's or a split series is, since f's
+    scan has answered: P has rho as its one root in (0, hi], so a rational
+    root of P at most hi is rho. The guards are the whole certificate, so
+    this branch takes no squarefree step, Cauchy bound or Descartes count,
+    and the Radius carries P for refinement and comparison.
+
+    A bare series takes the other: a rational root r of f with Descartes
+    count 0 on (0, r) is the pole. Otherwise f becomes its squarefree part
+    unless one prime proves it squarefree, a rational root of that part,
+    when f had none, is tested the same way, and `_descartes_pole` searches
+    (0, r] or (0, Cauchy bound].
 
     >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
     >>> (r.lo, r.hi, r.method)
@@ -877,34 +962,27 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     # one positive root 1, and the exact division is the certificate
     if (gf._split or ((), den))[1] == ONE:
         return Radius(Fraction(1), Fraction(1), False, f, ok, "binomial split", f)
-    guards = gf._guards
-    polys = None if guards is None else guards[0] + guards[1]
-
-    def is_pole(r):
-        # no root of f in (0, r); f is read when called, as it may be its squarefree part
-        if polys:
-            return min(g.sign_at(r) for g in polys) == 0
-        return descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0
-
     r = _smallest_positive_rational_root(f)
-    if r is not None and is_pole(r):
-        return Radius(r, r, False, f, ok, "rational root", f)
-    found = polys and _tree_pole(polys, len(guards[0]), tol)
-    if found:
-        lo, hi, pole = found
+    guards = gf._guards
+    if guards is not None:
+        polys = guards[0] + guards[1]
+        if r is not None and min(g.sign_at(r) for g in polys) == 0:
+            return Radius(r, r, False, f, ok, "rational root", f)
+        lo, hi, pole = _tree_pole(polys, len(guards[0]), tol)
         # every guard is 1 at 0, as den is, so P is f up to sign just when P is den
         q = None if r is not None or pole == den else _smallest_positive_rational_root(pole)
         if q is not None and q <= hi:
             return Radius(q, q, False, f, ok, "rational root", f)
         return Radius(lo, hi, False, f, ok, "guard signs", pole)
+    if r is not None and descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0:
+        return Radius(r, r, False, f, ok, "rational root", f)
     if not _squarefree_mod_p(f):
         # the squarefree part has f's roots, and its smaller coefficients
-        # may pass the root scan's bound where f's did not; a root found on
-        # f was tested above
+        # may pass the root scan's bound where f's did not
         f = squarefree_part(f)
         if r is None:
             r = _smallest_positive_rational_root(f)
-            if r is not None and is_pole(r):
+            if r is not None and descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0:
                 return Radius(r, r, False, f, ok, "rational root", f)
     cell = _descartes_pole(f, cauchy_root_bound(f) if r is None else r, tol)
     if cell is not None:

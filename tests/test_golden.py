@@ -13,9 +13,10 @@ at larger truncations, a report whose table has no rows, a connected sum
 whose radii are refined for many rounds before they separate, a cofiber
 whose first cells overlap, over a Z whose denominator has a repeated
 factor, the poles of spheres near the dimension limit in mixed shapes and
-of denominators with repeated factors of degree up to 962, and
+of denominators with repeated factors of degree up to 962,
 denominators with binomial factors times a cofactor, built on the
-expression tree and not. A
+expression tree and not, and poles that the guards certify only on a cell
+finer than the tolerance or by the gcd of two guards. A
 case whose argv holds "{file}" runs with the presentation file written to a
 temporary directory; the path is never echoed.
 
@@ -27,6 +28,7 @@ import gc
 import io
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,8 +36,9 @@ import pytest
 import oracles
 from loopgrowth import polynomial, series
 from loopgrowth.cli import run
-from loopgrowth.loop import CofiberPresentation, strongly_inert_check
+from loopgrowth.loop import CofiberPresentation, loop_gf, strongly_inert_check
 from loopgrowth.polynomial import IntPolynomial
+from loopgrowth.series import smallest_positive_pole
 from loopgrowth.space import parse
 from test_cli import COMMANDS, JUST
 
@@ -47,18 +50,27 @@ DEEP_CONNSUM = [
     "connsum", "--A", "Susp(" * 250 + "S2" + ")" * 250, "--M", "Susp(S2)",
     "--N", "S3 v S3 v S3 v S3 v S3 v S3", "--inert", "assumed",
 ]
-# a cofiber over the rho blow-up's Z, whose A is suspended 250 times: its
-# first cells overlap, so compare_radii takes the gcd of Z's pole guard and
-# Y's squarefree denominator; reducing D_Z, of degree 962, takes about 40 s
+# a cofiber over the rho blow-up's Z, whose A is suspended 250 times: Y's
+# first cell reaches past rho(OmegaZ), so the guards certify a finer one,
+# and the two radii's first cells overlap, so compare_radii takes the gcd of
+# their carried pole guards, Y's and Z's
 DEEP_COFIBER = [
     "cofiber", "--A", "Susp(" * 250 + "S2" + ")" * 250,
     "--Z", "((S189 v S7) x ((S284 ^ Susp(S231)) x (S257 x (S3 v S4))))",
     "--inert", "x", "--max-degree", "5",
 ]
-# the cases whose tree cell straddles rho(OmegaZ), so Y's pole takes the
-# Descartes search
-DESCARTES_CASES = ("connsum-deep-suspension", "cofiber-deep-suspension-json",
-                   "cofiber-deep-suspension-csv")
+# poles whose first cell the guards do not certify, so they refine on the
+# least guard sign: a squared wedge of low spheres under a 250-fold
+# suspension, where D_Y = D_Z - z^252 has two roots about 3^-127 from the
+# double root 1/3 of D_Z, and a product whose two top guards, 1 - 3z^2 and
+# (1 - 3z^2)(1 + z^2), share the irrational first root 1/sqrt(3)
+GUARD_WALK = {
+    "cofiber-squared-wedge-deep-suspension": [
+        "cofiber", "--A", "Susp(" * 250 + "S2" + ")" * 250,
+        "--Z", "((S2 v S2 v S2) x (S2 v S2 v S2)) x S2", "--inert", "x",
+    ],
+    "rho-shared-irrational-root": ["rho", "(S3 v S3 v S3) x Susp(S2 v S2 v S4 v S4 v S4)"],
+}
 # spheres near the dimension limit in mixed shapes: loop denominators of
 # degree about 1,000 to 3,000 whose poles are not products of binomials
 BIG_SPHERES = {
@@ -176,6 +188,7 @@ def cases():
     out += [("loop-series-two-wedges-times-spheres", two_wedges)]
     nested = ["log-index", "((S2 v S3) x S4) v S5 x S6", "--max-degree", "200"]
     out += [("log-index-wedge-around-a-product", nested)]
+    out += [(name, argv) for name, argv in GUARD_WALK.items()]
     return out
 
 
@@ -198,9 +211,8 @@ def test_golden_bytes(name, argv, tmp_path):
 
 
 def test_no_report_builds_a_sturm_chain(tmp_path, monkeypatch):
-    # guard signs or Descartes counts isolate every pole, on the squarefree
-    # part when the denominator has a repeated factor; a Sturm chain is left
-    # to the independent recheck of Radius.certificate_holds
+    # guard signs isolate every pole, with no squarefree step; a Sturm chain
+    # is left to the independent recheck of Radius.certificate_holds
     chains = oracles.count_calls(monkeypatch, polynomial, "sturm_chain")
     for name, argv in cases():
         want = GOLDEN[name]
@@ -208,22 +220,16 @@ def test_no_report_builds_a_sturm_chain(tmp_path, monkeypatch):
     assert chains == []
 
 
-def test_guards_certify_every_pole_but_the_deep_connsum(tmp_path, monkeypatch):
+def test_guards_certify_every_pole(tmp_path, monkeypatch):
     # every series a report isolates a pole of carries its guards, the
-    # free-loop alphabet's 1/(1 - sum z^d) too, so no report runs the
-    # Descartes search but the deep-suspension connsum and cofiber, whose
-    # tree cells straddle rho(OmegaZ)
-    def refused(*args):
-        raise AssertionError("the Descartes search ran")
-
-    monkeypatch.setattr(series, "_descartes_pole", refused)
+    # free-loop alphabet's 1/(1 - sum z^d) too, and they certify a cell for
+    # each, so no report takes the bare series' path
+    bare = ("_descartes_pole", "_squarefree_mod_p", "squarefree_part", "cauchy_root_bound")
+    calls = [oracles.count_calls(monkeypatch, series, name) for name in bare]
     for name, argv in cases():
         want = GOLDEN[name]
-        if name in DESCARTES_CASES:
-            with pytest.raises(AssertionError, match="Descartes"):
-                run_case(argv, tmp_path)
-        else:
-            assert run_case(argv, tmp_path) == (want["exit"], want["stdout"]), name
+        assert run_case(argv, tmp_path) == (want["exit"], want["stdout"]), name
+    assert calls == [[]] * 4
 
 
 def test_every_pole_is_taken_on_a_guarded_series(tmp_path, monkeypatch):
@@ -236,20 +242,27 @@ def test_every_pole_is_taken_on_a_guarded_series(tmp_path, monkeypatch):
     assert all(gf._guards is not None for gf, *_ in calls)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_the_deep_cofiber_answers_within_a_second(monkeypatch, tmp_path, fmt):
-    # its Descartes search still runs, but neither its pole nor the
-    # comparison takes a squarefree part: the gcd is of the carried pole
-    # guard and Y's denominator, which one prime proves squarefree
-    case = GOLDEN[f"cofiber-deep-suspension-{fmt}"]
+def answers_within_a_second(monkeypatch, tmp_path, name):
+    """The median of three runs of a golden case is under a second, with its
+    bytes, and no run takes a Taylor shift or a squarefree step."""
+    case = GOLDEN[name]
+    shifts = oracles.count_calls(monkeypatch, polynomial, "taylor_shift")
     parts = oracles.count_calls(monkeypatch, polynomial, "squarefree_part")
+    tests = oracles.count_calls(monkeypatch, series, "_squarefree_mod_p")
     seconds = []
     for _ in range(3):
         start = time.perf_counter()
         assert run_case(case["argv"], tmp_path) == (case["exit"], case["stdout"])
         seconds.append(time.perf_counter() - start)
     assert sorted(seconds)[1] < 1
-    assert parts == []
+    assert shifts == parts == tests == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_the_deep_cofiber_answers_within_a_second(monkeypatch, tmp_path, fmt):
+    # Y's pole is certified by the guards on a cell finer than the
+    # tolerance, and the comparison's gcd is of the two carried pole guards
+    answers_within_a_second(monkeypatch, tmp_path, f"cofiber-deep-suspension-{fmt}")
 
 
 def test_reports_leave_no_reference_cycles(tmp_path):
@@ -274,17 +287,7 @@ class TestBigSpheres:
     def test_a_frozen_case_answers_within_a_second(self, monkeypatch, tmp_path, name):
         # the guards are the whole certificate: no Descartes search and no
         # squarefree step, which the blow-ups once spent their time in
-        case = GOLDEN[name]
-        shifts = oracles.count_calls(monkeypatch, polynomial, "taylor_shift")
-        parts = oracles.count_calls(monkeypatch, polynomial, "squarefree_part")
-        tests = oracles.count_calls(monkeypatch, series, "_squarefree_mod_p")
-        seconds = []
-        for _ in range(3):
-            start = time.perf_counter()
-            assert run_case(case["argv"], tmp_path) == (case["exit"], case["stdout"])
-            seconds.append(time.perf_counter() - start)
-        assert sorted(seconds)[1] < 1
-        assert shifts == parts == tests == []
+        answers_within_a_second(monkeypatch, tmp_path, name)
 
     def test_the_degree_3990_cell_is_certified_by_the_series_shape(self):
         # certificate_holds recounts roots by Taylor shifts of a degree-3,990
@@ -302,6 +305,45 @@ class TestBigSpheres:
         d_y = d_z - IntPolynomial((0,) * 400 + (1,) + (0,) * 99 + (1,))
         assert rho._sqfree in (d_y, -d_y)
         assert d_y.sign_at(rho.lo) > 0 > d_y.sign_at(rho.hi) and rho.hi < 1
+
+
+class TestGuardWalk:
+    """Poles that the guards certify only on a cell finer than the tolerance,
+    or by the gcd of two top guards that share the pole."""
+
+    @staticmethod
+    def radius(name):
+        argv = GOLDEN[name]["argv"]
+        if argv[0] == "rho":
+            return smallest_positive_pole(loop_gf(parse(argv[1])))
+        c = CofiberPresentation(parse(argv[2]), parse(argv[4]), inert_asserted=True)
+        return strongly_inert_check(c).rho_y
+
+    @pytest.mark.parametrize("name", list(GUARD_WALK))
+    def test_a_frozen_case_answers_within_a_second(self, monkeypatch, tmp_path, name):
+        answers_within_a_second(monkeypatch, tmp_path, name)
+
+    @pytest.mark.parametrize("name", list(GUARD_WALK))
+    def test_the_cell_is_certified(self, name):
+        # the independent recheck, and sympy's root count on the denominator
+        sympy = pytest.importorskip("sympy")
+        rho = self.radius(name)
+        assert rho.method == "guard signs" and not rho.is_exact
+        assert rho.certificate_holds()
+        z = sympy.Symbol("z")
+        den = sympy.Poly(rho._den.coeffs[::-1], z)
+        lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in (rho.lo, rho.hi))
+        assert den.count_roots(0, lo) == 0 and den.count_roots(lo, hi) == 1
+
+    def test_the_squared_wedge_cell_lies_below_the_double_root(self):
+        rho = self.radius("cofiber-squared-wedge-deep-suspension")
+        assert rho.hi < Fraction(1, 3) and rho._bracketed.degree() == 252
+
+    def test_a_shared_root_cell_carries_the_gcd_of_the_top_guards(self):
+        rho = self.radius("rho-shared-irrational-root")
+        g = IntPolynomial((1, 0, -3))
+        assert rho._bracketed in (g, -g)
+        assert rho.lo ** 2 < Fraction(1, 3) < rho.hi ** 2
 
 
 if __name__ == "__main__":

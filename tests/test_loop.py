@@ -468,7 +468,8 @@ class TestTreeCertificate:
     """A series built as 1/D carries guards that certify its pole. The series
     equals the one `RationalGF` arithmetic builds, and the pole its guards
     certify equals the one the Descartes path finds on the bare series, on
-    the same grid of (0, 1]."""
+    the same grid of (0, 1]: over these spheres no other guard's root lies
+    within the tolerance of the pole, so the first cell is certified."""
 
     @staticmethod
     def check(series, reference):
@@ -497,16 +498,19 @@ class TestTreeCertificate:
         reference = built(lambda: oracles.inert_cofiber_loop_gf(c))
         self.check(built(lambda: inert_cofiber_loop_gf(c)), reference)
 
-    def test_a_cell_the_guards_cannot_isolate_takes_the_descartes_path(self, monkeypatch):
-        # rho(OmegaY) of 1/(1 - 2z - z^43) lies about 2^-45 below rho(OmegaZ) = 1/2,
-        # so the cell around it reaches past 1/2, where Z's guard 1 - 2z is negative
+    def test_a_cell_past_the_tolerance_is_certified_by_the_guards(self, monkeypatch):
+        # rho(OmegaY) of 1/(1 - 2z - z^43) lies about 2^-44 below rho(OmegaZ) = 1/2,
+        # so the first cell reaches past 1/2, where Z's guard 1 - 2z is
+        # negative; the guards certify a finer cell, below 1/2, with no
+        # Taylor shift (the bare series' Descartes cell straddles 1/2)
         c = CofiberPresentation(Sphere(43), parse("S2 v S2"), inert_asserted=True)
         y = inert_cofiber_loop_gf(c)
         shifts = oracles.count_calls(monkeypatch, polynomial, "taylor_shift")
         rho = smallest_positive_pole(y)
-        assert shifts  # the Descartes search ran
-        assert rho.lo < Fraction(1, 2) < rho.hi and rho.certificate_holds()
-        assert rho == smallest_positive_pole(RationalGF(y.num, y.den))
+        assert shifts == []
+        assert rho.method == "guard signs" and rho.hi < Fraction(1, 2)
+        assert rho.width() <= series.DEFAULT_POLE_TOLERANCE
+        assert rho.certificate_holds()
 
     @pytest.mark.parametrize(
         "expr,r,exact",
@@ -580,6 +584,40 @@ class TestTreeCertificate:
         assert not check.rho_z.is_infinite and check.rho_z.hi <= 1
         assert verdict.good_growth is GoodGrowth.CERTIFIED_STRONGLY_INERT
         assert verdict.strongly_inert and verdict.omega_divergent and not verdict.elliptic
+
+
+class TestLeastGuardSign:
+    """The least of a tree-built series' guard signs is positive exactly on
+    (0, rho) and, on (0, 1], zero only at rho: what refining a pole on the
+    guards rests on. rho comes from the bare series' search, which reads no
+    guard."""
+
+    @staticmethod
+    def check(series, reference, data):
+        lo, hi = oracles.unit_grid_pole(reference)
+        f = polynomial.squarefree_part(reference.den)
+        dyadic = st.integers(1, 64).flatmap(lambda m: st.integers(1, 2**m).map(lambda n: Fraction(n, 2**m)))
+        x = data.draw(st.one_of(st.sampled_from([lo, hi, (lo + hi) / 2]), dyadic))
+        if lo == hi:
+            below, at = x < lo, x == lo
+        elif x <= lo or x >= hi:
+            below, at = x <= lo, False
+        else:
+            # the cell holds one simple root of f, and its ends are not roots
+            below, at = f.sign_at(x) == f.sign_at(lo), f.sign_at(x) == 0
+        least = min(g.sign_at(x) for g in series._guards[0] + series._guards[1])
+        assert (least > 0) == below and (least == 0) == at
+
+    @given(expressions(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_loop_series(self, x, data):
+        self.check(built(lambda: loop_gf(x)), built(lambda: oracles.loop_gf(x)), data)
+
+    @given(presentations(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_split_series(self, c, data):
+        reference = built(lambda: oracles.inert_cofiber_loop_gf(c))
+        self.check(built(lambda: inert_cofiber_loop_gf(c)), reference, data)
 
 
 # -- homotopy ranks ----------------------------------------------------------------
