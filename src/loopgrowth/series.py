@@ -18,27 +18,28 @@ certificate in one pass, in this order:
 - a carried split of f into binomials prod (1 - z^a) with cofactor 1, as
   the loop series of a product of spheres has: the pole 1, since every
   root of 1 - z^a is a root of unity;
-- a rational root r with no root in (0, r): the pole r;
 - for a series built by the closed rules, the cell of the dyadic grid of
-  (0, 1] that its guards certify, pinned exactly when f had no rational
-  root to scan and the cell's polynomial has a rational root in the cell;
-- for a bare series, one with no guards, f becomes its squarefree part
+  (0, 1] that its guards certify, pinned exactly when the cell's
+  polynomial has a rational root in the cell;
+- for a bare series, one with no guards, a rational root r of f with no
+  root in (0, r) is the pole r; otherwise f becomes its squarefree part
   unless one prime proves it squarefree, a rational root of that part,
-  when f had none, is tested as above, and the cell of the dyadic grid of
-  (0, upper], upper = r or the Cauchy bound, that isolates the smallest
+  when f had none, is tested the same way, and the cell of the dyadic grid
+  of (0, upper], upper = r or the Cauchy bound, that isolates the smallest
   positive root is found by Descartes counts; with none below upper, the
   pole is r, or there is none.
 The guards of a series built by the closed rules are polynomials whose
 signs at x decide rho > x (see `loop`): their least sign is positive
-exactly on (0, rho), so "no root in (0, r)" is the least sign at r being
-0. The pole's guard, bisected on the grid, gives the first cell, which the
-others certify by their signs at its right end; when they do not, as when
-another guard's root lies within the tolerance of rho, halving by the least
-sign refines the cell until its right end certifies. Every loop radius is
-at most 1, so their grid is (0, 1], and they are the whole certificate:
-that path takes no squarefree test, no squarefree part, no Cauchy bound
-and no Descartes count. The Radius carries the polynomial whose sign
-change its cell brackets, and refinement and comparison read its signs.
+exactly on (0, rho). Halving the grid on the least sign of the top guards,
+the factors of f, gives the first cell, and one check certifies a cell by
+the guards' signs at its right end; when it fails, as when another guard's
+root lies within the tolerance of rho, halving by the least sign of all
+the guards refines the cell until its right end certifies. Every loop
+radius is at most 1, so their grid is (0, 1], and the guards are the whole
+certificate: that path takes no squarefree test, no squarefree part, no
+Cauchy bound and no Descartes count. The Radius carries the polynomial
+whose sign change its cell brackets, and refinement and comparison read
+its signs.
 A bare series is settled by Descartes counts (Collins-Akritas): a count of
 0 or 1 on an interval is exact, and each cell of the bisection grid is a
 Taylor shift of its parent, so on a squarefree polynomial the search always
@@ -62,8 +63,7 @@ All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
 the series expansion (a stride sum for each binomial factor, a recurrence
 for the rest of the denominator, with no division when its constant term
 is 1, as for every loop series) run in integer arithmetic. Floats enter
-only the Newton estimate and the choice of the guard to bisect, which no
-certificate trusts. A series
+only the Newton estimate, which no certificate trusts. A series
 coefficient is an int whenever it is integral, as every dimension series
 here is; rationals appear only as interval endpoints and as the
 non-integral coefficients of a denominator whose constant term is not 1.
@@ -329,13 +329,13 @@ class Radius(_Record):
     coefficient positive; `certificate_holds` rechecks it through `_sqfree`,
     its squarefree part unless the radius is exact or one prime proves it
     squarefree, reduced on each call. `_bracketed` is the polynomial whose
-    sign change the interval brackets, set with the certificate: the pole's
-    guard, or the gcd of the guards that share the pole, for "guard signs",
-    the squarefree denominator for "Descartes counts", and the denominator
-    for any other exact radius. A non-exact interval holds one
-    root of it, simple, so `refined` and `compare_radii` read its signs
-    alone, and halving by them walks the cells that halving by the
-    squarefree part of `_den` walks.
+    sign change the interval brackets, set with the certificate: for "guard
+    signs" the cell's polynomial, the gcd of the top guards that are not
+    positive at hi (`_tree_pole`), for "Descartes counts" the squarefree
+    denominator, and for any other exact radius the denominator. A
+    non-exact interval holds one root of it, simple, so `refined` and
+    `compare_radii` read its signs alone, and halving by them walks the
+    cells that halving by the squarefree part of `_den` walks.
 
     `method` names how a finite pole was certified: "binomial split",
     "rational root", "guard signs" or "Descartes counts".
@@ -433,12 +433,12 @@ def _bisect(sf, tol, lo, hi, estimate=None):
     at the level where the halving stops (`_newton_cell`), and exact signs
     at its two ends certify it, or one neighbour's. Only when neither
     certifies does the halving run, one integer Horner sign per midpoint.
-    estimate(a, b, d, bits), `_root_estimate` on sf by default, guesses the
-    root in (a/d, b/d) to about 2^-bits. With more roots in (lo, hi], the
-    halving still ends at a sign change of sf, read from evaluated signs
-    unless the cell ends at hi: `_tree_pole` passes such a pole guard and
-    certifies its cell, and `_guard_walk` passes the least guard sign,
-    which changes sign only at rho.
+    estimate(a, b, d, bits), `_root_estimate` on sf alone by default,
+    guesses the root in (a/d, b/d] to about 2^-bits. With more roots in
+    (lo, hi], the halving still ends at a sign change of sf, read from
+    evaluated signs unless the cell ends at hi: `_tree_pole` passes the
+    least sign of a series' guards, with an estimate from the guards, and
+    certifies the cell it gets.
     """
     # on a common denominator, lo = a/d and hi = b/d, so the midpoint is
     # (a + b)/(2d) and every step stays in integers; a root below tol still
@@ -451,7 +451,7 @@ def _bisect(sf, tol, lo, hi, estimate=None):
     k = (over - 1).bit_length()
     if estimate is None:
         def estimate(a, b, d, bits):
-            return _root_estimate(sf, s_lo, a, b, d, bits)
+            return _root_estimate((sf,), s_lo, a, b, d, bits)
     a, b, d = _newton_cell(sf, s_lo, k, a, b, d, estimate) or (a, b, d)
     while a == 0 or (b - a) * tol.denominator > tol.numerator * d:
         m, d = a + b, 2 * d
@@ -492,9 +492,10 @@ def _newton_cell(sf, s_lo, k_tol, a, b, d, estimate):
     est = estimate(a, b, d, k + d.bit_length() - w.bit_length() + 1)
     if est is None:
         return None
-    # est = x / (y d), so lo < est < hi reads a y < x < b y
+    # est = x / (y d), so lo < est <= hi reads a y < x <= b y; an estimate
+    # on hi names the last cell, as for a root on hi
     x, y = est.numerator * d, est.denominator
-    if not a * y < x < b * y:
+    if not a * y < x <= b * y:
         return None
     if not a:
         # the first cell of level m is (0, hi / 2^m], so the halving leaves
@@ -557,40 +558,58 @@ def _halving_state(j, k, k_tol, a, w, d):
     return left, left + w, d << k
 
 
-# a float Newton iterate is trusted to this many bits below the root's
-# leading bit; a finer cell continues in fixed point
+# a float Newton iterate is trusted to this many bits below the leading bit
+# of the bracket's right end; a finer cell is estimated in fixed point
 _FLOAT_BITS = 48
 
 
-def _root_estimate(sf, s_lo, a, b, d, bits, x=None):
-    """An estimate, as a Fraction, of the root of sf in (a/d, b/d) to about 2^-bits, or None.
+def _root_estimate(polys, s_lo, a, b, d, bits):
+    """An estimate, as a Fraction, of a root in (a/d, b/d] to about 2^-bits.
 
-    Safeguarded Newton (rtsafe): a step that would leave the bracket, or
+    Every polynomial has the sign s_lo at a/d. They are scanned in order
+    from the bracket's right end x: one whose value at x is neither 0 nor of
+    sign s_lo has a root below x, and Newton on (a/d, x) moves x to it. For
+    one polynomial that is its root in the bracket. A tree-built series'
+    guards come each node's after its children's, so each has at most one
+    root below x, and x ends at their least first root, rho.
+
+    Newton is safeguarded (rtsafe): a step that would leave the bracket, or
     that is not below half the step before, is replaced by the bracket's
-    midpoint, and the sign of each value narrows the bracket, which starts
-    as (a/d, b/d) with sf of sign s_lo at a/d. It runs in floats, on the
-    coefficients shifted into float range, while the bracket is wider than
-    float resolution; when 2^-bits is finer than the float iterate's
-    `_FLOAT_BITS`, it goes on in fixed point. A given x is that float
-    iterate, already run by the caller. The values here are not exact, so
-    the estimate is only a guess for `_newton_cell` to certify.
+    midpoint, and the sign of each value narrows the bracket. It runs in
+    floats, on the coefficients shifted into float range, when the bracket
+    is wider than float resolution and 2^-bits is within `_FLOAT_BITS` of
+    b/d's leading bit, and otherwise, or on a float NaN, in fixed point.
+    The values here are not exact, so the estimate is only a guess for
+    `_newton_cell` to certify.
     """
-    if x is None and (b - a) << 40 > b:
-        try:
-            x = _float_newton(sf.coeffs, s_lo, a / d, b / d)
-        except OverflowError:  # an end beyond float range
-            x = None
-    if x is not None and bits + math.frexp(x)[1] <= _FLOAT_BITS:
-        return Fraction(x)
+    try:
+        xl, x = a / d, b / d
+    except OverflowError:  # an end beyond float range
+        x = None
+    if x is not None and (b - a) << 40 > b and bits + math.frexp(x)[1] <= _FLOAT_BITS:
+        for g in polys:
+            v = _float_value(g.coeffs, x)
+            if v and (v > 0) != (s_lo > 0):
+                x = _float_newton(g.coeffs, s_lo, xl, x)
+                if x is None:
+                    break
+        else:
+            return Fraction(x)
     # fixed point X / 2^P, with guard bits for the truncation in Horner
-    P = max(bits, 0) + 32 + sf.degree().bit_length()
-    A, B = (a << P) // d, (b << P) // d
-    if x is None:
-        X = (A + B) // 2
-    else:
-        n, q = x.as_integer_ratio()
-        X = min(max((n << P) // q, A + 1), B - 1)
-    return Fraction(_fixed_newton(sf.coeffs, s_lo, A, B, X, P, P - bits // 2 - 16), 1 << P)
+    P = max(bits, 0) + 32 + max(g.degree() for g in polys).bit_length()
+    A, X = (a << P) // d, (b << P) // d
+    for g in polys:
+        X = _fixed_newton(g.coeffs, s_lo, A, X, P, P - bits // 2 - 16)
+    return Fraction(X, 1 << P)
+
+
+def _float_value(coeffs, x: float) -> float:
+    """The value at x, in floats, of the coefficients scaled into float range."""
+    shift = max(0, max(map(abs, coeffs)).bit_length() - 960)
+    v = 0.0
+    for c in reversed(coeffs):
+        v = v * x + float(c >> shift)
+    return v
 
 
 def _float_newton(coeffs, s_lo, xl, xh):
@@ -624,21 +643,23 @@ def _float_newton(coeffs, s_lo, xl, xh):
     return x
 
 
-def _fixed_newton(coeffs, s_lo, A, B, X, P, done):
-    """Safeguarded Newton on x = X / 2^P in (A, B), by a truncating integer Horner.
+def _fixed_newton(coeffs, s_lo, A, B, P, done):
+    """Safeguarded Newton on x = X / 2^P in (A, B], from X = B, by a truncating integer Horner.
 
-    Stops after a Newton step below 2^done units, whose square is far below
-    the 2^-bits the estimate needs, at a step that rounds to 0, or when the
-    bracket closes.
+    A value of sign s_lo at B keeps B. It stops at a value that the
+    truncation, at most a unit per coefficient, cannot tell from 0, as near
+    a double root, after a Newton step below 2^done units, whose square is
+    far below the 2^-bits the estimate needs, at a step that rounds to 0,
+    or when the bracket closes.
     """
     c = [v << P for v in reversed(coeffs)]
-    step = B - A
+    X, step = B, B - A
     for _ in range(4 * P):
         p = dp = 0
         for v in c:
             dp = (dp * X >> P) + p
             p = (p * X >> P) + v
-        if not p:
+        if abs(p) <= len(c):
             return X
         if (p > 0) == (s_lo > 0):
             A = X
@@ -785,122 +806,83 @@ def _descartes_pole(f: IntPolynomial, upper: Fraction, tol: Fraction):
     return None
 
 
-def _float_value(coeffs, x: float) -> float:
-    """The value at 0 <= x <= 1, in floats, of the coefficients scaled into float range."""
-    shift = max(0, max(map(abs, coeffs)).bit_length() - 960)
-    v = 0.0
-    for c in reversed(coeffs):
-        v = v * x + float(c >> shift)
-    return v
-
-
 def _tree_pole(polys, inner: int, tol: Fraction):
-    """(lo, hi, P): the cell of (0, 1] that a tree-built series' guards certify, and its polynomial P.
+    """(lo, hi, G): the coarsest cell of (0, 1] at or below tol that a tree-built series' guards certify, and G.
 
     polys are the guards, the first `inner` of them below the factors of
-    the denominator f (the top guards), and the grid is the dyadic grid of
-    (0, 1], since every loop radius is at most 1. A guess in floats names
-    the top guard P whose first positive root is rho: each guard is 1 at 0
-    and falls to its first positive root, and in the carried order every
-    node's guard follows its children's, so it has at most one root below
-    the least first root x of the guards before it. x starts at 1; a guard
-    that is not positive at x has its root there, which becomes x. P is
-    the last such guard, and the x before it brackets its one root. P is
-    bisected on the grid from that estimate, which gives a cell (lo, hi]
-    with P(lo) > 0 >= P(hi). Every other guard positive at hi certifies it:
-    hi lies below the radii of P's children, so P has one root in (0, hi],
-    which is rho, and below the radii of the other factors, which have no
-    root in (0, hi]. So the cell isolates rho among the roots of f; when
-    hi = 1, the grid end, and P(1) = 0, rho is pinned at 1. Otherwise, as
-    when another guard's root lies within tol of rho, `_guard_walk`
-    certifies a cell, so every tree-built series answers here.
-    """
-    x, top = 1.0, None
-    for i, g in enumerate(polys):
-        v = _float_value(g.coeffs, x)
-        if v <= 0:
-            top, bracket, root = i, x, None
-            if v < 0:
-                x = root = _float_newton(g.coeffs, 1, 0.0, x)
-                if x is None:
-                    break
-    if x is not None and top is not None and top >= inner:
-        pole, others, bracket = polys[top], polys[:top] + polys[top + 1:], Fraction(bracket)
+    the denominator f (the top guards), each node's after its children's;
+    the grid is the dyadic grid of (0, 1], since every loop radius is at
+    most 1. Each guard is 1 at 0 and falls to its first positive root, and
+    it has at most one root below the radii of its node's children.
 
-        def estimate(a, b, d, bits):
-            # the scan's float Newton on P over (0, bracket) is the float iterate
-            return _root_estimate(pole, 1, 0, bracket.numerator, bracket.denominator, bits, root)
-
-        # P's sign at hi is known unless hi = 1, which no step evaluates
-        lo, hi = _bisect(pole, tol, Fraction(0), Fraction(1), estimate)
-        s_hi = -1 if hi < 1 else pole.sign_at(hi)
-        if s_hi <= 0 and all(g.sign_at(hi) > 0 for g in others):
-            return (hi if s_hi == 0 else lo), hi, pole
-    return _guard_walk(polys, inner, tol)
-
-
-def _guard_walk(polys, inner: int, tol: Fraction):
-    """(lo, hi, G): the coarsest cell of (0, 1] at or below tol that the guards certify, and G.
-
-    The least guard sign S is positive exactly on (0, rho) and, on (0, 1],
-    zero only at rho, by induction over `loop`'s rules: each node's guard
-    is negative between its first root and its children's radius, where a
-    child's guard takes over, and a sphere's 1 - x up to the grid end. So
-    `_bisect` halving by S walks the cells that hold rho.
-
-    Such a cell (lo, hi] is certified when every inner guard is positive at
-    hi and the top guards that are not share one root in the cell, where
+    A cell (lo, hi] is certified when every inner guard is positive at hi
+    and the top guards that are not share one root in the cell, where
     their gcd G vanishes at hi or changes sign. Then hi lies below the
     children's radii, where each top guard falls through at most one root,
-    so G's one root in the cell is rho and f has no other in (0, hi]. The
-    subcells of a certified cell are certified, so the level is found by an
-    exponential search, each level twice the last and its cell halved from
-    the last by a Newton estimate, and then a binary search among the
-    ancestors of the first certified cell. The estimate is `_tree_pole`'s
-    scan, in fixed point from the cell's right end.
+    so G's one root in the cell is rho and f has no other in (0, hi].
+
+    The least sign of the top guards is positive on (0, rho) and 0 at rho,
+    so halving (0, 1] on it at tol reaches the cell of rho unless that sign
+    turns positive again past rho, and the cell it reaches is checked.
+    When the check fails, as when another guard's root lies within tol of
+    rho, the halving is on the least sign S of all the guards. S is
+    positive exactly on (0, rho) and, on (0, 1], zero only at rho, by
+    induction over `loop`'s rules: each node's guard is negative between
+    its first root and its children's radius, where a child's guard takes
+    over, and a sphere's 1 - x up to the grid end. So halving by S walks
+    the cells that hold rho. The subcells of a certified cell are
+    certified, so the level is found by an exponential search, each level
+    twice the last and its cell halved from the last, and then a binary
+    search among the ancestors of the first certified cell.
+
+    Every halving estimates rho by `_root_estimate` on the guards, and
+    halving by S asks it for twice the bits, since a guard's value near a
+    double root of f is about the square of the distance.
     """
-    cheapest = sorted(polys, key=IntPolynomial.degree)
+    top = polys[inner:]
 
-    def least(p, q):
-        # a negative sign decides, so the cheapest guards are read first
-        s = 1
-        for g in cheapest:
-            s = min(s, g.sign_at_ratio(p, q))
-            if s < 0:
-                break
-        return s
+    def least(guards):
+        guards = sorted(guards, key=IntPolynomial.degree)
 
-    def estimate(a, b, d, bits):
-        # X / 2^P with twice `_root_estimate`'s bits, since a guard's value
-        # near a double root of f is about the square of the distance; a
-        # guard not positive at X to the bits asked for has its root below X
-        P = 2 * bits + 32 + max(g.degree() for g in polys).bit_length()
-        A, X = (a << P) // d, (b << P) // d
-        for g in polys:
-            if g.sign_at_ratio(X >> (P - bits), 1 << bits) <= 0:
-                X = _fixed_newton(g.coeffs, 1, A, X, X, P, P - bits - 16)
-        return Fraction(X, 1 << P)
+        def sign(p, q):
+            # a negative sign decides, so the cheapest guards are read first
+            s = 1
+            for g in guards:
+                s = min(s, g.sign_at_ratio(p, q))
+                if s < 0:
+                    break
+            return s
+
+        # `_bisect` reads the sign at 0 off a constant term
+        return SimpleNamespace(coeffs=(1,), sign_at_ratio=sign)
 
     def certified(lo, hi):
         if any(g.sign_at(hi) <= 0 for g in reversed(polys[:inner])):
             return None
-        top = polys[inner:]
         if len(top) == 1 and hi < 1:
-            return lo, hi, top[0]  # S(lo) > 0 > S(hi), since hi < 1 is not rho
+            return lo, hi, top[0]  # its one root in (0, hi] is in the cell, and hi < 1 is not rho
         common = reduce(poly_gcd, [g for g in top if g.sign_at(hi) <= 0])
         s_hi = common.sign_at(hi)
         if s_hi == 0:
             return hi, hi, common
         return (lo, hi, common) if s_hi * common.sign_at(lo) < 0 else None
 
-    # `_bisect` reads S's sign at 0 off a constant term
-    halving = SimpleNamespace(coeffs=(1,), sign_at_ratio=least)
-    lo, hi = _bisect(halving, tol, Fraction(0), Fraction(1), estimate)
+    def estimate(a, b, d, bits):
+        return _root_estimate(polys, 1, a, b, d, bits)
+
+    def fine(a, b, d, bits):
+        return _root_estimate(polys, 1, a, b, d, 2 * bits)
+
+    found = certified(*_bisect(least(top), tol, Fraction(0), Fraction(1), estimate))
+    if found is not None:
+        return found
+    halving = least(polys)
+    lo, hi = _bisect(halving, tol, Fraction(0), Fraction(1), fine)
     failed = k = (hi - lo).denominator.bit_length() - 1
     found = certified(lo, hi)
     while found is None:
         failed, k = k, 2 * k
-        lo, hi = _bisect(halving, Fraction(1, 1 << k), lo, hi, estimate)
+        lo, hi = _bisect(halving, Fraction(1, 1 << k), lo, hi, fine)
         found = certified(lo, hi)
     j = (lo * (1 << k)).numerator
     while k - failed > 1 and lo < hi:
@@ -930,15 +912,14 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     than 1 is not used, since its pole may lie below 1, and a bare product
     of binomials is pinned at 1 by the rational-root exit.
 
-    A guarded series then takes one branch: a rational root r of f is the
-    pole when the least of the guards' signs at r is 0, and otherwise the
-    guards certify a cell of (0, 1] (`_tree_pole`). When f had no rational
-    root to scan, the cell's polynomial P is scanned, unless P is f up to
-    sign, as the last guard of a wedge's or a split series is, since f's
-    scan has answered: P has rho as its one root in (0, hi], so a rational
-    root of P at most hi is rho. The guards are the whole certificate, so
-    this branch takes no squarefree step, Cauchy bound or Descartes count,
-    and the Radius carries P for refinement and comparison.
+    A guarded series then takes one branch: its guards certify a cell
+    (lo, hi] of (0, 1] and its polynomial G (`_tree_pole`), and G alone is
+    scanned for a rational root. G divides f and has rho as its one root
+    in (0, hi], so a rational root of G at most hi is rho, and G passes the
+    scan's coefficient bound wherever f does. The guards are the whole
+    certificate, so this branch takes no squarefree step, Cauchy bound or
+    Descartes count, and the Radius carries G for refinement and
+    comparison.
 
     A bare series takes the other: a rational root r of f with Descartes
     count 0 on (0, r) is the pole. Otherwise f becomes its squarefree part
@@ -962,18 +943,15 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     # one positive root 1, and the exact division is the certificate
     if (gf._split or ((), den))[1] == ONE:
         return Radius(Fraction(1), Fraction(1), False, f, ok, "binomial split", f)
-    r = _smallest_positive_rational_root(f)
     guards = gf._guards
     if guards is not None:
-        polys = guards[0] + guards[1]
-        if r is not None and min(g.sign_at(r) for g in polys) == 0:
-            return Radius(r, r, False, f, ok, "rational root", f)
-        lo, hi, pole = _tree_pole(polys, len(guards[0]), tol)
-        # every guard is 1 at 0, as den is, so P is f up to sign just when P is den
-        q = None if r is not None or pole == den else _smallest_positive_rational_root(pole)
+        lo, hi, g = _tree_pole(guards[0] + guards[1], len(guards[0]), tol)
+        # rho is the one root of G in (0, hi], so a rational root of G at most hi is rho
+        q = _smallest_positive_rational_root(g)
         if q is not None and q <= hi:
             return Radius(q, q, False, f, ok, "rational root", f)
-        return Radius(lo, hi, False, f, ok, "guard signs", pole)
+        return Radius(lo, hi, False, f, ok, "guard signs", g)
+    r = _smallest_positive_rational_root(f)
     if r is not None and descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0:
         return Radius(r, r, False, f, ok, "rational root", f)
     if not _squarefree_mod_p(f):

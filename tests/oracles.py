@@ -11,7 +11,8 @@ denominator rules: `loop_gf` and `inert_cofiber_loop_gf` combine normalized
 `RationalGF`s by `*`, `+`, `-` and `reciprocal`, each step reduced by a
 gcd. `count_calls` counts the calls of a package function wherever a
 module binds it. `unit_grid_pole` finds a pole by the bare Descartes
-search on the grid that a guarded series walks. `parse` is the expression
+search on the grid that a guarded series walks, and `guard_walk` by a plain
+walk on its guards, one exact sign per midpoint. `parse` is the expression
 parser as it was before the one-scan lexer: a loop over the text that
 skips whitespace one character at a time and matches one token at a time,
 keeping each token's offset.
@@ -22,6 +23,7 @@ import pkgutil
 import re
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, log
 
 from loopgrowth.space import MAX_DEPTH, ParseError, Product, Smash, Sphere, Susp, Wedge
@@ -313,9 +315,9 @@ def smallest_positive_rational_root(coeffs):
 
 
 def _sign_at_ratio(coeffs, p, q):
-    """Sign of f(p/q), q > 0: the sign of q^n f(p/q), summed term by term."""
+    """Sign of f(p/q), q > 0: the sign of q^n f(p/q), summed term by term over the nonzero terms."""
     n = len(coeffs) - 1
-    v = sum(c * p**i * q ** (n - i) for i, c in enumerate(coeffs))
+    v = sum(c * p**i * q ** (n - i) for i, c in enumerate(coeffs) if c)
     return (v > 0) - (v < 0)
 
 
@@ -339,6 +341,66 @@ def bisect_reference(coeffs, tol, lo, hi):
         else:
             a, b = 2 * a, m
     return Fraction(a, d), Fraction(b, d)
+
+
+def _monic_gcd(f, g):
+    """The monic gcd over Q of two coefficient lists, low degree first, by Euclid on Fractions."""
+    def trimmed(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    f, g = trimmed(map(Fraction, f)), trimmed(map(Fraction, g))
+    while g:
+        while len(f) >= len(g):
+            c, k = f[-1] / g[-1], len(f) - len(g)
+            f = trimmed([x - c * g[i - k] if i >= k else x for i, x in enumerate(f)])
+        f, g = g, f
+    return [x / f[-1] for x in f]
+
+
+def guard_walk(inner, top, tol):
+    """(lo, hi, G) of a tree-built series' pole, G monic, by a plain walk on its guards.
+
+    inner and top are the guards' coefficient lists. The walk halves (0, 1]
+    on the least guard sign, one exact sign per midpoint, to width <= tol,
+    and from 0 past the first cell, as `bisect_reference` does. Then it
+    descends one level at a time, by the same sign, to the first cell
+    (lo, hi] that the guard rule certifies: every inner guard is positive
+    at hi, and the top guards that are not have a gcd G that vanishes at
+    hi, the answer (hi, hi), or has opposite signs at lo and hi. A midpoint
+    where the least sign is 0 is the cell (m, m).
+    """
+    def least(p, q):
+        return min(_sign_at_ratio(g, p, q) for g in inner + top)
+
+    def certified(a, b, d):
+        if any(_sign_at_ratio(g, b, d) <= 0 for g in inner):
+            return None
+        # gcd(0, g) is g made monic
+        common = reduce(_monic_gcd, [g for g in top if _sign_at_ratio(g, b, d) <= 0], [0])
+        s_hi = _sign_at_ratio(common, b, d)
+        if s_hi == 0:
+            return Fraction(b, d), Fraction(b, d), common
+        if s_hi * _sign_at_ratio(common, a, d) < 0:
+            return Fraction(a, d), Fraction(b, d), common
+        return None
+
+    a, b, d = 0, 1, 1
+    while True:
+        if a and (b - a) * tol.denominator <= tol.numerator * d:
+            found = certified(a, b, d)
+            if found is not None:
+                return found
+        m, d = a + b, 2 * d
+        s_mid = least(m, d)
+        if s_mid == 0:
+            return certified(m, m, d)
+        if s_mid > 0:
+            a, b = m, 2 * b
+        else:
+            a, b = 2 * a, m
 
 
 def _log_fraction(q):

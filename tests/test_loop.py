@@ -151,6 +151,20 @@ class TestWorkPerSeries:
             cli.run(req.argv, io.StringIO())
         assert len(scans) == 33
 
+    # the exact signs and float Newton calls that one seed-1 pass takes
+    @pytest.mark.parametrize("workload,signs,newtons", [("inert-verdicts", 114, 47), ("quick-queries", 129, 53)])
+    def test_a_pass_of_a_pole_workload_takes_few_signs(self, monkeypatch, workload, signs, newtons):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "loopbench"))
+        import workloads
+
+        exact = []
+        sign_at_ratio = IntPolynomial.sign_at_ratio
+        monkeypatch.setattr(IntPolynomial, "sign_at_ratio", lambda f, p, q: exact.append(p) or sign_at_ratio(f, p, q))
+        floats = oracles.count_calls(monkeypatch, series, "_float_newton")
+        for req in workloads.build(workload, 1):
+            cli.run(req.argv, io.StringIO())
+        assert len(exact) <= signs and len(floats) <= newtons
+
 
 def random_tree(rng, depth):
     """A seeded random expression: spheres, products, wedges, suspensions and smashes."""
@@ -515,7 +529,8 @@ class TestTreeCertificate:
     @pytest.mark.parametrize(
         "expr,r,exact",
         [
-            # D = (1 - z^2)(1 - z - z^2): the rational root 1 lies above the pole
+            # D = (1 - z^2)(1 - z - z^2): f's rational root 1 lies above the
+            # pole, and only the cell's polynomial 1 - z - z^2 is scanned
             ("S3 x (S2 v S3)", Fraction(1), False),
             # D = (1 - 2z)^25: its coefficients are past the root scan's bound,
             # and the bisection of the pole guard 1 - 2z on (0, 1] meets the
@@ -534,6 +549,12 @@ class TestTreeCertificate:
             return sign_at(p, x)
 
         monkeypatch.setattr(IntPolynomial, "sign_at", counted)
+        points = []
+        sign_at_ratio = IntPolynomial.sign_at_ratio
+        monkeypatch.setattr(
+            IntPolynomial, "sign_at_ratio", lambda p, n, q: points.append((p, n, q)) or sign_at_ratio(p, n, q)
+        )
+        scans = oracles.count_calls(monkeypatch, series, "_smallest_positive_rational_root")
         rho = smallest_positive_pole(gf)
         read = [p for p, x in signs if x == r]
         if exact:
@@ -541,7 +562,11 @@ class TestTreeCertificate:
             # other guards, which do not vanish there, are read at it once
             assert read == [g for g in guards if sign_at(g, r)]
         else:
-            assert read == guards  # "no root in (0, r)" for the scan's root r
+            # no exact sign of a guard is taken at f's root 1, and the one
+            # rational-root scan is of the cell's polynomial, not of f
+            assert not [p for p, n, q in points if Fraction(n, q) == r and p in guards]
+            assert scans == [(rho._bracketed,)]
+            assert rho._bracketed in (IntPolynomial((1, -1, -1)), IntPolynomial((-1, 1, 1)))
         assert rho.is_exact == exact and rho.certificate_holds()
         assert rho == smallest_positive_pole(RationalGF(gf.num, gf.den))
 
@@ -584,6 +609,57 @@ class TestTreeCertificate:
         assert not check.rho_z.is_infinite and check.rho_z.hi <= 1
         assert verdict.good_growth is GoodGrowth.CERTIFIED_STRONGLY_INERT
         assert verdict.strongly_inert and verdict.omega_divergent and not verdict.elliptic
+
+
+class TestTreePoleAgainstAPlainWalk:
+    """`series._tree_pole` finds its cell by a first halving on the top
+    guards and, when that cell does not certify, an exponential and a
+    binary search over the levels of the halving on all guards, each level
+    jumped to by a Newton estimate. `oracles.guard_walk` halves on all
+    guards one midpoint at a time and descends level by level; both must
+    reach the same cell, with the same polynomial up to a constant."""
+
+    @staticmethod
+    def check(gf):
+        inner, top = gf._guards
+        tol = series.DEFAULT_POLE_TOLERANCE
+        lo, hi, g = series._tree_pole(inner + top, len(inner), tol)
+        want_lo, want_hi, want = oracles.guard_walk([p.coeffs for p in inner], [p.coeffs for p in top], tol)
+        assert (lo, hi) == (want_lo, want_hi)
+        assert [Fraction(c, g.leading()) for c in g.coeffs] == want
+
+    @given(expressions())
+    @settings(max_examples=60, deadline=None)
+    def test_loop_series(self, x):
+        self.check(built(lambda: loop_gf(x)))
+
+    @given(presentations())
+    @settings(max_examples=40, deadline=None)
+    def test_split_series(self, c):
+        self.check(built(lambda: inert_cofiber_loop_gf(c)))
+
+    @given(
+        st.lists(st.integers(2, 4), min_size=2, max_size=4),
+        st.integers(2, 9),
+        st.integers(40, 250),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_squared_wedge_under_a_deep_suspension(self, wedge, n, k):
+        # D_Y = D_Z - z^(k+2) has roots next to the double root of D_Z, so
+        # the first cell mostly does not certify and the walk runs
+        w = " v ".join(f"S{m}" for m in wedge)
+        a, z = "Susp(" * k + "S2" + ")" * k, f"(({w}) x ({w})) x S{n}"
+        self.check(inert_cofiber_loop_gf(CofiberPresentation(parse(a), parse(z), True)))
+
+    @pytest.mark.parametrize("name", ["cofiber-squared-wedge-deep-suspension", "rho-shared-irrational-root"])
+    def test_a_walked_golden_cell(self, name):
+        # cells the first halving does not certify: past the double root of
+        # D_Z, and on two top guards that share the pole
+        argv = GOLDEN[name]["argv"]
+        if argv[0] == "rho":
+            self.check(loop_gf(parse(argv[1])))
+        else:
+            self.check(inert_cofiber_loop_gf(CofiberPresentation(parse(argv[2]), parse(argv[4]), True)))
 
 
 class TestLeastGuardSign:

@@ -31,7 +31,7 @@ from loopgrowth.series import (
 from loopgrowth.space import parse
 
 import oracles
-from test_golden import DEEP_CONNSUM
+from test_golden import DEEP_COFIBER, DEEP_CONNSUM, GUARD_WALK
 
 
 def gf(num, den=(1,)):
@@ -685,12 +685,19 @@ class TestBisectionWork:
         assert rho.refined(Fraction(1, 2**300)).certificate_holds()
         assert len(per_call) == 2 and max(per_call) <= 3
 
-    def test_the_deep_connsum_compares_radii_in_few_signs(self, monkeypatch):
-        # two radii about rho^252 apart, refined 8 bits per round until they
-        # separate; its bytes are a golden case
+    # golden cases with radii about rho^252 apart: the connsum refines both 8
+    # bits per round until they separate (886 signs when every refinement
+    # halved), and each cofiber walks Y's cell on the least guard sign (108
+    # and 114 signs with a separate first try beside the walk)
+    @pytest.mark.parametrize(
+        "argv,signs",
+        [(DEEP_CONNSUM, 450), (DEEP_COFIBER, 108), (GUARD_WALK["cofiber-squared-wedge-deep-suspension"], 114)],
+        ids=["connsum", "cofiber", "squared-wedge-cofiber"],
+    )
+    def test_the_deep_connsum_compares_radii_in_few_signs(self, monkeypatch, argv, signs):
         calls = self.count_chain_work(monkeypatch)
-        assert run(DEEP_CONNSUM, io.StringIO()) == 0
-        assert calls.count("sign_at_ratio") <= 450  # 886 when every refinement halved
+        assert run(argv, io.StringIO()) == 0
+        assert calls.count("sign_at_ratio") <= signs
 
     @pytest.mark.parametrize(
         "estimate",
@@ -730,7 +737,7 @@ class TestBisectionWork:
         ids=lambda argv: argv[0],
     )
     def test_a_tree_pole_runs_each_float_newton_once(self, monkeypatch, argv):
-        # the estimate starts from the guard scan's Newton root of the pole's guard
+        # an estimate scans the guards in floats, one Newton per guard it moves past
         calls = oracles.count_calls(monkeypatch, series, "_float_newton")
         real, per_pole = series._tree_pole, []
 
