@@ -39,7 +39,8 @@ nonnegative coefficients, which gives one guard per node:
   coefficients, has one positive root: the guard is D(x) > 0;
 - a cofiber's D_Z - redA falls from 1 to -redA(rho_Z) < 0 on (0, rho_Z), so
   its one root there is rho(OmegaY) < rho(OmegaZ) (Halperin-Lemaire, inert
-  cells): the guards are Z's and D(x) > 0.
+  cells): the guards are Z's and D(x) > 0, so every cell of rho(OmegaY)
+  they certify ends below rho(OmegaZ) (`strongly_inert_check`).
 
 Inertness itself is a homotopy-theoretic hypothesis the engine cannot decide;
 callers assert it and the assertion is threaded into every verdict trail.
@@ -54,7 +55,6 @@ from .polynomial import ONE, IntPolynomial, binomial_product
 from .series import (
     RationalGF,
     TruncatedSeries,
-    compare_radii,
     expand,
     log_index_exact,
     mul_binomial_power,
@@ -227,43 +227,47 @@ class YClassPresentation(_Record):
         )
 
 
-def inert_cofiber_loop_gf(c: CofiberPresentation, oz: RationalGF | None = None) -> RationalGF:
+def inert_cofiber_loop_gf(c: CofiberPresentation) -> RationalGF:
     """OmegaZ / (1 - redA * OmegaZ), the split loop series of the total space.
 
-    It is built as N_Z / (D_Z - redA N_Z), which is reduced. oz is OmegaZ =
-    loop_gf(c.Z), built here unless the caller has it. The result carries
-    Z's guards and its own denominator's.
+    It is built as N_Z / (D_Z - redA N_Z), which is reduced. The result
+    carries every guard of Z as an inner guard and its own denominator as
+    its top guard.
 
     >>> inert_cofiber_loop_gf(CofiberPresentation(
     ...     Sphere(2), Product(Sphere(2), Sphere(2)), inert_asserted=True)).den.coeffs
     (1, -2)
     """
     _require_inert(c.inert_asserted)
-    if oz is None:
-        oz = loop_gf(c.Z)
+    oz = loop_gf(c.Z)
     den = oz.den - reduced_poly(c.A) * oz.num
-    guards = None if oz._guards is None else (_distinct(oz._guards[0] + oz._guards[1]), (den,))
-    return RationalGF(oz.num, den, None, guards)
+    inner, top = oz._guards
+    return RationalGF(oz.num, den, None, (_distinct(inner + top), (den,)))
 
 
 # -- growth verdicts ----------------------------------------------------------
 
 
 class StronglyInertResult(_Record):
-    """The radius comparison; `series` is OmegaY, the split loop series of the total space."""
+    """The radius gap; `series` is OmegaY, the split loop series of the total space."""
 
-    __slots__ = __match_args__ = ("strongly_inert", "rho_y", "rho_z", "series")
+    __slots__ = __match_args__ = ("strongly_inert", "rho_y", "series")
 
 
 def strongly_inert_check(c: CofiberPresentation) -> StronglyInertResult:
-    """Certified test of rho(OmegaY) < rho(OmegaZ) via disjoint pole intervals."""
+    """Certified test of rho(OmegaY) < rho(OmegaZ), read off OmegaY's guard cell.
+
+    OmegaY's series carries every guard of OmegaZ among its inner guards
+    (`inert_cofiber_loop_gf`), and the pole search certifies its cell
+    (lo, hi] only when every inner guard is positive at hi. The least sign
+    of OmegaZ's guards is positive exactly on (0, rho(OmegaZ)), so a finite
+    rho(OmegaY) gives rho(OmegaY) <= hi < rho(OmegaZ), with no search for
+    rho(OmegaZ) and no comparison of two radii.
+    """
     _require_inert(c.inert_asserted)
-    oz = loop_gf(c.Z)
-    series = inert_cofiber_loop_gf(c, oz)
+    series = inert_cofiber_loop_gf(c)
     ry = smallest_positive_pole(series)
-    rz = smallest_positive_pole(oz)
-    verdict, ry, rz = compare_radii(ry, rz)
-    return StronglyInertResult(verdict == -1, ry, rz, series)
+    return StronglyInertResult(not ry.is_infinite, ry, series)
 
 
 class GoodGrowth(Enum):
@@ -285,19 +289,20 @@ def good_growth_verdict(c: CofiberPresentation) -> GrowthVerdict:
     An inert attachment gives rho(OmegaY) < rho(OmegaZ) <= 1 (the cofiber
     case of the module docstring; Halperin-Lemaire, inert cells), so Y is
     strongly inert, not elliptic, and OmegaZ diverges at its radius. The gap
-    is certified by disjoint isolating intervals; a ValueError is raised if
-    it is not.
+    is certified by OmegaY's guard cell (`strongly_inert_check`); a
+    ValueError is raised if it is not.
     """
     check = strongly_inert_check(c)
     if not check.strongly_inert:
         raise ValueError(
-            "radius gap rho(OmegaY) < rho(OmegaZ) not certified by disjoint isolating intervals"
+            "radius gap rho(OmegaY) < rho(OmegaZ) not certified by OmegaZ's guards "
+            "at rho(OmegaY)'s cell"
         )
     trail = (
         f"attaching map asserted inert: {c.justification or 'no justification given'}",
-        "the verdict rests on rho(OmegaY) < rho(OmegaZ) <= 1: the gap certified by disjoint "
-        "isolating intervals, and rho(OmegaZ) <= 1 as for every loop series; strongly inert "
-        "splitting gives controlled growth at the loop log index",
+        "the verdict rests on rho(OmegaY) < rho(OmegaZ) <= 1: the gap certified by OmegaZ's "
+        "guards, positive at the right end of rho(OmegaY)'s cell, and rho(OmegaZ) <= 1 as for "
+        "every loop series; strongly inert splitting gives controlled growth at the loop log index",
         f"log index certified by the splitting theorem for Z = {to_text(c.Z)}; "
         "free-loop homology is not recomputed here",
     )

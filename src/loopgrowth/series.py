@@ -54,10 +54,11 @@ one sign per midpoint.
 
 Every later root question is answered by signs alone, because each interval
 holds one simple root of the polynomial its Radius carries and the ends of a
-non-exact one are not roots. `compare_radii` refines both intervals until
-they are disjoint, or finds a common root in the overlap from the signs of
-the two polynomials' gcd at its ends. Only `Radius.certificate_holds`
-counts roots again, from scratch, on the squarefree part of the denominator.
+non-exact one are not roots. `compare_radii` (library API; no verdict
+needs it) refines both intervals until they are disjoint, or finds a
+common root in the overlap from the signs of the two polynomials' gcd at
+its ends. Only `Radius.certificate_holds` counts roots again, from
+scratch, on the squarefree part of the denominator.
 
 All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
 the series expansion (a stride sum for each binomial factor, a recurrence
@@ -573,12 +574,13 @@ def _root_estimate(polys, s_lo, a, b, d, bits):
     guards come each node's after its children's, so each has at most one
     root below x, and x ends at their least first root, rho.
 
-    Newton is safeguarded (rtsafe): a step that would leave the bracket, or
-    that is not below half the step before, is replaced by the bracket's
-    midpoint, and the sign of each value narrows the bracket. It runs in
-    floats, on the coefficients shifted into float range, when the bracket
-    is wider than float resolution and 2^-bits is within `_FLOAT_BITS` of
-    b/d's leading bit, and otherwise, or on a float NaN, in fixed point.
+    Newton is safeguarded: the sign of each value narrows the bracket, and
+    a step that would leave it is replaced by the bracket's midpoint; in
+    floats (rtsafe) so is a step that is not below half the step before. It
+    runs in floats, on the coefficients shifted into float range, when the
+    bracket is wider than float resolution and 2^-bits is within
+    `_FLOAT_BITS` of b/d's leading bit, and otherwise, or on a float NaN,
+    in fixed point.
     The values here are not exact, so the estimate is only a guess for
     `_newton_cell` to certify.
     """
@@ -646,14 +648,17 @@ def _float_newton(coeffs, s_lo, xl, xh):
 def _fixed_newton(coeffs, s_lo, A, B, P, done):
     """Safeguarded Newton on x = X / 2^P in (A, B], from X = B, by a truncating integer Horner.
 
-    A value of sign s_lo at B keeps B. It stops at a value that the
-    truncation, at most a unit per coefficient, cannot tell from 0, as near
-    a double root, after a Newton step below 2^done units, whose square is
-    far below the 2^-bits the estimate needs, at a step that rounds to 0,
-    or when the bracket closes.
+    A value of sign s_lo at B keeps B. The sign of each value narrows the
+    bracket; a Newton step that stays inside it is taken, however long, so
+    a linear polynomial's exact step lands on its root at once, and one
+    that would leave it is replaced by the bracket's midpoint. It stops at a
+    value that the truncation, at most a unit per coefficient, cannot tell
+    from 0, as near a double root, after a Newton step below 2^done units,
+    whose square is far below the 2^-bits the estimate needs, at a step
+    that rounds to 0, or when the bracket closes.
     """
     c = [v << P for v in reversed(coeffs)]
-    X, step = B, B - A
+    X = B
     for _ in range(4 * P):
         p = dp = 0
         for v in c:
@@ -665,10 +670,10 @@ def _fixed_newton(coeffs, s_lo, A, B, P, done):
             A = X
         else:
             B = X
-        prev, step = step, (p << P) // dp if dp else B - A
+        step = (p << P) // dp if dp else B - A
         if not step:
             return X  # within a unit of the root
-        if A < X - step < B and 2 * abs(step) < abs(prev):
+        if A < X - step < B:
             X -= step
             if abs(step) >> done == 0:
                 return X
@@ -971,12 +976,14 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
 
 
 def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
-    """Certified three-way comparison of two radii.
+    """Certified three-way comparison of two radii (library API).
 
-    Returns (cmp, a_refined, b_refined) with cmp in {-1, 0, 1}. Strict answers
-    come from disjoint isolating intervals. Equality is certified by a root
-    of g = gcd of the two carried polynomials (`Radius._bracketed`) in the
-    overlap [lo, hi]. Two exact radii never get this far. A non-exact
+    No verdict calls it: the gap rho(OmegaY) < rho(OmegaZ) is read off
+    OmegaY's guard cell (`loop.strongly_inert_check`), and the tests compare
+    that reading with this one. Returns (cmp, a_refined, b_refined) with
+    cmp in {-1, 0, 1}. Strict answers come from disjoint isolating
+    intervals. Equality is certified by a root of g = gcd of the two carried
+    polynomials (`Radius._bracketed`) in the overlap [lo, hi]. Two exact radii never get this far. A non-exact
     interval holds one simple root of its polynomial and its ends are not
     roots, so g has at most one root there, simple: one iff g(hi) = 0 or
     g(lo) g(hi) < 0. The gcd is taken only once the intervals first overlap.

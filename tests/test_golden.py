@@ -10,8 +10,8 @@ cofiber's Z, a cofiber whose redA shares a factor with the loop denominator
 of Z, one free-loop growth check per branch of its verdict, and the Witt
 counts and per-degree rates of free-loop, hm-census, torsion and log-index
 at larger truncations, a report whose table has no rows, a connected sum
-whose radii are refined for many rounds before they separate, a cofiber
-whose first cells overlap, over a Z whose denominator has a repeated
+whose two radii lie about rho^252 apart, a cofiber whose pole lies within
+the tolerance of rho(OmegaZ), over a Z whose denominator has a repeated
 factor, the poles of spheres near the dimension limit in mixed shapes and
 of denominators with repeated factors of degree up to 962,
 denominators with binomial factors times a cofactor, built on the
@@ -44,16 +44,15 @@ from test_cli import COMMANDS, JUST
 
 DATA = Path(__file__).with_name("golden_cli.json")
 PRESENTATION = {"kind": "cofiber", "A": "S2", "Z": "S2 x S3", "inert_justification": JUST}
-# a connected sum whose A is suspended 250 times: its verdict compares two
-# radii about rho^252 apart, so compare_radii refines both for many rounds
+# a connected sum whose A is suspended 250 times: rho(OmegaY) lies about
+# rho^252 below rho(OmegaZ), and the guards certify Y's cell below it
 DEEP_CONNSUM = [
     "connsum", "--A", "Susp(" * 250 + "S2" + ")" * 250, "--M", "Susp(S2)",
     "--N", "S3 v S3 v S3 v S3 v S3 v S3", "--inert", "assumed",
 ]
 # a cofiber over the rho blow-up's Z, whose A is suspended 250 times: Y's
 # first cell reaches past rho(OmegaZ), so the guards certify a finer one,
-# and the two radii's first cells overlap, so compare_radii takes the gcd of
-# their carried pole guards, Y's and Z's
+# below it
 DEEP_COFIBER = [
     "cofiber", "--A", "Susp(" * 250 + "S2" + ")" * 250,
     "--Z", "((S189 v S7) x ((S284 ^ Susp(S231)) x (S257 x (S3 v S4))))",
@@ -261,7 +260,7 @@ def answers_within_a_second(monkeypatch, tmp_path, name):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_the_deep_cofiber_answers_within_a_second(monkeypatch, tmp_path, fmt):
     # Y's pole is certified by the guards on a cell finer than the
-    # tolerance, and the comparison's gcd is of the two carried pole guards
+    # tolerance, which certifies the radius gap too
     answers_within_a_second(monkeypatch, tmp_path, f"cofiber-deep-suspension-{fmt}")
 
 

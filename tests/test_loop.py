@@ -3,10 +3,12 @@
 import io
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopgrowth.loop import (
@@ -142,14 +144,14 @@ class TestWorkPerSeries:
         up_to_sign = [(f if f.leading() > 0 else -f).coeffs for (f,) in scans]
         assert scans and len(set(up_to_sign)) == len(up_to_sign)
 
-    def test_a_pass_of_the_verdict_workload_takes_33_rational_root_scans(self, monkeypatch):
+    def test_a_pass_of_the_verdict_workload_takes_26_rational_root_scans(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "loopbench"))
         import workloads
 
         scans = oracles.count_calls(monkeypatch, series, "_smallest_positive_rational_root")
         for req in workloads.build("inert-verdicts", 1):
             cli.run(req.argv, io.StringIO())
-        assert len(scans) == 33
+        assert len(scans) == 26
 
     # the exact signs and float Newton calls that one seed-1 pass takes
     @pytest.mark.parametrize("workload,signs,newtons", [("inert-verdicts", 114, 47), ("quick-queries", 129, 53)])
@@ -369,12 +371,18 @@ BATTERY = [
 ]
 
 
+def reference_gap(c, check):
+    """compare_radii of the check's rho(OmegaY) and rho(OmegaZ) from Z's own pole search."""
+    return compare_radii(check.rho_y, smallest_positive_pole(loop_gf(c.Z)))
+
+
 class TestStronglyInert:
     def test_deleted_manifold_radii(self):
         out = strongly_inert_check(BATTERY[0])
         assert out.strongly_inert
         assert out.rho_y.is_exact and out.rho_y.lo == Fraction(1, 2)
-        assert out.rho_z.is_exact and out.rho_z.lo == 1
+        verdict, _, rho_z = reference_gap(BATTERY[0], out)
+        assert verdict == -1 and rho_z.is_exact and rho_z.lo == 1
 
     def test_irrational_radius_gap(self):
         out = strongly_inert_check(BATTERY[1])
@@ -385,7 +393,8 @@ class TestStronglyInert:
         for c in BATTERY:
             out = strongly_inert_check(c)
             assert out.strongly_inert
-            assert out.rho_z.is_infinite or out.rho_y.hi < out.rho_z.lo
+            verdict, rho_y, rho_z = reference_gap(c, out)
+            assert verdict == -1 and rho_y.hi < rho_z.lo
 
     def test_requires_assertion(self):
         with pytest.raises(HypothesisError, match="not asserted"):
@@ -440,12 +449,35 @@ class TestGrowthVerdict:
 # -- the tree certificate ----------------------------------------------------------
 
 
-def expressions(depth=3):
-    """Expressions over S2..S9 with all five operators, at most `depth` operators deep."""
+def squared_wedges():
+    """W x W for a wedge W of two to four of S2..S4: its loop denominator
+    D_W^2 has a double root at rho(OmegaW) < 1."""
+    wedges = st.lists(st.integers(2, 4).map(Sphere), min_size=2, max_size=4).map(
+        lambda spheres: reduce(Wedge, spheres)
+    )
+    return wedges.map(lambda w: Product(w, w))
+
+
+def deep_suspensions():
+    """Susp^k(S2) for 40 <= k <= 150, whose reduced homology is z^(k+2).
+
+    k stays within 150 so that the repr of a drawn tree, which hypothesis
+    prints for a failing example, stays within the recursion limit.
+    """
+    return st.integers(40, 150).map(lambda k: reduce(lambda x, _: Susp(x), range(k), Sphere(2)))
+
+
+def expressions(depth=3, wide=False):
+    """Expressions over S2..S9 with all five operators, at most `depth` operators deep.
+
+    Wide ones also take squared wedges and deep suspensions as leaves.
+    """
     leaves = st.integers(2, 9).map(Sphere)
+    if wide:
+        leaves = st.one_of(leaves, squared_wedges(), deep_suspensions())
     if depth == 0:
         return leaves
-    inner = expressions(depth - 1)
+    inner = expressions(depth - 1, wide)
     pairs = st.tuples(inner, inner)
     return st.one_of(
         leaves,
@@ -457,17 +489,28 @@ def expressions(depth=3):
 
 
 @st.composite
-def presentations(draw):
-    """An inert cofiber, connected-sum or two-cone presentation, as its cofiber."""
-    space = expressions(2)
+def presentations(draw, wide=False):
+    """An inert cofiber, connected-sum or two-cone presentation, as its cofiber.
+
+    A wide one draws over wide expressions, and half the time takes A as a
+    deep suspension and Z as a squared wedge times a sphere. Then D_Y =
+    D_Z - z^(k+2) has two roots beside the double root of D_Z, often
+    closer than the tolerance, so the pole search walks past its first cell.
+    """
+    space = expressions(2, wide)
+    a = st.one_of(space, deep_suspensions()) if wide else space
+    z = space
+    if wide:
+        squared = st.tuples(squared_wedges(), st.integers(2, 9).map(Sphere))
+        z = st.one_of(space, squared.map(lambda t: Product(*t)))
     kind = draw(st.sampled_from(["cofiber", "connsum", "yclass"]))
     if kind == "cofiber":
-        return CofiberPresentation(draw(space), draw(space), inert_asserted=True)
+        return CofiberPresentation(draw(a), draw(z), inert_asserted=True)
     if kind == "connsum":
-        return ConnSumPresentation(draw(space), draw(space), draw(space), True).as_cofiber()
+        return ConnSumPresentation(draw(a), draw(z), draw(space), True).as_cofiber()
     m = draw(st.integers(2, 4))
     n = draw(st.integers(2 * m, 2 * m + 4))
-    return YClassPresentation(m, n, draw(space), inert_asserted=True).as_cofiber()
+    return YClassPresentation(m, n, draw(a), inert_asserted=True).as_cofiber()
 
 
 def built(make):
@@ -605,10 +648,57 @@ class TestTreeCertificate:
         # loop radius is at most 1, so rho(OmegaY) < rho(OmegaZ) <= 1
         check = built(lambda: strongly_inert_check(c))
         verdict = good_growth_verdict(c)
+        rho_z = smallest_positive_pole(loop_gf(c.Z))
         assert check.strongly_inert
-        assert not check.rho_z.is_infinite and check.rho_z.hi <= 1
+        assert not rho_z.is_infinite and rho_z.hi <= 1
         assert verdict.good_growth is GoodGrowth.CERTIFIED_STRONGLY_INERT
         assert verdict.strongly_inert and verdict.omega_divergent and not verdict.elliptic
+
+
+class TestGapCertificate:
+    """The verdict reads rho(OmegaY) < rho(OmegaZ) off OmegaY's guard cell,
+    on whose right end every guard of OmegaZ is positive. The reference
+    searches rho(OmegaZ) on its own and compares the two radii."""
+
+    @given(presentations(wide=True))
+    @settings(max_examples=40, deadline=None)
+    def test_the_guard_cell_agrees_with_the_radius_comparison(self, c):
+        check = built(lambda: strongly_inert_check(c))
+        verdict, rho_y, rho_z = reference_gap(c, check)
+        assert check.strongly_inert and verdict == -1
+        assert rho_y.hi <= rho_z.lo
+        inner, top = loop_gf(c.Z)._guards
+        assert all(g.sign_at(check.rho_y.hi) > 0 for g in inner + top)
+
+    # a verdict that searched rho(OmegaZ) as well would run the float Newton
+    # on Z's pole guard 1 - 4z + 2z^2 twice: there and in OmegaY's scan
+    @example(ConnSumPresentation(Sphere(3), parse("S2 x S2"), parse("S2 x S2"), True).as_cofiber())
+    @given(presentations(wide=True))
+    @settings(max_examples=40, deadline=None)
+    def test_a_verdict_runs_each_float_newton_once(self, c):
+        with mock.patch.object(series, "_float_newton", wraps=series._float_newton) as newton:
+            built(lambda: good_growth_verdict(c))
+        calls = [call.args for call in newton.call_args_list]
+        assert len(set(calls)) == len(calls)
+
+    def test_some_wide_draws_walk(self, monkeypatch):
+        # the pole search halves once when its first cell certifies; a
+        # second halving is the walk, and the verdict rests on its cell too
+        halvings = oracles.count_calls(monkeypatch, series, "_bisect")
+        walked = []
+
+        @given(presentations(wide=True))
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        def draw(c):
+            y = built(lambda: inert_cofiber_loop_gf(c))
+            halvings.clear()
+            rho = smallest_positive_pole(y)
+            if len(halvings) > 1:
+                walked.append(rho)
+                assert strongly_inert_check(c).strongly_inert
+
+        draw()
+        assert walked
 
 
 class TestTreePoleAgainstAPlainWalk:
@@ -628,12 +718,12 @@ class TestTreePoleAgainstAPlainWalk:
         assert (lo, hi) == (want_lo, want_hi)
         assert [Fraction(c, g.leading()) for c in g.coeffs] == want
 
-    @given(expressions())
+    @given(expressions(wide=True))
     @settings(max_examples=60, deadline=None)
     def test_loop_series(self, x):
         self.check(built(lambda: loop_gf(x)))
 
-    @given(presentations())
+    @given(presentations(wide=True))
     @settings(max_examples=40, deadline=None)
     def test_split_series(self, c):
         self.check(built(lambda: inert_cofiber_loop_gf(c)))

@@ -1,13 +1,15 @@
-"""Reach audit of `series`: every function it defines runs on a golden argv
-or a benchmark request, or is named here with the test that pins it.
+"""Reach audit of `series` and `loop`: every function they define runs on a
+golden argv or a benchmark request, or is named here with the test that
+pins it.
 
 The argvs of `golden_cli.json` and the seed-1 request lists of the four
-`loopbench` workloads run under `sys.setprofile`, which records every code
-object entered. A function or method of `series` that none of them enters
-is library API, a recheck, the bare series' pole path or a branch that no
-loop series takes; each is allowed only with a test that calls it. The
-list must match exactly, so code that no request reaches is declared here,
-and an entry goes when a request comes to reach it.
+`loopbench` workloads run once under `sys.setprofile`, which records every
+code object of the package entered. A function or method of `series` or
+`loop` that none of them enters is library API, a recheck, the bare
+series' pole path or a branch that no loop series takes; each is allowed
+only with a test that calls it. Each list must match exactly, so code that
+no request reaches is declared here, and an entry goes when a request
+comes to reach it.
 """
 
 import importlib
@@ -16,7 +18,9 @@ import io
 import sys
 from pathlib import Path
 
-from loopgrowth import cli, series
+import pytest
+
+from loopgrowth import cli, loop, series
 from test_golden import GOLDEN, run_case
 
 # function or method of `series` -> the test that pins it
@@ -34,6 +38,12 @@ UNREACHED = {
     "gf_mul": "test_series.py::TestArithmetic::test_mul_polynomials",
     "gf_reciprocal": "test_series.py::TestArithmetic::test_reciprocal_round_trip",
     "gf_shift": "test_series.py::TestArithmetic::test_shift",
+    # library API: a verdict reads its radius gap off rho(OmegaY)'s guard
+    # cell, so no request compares or refines two radii
+    "compare_radii": "test_series.py::TestCompareRadii::test_strictly_smaller",
+    "_disjoint_verdict": "test_series.py::TestCompareRadii::test_close_but_distinct_poles",
+    "Radius.refined": "test_series.py::TestBisectionWork::test_refined_builds_and_evaluates_no_chain",
+    "Radius.width": "test_series.py::TestBisectionWork::test_refined_builds_and_evaluates_no_chain",
     # the independent recheck of a certificate
     "Radius.certificate_holds": "test_series.py::TestPoles::test_certified_interval_properties",
     "Radius._sqfree": "test_series.py::TestBisectionWork::test_a_double_root_takes_the_squarefree_part",
@@ -48,11 +58,23 @@ UNREACHED = {
     "GrowthCheckResult.cumulative": "test_series.py::TestControlledGrowth::test_cumulative_dimension_count",
 }
 
+# function or method of `loop` -> the test that pins it
+LOOP_UNREACHED = {
+    # library API that waits for a caller (ROADMAP item 7) and the smash rule's series
+    "pi_ranks": "test_loop.py::TestPiRanks::test_reconstruction_round_trip",
+    "PiRankTable.reconstruct": "test_loop.py::TestPiRanks::test_reconstruction_round_trip",
+    "loop_smash_sphere": "test_loop.py::TestLoopSmashSphere::test_matches_truncated_division",
+}
+
 WORKLOADS = ("product-poles", "inert-verdicts", "quick-queries", "hochschild")
 
 
 def defined(module) -> dict:
-    """{code object: name} of every function and method defined in module, nested ones aside."""
+    """{code object: name} of every function and method defined in module, nested ones aside.
+
+    A method a class takes from elsewhere, as an Enum takes `__new__`, is
+    not the module's.
+    """
     out = {}
     for name, obj in vars(module).items():
         if getattr(obj, "__module__", None) != module.__name__:
@@ -62,22 +84,26 @@ def defined(module) -> dict:
         elif inspect.isclass(obj):
             for attr, member in vars(obj).items():
                 fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
-                if inspect.isfunction(fn):
+                if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
                     out[fn.__code__] = f"{name}.{attr}"
     return out
 
 
-def test_every_series_function_is_reached_or_pinned(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "loopbench"))
-    import workloads
+@pytest.fixture(scope="module")
+def entered(tmp_path_factory):
+    """The code objects of `loopgrowth` that the golden argvs and the workloads' seed-1 requests enter."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "loopbench"))
+        import workloads
 
-    requests = [workloads.build(name, 1) for name in WORKLOADS]
-    entered = set()
-    path = series.__file__
+        requests = [workloads.build(name, 1) for name in WORKLOADS]
+    tmp_path = tmp_path_factory.mktemp("reach")
+    package = Path(series.__file__).parent
+    codes = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == path:
-            entered.add(frame.f_code)
+        if event == "call" and Path(frame.f_code.co_filename).parent == package:
+            codes.add(frame.f_code)
 
     sys.setprofile(profile)
     try:
@@ -88,12 +114,23 @@ def test_every_series_function_is_reached_or_pinned(monkeypatch, tmp_path):
                 cli.run(req.argv, io.StringIO())
     finally:
         sys.setprofile(None)
-    unreached = sorted(name for code, name in defined(series).items() if code not in entered)
-    assert unreached == sorted(UNREACHED)
+    return codes
+
+
+def unreached(module, entered) -> list:
+    return sorted(name for code, name in defined(module).items() if code not in entered)
+
+
+def test_every_series_function_is_reached_or_pinned(entered):
+    assert unreached(series, entered) == sorted(UNREACHED)
+
+
+def test_every_loop_function_is_reached_or_pinned(entered):
+    assert unreached(loop, entered) == sorted(LOOP_UNREACHED)
 
 
 def test_every_pin_names_a_test():
-    for pin in UNREACHED.values():
+    for pin in [*UNREACHED.values(), *LOOP_UNREACHED.values()]:
         filename, *names = pin.split("::")
         obj = importlib.import_module(Path(filename).stem)
         for name in names:

@@ -685,10 +685,11 @@ class TestBisectionWork:
         assert rho.refined(Fraction(1, 2**300)).certificate_holds()
         assert len(per_call) == 2 and max(per_call) <= 3
 
-    # golden cases with radii about rho^252 apart: the connsum refines both 8
-    # bits per round until they separate (886 signs when every refinement
-    # halved), and each cofiber walks Y's cell on the least guard sign (108
-    # and 114 signs with a separate first try beside the walk)
+    # golden cases with radii about rho^252 apart: each walks Y's cell on the
+    # least guard sign, and that cell certifies the gap (the connsum took
+    # 886 signs when it refined both radii until they separated and every
+    # refinement halved, and the cofibers 108 and 114 with a separate first
+    # try beside the walk)
     @pytest.mark.parametrize(
         "argv,signs",
         [(DEEP_CONNSUM, 450), (DEEP_COFIBER, 108), (GUARD_WALK["cofiber-squared-wedge-deep-suspension"], 114)],
@@ -752,6 +753,26 @@ class TestBisectionWork:
         assert any(per_pole)
         for newtons in per_pole:
             assert len(set(newtons)) == len(newtons)
+
+
+class TestFixedNewton:
+    """The fixed-point Newton of a root estimate takes every step that stays
+    in its bracket, so an exact step is never traded for halvings."""
+
+    def test_a_linear_guard_lands_on_its_root_at_once(self, monkeypatch):
+        # a cell of width 2^-80 whose left end lies within a unit of 1/3, at
+        # 202 bits: the step from the right end lands on the root, where
+        # halving the bracket to closure would take over 120 iterations;
+        # each iteration reads len once, to compare its value with the
+        # truncation
+        reads = []
+        monkeypatch.setattr(series, "len", lambda c: reads.append(c) or len(c), raising=False)
+        P = 202
+        A = (1 << P) // 3
+        B = A + (1 << (P - 80))
+        X = series._fixed_newton((1, -3), 1, A, B, P, P - 100)
+        assert abs(3 * X - (1 << P)) <= 3 and A <= X <= B
+        assert len(reads) <= 3
 
 
 class TestCarriedSplit:
@@ -895,6 +916,18 @@ class TestCompareRadii:
         assert compare_radii(fin, inf)[0] == -1
         assert compare_radii(inf, fin)[0] == 1
         assert compare_radii(inf, inf)[0] == 0
+
+    def test_radii_that_never_separate_are_an_error(self, monkeypatch):
+        # every round overlaps and no common root is found, so the
+        # comparison runs out of its 300 refinement rounds
+        ry = smallest_positive_pole(gf([1], [1, -2]))
+        rz = smallest_positive_pole(loop_gf(parse("S2 x S2")))
+        rounds = []
+        monkeypatch.setattr(series, "_disjoint_verdict", lambda ra, rb: rounds.append((ra, rb)))
+        monkeypatch.setattr(series, "poly_gcd", lambda a, b: IntPolynomial((1,)))
+        with pytest.raises(ValueError, match="did not resolve"):
+            compare_radii(ry, rz)
+        assert len(rounds) == 300
 
 
 COARSE = Fraction(1, 2)
