@@ -70,8 +70,21 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        # an explicit stack of records still to print and text already made,
+        # so a tree as deep as the parser builds prints without recursing
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for i, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                inline = type(value).__repr__ is not _Record.__repr__
+                parts += [f"{', ' if i else ''}{name}=", repr(value) if inline else value]
+            stack += reversed([*parts, ")"])
+        return "".join(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -6,10 +6,10 @@ Z, exact division, division by binomials 1 - z^a by stride sums and
 multiplication by them by stride differences, Taylor shifts for
 Descartes counts, and signs at a rational point p/q read off the homogeneous
 value q^n f(p/q), so no floating point enters any certificate. Descartes
-counts isolate the poles; Sturm sequences, whose rows are primitive integer
-polynomials, count roots on half-open intervals (a, b] exactly from scratch,
-and serve only as the independent recheck of a certificate
-(`series.Radius.certificate_holds`).
+counts isolate a bare series' pole and recheck every certificate; Sturm
+sequences, whose rows are primitive integer polynomials, count roots on
+half-open intervals (a, b] exactly from scratch, and serve only as the
+tests' oracle: no other module of the package names them.
 """
 
 from __future__ import annotations

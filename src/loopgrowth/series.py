@@ -22,12 +22,8 @@ certificate in one pass, in this order:
   (0, 1] that its guards certify, pinned exactly when the cell's
   polynomial has a rational root in the cell;
 - for a bare series, one with no guards, a rational root r of f with no
-  root in (0, r) is the pole r; otherwise f becomes its squarefree part
-  unless one prime proves it squarefree, a rational root of that part,
-  when f had none, is tested the same way, and the cell of the dyadic grid
-  of (0, upper], upper = r or the Cauchy bound, that isolates the smallest
-  positive root is found by Descartes counts; with none below upper, the
-  pole is r, or there is none.
+  root in (0, r), or else the first cell that Descartes subdivision of
+  (0, r) or (0, Cauchy bound) yields, refined; with none, r or no pole.
 The guards of a series built by the closed rules are polynomials whose
 signs at x decide rho > x (see `loop`): their least sign is positive
 exactly on (0, rho). Halving the grid on the least sign of the top guards,
@@ -40,11 +36,11 @@ certificate: that path takes no squarefree test, no squarefree part, no
 Cauchy bound and no Descartes count. The Radius carries the polynomial
 whose sign change its cell brackets, and refinement and comparison read
 its signs.
-A bare series is settled by Descartes counts (Collins-Akritas): a count of
-0 or 1 on an interval is exact, and each cell of the bisection grid is a
-Taylor shift of its parent, so on a squarefree polynomial the search always
-ends (Vincent's theorem). A bare series walks (0, r] or (0, Cauchy bound],
-so it may report another cell of a pole than the loop series it equals.
+A bare series is settled by Descartes subdivision (Collins-Akritas), which
+also rechecks every certificate: a count of 0 or 1 is exact, and each grid
+cell is a Taylor shift of its parent, so on a squarefree polynomial it ends
+(Vincent's theorem). A bare series walks (0, r) or (0, Cauchy bound), so it
+may report another cell of a pole than the loop series it equals.
 Refinement returns the
 interval that sign bisection reaches, without walking it: the root is
 simple, so the denominator changes sign across it; a Newton estimate of
@@ -58,7 +54,7 @@ non-exact one are not roots. `compare_radii` (library API; no verdict
 needs it) refines both intervals until they are disjoint, or finds a
 common root in the overlap from the signs of the two polynomials' gcd at
 its ends. Only `Radius.certificate_holds` counts roots again, from
-scratch, on the squarefree part of the denominator.
+scratch, by the same subdivision on the squarefree part of the denominator.
 
 All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
 the series expansion (a stride sum for each binomial factor, a recurrence
@@ -76,6 +72,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import gcd as int_gcd
 from operator import mul
 from types import SimpleNamespace
@@ -391,32 +388,22 @@ class Radius(_Record):
     def certificate_holds(self) -> bool:
         """Recheck the defining properties from scratch on `_den` (used by tests).
 
-        A root count is settled by Descartes' rule when it reads 0 or 1, with
-        no gcd, and by a Sturm count on the squarefree part otherwise: the
-        only root count in the package that is not a Descartes count.
+        Descartes subdivision of the squarefree part (`_isolating_cells`)
+        settles each root count: it finds no root in (0, lo) and, for an
+        interval, exactly one in (lo, hi).
         """
-        from .polynomial import count_roots_halfopen
-
         if self.is_infinite:
             return True
         f, lo, hi = self._sqfree, self.lo, self.hi
-        zero = Fraction(0)
-
-        def descartes(a, b):
-            return descartes_count(_cell_polynomial(f, a, b))
-
         if self.is_exact:
-            # the pinned point is a root and is the first one past zero
-            return (
-                lo > 0
-                and f.sign_at(lo) == 0
-                and (descartes(zero, lo) == 0 or count_roots_halfopen(f, zero, lo) == 1)
-            )
-        if not (0 < lo < hi) or f.sign_at(lo) * f.sign_at(hi) >= 0:
-            return False
-        none_before = descartes(zero, lo) == 0 or count_roots_halfopen(f, zero, lo) == 0
-        one_inside = descartes(lo, hi) == 1 or count_roots_halfopen(f, lo, hi) == 1
-        return none_before and one_inside
+            # the pinned root is the first past zero; subdivision needs f squarefree
+            holds = lo > 0 and f.sign_at(lo) == 0
+            if holds and descartes_count(_cell_polynomial(f, Fraction(0), lo)):
+                f = squarefree_part(f)
+        else:
+            holds = 0 < lo < hi and f.sign_at(lo) * f.sign_at(hi) < 0
+            holds = holds and len([*islice(_isolating_cells(f, lo, hi), 2)]) == 1
+        return holds and next(_isolating_cells(f, Fraction(0), lo), None) is None
 
 
 # lo and hi stay the third and fourth positional arguments:
@@ -773,42 +760,40 @@ def _cell_polynomial(f: IntPolynomial, a: Fraction, b: Fraction) -> list:
     return [c * (t - s) ** j for j, c in enumerate(g)]
 
 
-def _descartes_pole(f: IntPolynomial, upper: Fraction, tol: Fraction):
-    """The cell of f's smallest root in (0, upper] by Descartes counts, or None.
+def _isolating_cells(f: IntPolynomial, a: Fraction, b: Fraction):
+    """Yield, left to right, a cell (lo, hi) around each root of the squarefree f in (a, b), or (x, x) for a grid point.
 
-    The search walks the dyadic grid of (0, upper] that `_bisect` walks,
-    depth first and left first; f is squarefree, leading coefficient
-    positive. A cell (lo, hi] is held as
-    g(x) = f(lo + (hi - lo) x) made integral: its left child is 2^n g(x/2),
-    its right child that shifted by one, whose constant term vanishes
-    exactly when the grid midpoint between them is a root, returned as
-    (x, x). A cell is isolated when its count is 1 and f(hi) != 0. Every
-    cell left of it was excluded, so it holds the smallest root, and sign
-    bisection refines it down the same grid. Since f is squarefree, a cell
-    small enough against the root separation counts 0 or 1 (Vincent's
-    theorem), so the search ends, below the tolerance when two roots are
-    closer than it. None when no root turns up below upper.
+    Descartes subdivision of the dyadic grid of (a, b) that `_bisect` walks,
+    depth first and left first. A cell (lo, hi) is held as g(x) =
+    f(lo + (hi - lo) x) made integral: its left child is 2^n g(x/2), its
+    right child that shifted by one, whose constant term vanishes exactly
+    when the grid midpoint between them is a root. A cell is yielded when
+    its count is 1 and hi is not a root, so each root is in one item, and
+    f, nonzero at a, changes sign across the first item when it is a cell.
+    A cell small against the root separation counts 0 or 1 (Vincent's
+    theorem), so the subdivision ends, below any tolerance for close roots.
     """
     n = f.degree()
     # (index j, level k, coefficients, shift pending): the cell is
-    # (j, j + 1] times upper / 2^k, and a right child is shifted when popped
-    stack = [(0, 0, _cell_polynomial(f, Fraction(0), upper), False)]
+    # a + (j, j + 1) times (b - a) / 2^k, and a right child is shifted when popped
+    stack = [(0, 0, _cell_polynomial(f, a, b), False)]
     while stack:
         j, k, g, pending = stack.pop()
-        width = upper / 2**k
+        width = (b - a) / 2**k
+        lo = a + width * j
         if pending:
             g = taylor_shift(g[::-1])[::-1]
             if g[0] == 0:
-                return width * j, width * j
+                yield lo, lo
         count = descartes_count(g)
         if count == 0:
             continue
         if count == 1 and sum(g) != 0:
-            return _bisect(f, tol, width * j, width * (j + 1))
+            yield lo, lo + width
+            continue
         left = [c << (n - i) for i, c in enumerate(g)]
         stack.append((2 * j + 1, k + 1, left, True))
         stack.append((2 * j, k + 1, left, False))
-    return None
 
 
 def _tree_pole(polys, inner: int, tol: Fraction):
@@ -929,8 +914,8 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
     A bare series takes the other: a rational root r of f with Descartes
     count 0 on (0, r) is the pole. Otherwise f becomes its squarefree part
     unless one prime proves it squarefree, a rational root of that part,
-    when f had none, is tested the same way, and `_descartes_pole` searches
-    (0, r] or (0, Cauchy bound].
+    when f had none, is tested the same way, and the first cell that
+    `_isolating_cells` yields on (0, r) or (0, Cauchy bound) is refined.
 
     >>> r = smallest_positive_pole(RationalGF.from_coeffs([1], [1, -2]))
     >>> (r.lo, r.hi, r.method)
@@ -967,9 +952,10 @@ def smallest_positive_pole(gf: RationalGF, tol: Fraction = DEFAULT_POLE_TOLERANC
             r = _smallest_positive_rational_root(f)
             if r is not None and descartes_count(_cell_polynomial(f, Fraction(0), r)) == 0:
                 return Radius(r, r, False, f, ok, "rational root", f)
-    cell = _descartes_pole(f, cauchy_root_bound(f) if r is None else r, tol)
+    cell = next(_isolating_cells(f, Fraction(0), cauchy_root_bound(f) if r is None else r), None)
     if cell is not None:
-        return Radius(*cell, False, f, ok, "Descartes counts", f)
+        lo, hi = cell if cell[0] == cell[1] else _bisect(f, tol, *cell)
+        return Radius(lo, hi, False, f, ok, "Descartes counts", f)
     if r is None:
         return Radius(None, None, polynomial=False, pringsheim_ok=ok)
     return Radius(r, r, False, f, ok, "rational root", f)

@@ -486,7 +486,10 @@ def unit_grid_pole(gf):
     if bare.is_exact:
         return bare.lo, bare.hi
     f = squarefree_part(gf.den if gf.den.leading() > 0 else -gf.den)
-    return series._descartes_pole(f, Fraction(1), series.DEFAULT_POLE_TOLERANCE)
+    cell = next(series._isolating_cells(f, Fraction(0), Fraction(1)), None)
+    if cell is None or cell[0] == cell[1]:
+        return cell
+    return series._bisect(f, series.DEFAULT_POLE_TOLERANCE, *cell)
 
 
 def reduced_gf(x):

@@ -69,7 +69,7 @@ class TestAlphabet:
         gf = GradedAlphabet(degrees).loop_gf()
         want = oracles.unit_grid_pole(gf)
         with monkeypatch.context() as patched:
-            patched.setattr(series, "_descartes_pole", refused)
+            patched.setattr(series, "_isolating_cells", refused)
             got = smallest_positive_pole(gf)
         assert (got.lo, got.hi) == want and got.certificate_holds()
 

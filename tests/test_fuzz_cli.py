@@ -36,12 +36,14 @@ limit.
 
 Valid `cofiber`, `connsum` and `yclass` presentations are drawn wider, over
 S2..S60 with wedges, products and suspensions, sometimes with a squared
-factor in Z and an A suspended up to 250 times. Each must exit 0 with a
-certified verdict, with every pole certified by the guards (no Descartes
-search), within the same per-example deadline. The verdict reads the gap
-off rho(OmegaY)'s cell alone; the test compares that radius with
-rho(OmegaZ) from Z's own search, and the two cells must come out disjoint. A squared wedge of low spheres under a deep A, whose
-Y has two roots close to Z's double root, is the slowest draw.
+factor in Z and an A suspended up to 250 times, and sometimes with a
+squared wedge of S2..S4 in Z under an A suspended 40 to 250 times, whose Y
+has two roots close to Z's double root, so that the guard walk runs (the
+slowest draw). Each must exit 0 with a certified verdict, with every pole
+certified by the guards (no Descartes search), within the same
+per-example deadline. The verdict reads the gap off rho(OmegaY)'s cell
+alone: every guard of OmegaZ must be positive at the cell's right end, and
+the cell must come out disjoint from rho(OmegaZ) by Z's own search.
 """
 
 import io
@@ -210,13 +212,23 @@ repeated_factor = st.tuples(st.one_of(wide_spaces, wide_wedges), wide_spaces).ma
     lambda t: f"{_squared(t[0])} x {t[1]}"
 )
 deep_suspensions = st.integers(0, 250).map(lambda k: "Susp(" * k + "S2" + ")" * k)
+# a deep A over a squared wedge of S2..S4: D_Y = D_Z - z^(k+2) has roots
+# beside the double root of D_Z, so the first cell mostly does not certify
+# and the guard walk runs
+low_wedges = st.lists(st.integers(2, 4).map(lambda n: f"S{n}"), min_size=2, max_size=4).map(" v ".join)
+walked = st.tuples(
+    st.integers(40, 250).map(lambda k: "Susp(" * k + "S2" + ")" * k),
+    st.tuples(low_wedges, SPHERES).map(lambda t: f"{_squared(f'({t[0]})')} x {t[1]}"),
+)
 
 
 @st.composite
 def presentations(draw):
     command = draw(st.sampled_from(["cofiber", "connsum", "yclass"]))
-    a = draw(st.one_of(wide_spaces, deep_suspensions))
-    z = draw(st.one_of(wide_spaces, repeated_factor))
+    a, z = draw(st.one_of(
+        st.tuples(st.one_of(wide_spaces, deep_suspensions), st.one_of(wide_spaces, repeated_factor)),
+        walked,
+    ))
     if command == "cofiber":
         argv = [command, "--A", a, "--Z", z]
     elif command == "connsum":
@@ -265,7 +277,7 @@ def test_every_argv_gets_one_schema_valid_report(argv):
     deadline=timedelta(seconds=3),
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-def test_every_wide_presentation_certifies_disjoint_cells(argv):
+def test_every_wide_presentation_certifies_its_gap_on_the_guard_cell(argv):
     checks = []
 
     def recorded(c):
@@ -277,12 +289,16 @@ def test_every_wide_presentation_certifies_disjoint_cells(argv):
 
     out = io.StringIO()
     with mock.patch.object(loop, "strongly_inert_check", recorded), \
-            mock.patch.object(series, "_descartes_pole", refused):
+            mock.patch.object(series, "_isolating_cells", refused):
         code = run(argv, out)
     assert code == 0, out.getvalue()
     assert json.loads(out.getvalue())["result"]["verdict"] == "certified-strongly-inert"
     ((c, check),) = checks
     assert check.strongly_inert
+    # the certificate: every guard of OmegaZ is positive at the right end of
+    # OmegaY's cell as the pole search certified it
+    inner, top = loop.loop_gf(c.Z)._guards
+    assert all(g.sign_at(check.rho_y.hi) > 0 for g in inner + top)
     # the reference: rho(OmegaZ) by its own search, the two cells made disjoint
     verdict, rho_y, rho_z = series.compare_radii(check.rho_y, series.smallest_positive_pole(loop.loop_gf(c.Z)))
     assert verdict == -1 and rho_y.hi <= rho_z.lo

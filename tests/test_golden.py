@@ -223,7 +223,7 @@ def test_guards_certify_every_pole(tmp_path, monkeypatch):
     # every series a report isolates a pole of carries its guards, the
     # free-loop alphabet's 1/(1 - sum z^d) too, and they certify a cell for
     # each, so no report takes the bare series' path
-    bare = ("_descartes_pole", "_squarefree_mod_p", "squarefree_part", "cauchy_root_bound")
+    bare = ("_isolating_cells", "_squarefree_mod_p", "squarefree_part", "cauchy_root_bound")
     calls = [oracles.count_calls(monkeypatch, series, name) for name in bare]
     for name, argv in cases():
         want = GOLDEN[name]

@@ -33,7 +33,7 @@ from loopgrowth.series import (
     expand,
     smallest_positive_pole,
 )
-from loopgrowth.space import Product, Smash, Sphere, Susp, Wedge, homology_poly, parse
+from loopgrowth.space import MAX_DEPTH, Product, Smash, Sphere, Susp, Wedge, homology_poly, parse
 
 import oracles
 from test_golden import GOLDEN, run_case
@@ -459,12 +459,8 @@ def squared_wedges():
 
 
 def deep_suspensions():
-    """Susp^k(S2) for 40 <= k <= 150, whose reduced homology is z^(k+2).
-
-    k stays within 150 so that the repr of a drawn tree, which hypothesis
-    prints for a failing example, stays within the recursion limit.
-    """
-    return st.integers(40, 150).map(lambda k: reduce(lambda x, _: Susp(x), range(k), Sphere(2)))
+    """Susp^k(S2) for 40 <= k <= MAX_DEPTH, the deepest `parse` builds, whose reduced homology is z^(k+2)."""
+    return st.integers(40, MAX_DEPTH).map(lambda k: reduce(lambda x, _: Susp(x), range(k), Sphere(2)))
 
 
 def expressions(depth=3, wide=False):

@@ -499,6 +499,98 @@ class TestPoles:
         assert mixed.refined(Fraction(1, 10**6)).pringsheim_ok is False
 
 
+def sturm_certificate(f, lo, hi) -> bool:
+    """`Radius.certificate_holds` by Sturm counts on f's squarefree part, the reference."""
+    if not 0 < lo <= hi:
+        return False
+    f = polynomial.squarefree_part(f)
+    if lo == hi:
+        return f.sign_at(lo) == 0 and count_roots_halfopen(f, Fraction(0), lo) == 1
+    return (
+        f.sign_at(lo) * f.sign_at(hi) < 0
+        and count_roots_halfopen(f, Fraction(0), lo) == 0
+        and count_roots_halfopen(f, lo, hi) == 1
+    )
+
+
+def near_axis_pair(p, q, s):
+    """(qs z - ps)^2 + 1, whose roots (p +- i/s)/q lie 1/(qs) off the real axis."""
+    return IntPolynomial((p * p * s * s + 1, -2 * p * q * s * s, q * q * s * s))
+
+
+@st.composite
+def planted_cells(draw):
+    """(f, grid step w, the level's grid cell holding f's smallest positive root).
+
+    f has positive leading coefficient: planted rational roots, one of them
+    perhaps double, perhaps a twin 2^-m past the smallest, and complex pairs
+    near the real axis, so a single Descartes count often reads 2 or more,
+    and a recheck that reduced no exact radius's denominator would not end
+    on a double root below it. The cell
+    is (x, x) when the root x is on the grid of (0, 64] with step w = 64/2^k.
+    """
+    ratios = st.tuples(st.integers(1, 48), st.integers(1, 16))
+    roots = {Fraction(p, q) for p, q in draw(st.lists(ratios, min_size=1, max_size=3))}
+    twin = draw(st.none() | st.integers(4, 40))
+    if twin is not None:
+        roots.add(min(roots) + Fraction(1, 2**twin))
+    f = IntPolynomial((1,))
+    for r in [*roots, *draw(st.lists(st.sampled_from(sorted(roots)), max_size=1))]:
+        f = f * IntPolynomial((-r.numerator, r.denominator))
+    for p, q in draw(st.lists(ratios, max_size=2)):
+        f = f * near_axis_pair(p, q, draw(st.integers(1, 2**12)))
+    rho, w = min(roots), Fraction(64, 2 ** draw(st.integers(0, 40)))
+    lo = rho // w * w
+    return f, w, (lo, lo if lo == rho else lo + w)
+
+
+class TestCertificateAgainstSturm:
+    """`Radius.certificate_holds` settles every root count by Descartes
+    subdivision; it agrees with Sturm counts, the tests' oracle, also where
+    a single Descartes count reads 2 or more."""
+
+    @staticmethod
+    def holds(f, lo, hi):
+        return series.Radius(lo, hi, False, f).certificate_holds()
+
+    @given(planted_cells(), st.integers(0, 8), st.integers(-2, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_sturm_counts(self, planted, steps, shift):
+        f, w, (lo, hi) = planted
+        assert self.holds(f, lo, hi) == sturm_certificate(f, lo, hi)
+        # a cell shifted one grid step either way misses the smallest root
+        for moved in (lo - w, lo + w):
+            if moved > 0:
+                assert not self.holds(f, moved, moved + hi - lo)
+        # any other cell of the grid, wider or moved
+        a = max(lo + shift * w, w)
+        assert self.holds(f, a, a + steps * w) == sturm_certificate(f, a, a + steps * w)
+
+    @pytest.mark.parametrize(
+        "factors,lo,hi,counted,holds",
+        [
+            # a pair near 1/4 below the root 5/7 of (1/2, 3/4)
+            ([(-5, 7), near_axis_pair(1, 4, 256)], Fraction(1, 2), Fraction(3, 4), "below", True),
+            # a pair near 3/5 beside the root 5/7 in (1/2, 3/4)
+            ([(-5, 7), near_axis_pair(3, 5, 256)], Fraction(1, 2), Fraction(3, 4), "inside", True),
+            # 3/5, 5/7 and 5/7 + 2^-30 in one cell
+            ([(-3, 5), (-5, 7), (-(5 * 2**30 + 7), 7 * 2**30)], Fraction(1, 2), Fraction(3, 4), "inside", False),
+            # the exact root 1 past a pair near 1/2
+            ([(-1, 1), near_axis_pair(1, 2, 256)], Fraction(1), Fraction(1), "below", True),
+            # the root 1 past the double root 1/3, which no cell isolates
+            ([(-1, 1), (-1, 3), (-1, 3)], Fraction(1), Fraction(1), "below", False),
+        ],
+        ids=["pair-below", "pair-inside", "three-roots", "exact-past-a-pair", "exact-past-a-double-root"],
+    )
+    def test_a_count_of_two_or_more_is_subdivided(self, factors, lo, hi, counted, holds):
+        f = IntPolynomial((1,))
+        for c in factors:
+            f = f * (c if isinstance(c, IntPolynomial) else IntPolynomial(c))
+        a, b = (Fraction(0), lo) if counted == "below" else (lo, hi)
+        assert polynomial.descartes_count(series._cell_polynomial(f, a, b)) >= 2
+        assert self.holds(f, lo, hi) == sturm_certificate(f, lo, hi) == holds
+
+
 class TestBisectionWork:
     """Descartes counts isolate, on the raw denominator unless it has a
     repeated factor, and a certified Newton jump refines, in a few exact

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from loopgrowth.loop import CofiberPresentation
 from loopgrowth.polynomial import ONE, IntPolynomial
 from loopgrowth.space import (
     MAX_DEPTH,
@@ -241,6 +242,13 @@ class TestDepth:
         x = parse("Susp(" * (MAX_DEPTH - 1) + "S2 v S3" + ")" * (MAX_DEPTH - 1))
         assert parse(to_text(x)) == x
         assert wedge_decomposition(x).spheres == ((MAX_DEPTH + 1, 1), (MAX_DEPTH + 2, 1))
+
+    def test_a_tree_at_the_limit_has_a_repr(self):
+        x = parse("Susp(" * MAX_DEPTH + "S2" + ")" * MAX_DEPTH)
+        text = "Susp(inner=" * MAX_DEPTH + "Sphere(n=2)" + ")" * MAX_DEPTH
+        assert repr(x) == text
+        held = CofiberPresentation(x, Sphere(3), True)
+        assert repr(held) == f"CofiberPresentation(A={text}, Z=Sphere(n=3), inert_asserted=True, justification='')"
 
 
 class TestPrint:

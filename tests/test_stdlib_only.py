@@ -145,26 +145,15 @@ def test_records_are_written_only_in_their_constructor():
     assert allowed == [("series", "expand")]
 
 
-# Descartes counts isolate every pole; a Sturm count is only the recheck
+# Descartes subdivision isolates every pole and rechecks every certificate;
+# Sturm counts are the tests' oracle, defined in `polynomial` alone
 STURM_NAMES = {"sturm_chain", "sign_variations", "count_roots_halfopen"}
 
 
 def sturm_references(source: str):
-    """(line, name) of every Sturm name a module reads or imports outside
-    `Radius.certificate_holds`."""
-    tree = ast.parse(source)
-    recheck = {
-        id(node)
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and cls.name == "Radius"
-        for fn in cls.body
-        if isinstance(fn, ast.FunctionDef) and fn.name == "certificate_holds"
-        for node in ast.walk(fn)
-    }
+    """(line, name) of every Sturm name a module reads or imports."""
     found = []
-    for node in ast.walk(tree):
-        if id(node) in recheck:
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.Name):
@@ -190,6 +179,7 @@ def test_sturm_reference_check_sees_every_kind_of_reference():
     )
     assert sturm_references(source) == [
         (1, "sturm_chain"), (4, "count_roots_halfopen"), (4, "sign_variations"), (4, "sturm_chain"),
+        (7, "count_roots_halfopen"), (8, "count_roots_halfopen"),
     ]
 
 
@@ -197,5 +187,6 @@ def test_sturm_reference_check_sees_every_kind_of_reference():
     "path", [p for p in SOURCES if p.stem != "polynomial"], ids=lambda p: p.stem
 )
 def test_sturm_counts_only_recheck_certificates(path):
+    # no module but `polynomial` names a Sturm function, `Radius.certificate_holds` included
     found = sturm_references(path.read_text())
-    assert not found, f"{path.name} reads Sturm root counts outside certificate_holds: {found}"
+    assert not found, f"{path.name} names Sturm root counts, which only the tests read: {found}"
