@@ -32,6 +32,7 @@ import io
 import sys
 from _json import encode_basestring_ascii
 from functools import cache, partial
+from itertools import chain
 from types import SimpleNamespace
 
 from . import __version__, _Record
@@ -385,9 +386,7 @@ def _cmd_free_loop(args):
     t = r.table
     table = {
         "columns": ["degree", "hh0", "hh1", "lx"],
-        "rows": [
-            [k, t.hh0[k], t.hh1[k], t.lx[k]] for k in range(t.trunc_degree + 1)
-        ],
+        "rows": list(zip(range(t.trunc_degree + 1), t.hh0, t.hh1, t.lx)),
     }
     method = "signed cyclic coinvariants of the tensor algebra"
     if args.method == "brute":
@@ -804,9 +803,10 @@ def _json(value, indent: str = "") -> str:
     such exact type are one join of that encoder, and a table (rows of one
     length whose every column holds one such type) is encoded column by
     column and joined row by row, then all rows at once, so neither costs
-    a Python call per item. Anything else (dicts, mixed or ragged lists, bool
-    and None items, subclasses) takes the isinstance chain, whose text is
-    the same as `json.dumps`'s.
+    a Python call per item. A table of ints alone is one `%d` format of all
+    its cells into the row template repeated once per row. Anything else
+    (dicts, mixed or ragged lists, bool and None items, subclasses) takes
+    the isinstance chain, whose text is the same as `json.dumps`'s.
     """
     encode = _SCALARS.get(type(value))
     if encode is not None:
@@ -850,6 +850,11 @@ def _json_items(items, indent: str):
         if columns and None not in encoders:
             inner = indent + "  "
             prefix, suffix = "[\n" + inner, "\n" + indent + "]"
+            if encoders.count(int.__repr__) == len(encoders):
+                # an int table: the %d row template once per row, filled by
+                # one format of all the cells, nothing transposed back
+                row = prefix + (",\n" + inner).join(["%d"] * len(encoders)) + suffix
+                return [(",\n" + indent).join([row] * len(items)) % tuple(chain.from_iterable(items))]
             rows = map((",\n" + inner).join, zip(*map(map, encoders, columns)))
             return [prefix + (suffix + ",\n" + indent + prefix).join(rows) + suffix]
     return [_json(v, indent) for v in items]

@@ -29,11 +29,16 @@ summing over one period collapses to that parity). The aperiodic classes of
 each weight come from the weighted Witt formula. In degree k >= 1 theta maps
 a space of dimension dim A_k to itself, so rank-nullity gives
 hh1[k] = hh0[k] there, and hh1[0] = 0.
+
+Tables are assembled and checked by whole tuples; the per-degree loop
+runs only on a table that fails, to name its first bad degree. The growth
+check of lx and its empirical log index read one rate pass over its tail.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, floordiv
 
 from . import _Record, _set
 from .arith import moebius_invert
@@ -41,9 +46,8 @@ from .polynomial import ONE, IntPolynomial
 from .series import (
     RationalGF,
     TruncatedSeries,
+    _growth_and_log_index,
     check_growth_parameters,
-    controlled_growth_check,
-    log_index_empirical,
     log_index_exact,
     smallest_positive_pole,
 )
@@ -115,11 +119,13 @@ class HHDimTable(_Record):
             raise ValueError("table lengths must match the truncation degree")
         if min(hh0 + hh1 + lx) < 0:
             raise ValueError("negative dimension in the table")
-        for k in range(trunc_degree + 1):
-            if hh0[k] - hh1[k] != (k == 0):
-                raise ValueError(f"rank-nullity violated at degree {k}")
-            if lx[k] != hh0[k] + (hh1[k - 1] if k >= 1 else 0):
-                raise ValueError(f"free-loop assembly rule violated at degree {k}")
+        if hh0[0] - hh1[0] != 1 or hh0[1:] != hh1[1:] or lx != _assembled(hh0, hh1):
+            # whole tuples disagree: name the first degree that breaks a rule
+            for k in range(trunc_degree + 1):
+                if hh0[k] - hh1[k] != (k == 0):
+                    raise ValueError(f"rank-nullity violated at degree {k}")
+                if lx[k] != hh0[k] + (hh1[k - 1] if k >= 1 else 0):
+                    raise ValueError(f"free-loop assembly rule violated at degree {k}")
         _set(self, "alphabet", alphabet)
         _set(self, "hh0", hh0)
         _set(self, "hh1", hh1)
@@ -127,11 +133,14 @@ class HHDimTable(_Record):
         _set(self, "trunc_degree", trunc_degree)
 
 
+def _assembled(hh0, hh1) -> tuple:
+    """lx[k] = hh0[k] + hh1[k-1], lx[0] = hh0[0]."""
+    return (hh0[0], *map(add, hh0[1:], hh1))
+
+
 def _assemble(alphabet, hh0, hh1, n) -> HHDimTable:
-    lx = tuple(
-        hh0[k] + (hh1[k - 1] if k >= 1 else 0) for k in range(n + 1)
-    )
-    return HHDimTable(alphabet, tuple(hh0), tuple(hh1), lx, n)
+    hh0, hh1 = tuple(hh0), tuple(hh1)
+    return HHDimTable(alphabet, hh0, hh1, _assembled(hh0, hh1), n)
 
 
 # -- brute force: theta as a signed permutation of numbered words ------------
@@ -246,7 +255,7 @@ def _lyndon_class_counts(degrees, trunc_degree):
     for d in degrees:
         t[d:] = [x + d * y for x, y in zip(t[d:], dims)]
     moebius_invert(t)
-    return [0] + [t[w] // w for w in range(1, trunc_degree + 1)]
+    return [0, *map(floordiv, t[1:], range(1, trunc_degree + 1))]
 
 
 def hh_necklace(a: GradedAlphabet, trunc_degree: int) -> HHDimTable:
@@ -323,10 +332,9 @@ def free_loop_good_growth(
     else:
         table = hh_bruteforce(a, trunc_degree)
     lx = TruncatedSeries.from_dims(table.lx)
-    check = controlled_growth_check(lx, target, lam, epsilon, k_min)
+    check, empirical = _growth_and_log_index(lx, target, lam, epsilon, k_min)
     if match_tol is None:
         match_tol = 3.2 / trunc_degree
-    empirical = log_index_empirical(lx, k_min)
     match = abs(empirical - target) <= match_tol
     return FreeLoopGrowthResult(
         alphabet=a,

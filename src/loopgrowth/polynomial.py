@@ -230,13 +230,55 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def squarefree_part(f: IntPolynomial) -> IntPolynomial:
-    """f / gcd(f, f'): same roots, all simple."""
+    """f / gcd(f, f'): same roots, all simple.
+
+    The gcd is tried first by the heuristic gcd (`_heuristic_gcd`), which
+    is exact when it answers, and else by `poly_gcd`.
+    """
     if f.degree() <= 0:
         return f
-    g = poly_gcd(f, f.derivative())
+    df = f.derivative()
+    g = _heuristic_gcd(f, df)
+    if g is None:
+        g = poly_gcd(f, df)
     if g.degree() <= 0:
         return f
     return poly_divexact(f, g)
+
+
+def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
+    """`poly_gcd(a, b)` of two nonzero polynomials from integer gcds, or None.
+
+    GCDHEU (Char, Geddes and Gonnet 1989): for an integer xi >= 2 min(|a|,
+    |b|) + 2 in the max norm of the primitive parts, the digits of
+    gcd(a(xi), b(xi)) in balanced base xi are the coefficients of a
+    polynomial G, and when G's primitive part divides a and b it is their
+    gcd: a nonconstant cofactor Q of it in gcd(a, b) would have |Q(xi)| >
+    xi/2 by the Cauchy root bound, yet divide G's content, a digit. A miss
+    squares xi, six times at most. On a high-degree gcd with small
+    coefficients, as of products of cyclotomic factors, one big-integer gcd
+    replaces a pseudo-remainder sequence that is quadratic in the degree.
+    """
+    pa, pb = _primitive(list(a.coeffs)), _primitive(list(b.coeffs))
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
+    for _ in range(6):
+        h, digits = int_gcd(_scaled_value(pa, xi, 1), _scaled_value(pb, xi, 1)), []
+        while h:
+            d = h % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        g = _primitive(digits)
+        g = IntPolynomial(tuple(g) if g[-1] > 0 else tuple(-c for c in g))
+        try:
+            poly_divexact(a, g)
+            poly_divexact(b, g)
+        except ValueError:
+            xi *= xi
+        else:
+            return g
+    return None
 
 
 # -- Sturm sequences -------------------------------------------------------

@@ -56,6 +56,12 @@ common root in the overlap from the signs of the two polynomials' gcd at
 its ends. Only `Radius.certificate_holds` counts roots again, from
 scratch, by the same subdivision on the squarefree part of the denominator.
 
+The growth statistics of a dimension series read one pass of rates
+log(c_n)/n over its tail (`_rates`), which an all-int series takes as one
+negativity check and one map over its nonzero terms: `free-loop` reads its
+controlled-growth check and its empirical log index off the same pass, and
+`log-index`, `hm-census` and `torsion` their empirical index.
+
 All polynomial work (gcd, Taylor shifts, signs at the bisection points) and
 the series expansion (a stride sum for each binomial factor, a recurrence
 for the rest of the denominator, with no division when its constant term
@@ -72,9 +78,9 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import compress, islice
 from math import gcd as int_gcd
-from operator import mul
+from operator import mul, truediv
 from types import SimpleNamespace
 
 from . import _Record, _set
@@ -208,9 +214,12 @@ class TruncatedSeries(_Record):
     @classmethod
     def from_dims(cls, dims) -> "TruncatedSeries":
         dims = tuple(dims)
-        for i, c in enumerate(dims):
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"dimension at degree {i} must be a nonnegative integer")
+        if not (set(map(type, dims)) <= {int} and min(dims, default=0) >= 0):
+            # the per-degree check names the first bad degree, and passes an
+            # int subclass other than bool
+            for i, c in enumerate(dims):
+                if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+                    raise ValueError(f"dimension at degree {i} must be a nonnegative integer")
         return cls(dims)
 
 
@@ -325,8 +334,8 @@ class Radius(_Record):
 
     `_den` is the denominator as the pole search found it, leading
     coefficient positive; `certificate_holds` rechecks it through `_sqfree`,
-    its squarefree part unless the radius is exact or one prime proves it
-    squarefree, reduced on each call. `_bracketed` is the polynomial whose
+    its squarefree part unless one prime proves it squarefree, reduced on
+    each call, exact radius or not. `_bracketed` is the polynomial whose
     sign change the interval brackets, set with the certificate: for "guard
     signs" the cell's polynomial, the gcd of the top guards that are not
     positive at hi (`_tree_pole`), for "Descartes counts" the squarefree
@@ -363,7 +372,7 @@ class Radius(_Record):
     @property
     def _sqfree(self) -> IntPolynomial | None:
         f = self._den
-        if f is None or self.is_exact or _squarefree_mod_p(f):
+        if f is None or _squarefree_mod_p(f):
             return f
         return squarefree_part(f)
 
@@ -396,10 +405,7 @@ class Radius(_Record):
             return True
         f, lo, hi = self._sqfree, self.lo, self.hi
         if self.is_exact:
-            # the pinned root is the first past zero; subdivision needs f squarefree
             holds = lo > 0 and f.sign_at(lo) == 0
-            if holds and descartes_count(_cell_polynomial(f, Fraction(0), lo)):
-                f = squarefree_part(f)
         else:
             holds = 0 < lo < hi and f.sign_at(lo) * f.sign_at(hi) < 0
             holds = holds and len([*islice(_isolating_cells(f, lo, hi), 2)]) == 1
@@ -973,8 +979,10 @@ def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
     interval holds one simple root of its polynomial and its ends are not
     roots, so g has at most one root there, simple: one iff g(hi) = 0 or
     g(lo) g(hi) < 0. The gcd is taken only once the intervals first overlap.
-    Intervals that still overlap after 300 rounds of refinement raise
-    ValueError.
+    Each round refines both intervals to 2^-8 of the last round's tolerance,
+    or to the finer interval's width when that is less, so a coarse interval
+    meets a far finer one in one `_bisect`. Intervals that still overlap
+    after 300 rounds of refinement raise ValueError.
     """
     if a.is_infinite or b.is_infinite:
         return a.is_infinite - b.is_infinite, a, b
@@ -992,7 +1000,7 @@ def compare_radii(a: Radius, b: Radius, tol: Fraction = DEFAULT_POLE_TOLERANCE):
         s_hi = common.sign_at(min(ra.hi, rb.hi))
         if s_hi == 0 or s_hi * common.sign_at(max(ra.lo, rb.lo)) < 0:
             return 0, ra, rb
-        cur = cur / 2**8
+        cur = min([cur / 2**8] + [r.width() for r in (ra, rb) if not r.is_exact])
         ra, rb = ra.refined(cur), rb.refined(cur)
     raise ValueError("radius comparison did not resolve; intervals would not separate")
 
@@ -1040,18 +1048,35 @@ def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _rates(s: TruncatedSeries, start: int) -> list:
-    """(n, log(c_n)/n) for each nonzero coefficient c_n with n >= start.
+_NEGATIVE = "series has negative coefficients; growth undefined"
 
-    An int is read by one log; only a Fraction takes two.
+
+def _rates(s: TruncatedSeries, start: int) -> tuple:
+    """(degrees, rates): each n >= start with c_n nonzero, and log(c_n)/n.
+
+    An all-int tail takes one negativity check and maps one log over its
+    nonzero terms; any other tail is read term by term, a Fraction by two logs.
     """
-    rates = []
-    for n, c in enumerate(s.coeffs[start:], start):
+    tail = s.coeffs[start:]
+    if set(map(type, tail)) <= {int}:
+        if tail and min(tail) < 0:
+            raise ValueError(_NEGATIVE)
+        degrees = list(compress(range(start, s.trunc_degree + 1), tail))
+        return degrees, list(map(truediv, map(math.log, filter(None, tail)), degrees))
+    degrees, rates = [], []
+    for n, c in enumerate(tail, start):
         if c:
             if c < 0:
-                raise ValueError("series has negative coefficients; growth undefined")
-            rates.append((n, (math.log(c) if isinstance(c, int) else _log_fraction(c)) / n))
-    return rates
+                raise ValueError(_NEGATIVE)
+            degrees.append(n)
+            rates.append((math.log(c) if isinstance(c, int) else _log_fraction(c)) / n)
+    return degrees, rates
+
+
+def _max_rate(rates: list) -> float:
+    if not rates:
+        raise ValueError("series has no tail growth to measure")
+    return max(rates)
 
 
 def log_index_empirical(s: TruncatedSeries, tail_start: int) -> float:
@@ -1062,10 +1087,7 @@ def log_index_empirical(s: TruncatedSeries, tail_start: int) -> float:
     """
     if not 0 <= tail_start <= s.trunc_degree:
         raise ValueError("tail start outside the truncation range")
-    best = max((rate for _, rate in _rates(s, max(tail_start, 1))), default=None)
-    if best is None:
-        raise ValueError("series has no tail growth to measure")
-    return best
+    return _max_rate(_rates(s, max(tail_start, 1))[1])
 
 
 # -- controlled exponential growth ----------------------------------------
@@ -1120,7 +1142,12 @@ def controlled_growth_check(
     lambda times its last degree reaches N, so truncation hides no gap.
     """
     check_growth_parameters(lam, epsilon, k_min, s.trunc_degree)
-    kept = [(n, rate) for n, rate in _rates(s, k_min) if abs(rate - target) <= epsilon]
+    return _growth_check(s, _rates(s, k_min), target, lam, epsilon, k_min)
+
+
+def _growth_check(s, rates, target, lam, epsilon, k_min) -> GrowthCheckResult:
+    """`controlled_growth_check` on checked parameters and the rate pass `_rates(s, k_min)`."""
+    kept = [(n, rate) for n, rate in zip(*rates) if abs(rate - target) <= epsilon]
     seq = [n for n, _ in kept]
     passed = (
         bool(seq)
@@ -1138,3 +1165,13 @@ def controlled_growth_check(
         trunc_degree=s.trunc_degree,
         dims=s.coeffs,
     )
+
+
+def _growth_and_log_index(s, target, lam, epsilon, k_min) -> tuple:
+    """(`controlled_growth_check(s, ...)`, `log_index_empirical(s, k_min)`) from one rate pass.
+
+    The parameters must have passed `check_growth_parameters`; the errors
+    are those of the two functions, the check's first.
+    """
+    rates = _rates(s, k_min)
+    return _growth_check(s, rates, target, lam, epsilon, k_min), _max_rate(rates[1])

@@ -454,6 +454,28 @@ def controlled_growth_check(s, target, lam, epsilon, k_min):
     return passed, tuple(seq), tuple(alphas)
 
 
+def hh_table_error(hh0, hh1, lx):
+    """The message `freeloop.HHDimTable` raises for a table of equal lengths,
+    by its per-degree loop before the whole-tuple checks, or None."""
+    if min(hh0 + hh1 + lx) < 0:
+        return "negative dimension in the table"
+    for k in range(len(hh0)):
+        if hh0[k] - hh1[k] != (k == 0):
+            return f"rank-nullity violated at degree {k}"
+        if lx[k] != hh0[k] + (hh1[k - 1] if k >= 1 else 0):
+            return f"free-loop assembly rule violated at degree {k}"
+    return None
+
+
+def from_dims_error(dims):
+    """The message `TruncatedSeries.from_dims` raises, by its per-degree loop
+    before the whole-sequence checks, or None."""
+    for i, c in enumerate(dims):
+        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            return f"dimension at degree {i} must be a nonnegative integer"
+    return None
+
+
 def count_calls(monkeypatch, module, name):
     """The argument tuples of every call of module.name, at each package module that binds it."""
     import loopgrowth

@@ -717,6 +717,28 @@ class TestEmission:
     def test_json_matches_json_dumps(self, value):
         assert cli._json(value) == json.dumps(value, indent=2)
 
+    # integer tables take one %d template per row; a bool or an IntEnum in a
+    # column sends the table back to the per-item path
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.lists(st.lists(INTS, min_size=width, max_size=width), min_size=1, max_size=8)
+        ),
+        st.booleans(),
+        st.none() | st.tuples(st.integers(0, 7), st.integers(0, 3), st.sampled_from([True, Level.HIGH])),
+        st.integers(0, 3),
+    )
+    @example([[0, -1], [10**999, 2]], True, None, 0)
+    @example([[1, 2], [3, 4]], False, (1, 1, True), 2)
+    @settings(max_examples=300, deadline=None)
+    def test_an_int_table_matches_json_dumps(self, rows, as_tuples, odd, depth):
+        if odd is not None:
+            i, j, value = odd
+            rows[i % len(rows)][j % len(rows[0])] = value
+        value = [tuple(row) for row in rows] if as_tuples else rows
+        for _ in range(depth):
+            value = {"table": {"rows": value}}
+        assert cli._json(value) == json.dumps(value, indent=2)
+
     # exponent notation, integers, 40-digit ratios, then any nonnegative ratio
     @given(st.builds(Fraction, st.integers(0, 10**60), st.integers(1, 10**60)))
     @example(Fraction(1, 2**60))

@@ -2,6 +2,8 @@
 
 import math
 import time
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +34,11 @@ from loopgrowth.series import (
 )
 
 import oracles
+
+
+class Level(IntEnum):
+    LOW = -1
+    HIGH = 7
 
 
 # -- alphabets and word counts ---------------------------------------------------
@@ -338,6 +345,67 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="lengths must match"):
             HHDimTable(a, (1,), (1, 1), (1, 1), 1)
 
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.integers(0, 40),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["negative", "rank-nullity", "assembly"]),
+                st.integers(0, 10**6),
+                st.integers(1, 10**20),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_corrupted_table_names_the_per_degree_loops_degree(self, degs, n, breaks):
+        t = hh_necklace(GradedAlphabet(degs), n)
+        cols = [list(t.hh0), list(t.hh1), list(t.lx)]
+        for kind, at, delta, col in breaks:
+            k = at % (n + 1)
+            if kind == "negative":
+                cols[col][k] = -delta
+            elif kind == "rank-nullity":
+                cols[col % 2][k] += delta  # hh0 or hh1 alone
+            else:
+                cols[2][k] += delta
+        hh0, hh1, lx = map(tuple, cols)
+        want = oracles.hh_table_error(hh0, hh1, lx)
+        assert want is not None
+        with pytest.raises(ValueError) as raised:
+            HHDimTable(t.alphabet, hh0, hh1, lx, n)
+        assert str(raised.value) == want
+
+    @given(
+        st.lists(st.integers(0, 10**30), min_size=1, max_size=40),
+        st.lists(
+            st.tuples(
+                st.integers(0, 39),
+                st.sampled_from([True, False, 1.0, 2.5, -1, -(10**25), "3", None, Fraction(2)]),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_dims_names_the_per_degree_loops_degree(self, dims, bad):
+        for i, v in bad:
+            dims[i % len(dims)] = v
+        want = oracles.from_dims_error(dims)
+        if want is None:
+            assert TruncatedSeries.from_dims(dims).coeffs == tuple(dims)
+        else:
+            with pytest.raises(ValueError) as raised:
+                TruncatedSeries.from_dims(dims)
+            assert str(raised.value) == want
+
+    def test_from_dims_takes_an_int_subclass(self):
+        # an int subclass other than bool is a dimension, as it was per degree
+        assert TruncatedSeries.from_dims([1, Level.HIGH, 3]).coeffs == (1, Level.HIGH, 3)
+        with pytest.raises(ValueError, match="at degree 1 must"):
+            TruncatedSeries.from_dims([1, Level.LOW, 3])
+
     def test_brute_guard(self):
         with pytest.raises(ValueError, match="truncation too large for brute force"):
             hh_bruteforce(GradedAlphabet((1, 1, 1)), 18)
@@ -401,6 +469,40 @@ class TestFreeLoopGrowth:
             monkeypatch.setattr(freeloop, name, fail)
         with pytest.raises(ValueError, match="unknown method"):
             free_loop_good_growth(GradedAlphabet((2, 2)), method="fast")
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        st.integers(2, 120),
+        st.floats(1, 3, exclude_min=True),
+        st.floats(0, 0.5),
+        st.integers(1, 120),
+        st.none() | st.floats(0, 0.2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fields_match_the_per_degree_loops(self, degs, n, lam, epsilon, k_min, match_tol):
+        k_min = min(k_min, n)
+        a = GradedAlphabet(degs)
+        try:
+            r = free_loop_good_growth(a, n, lam, epsilon, k_min, match_tol)
+        except ValueError as e:
+            # a table with no nonzero entry from k_min on raises as the reference does
+            lx = TruncatedSeries.from_dims(hh_necklace(a, n).lx)
+            with pytest.raises(ValueError) as want:
+                oracles.log_index_empirical(lx, k_min)
+            assert str(e) == str(want.value)
+            return
+        lx = TruncatedSeries.from_dims(r.table.lx)
+        passed, sequence, alphas = oracles.controlled_growth_check(lx, r.target, lam, epsilon, k_min)
+        empirical = oracles.log_index_empirical(lx, k_min)
+        assert (r.check.sequence, r.check.alphas, r.empirical) == (sequence, alphas, empirical)
+        assert r.check.passed == passed
+        assert r.log_index_match == (abs(empirical - r.target) <= r.match_tol)
+        assert r.passed == (passed and r.log_index_match)
+
+    def test_one_rate_pass_feeds_the_check_and_the_index(self, monkeypatch):
+        passes = oracles.count_calls(monkeypatch, series, "_rates")
+        free_loop_good_growth(GradedAlphabet((1, 2)), 60, k_min=5)
+        assert len(passes) == 1
 
     def test_brute_method_agrees(self):
         a = GradedAlphabet((2, 2))

@@ -88,6 +88,17 @@ class TestGcd:
         assert got == normalized(want)
         assert got.leading() > 0 and got.content() == 1
         poly_divexact(got, normalized(g))  # the planted factor divides the gcd
+        assert polynomial._heuristic_gcd(a, b) in (None, got)
+
+    # pairs where the first candidate divides a but not b, so only the
+    # division check on b rejects it
+    @pytest.mark.parametrize(
+        "a,b",
+        [((9, -12, 3), (-3, 9, 12, -15, 6, -9)), ((-5, 5, 5, -5), (-2, 1, -3, 20, -25, 9))],
+    )
+    def test_the_heuristic_gcd_divides_both(self, a, b):
+        a, b = IntPolynomial(a), IntPolynomial(b)
+        assert polynomial._heuristic_gcd(a, b) in (None, poly_gcd(a, b))
 
     @given(nonzero(6))
     @settings(max_examples=50, deadline=None)
@@ -108,6 +119,35 @@ class TestGcd:
         want = from_sympy(to_sympy(f).sqf_part())
         assert normalized(got) == normalized(want)
         assert got.content() == f.content()
+
+
+    # a repeated factor with coefficients far above those of the rest, so
+    # the first evaluation point of the heuristic gcd often misses
+    @given(nonzero(4, 10**6), nonzero(3, 10**12), st.integers(1, 3), nonzero(2), st.integers(2, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_squarefree_part_matches_the_remainder_sequence(self, p, q, e, r, k):
+        f = p * power(q, e) * power(r, k)
+        assume(f.degree() >= 1)
+        df = f.derivative()
+        g = poly_gcd(f, df)
+        assert squarefree_part(f) == (f if g.degree() <= 0 else poly_divexact(f, g))
+        assert polynomial._heuristic_gcd(f, df) in (None, g)
+
+    def test_a_missed_evaluation_point_is_squared(self, monkeypatch):
+        # (1 - z)^2 (1 - z^2)^2 ... (1 - z^12)^2: the gcd with the derivative
+        # has coefficients above 2 max|f'| + 2, so the first points miss
+        f = power(polynomial.binomial_product(tuple(range(1, 13))), 2)
+        points = []
+        real = polynomial._scaled_value
+        monkeypatch.setattr(polynomial, "_scaled_value", lambda c, p, q: points.append(p) or real(c, p, q))
+        got = polynomial._heuristic_gcd(f, f.derivative())
+        assert got == poly_gcd(f, f.derivative())
+        assert len(points) > 2 and points[2] == points[0] ** 2
+
+    def test_an_exhausted_heuristic_falls_back_to_the_remainder_sequence(self, monkeypatch):
+        monkeypatch.setattr(polynomial, "_heuristic_gcd", lambda a, b: None)
+        f = power(IntPolynomial((1, -3)), 2) * IntPolynomial((1, -1))
+        assert squarefree_part(f) == IntPolynomial((-1, 4, -3))  # f / (3z - 1)
 
 
 class TestDivexact:

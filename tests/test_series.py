@@ -7,7 +7,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopgrowth import polynomial, series
@@ -706,9 +706,10 @@ class TestBisectionWork:
              (1, 0, -1, -2, -2, 0, 1, 2, 1)),
             # (1 - z)(1 - z - z^2)
             (lambda: gf([1], [1, -2, 0, 1]), *_GOLDEN_PHI, (1, -2, 0, 1)),
-            # Phi_3 (1 - z^2)(1 - z^5), whose pole is 1
+            # Phi_3 (1 - z^2)(1 - z^5), whose pole is 1; the squarefree part
+            # keeps one factor 1 - z of the two
             (lambda: gf([1], [1, 1, 0, -1, -1, -1, -1, 0, 1, 1]),
-             Fraction(1), Fraction(1), (1, 1, 0, -1, -1, -1, -1, 0, 1, 1)),
+             Fraction(1), Fraction(1), (-1, -2, -2, -1, 0, 1, 2, 2, 1)),
         ],
         ids=["wedge-times-spheres", "partial-split", "phi3-factor"],
     )
@@ -1008,6 +1009,24 @@ class TestCompareRadii:
         assert compare_radii(fin, inf)[0] == -1
         assert compare_radii(inf, fin)[0] == 1
         assert compare_radii(inf, inf)[0] == 0
+
+    def test_a_coarse_radius_meets_a_fine_one_in_one_bisect(self, monkeypatch):
+        # roots 2^-200 apart: (1 - z - z^2) and its shift by 2^-200, whose
+        # cells sit at levels about 300 and 40; 8 bits per round would take
+        # some 20 rounds of signs
+        e = 2**200
+        ez1 = IntPolynomial((-1, e))  # e z - 1, so f(z - 1/e) = f(ez1 / e)
+        shifted = IntPolynomial((e * e,)) - IntPolynomial((-e, e * e)) - ez1 * ez1
+        fine = smallest_positive_pole(gf([1], [1, -1, -1])).refined(Fraction(1, 2**300))
+        coarse = smallest_positive_pole(RationalGF(IntPolynomial((1,)), shifted))
+        assert coarse.lo < fine.lo and fine.hi < coarse.hi
+        signs = []
+        real = IntPolynomial.sign_at_ratio
+        monkeypatch.setattr(IntPolynomial, "sign_at_ratio", lambda *a: signs.append(a) or real(*a))
+        verdict, fine2, coarse2 = compare_radii(fine, coarse)
+        assert verdict == -1 and fine2 == fine and coarse2.width() <= fine.width()
+        # two signs of the gcd, then at most three for the one _bisect
+        assert len(signs) <= 5
 
     def test_radii_that_never_separate_are_an_error(self, monkeypatch):
         # every round overlaps and no common root is found, so the
@@ -1318,6 +1337,22 @@ class TestRatePass:
     @settings(max_examples=300, deadline=None)
     def test_empirical_matches_reference(self, s, tail_start):
         tail_start = min(tail_start, s.trunc_degree + 1)
+        want = outcome(oracles.log_index_empirical, s, tail_start)
+        assert outcome(log_index_empirical, s, tail_start) == want
+
+    # a denominator with constant term 2..9 gives Fraction coefficients
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        st.integers(2, 9),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        st.integers(1, 60),
+        st.integers(0, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_fraction_series_matches_reference(self, num, d0, den, n, tail_start):
+        assume(any(num))
+        s = expand(RationalGF.from_coeffs(num, [d0] + den), n)
+        tail_start = min(tail_start, n)
         want = outcome(oracles.log_index_empirical, s, tail_start)
         assert outcome(log_index_empirical, s, tail_start) == want
 
