@@ -246,6 +246,9 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     return poly_divexact(f, g)
 
 
+_HEURISTIC_BITS = 1 << 18
+
+
 def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
     """`poly_gcd(a, b)` of two nonzero polynomials from integer gcds, or None.
 
@@ -255,13 +258,19 @@ def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
     polynomial G, and when G's primitive part divides a and b it is their
     gcd: a nonconstant cofactor Q of it in gcd(a, b) would have |Q(xi)| >
     xi/2 by the Cauchy root bound, yet divide G's content, a digit. A miss
-    squares xi, six times at most. On a high-degree gcd with small
+    squares xi, six times at most, and the heuristic gives up once the
+    evaluated integers, about deg * bits(xi) bits, would pass
+    `_HEURISTIC_BITS`, so a run of misses costs a few integer gcds of at
+    most that size before the caller falls back to `poly_gcd`. On a high-degree gcd with small
     coefficients, as of products of cyclotomic factors, one big-integer gcd
     replaces a pseudo-remainder sequence that is quadratic in the degree.
     """
     pa, pb = _primitive(list(a.coeffs)), _primitive(list(b.coeffs))
     xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
+    degree = max(len(pa), len(pb)) - 1
     for _ in range(6):
+        if degree * xi.bit_length() > _HEURISTIC_BITS:
+            return None
         h, digits = int_gcd(_scaled_value(pa, xi, 1), _scaled_value(pb, xi, 1)), []
         while h:
             d = h % xi

@@ -57,8 +57,8 @@ its ends. Only `Radius.certificate_holds` counts roots again, from
 scratch, by the same subdivision on the squarefree part of the denominator.
 
 The growth statistics of a dimension series read one pass of rates
-log(c_n)/n over its tail (`_rates`), which an all-int series takes as one
-negativity check and one map over its nonzero terms: `free-loop` reads its
+log(c_n)/n over its tail (`_rates`), one negativity check and one map over
+its nonzero terms: `free-loop` reads its
 controlled-growth check and its empirical log index off the same pass, and
 `log-index`, `hm-census` and `torsion` their empirical index.
 
@@ -1054,23 +1054,16 @@ _NEGATIVE = "series has negative coefficients; growth undefined"
 def _rates(s: TruncatedSeries, start: int) -> tuple:
     """(degrees, rates): each n >= start with c_n nonzero, and log(c_n)/n.
 
-    An all-int tail takes one negativity check and maps one log over its
-    nonzero terms; any other tail is read term by term, a Fraction by two logs.
+    One negativity check covers the tail, and one log is mapped over its
+    nonzero terms: `math.log` on an all-int tail, else `_log_fraction`,
+    which takes an int's log exactly too.
     """
     tail = s.coeffs[start:]
-    if set(map(type, tail)) <= {int}:
-        if tail and min(tail) < 0:
-            raise ValueError(_NEGATIVE)
-        degrees = list(compress(range(start, s.trunc_degree + 1), tail))
-        return degrees, list(map(truediv, map(math.log, filter(None, tail)), degrees))
-    degrees, rates = [], []
-    for n, c in enumerate(tail, start):
-        if c:
-            if c < 0:
-                raise ValueError(_NEGATIVE)
-            degrees.append(n)
-            rates.append((math.log(c) if isinstance(c, int) else _log_fraction(c)) / n)
-    return degrees, rates
+    if tail and min(tail) < 0:
+        raise ValueError(_NEGATIVE)
+    log = math.log if set(map(type, tail)) <= {int} else _log_fraction
+    degrees = list(compress(range(start, s.trunc_degree + 1), tail))
+    return degrees, list(map(truediv, map(log, filter(None, tail)), degrees))
 
 
 def _max_rate(rates: list) -> float:

@@ -144,6 +144,25 @@ class TestGcd:
         assert got == poly_gcd(f, f.derivative())
         assert len(points) > 2 and points[2] == points[0] ** 2
 
+    def test_a_run_of_misses_stops_at_the_size_limit(self, monkeypatch):
+        # degree 1,000 with 100-bit coefficients: squaring xi on every miss
+        # would evaluate at 3.2 million bits by the sixth try
+        f = IntPolynomial(tuple(range(2**100, 2**100 + 1001)))
+        sizes = []
+        real = polynomial._scaled_value
+        monkeypatch.setattr(
+            polynomial, "_scaled_value", lambda c, p, q: sizes.append((len(c) - 1) * p.bit_length()) or real(c, p, q)
+        )
+
+        def miss(a, b):
+            raise ValueError("not exact")
+
+        monkeypatch.setattr(polynomial, "poly_divexact", miss)
+        start = time.perf_counter()
+        assert polynomial._heuristic_gcd(f, f.derivative()) is None
+        assert 0 < len(sizes) < 12 and max(sizes) <= polynomial._HEURISTIC_BITS
+        assert time.perf_counter() - start < 5
+
     def test_an_exhausted_heuristic_falls_back_to_the_remainder_sequence(self, monkeypatch):
         monkeypatch.setattr(polynomial, "_heuristic_gcd", lambda a, b: None)
         f = power(IntPolynomial((1, -3)), 2) * IntPolynomial((1, -1))
